@@ -49,18 +49,40 @@ def _need(block: dict, key: str, kind, path: str):
     return v
 
 
-def load_config(path: str) -> dict:
+def _load_json_object(path: str, what: str) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
+        raise ConfigError(f"cannot read {what} {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: "
                           f"{exc.msg}")
-    if not isinstance(cfg, dict):
+    except ValueError as exc:           # undecodable bytes
+        raise ConfigError(f"{path}: {exc}")
+    if not isinstance(obj, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    return cfg
+    return obj
+
+
+def load_config(path: str) -> dict:
+    return _load_json_object(path, "config")
+
+
+def _load_report(path: str) -> dict:
+    """A build report, checked for every field that verify reads."""
+    report = _load_json_object(path, "report")
+    where = f"{path}: report"
+    _need(report, "n", int, where)
+    for key in ("k_exact", "d_exact"):
+        if key in report:
+            _need(report, key, int, where)
+    if "bound" in report:
+        bound = _need(report, "bound", dict, where)
+        if bound.get("valid"):
+            _need(bound, "k_lower", int, f"{where}.bound")
+            _need(bound, "d_lower", int, f"{where}.bound")
+    return report
 
 
 def _build_curve(cfg: dict):
@@ -143,7 +165,7 @@ def _build_surface(cfg: dict, curve):
             fc = _need(center, "fiber", int, "config.surface.center")
         else:
             fi = center.get("fiber_index", 0)
-            valid = _valid_fiber_coords(curve, ext, d)
+            valid = _valid_fiber_coords(ext, d)
             if not 0 <= fi < len(valid):
                 raise ConfigError("config.surface.center.fiber_index: only "
                                   f"{len(valid)} valid coordinates exist")
@@ -155,17 +177,10 @@ def _build_surface(cfg: dict, curve):
     raise ConfigError(f"config.surface.variant: unknown variant {variant!r}")
 
 
-def _valid_fiber_coords(curve, ext, d):
-    out = []
-    for e in range(ext.order):
-        orb = 1
-        t = ext.frob_i(e)
-        while t != e:
-            orb += 1
-            t = ext.frob_i(t)
-        if orb >= 2 and d % orb == 0:
-            out.append(e)
-    return out
+def _valid_fiber_coords(ext, d):
+    """Coordinates of ext whose Frobenius orbit size is >= 2 and divides d."""
+    sizes = [len(ext.orbit((e,))) for e in range(ext.order)]
+    return [e for e, orb in enumerate(sizes) if orb >= 2 and d % orb == 0]
 
 
 def _build_code(cfg: dict):
@@ -218,7 +233,11 @@ def _print_table(rows, out=None):
 def cmd_build(args) -> int:
     cfg = load_config(args.config)
     code = _build_code(cfg)
-    out_dir = cfg.get("output", {}).get("dir", args.out_dir or ".")
+    out_dir = args.out_dir
+    if out_dir is None:
+        output = _need(cfg, "output", dict, "config") if "output" in cfg else {}
+        out_dir = (_need(output, "dir", str, "config.output")
+                   if "dir" in output else ".")
     os.makedirs(out_dir, exist_ok=True)
     analysis_block = cfg.get("analysis", {})
     cap = analysis_block.get("exact_cap", EXACT_CAP_DEFAULT)
@@ -270,11 +289,11 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     code = read_matrix(args.matrix)
-    with open(args.report) as fh:
-        report = json.load(fh)
-    cap = args.cap
+    report = _load_report(args.report)
     failures = []
-    n, k, d = exact_params(code, cap=cap)
+    n, k, d = exact_params(code, cap=args.cap)
+    if k == 0:
+        raise ValueError(f"{args.matrix}: the generator matrix has rank 0")
     if n != report["n"]:
         failures.append(f"length {n} != recorded {report['n']}")
     if "k_exact" in report and k != report["k_exact"]:

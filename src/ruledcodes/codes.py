@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .gf import FieldSpec, extend
+from .gf import DESK_CAP, FieldSpec, extend, field_create
 from .curve import CurveModel, ClosedPoint, DivisorOnCurve
 from .rrspace import (rr_basis, evaluate, taylor_coeffs, subfield_coords)
 from .surface import (RuledSurfaceModel, DECOMPOSABLE, ELM, INFTY,
@@ -125,35 +125,36 @@ def build_code_decomposable(surface: RuledSurfaceModel, a: int,
     b = beta.degree()
     if not 0 <= b < len(rational):
         raise ValueError(f"deg(beta) = {b} must satisfy 0 <= b < N")
-    blocks = []
-    for i in range(a + 1):
-        blocks.append(rr_basis(curve, beta - i * surface.delta))
+    blocks = [rr_basis(curve, beta - i * surface.delta) for i in range(a + 1)]
     if not any(blocks):
         raise ValueError("empty message space")
-    matrix = []
-    block_index = []
-    cache = {}
-    for i, block in enumerate(blocks):
-        for f in block:
-            key = f.key()
-            if key not in cache:
-                cache[key] = {p: evaluate(f, p).val for p in rational}
-            vals = cache[key]
-            row = []
-            for p, u in pts:
-                if u == INFTY:
-                    row.append(vals[p] if i == a else 0)
-                else:
-                    row.append(surface.curve.spec.mul_i(
-                        vals[p], surface.curve.spec.pow_i(u, i)))
-            matrix.append(row)
-            block_index.append(i)
+    terms = [(i, f) for i, block in enumerate(blocks) for f in block]
+    matrix = _section_rows(curve.spec, a, terms, rational, pts)
+    block_index = [i for i, _ in terms]
     return LinearCode(curve.spec, matrix, pts,
                       {"family": "decomposable_surface", "a": a, "b": b,
                        "e": surface.e, "N": len(rational),
                        "g": curve.genus, "surface": surface, "beta": beta,
                        "curve": curve, "block_index": block_index,
                        "block_dims": [len(bl) for bl in blocks]})
+
+
+def _section_rows(spec: FieldSpec, a: int, terms, rational, pts):
+    """One generator row per (i, f) in terms: the section f * u^i of
+    a*S + pi^*(beta) at every surface point (p, u) in pts, taking f(p) u^i
+    on the affine fiber and f(p) at (p, infinity) when i == a, else 0.
+    Each distinct f is evaluated once at the rational base points."""
+    values = {}
+    rows = []
+    for i, f in terms:
+        key = f.key()
+        if key not in values:
+            values[key] = {p: evaluate(f, p).val for p in rational}
+        vals = values[key]
+        rows.append([(vals[p] if i == a else 0) if u == INFTY
+                     else spec.mul_i(vals[p], spec.pow_i(u, i))
+                     for p, u in pts])
+    return rows
 
 
 def build_code_elm(surface: RuledSurfaceModel, a: int,
@@ -211,32 +212,20 @@ def build_code_elm(surface: RuledSurfaceModel, a: int,
                     cond_rows.append([coords(v)[t] for v in entries])
     if cond_rows:
         null = linalg.nullspace(spec, cond_rows)
-        cond_rank = linalg.rank(spec, cond_rows)
     else:
         null = [[1 if t == s else 0 for t in range(len(ambient))]
                 for s in range(len(ambient))]
-        cond_rank = 0
     if not null:
         raise ValueError("empty message space after multiplicity conditions")
 
     pts = surface_rational_points(surface)
-    cache = {f.key(): {p: evaluate(f, p).val for p in rational} for f in basis}
-    amb_rows = []
-    for i, f in ambient:
-        vals = cache[f.key()]
-        row = []
-        for p, u in pts:
-            if u == INFTY:
-                row.append(vals[p] if i == a else 0)
-            else:
-                row.append(spec.mul_i(vals[p], spec.pow_i(u, i)))
-        amb_rows.append(row)
+    amb_rows = _section_rows(spec, a, ambient, rational, pts)
     matrix = linalg.mat_mul(spec, null, amb_rows)
     return LinearCode(spec, matrix, pts,
                       {"family": "elm_surface", "a": a, "b": b, "d": d,
                        "N": len(rational), "g": curve.genus,
                        "surface": surface, "beta": beta, "curve": curve,
-                       "condition_rank": cond_rank,
+                       "condition_rank": len(ambient) - len(null),
                        "condition_count": len(cond_rows)})
 
 
@@ -363,27 +352,37 @@ def write_points(code: LinearCode, path):
 
 
 def read_matrix(path) -> LinearCode:
-    from .gf import field_create, is_prime
+    """Parse the wire format.  A malformed file raises ValueError naming the
+    file and the offending field."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError("matrix header must be 'k n q'")
-        k, n, q = (int(t) for t in header)
-        p = next(f for f in range(2, q + 1) if q % f == 0 and is_prime(f))
+        try:
+            k, n, q = (int(t) for t in fh.readline().split())
+        except ValueError:
+            raise ValueError(f"{path}: header must be three integers 'k n q'")
+        if k < 1 or n < 1:
+            raise ValueError(f"{path}: header k = {k} and n = {n} must be >= 1")
+        if not 2 <= q <= DESK_CAP:
+            raise ValueError(f"{path}: header q = {q} is not a prime power "
+                             f"in 2..{DESK_CAP}")
+        p = next(f for f in range(2, q + 1) if q % f == 0)  # least factor: prime
         m = 0
         qq = q
         while qq > 1:
             qq //= p
             m += 1
         if p ** m != q:
-            raise ValueError(f"q = {q} is not a prime power")
+            raise ValueError(f"{path}: header q = {q} is not a prime power")
         spec = field_create(p, m)
         matrix = []
-        for _ in range(k):
-            row = [int(t) for t in fh.readline().split()]
+        for i in range(1, k + 1):
+            try:
+                row = [int(t) for t in fh.readline().split()]
+            except ValueError:
+                raise ValueError(f"{path}: row {i} has a non-integer entry")
             if len(row) != n:
-                raise ValueError("matrix row has the wrong length")
+                raise ValueError(f"{path}: row {i} has {len(row)} entries, "
+                                 f"header n = {n}")
             if any(not 0 <= v < q for v in row):
-                raise ValueError("matrix entry out of field range")
+                raise ValueError(f"{path}: row {i} has an entry outside 0..{q - 1}")
             matrix.append(row)
     return LinearCode(spec, matrix, list(range(n)), {"family": "imported"})

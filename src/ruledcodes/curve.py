@@ -5,6 +5,10 @@ chord-tangent group law, and class numbers.
 Geometric points are coordinate pairs encoded as integers in an extension
 field; a closed point is a Frobenius orbit, stored through its canonical
 representative (the orbit element with the least coordinate encoding).
+
+A CurveModel owns its caches: embedded coefficients, point counts, closed
+points by degree, and the local charts that rrspace expands functions in.
+They live and die with the curve.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ class CurveModel:
     """
 
     __slots__ = ("kind", "spec", "a", "genus", "_coeff_cache", "_count_cache",
-                 "_closed_cache", "_rational")
+                 "_closed_cache", "_rational", "_charts")
 
     def __init__(self, kind: str, spec: FieldSpec, coefficients=None):
         if kind not in (P1, ELLIPTIC):
@@ -45,6 +49,7 @@ class CurveModel:
         self._count_cache = {}
         self._closed_cache = {}
         self._rational = None
+        self._charts = {}       # local charts by point, see rrspace._chart
         if kind == P1:
             self.a = ()
             self.genus = 0
@@ -147,11 +152,7 @@ class CurveModel:
             for x, y in self.affine_points(ext):
                 if (x, y) in seen:
                     continue
-                orbit = [(x, y)]
-                nx, ny = ext.frob_i(x), ext.frob_i(y)
-                while (nx, ny) != (x, y):
-                    orbit.append((nx, ny))
-                    nx, ny = ext.frob_i(nx), ext.frob_i(ny)
+                orbit = ext.orbit((x, y))
                 seen.update(orbit)
                 if len(orbit) == d:
                     out.append(ClosedPoint(self, d, x, y))
@@ -268,11 +269,7 @@ class ClosedPoint:
                 raise ValueError("the point at infinity has degree 1")
             return
         ext = extend(curve.spec, degree)
-        orbit = [(x, y)]
-        nx, ny = ext.frob_i(x), ext.frob_i(y)
-        while (nx, ny) != (x, y):
-            orbit.append((nx, ny))
-            nx, ny = ext.frob_i(nx), ext.frob_i(ny)
+        orbit = ext.orbit((x, y))
         if len(orbit) != degree:
             raise ValueError(f"orbit size {len(orbit)} != declared degree {degree}")
         if curve.kind == ELLIPTIC and not curve.is_on_curve(x, y, ext):
@@ -290,13 +287,7 @@ class ClosedPoint:
     def orbit(self):
         if self.is_infinity:
             return [(None, None)]
-        ext = self.ext_spec
-        out = [(self.x, self.y)]
-        nx, ny = ext.frob_i(self.x), ext.frob_i(self.y)
-        while (nx, ny) != (self.x, self.y):
-            out.append((nx, ny))
-            nx, ny = ext.frob_i(nx), ext.frob_i(ny)
-        return out
+        return self.ext_spec.orbit((self.x, self.y))
 
     def sort_key(self):
         return (self.degree, 1 if self.is_infinity else 0,

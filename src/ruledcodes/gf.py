@@ -149,7 +149,7 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "deg", "modulus", "base_card", "order", "_exp", "_log",
-                 "_embeddings", "_digit_cache", "_trace_one")
+                 "_embeddings", "_coords", "_trace_one")
 
     def __init__(self, p: int, deg: int, modulus: tuple[int, ...],
                  base_card: int):
@@ -161,7 +161,7 @@ class FieldSpec:
         self._exp = None
         self._log = None
         self._embeddings = {}
-        self._digit_cache = None
+        self._coords = {}               # subfield coordinate maps, see rrspace
         self._trace_one = None
         if self.order <= _TABLE_MAX:
             self._build_tables()
@@ -256,6 +256,16 @@ class FieldSpec:
     def frob_i(self, a: int) -> int:
         return self.pow_i(a, self.base_card)
 
+    def orbit(self, t: tuple) -> list[tuple]:
+        """Frobenius orbit of the coordinate tuple t, starting at t."""
+        frob = self.frob_i
+        out = [t]
+        nxt = tuple(map(frob, t))
+        while nxt != t:
+            out.append(nxt)
+            nxt = tuple(map(frob, nxt))
+        return out
+
     def sqrt_i(self, a: int):
         """A square root of a, or None if a is not a square.  Odd p only."""
         if self.p == 2:
@@ -310,35 +320,19 @@ class FieldSpec:
     # -- tables
 
     def _build_tables(self):
+        # mul_i and pow_i take their table-free branches while _exp is None
         n1 = self.order - 1
         factors = _prime_factors(n1) if n1 > 1 else []
-        gen = None
-        for cand in range(1, self.order):
-            if all(self._pow_slow(cand, n1 // ell) != 1 for ell in factors):
-                gen = cand
-                break
+        gen = next(cand for cand in range(1, self.order)
+                   if all(self.pow_i(cand, n1 // ell) != 1 for ell in factors))
         exp = [0] * n1
         log = [0] * self.order
         x = 1
         for i in range(n1):
             exp[i] = x
             log[x] = i
-            x = self._mul_slow(x, gen)
+            x = self.mul_i(x, gen)
         self._exp, self._log = exp, log
-
-    def _mul_slow(self, a: int, b: int) -> int:
-        prod = _pmul(list(self.decode(a)), list(self.decode(b)), self.p)
-        prod = _pmod(prod, list(self.modulus), self.p)
-        return self.encode(prod + [0] * (self.deg - len(prod)))
-
-    def _pow_slow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_slow(r, a)
-            a = self._mul_slow(a, a)
-            e >>= 1
-        return r
 
     # -- element-level API
 
@@ -433,7 +427,7 @@ class FieldElement:
                 raise ValueError("mixed field specs")
             return other.val
         if isinstance(other, int):
-            return other % self.spec.p if self.spec.deg >= 1 else other
+            return other % self.spec.p
         return NotImplemented
 
     def __add__(self, other):
@@ -492,7 +486,7 @@ class FieldElement:
         if isinstance(other, FieldElement):
             return self.val == other.val and self.spec == other.spec
         if isinstance(other, int):
-            return self.val == other
+            return self.val == other % self.spec.p
         return NotImplemented
 
     def __hash__(self):
@@ -556,12 +550,7 @@ def embed(x: FieldElement, target: FieldSpec) -> FieldElement:
 
 def frobenius_orbit(x: FieldElement) -> list[FieldElement]:
     """Orbit of x under the tower Frobenius y -> y^q, starting at x."""
-    orbit = [x]
-    y = x.frobenius()
-    while y.val != x.val:
-        orbit.append(y)
-        y = y.frobenius()
-    return orbit
+    return [FieldElement(x.spec, v) for (v,) in x.spec.orbit((x.val,))]
 
 
 def solve_quadratic(spec: FieldSpec, b: int, c: int) -> list[int]:

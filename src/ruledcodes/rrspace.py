@@ -11,14 +11,18 @@ x-coordinates of the positive support, has an explicitly known divisor, so
 u * L(D) is the subspace of L(M'*O) cut out by vanishing conditions at known
 closed points.  Vanishing to order n at a degree-d point contributes n*d
 linear conditions over F_q once the order-n truncated expansion (computed in
-F_{q^d} with a cached local chart) is flattened through a fixed F_q-basis of
+F_{q^d} with a local chart) is flattened through a fixed F_q-basis of
 F_{q^d}.  The resulting nullspace is echelonized against the monomial order
 of L(M'*O), which makes bases reproducible.
+
+Nothing here is cached at module level: local charts are cached on their
+CurveModel, and the subfield coordinate maps of subfield_coords on the big
+FieldSpec, so both are freed with their owner.
 """
 
 from __future__ import annotations
 
-from .gf import FieldSpec, FieldElement, extend
+from .gf import FieldSpec, FieldElement, extend, field_create
 from .poly import Poly
 from .curve import (CurveModel, ClosedPoint, DivisorOnCurve, P1, ELLIPTIC,
                     divisor_class_sum)
@@ -272,14 +276,11 @@ class _Chart:
         return xs.truncate(-2 + rel), ys.truncate(-3 + rel)
 
 
-_CHARTS: dict = {}
-
-
 def _chart(curve: CurveModel, pt: ClosedPoint) -> _Chart:
-    key = (id(curve), pt.degree, pt.x, pt.y)
-    if key not in _CHARTS:
-        _CHARTS[key] = _Chart(curve, pt)
-    return _CHARTS[key]
+    key = (pt.degree, pt.x, pt.y)
+    if key not in curve._charts:
+        curve._charts[key] = _Chart(curve, pt)
+    return curve._charts[key]
 
 
 # ---------------------------------------------------------------------------
@@ -540,19 +541,16 @@ def _coerce_down(spec: FieldSpec, big: FieldSpec, poly_big: Poly) -> Poly:
     return Poly(spec, out)
 
 
-_COORD_CACHE: dict = {}
-
-
 def subfield_coords(small: FieldSpec, big: FieldSpec):
     """Callable mapping enc in big to its coordinate tuple over small,
     with respect to the basis 1, z, ..., z^(d-1) of big (z the class of
-    the absolute generator)."""
-    key = (id(small), id(big))
-    if key in _COORD_CACHE:
-        return _COORD_CACHE[key]
+    the absolute generator).  Cached on big, keyed like its embeddings."""
+    key = (small.p, small.deg, small.modulus)
+    if key in big._coords:
+        return big._coords[key]
     if small is big or small == big:
         fn = lambda enc: (enc,)
-        _COORD_CACHE[key] = fn
+        big._coords[key] = fn
         return fn
     d = big.deg // small.deg
     p = big.p
@@ -564,23 +562,12 @@ def subfield_coords(small: FieldSpec, big: FieldSpec):
         for i in range(small.deg):
             base_el = big.embed_i(small, small.encode([0] * i + [1]))
             cols.append(big.decode(big.mul_i(base_el, zj)))
-    # invert the n x n matrix over F_p
-    mat = [[cols[c][r] for c in range(n)] for r in range(n)]
-    aug = [row[:] + [1 if i == j else 0 for j in range(n)]
-           for i, row in enumerate(mat)]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if aug[i][c] % p != 0), None)
-        assert piv is not None, "basis matrix is singular"
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][c], p - 2, p)
-        aug[r] = [(v * inv) % p for v in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] % p:
-                fct = aug[i][c]
-                aug[i] = [(a - fct * b) % p for a, b in zip(aug[i], aug[r])]
-        r += 1
-    inv_mat = [row[n:] for row in aug]
+    # invert the n x n basis matrix over F_p: rref of [M | I] is [I | M^-1]
+    aug = [[cols[c][r] for c in range(n)] + [1 if r == j else 0 for j in range(n)]
+           for r in range(n)]
+    red, pivots = linalg.rref(field_create(p, 1), aug)
+    assert pivots == list(range(n)), "basis matrix is singular"
+    inv_mat = [row[n:] for row in red]
 
     def fn(enc: int):
         digs = big.decode(enc)
@@ -588,7 +575,7 @@ def subfield_coords(small: FieldSpec, big: FieldSpec):
         return tuple(small.encode(sol[j * small.deg:(j + 1) * small.deg])
                      for j in range(d))
 
-    _COORD_CACHE[key] = fn
+    big._coords[key] = fn
     return fn
 
 
@@ -596,12 +583,7 @@ def x_min_poly(curve: CurveModel, pt: ClosedPoint) -> Poly:
     """Minimal polynomial over F_q of the x-coordinate of pt."""
     assert not pt.is_infinity
     ext = pt.ext_spec
-    orbit = [pt.x]
-    nx = ext.frob_i(pt.x)
-    while nx != pt.x:
-        orbit.append(nx)
-        nx = ext.frob_i(nx)
-    prod = Poly.from_roots(ext, orbit)
+    prod = Poly.from_roots(ext, [x for (x,) in ext.orbit((pt.x,))])
     return _coerce_down(curve.spec, ext, prod)
 
 

@@ -71,12 +71,7 @@ class RuledSurfaceModel:
             d = base_point.degree
             if base_point.is_infinity or d < 2:
                 raise ValueError("the center must have degree >= 2")
-            ext = extend(curve.spec, d)
-            orb = 1
-            t = ext.frob_i(fiber_coord)
-            while t != fiber_coord:
-                orb += 1
-                t = ext.frob_i(t)
+            orb = len(extend(curve.spec, d).orbit((fiber_coord,)))
             if orb < 2:
                 raise ValueError("fiber coordinate of the center is rational; "
                                  "its image on P^1 must have degree >= 2")

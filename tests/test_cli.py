@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from ruledcodes.cli import main
 
@@ -218,3 +223,127 @@ def test_recover_refuses_rank_deficient(tmp_path, capsys):
     rc = main(["recover", "--config", cfg, "--out", str(tmp_path / "r.json")])
     assert rc == 1
     assert "rank" in capsys.readouterr().err
+
+
+def test_build_out_dir_flag_beats_config_output_dir(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path, output={"dir": str(tmp_path / "from_cfg")})
+    flag = tmp_path / "from_flag"
+    assert main(["build", "--config", cfg, "--out-dir", str(flag)]) == 0
+    assert (flag / "report.json").exists()
+    assert not (tmp_path / "from_cfg").exists()
+    # without the flag the config's output.dir applies, then "."
+    assert main(["build", "--config", cfg]) == 0
+    assert (tmp_path / "from_cfg" / "report.json").exists()
+    monkeypatch.chdir(tmp_path)
+    assert main(["build", "--config", write_config(tmp_path, "plain.json")]) == 0
+    assert (tmp_path / "report.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# verify input boundary: a malformed matrix or report exits 2, never 1
+
+GOOD_MATRIX = "1 3 5\n1 2 3\n"
+GOOD_REPORT = {"n": 3, "bound": {"valid": True, "k_lower": 1, "d_lower": 3}}
+
+
+@pytest.mark.parametrize("matrix, report, bad, field", [
+    ("1 1 1\n0\n", GOOD_REPORT, "matrix", "header q"),
+    ("1 3 6\n1 2 3\n", GOOD_REPORT, "matrix", "header q"),
+    ("1 3\n1 2 3\n", GOOD_REPORT, "matrix", "header"),
+    ("2 3 5\n1 2 3\n", GOOD_REPORT, "matrix", "row 2"),
+    ("1 3 5\n1 x 3\n", GOOD_REPORT, "matrix", "row 1"),
+    ("1 3 5\n1 2 9\n", GOOD_REPORT, "matrix", "row 1"),
+    ("1 3 5\n0 0 0\n", GOOD_REPORT, "matrix", "rank 0"),
+    (GOOD_MATRIX, {"k_exact": 1}, "report", "report.n"),
+    (GOOD_MATRIX, [1, 2], "report", "top level"),
+    (GOOD_MATRIX, {"n": "3"}, "report", "report.n"),
+    (GOOD_MATRIX, {"n": 3, "d_exact": "3"}, "report", "report.d_exact"),
+    (GOOD_MATRIX, {"n": 3, "bound": 5}, "report", "report.bound"),
+    (GOOD_MATRIX, {"n": 3, "bound": {"valid": True}}, "report",
+     "report.bound.k_lower"),
+    (GOOD_MATRIX, {"n": 3, "bound": {"valid": True, "k_lower": 1,
+                                     "d_lower": 2.5}}, "report",
+     "report.bound.d_lower"),
+], ids=["q-1", "q-6", "short-header", "missing-row", "non-integer-entry",
+        "entry-range", "rank-0", "no-n", "list-report", "string-n",
+        "string-d-exact", "bound-not-object", "no-k-lower", "float-d-lower"])
+def test_verify_malformed_input_exit2(tmp_path, capsys, matrix, report, bad,
+                                      field):
+    paths = {"matrix": tmp_path / "g.txt", "report": tmp_path / "r.json"}
+    paths["matrix"].write_text(matrix)
+    paths["report"].write_text(json.dumps(report))
+    rc = main(["verify", str(paths["matrix"]), "--report", str(paths["report"])])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(paths[bad]) in err and field in err
+    assert "Traceback" not in err
+
+
+def test_verify_good_input_passes(tmp_path, capsys):
+    mpath, rpath = tmp_path / "g.txt", tmp_path / "r.json"
+    mpath.write_text(GOOD_MATRIX)
+    rpath.write_text(json.dumps(GOOD_REPORT))
+    assert main(["verify", str(mpath), "--report", str(rpath)]) == 0
+
+
+_small_int = st.integers(-2, 9)
+_token = st.one_of(_small_int.map(str), st.sampled_from(["x", "", "1.5", "-"]))
+_json_value = st.recursive(
+    st.one_of(st.none(), st.booleans(), _small_int, st.floats(0, 10),
+              st.text(max_size=3)),
+    lambda kids: st.one_of(st.lists(kids, max_size=3),
+                           st.dictionaries(st.text(max_size=3), kids, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def _matrix_text(draw):
+    q = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 9]))
+    n = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(st.integers(-1, q), min_size=n, max_size=n),
+                         max_size=3))
+    k = draw(st.sampled_from([len(rows), len(rows) + 1, 0]))
+    header = [str(k), str(n), str(q)]
+    if draw(st.booleans()):
+        header = draw(st.lists(_token, max_size=4))
+    lines = [" ".join(header)] + [" ".join(map(str, r)) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _report_text(draw):
+    kind = draw(st.sampled_from(["object", "json", "text"]))
+    if kind == "text":
+        return draw(st.text(max_size=8))
+    if kind == "json":
+        return json.dumps(draw(_json_value))
+    report = {}
+    for key, value in (("n", _small_int), ("k_exact", _small_int),
+                       ("d_exact", _small_int), ("family", st.text(max_size=3))):
+        if draw(st.booleans()):
+            report[key] = draw(st.one_of(value, _json_value))
+    if draw(st.booleans()):
+        bound = {"valid": draw(st.one_of(st.booleans(), _json_value))}
+        for key in ("k_lower", "d_lower"):
+            if draw(st.booleans()):
+                bound[key] = draw(st.one_of(_small_int, _json_value))
+        report["bound"] = draw(st.one_of(st.just(bound), _json_value))
+    return json.dumps(report)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix=_matrix_text(), report=_report_text())
+def test_verify_fuzz_exit_contract(matrix, report):
+    with tempfile.TemporaryDirectory() as tmp:
+        mpath, rpath = os.path.join(tmp, "g.txt"), os.path.join(tmp, "r.json")
+        with open(mpath, "w") as fh:
+            fh.write(matrix)
+        with open(rpath, "w") as fh:
+            fh.write(report)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["verify", mpath, "--report", rpath])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert err.getvalue().strip()

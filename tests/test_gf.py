@@ -163,6 +163,26 @@ def test_frobenius_orbits():
     gen = next(e for e in range(2, 64)
                if len(frobenius_orbit(f64.element(e))) == 3)
     assert len(frobenius_orbit(f64.element(gen))) == 3
+    # the tuple orbit is the joint orbit of all coordinates
+    assert f64.orbit((1,)) == [(1,)]
+    assert f64.orbit((gen, 1)) == [(v, 1) for (v,) in f64.orbit((gen,))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(5, 1), (2, 2), (7, 2)]), st.integers(0, 10 ** 6),
+       st.integers(-100, 100))
+def test_int_equality_means_prime_field_constant(pm, xx, n):
+    spec = field_create(*pm)
+    x = spec.element(xx)
+    assert (x == n) == ((x - n) == 0)
+    assert spec.element(n % spec.p) == n
+
+
+def test_int_equality_is_not_encoding_equality():
+    f49 = field_create(7, 2)
+    assert f49.element(7) != 7          # encoding 7 is the generator z
+    assert f49.element(0) == 7          # 7 is zero in characteristic 7
+    assert f49.element(3) == 10 and f49.element(3) + 7 == 3
 
 
 def test_element_text_encoding_roundtrip():

@@ -1,16 +1,17 @@
+import gc
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ruledcodes.gf import field_create
+from ruledcodes.gf import field_create, extend
 from ruledcodes.curve import (curve_create, ClosedPoint, DivisorOnCurve,
-                              divisor_class_sum, P1, ELLIPTIC)
+                              divisor_class_sum, CurveModel, P1, ELLIPTIC)
 from ruledcodes.poly import Poly
 from ruledcodes.rrspace import (rr_basis, order_at, taylor_coeffs, evaluate,
                                 functions_up_to_degree, function_degree,
                                 effective_divisors, CurveFunction, PoleError,
-                                x_min_poly)
+                                x_min_poly, subfield_coords)
 
 F5 = field_create(5, 1)
 E5 = curve_create(ELLIPTIC, (0, 0, 0, 0, 1), F5)   # y^2 = x^3 + 1
@@ -256,6 +257,36 @@ def test_x_min_poly():
     m = x_min_poly(E5, Q)
     assert m.degree == 2
     assert m.eval_i(Q.x, target=Q.ext_spec) == 0
+
+
+@pytest.mark.parametrize("pm, d", [((5, 1), 2), ((5, 1), 3), ((2, 1), 4),
+                                   ((2, 2), 2), ((2, 2), 3)])
+def test_subfield_coords_round_trip(pm, d):
+    small = field_create(*pm)
+    big = extend(small, d)
+    coords = subfield_coords(small, big)
+    z_pows = [big.pow_i(big.p, j) for j in range(d)]  # encoding p is z
+    for enc in range(big.order):
+        cs = coords(enc)
+        assert len(cs) == d and all(0 <= c < small.order for c in cs)
+        total = 0
+        for c, zj in zip(cs, z_pows):
+            total = big.add_i(total, big.mul_i(big.embed_i(small, c), zj))
+        assert total == enc
+
+
+def test_rr_basis_does_not_keep_its_curve_alive():
+    def live_curves():
+        return sum(isinstance(o, CurveModel) for o in gc.get_objects())
+
+    gc.collect()
+    before = live_curves()
+    curve = curve_create(ELLIPTIC, (0, 0, 0, 0, 1), field_create(5, 1))
+    P = curve.closed_points(3)[0]     # expansions at -P need a local chart
+    assert len(rr_basis(curve, DivisorOnCurve(curve, [(P, 1)]))) == 3
+    del curve, P
+    gc.collect()
+    assert live_curves() == before
 
 
 # -- bounded-degree function enumeration ------------------------------------
