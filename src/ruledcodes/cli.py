@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .gf import field_create, extend
+from .gf import DESK_CAP, field_create, extend, within_desk_cap
 from .curve import curve_create, DivisorOnCurve, ClosedPoint, P1, ELLIPTIC
 from .surface import (NumClass, surface_decomposable, surface_elm_product,
                       surface_trivial, segre_decomposable,
@@ -47,6 +47,10 @@ def _need(block: dict, key: str, kind, path: str):
     if kind is str and not isinstance(v, str):
         raise ConfigError(f"{path}.{key}: expected a string")
     return v
+
+
+def _opt(block: dict, key: str, kind, path: str, default):
+    return _need(block, key, kind, path) if key in block else default
 
 
 def _load_json_object(path: str, what: str) -> dict:
@@ -115,6 +119,10 @@ def _resolve_point(curve, sel: dict, path: str) -> ClosedPoint:
     d = _need(sel, "degree", int, path)
     if d < 1:
         raise ConfigError(f"{path}.degree: must be >= 1")
+    spec = curve.spec
+    if not within_desk_cap(spec.p, spec.deg * d):
+        raise ConfigError(f"{path}: degree-{d} points need F_{{{spec.order}^{d}}}, "
+                          f"above the desk-scale cap {DESK_CAP}")
     pts = curve.closed_points(d)
     if "index" in sel:
         idx = _need(sel, "index", int, path)
@@ -123,7 +131,7 @@ def _resolve_point(curve, sel: dict, path: str) -> ClosedPoint:
                               f"degree {d} exist")
         return pts[idx]
     x = _need(sel, "x", int, path)
-    y = sel.get("y", 0)
+    y = _opt(sel, "y", int, path, 0)
     try:
         return ClosedPoint(curve, d, x, y)
     except ValueError as exc:
@@ -163,8 +171,13 @@ def _build_surface(cfg: dict, curve):
         ext = extend(curve.spec, d)
         if "fiber" in center:
             fc = _need(center, "fiber", int, "config.surface.center")
+            if not _is_fiber_coord(ext, d, fc):
+                raise ConfigError(
+                    f"config.surface.center.fiber: {fc} must encode an element "
+                    f"of F_{{{curve.spec.order}^{d}}} (0..{ext.order - 1}) whose "
+                    f"Frobenius orbit size is >= 2 and divides {d}")
         else:
-            fi = center.get("fiber_index", 0)
+            fi = _opt(center, "fiber_index", int, "config.surface.center", 0)
             valid = _valid_fiber_coords(ext, d)
             if not 0 <= fi < len(valid):
                 raise ConfigError("config.surface.center.fiber_index: only "
@@ -177,10 +190,19 @@ def _build_surface(cfg: dict, curve):
     raise ConfigError(f"config.surface.variant: unknown variant {variant!r}")
 
 
+def _is_fiber_coord(ext, d, e):
+    """e encodes an element of ext whose Frobenius orbit size is >= 2 and
+    divides d.  The range is checked first: orbit() of an out-of-range
+    encoding does not end."""
+    if not 0 <= e < ext.order:
+        return False
+    orb = len(ext.orbit((e,)))
+    return orb >= 2 and d % orb == 0
+
+
 def _valid_fiber_coords(ext, d):
     """Coordinates of ext whose Frobenius orbit size is >= 2 and divides d."""
-    sizes = [len(ext.orbit((e,))) for e in range(ext.order)]
-    return [e for e, orb in enumerate(sizes) if orb >= 2 and d % orb == 0]
+    return [e for e in range(ext.order) if _is_fiber_coord(ext, d, e)]
 
 
 def _build_code(cfg: dict):
@@ -188,6 +210,10 @@ def _build_code(cfg: dict):
     surface = _build_surface(cfg, curve)
     code_block = _need(cfg, "code", dict, "config")
     a = _need(code_block, "a", int, "config.code")
+    q = curve.spec.order
+    if not 0 <= a <= q:
+        raise ConfigError(f"config.code.a: must be in 0..q = 0..{q}, where "
+                          "u^0, ..., u^a stay independent on every fiber")
     beta = _resolve_divisor(curve, _need(code_block, "beta", list, "config.code"),
                             "config.code.beta")
     try:
@@ -235,12 +261,12 @@ def cmd_build(args) -> int:
     code = _build_code(cfg)
     out_dir = args.out_dir
     if out_dir is None:
-        output = _need(cfg, "output", dict, "config") if "output" in cfg else {}
-        out_dir = (_need(output, "dir", str, "config.output")
-                   if "dir" in output else ".")
+        output = _opt(cfg, "output", dict, "config", {})
+        out_dir = _opt(output, "dir", str, "config.output", ".")
     os.makedirs(out_dir, exist_ok=True)
-    analysis_block = cfg.get("analysis", {})
-    cap = analysis_block.get("exact_cap", EXACT_CAP_DEFAULT)
+    analysis_block = _opt(cfg, "analysis", dict, "config", {})
+    cap = _opt(analysis_block, "exact_cap", int, "config.analysis",
+               EXACT_CAP_DEFAULT)
     bound = _bound_for(code)
     report = {
         "family": code.meta["family"],
@@ -338,7 +364,9 @@ def cmd_segre(args) -> int:
         print(f"decomposable surface, e = {surface.e}: exact (s_g, s_a) = "
               f"({sg}, {sa})")
         return 0
-    dmax = cfg.get("analysis", {}).get("segre_dmax", max(2 * g - 1, 0))
+    analysis_block = _opt(cfg, "analysis", dict, "config", {})
+    dmax = _opt(analysis_block, "segre_dmax", int, "config.analysis",
+                max(2 * g - 1, 0))
     lower, dstar = segre_lower_bound_elm(surface, dmax)
     upper = segre_upper_bounds(g, N, q)
     print(f"elm surface, center degree {surface.e}:")

@@ -269,6 +269,9 @@ class ClosedPoint:
                 raise ValueError("the point at infinity has degree 1")
             return
         ext = extend(curve.spec, degree)
+        if not (0 <= x < ext.order and 0 <= y < ext.order):
+            raise ValueError(f"coordinates ({x}, {y}) are not encodings of "
+                             f"elements of {ext!r}")
         orbit = ext.orbit((x, y))
         if len(orbit) != degree:
             raise ValueError(f"orbit size {len(orbit)} != declared degree {degree}")

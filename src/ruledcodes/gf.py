@@ -149,7 +149,7 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "deg", "modulus", "base_card", "order", "_exp", "_log",
-                 "_embeddings", "_coords", "_trace_one")
+                 "_embeddings", "_coords", "_trace_one", "_nonresidue")
 
     def __init__(self, p: int, deg: int, modulus: tuple[int, ...],
                  base_card: int):
@@ -163,6 +163,7 @@ class FieldSpec:
         self._embeddings = {}
         self._coords = {}               # subfield coordinate maps, see rrspace
         self._trace_one = None
+        self._nonresidue = None
         if self.order <= _TABLE_MAX:
             self._build_tables()
 
@@ -287,9 +288,11 @@ class FieldSpec:
         while q % 2 == 0:
             q //= 2
             s += 1
-        # least non-residue in encoding order, deterministic
-        z = next(e for e in range(2, self.order)
-                 if self.pow_i(e, (self.order - 1) // 2) != 1)
+        if self._nonresidue is None:
+            # least non-residue in encoding order, deterministic
+            self._nonresidue = next(e for e in range(2, self.order)
+                                    if self.pow_i(e, (self.order - 1) // 2) != 1)
+        z = self._nonresidue
         m, c, t, r = s, self.pow_i(z, q), self.pow_i(a, q), self.pow_i(a, (q + 1) // 2)
         while t != 1:
             t2, i = t, 0
@@ -502,17 +505,23 @@ class FieldElement:
 _SPEC_CACHE: dict = {}
 
 
+def within_desk_cap(p: int, n: int) -> bool:
+    """p^n <= DESK_CAP, decided without forming p^n for a huge n."""
+    return n < DESK_CAP.bit_length() and p ** n <= DESK_CAP
+
+
 def field_create(p: int, m: int) -> FieldSpec:
     """The field F_{p^m} with the deterministic least modulus.
 
     Raises ValueError if p is not prime or m < 1.
     """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
     if m < 1:
         raise ValueError(f"extension degree m = {m} must be >= 1")
-    if p ** m > DESK_CAP:
+    # the cap comes first: trial division of a huge p would not end
+    if not within_desk_cap(p, m):
         raise ValueError(f"field order {p}^{m} exceeds desk-scale cap {DESK_CAP}")
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     key = ("create", p, m)
     if key not in _SPEC_CACHE:
         modulus = tuple(_least_irreducible(p, m))
@@ -532,7 +541,7 @@ def extend(spec: FieldSpec, d: int) -> FieldSpec:
     if d == 1:
         return spec
     n = spec.deg * d
-    if spec.p ** n > DESK_CAP:
+    if not within_desk_cap(spec.p, n):
         raise ValueError(f"field order {spec.p}^{n} exceeds desk-scale cap {DESK_CAP}")
     key = ("extend", spec.p, n, spec.order)
     if key not in _SPEC_CACHE:

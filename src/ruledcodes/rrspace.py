@@ -15,6 +15,10 @@ F_{q^d} with a local chart) is flattened through a fixed F_q-basis of
 F_{q^d}.  The resulting nullspace is echelonized against the monomial order
 of L(M'*O), which makes bases reproducible.
 
+Each closed point P of the support needs only its own field F_{q^d},
+d = deg(P): the x-fiber through P is read off P and -P (see _x_fiber), so a
+divisor is supported exactly when q^d <= gf.DESK_CAP for every point in it.
+
 Nothing here is cached at module level: local charts are cached on their
 CurveModel, and the subfield coordinate maps of subfield_coords on the big
 FieldSpec, so both are freed with their owner.
@@ -22,7 +26,7 @@ FieldSpec, so both are freed with their owner.
 
 from __future__ import annotations
 
-from .gf import FieldSpec, FieldElement, extend, field_create
+from .gf import FieldSpec, FieldElement, field_create
 from .poly import Poly
 from .curve import (CurveModel, ClosedPoint, DivisorOnCurve, P1, ELLIPTIC,
                     divisor_class_sum)
@@ -589,22 +593,22 @@ def x_min_poly(curve: CurveModel, pt: ClosedPoint) -> Poly:
 
 def _x_fiber(curve: CurveModel, pt: ClosedPoint):
     """(min poly m of x(pt), [(closed point Q over a root of m, e_Q)]) with
-    div(m(x)) = sum e_Q * Q - 2*deg(m)*O on an elliptic curve."""
+    div(m(x)) = sum e_Q * Q - 2*deg(m)*O on an elliptic curve.
+
+    The geometric points above the conjugates of x(pt) are the conjugates of
+    pt and of -pt, all defined over the field of pt.  So the fiber is pt with
+    e = 2 when pt is 2-torsion, pt alone when -pt is a conjugate of pt
+    (deg x(pt) = deg(pt) / 2), and pt and -pt otherwise.
+    """
     m = x_min_poly(curve, pt)
-    dx = m.degree
-    fiber = []
-    seen = set()
-    for dd in sorted({dx, 2 * dx}):
-        ext = extend(curve.spec, dd)
-        for cp in curve.closed_points(dd):
-            if cp.is_infinity or cp in seen:
-                continue
-            if m.eval_i(cp.x, target=ext) == 0:
-                e = 2 if curve.is_two_torsion(cp.x, cp.y, cp.ext_spec) else 1
-                fiber.append((cp, e))
-                seen.add(cp)
+    ext = pt.ext_spec
+    if curve.is_two_torsion(pt.x, pt.y, ext):
+        fiber = [(pt, 2)]
+    else:
+        neg = ClosedPoint(curve, pt.degree, *curve.ell_neg((pt.x, pt.y), ext))
+        fiber = [(pt, 1)] if neg == pt else [(pt, 1), (neg, 1)]
     total = sum(e * cp.degree for cp, e in fiber)
-    assert total == 2 * dx, f"x-fiber degree {total} != {2 * dx}"
+    assert total == 2 * m.degree, f"x-fiber degree {total} != {2 * m.degree}"
     return m, fiber
 
 
@@ -802,6 +806,11 @@ def functions_up_to_degree(curve: CurveModel, dmax: int, cap: int = 10 ** 6):
         result[f.key()] = (f, 0)
     if dmax < 1:
         return result
+    # at least q^(dmax+1) candidates (the divisor dmax*O alone gives them);
+    # refuse before enumerating points of every degree up to dmax
+    if dmax + 1 >= cap.bit_length() or spec.order ** (dmax + 1) > cap:
+        raise ValueError(f"enumeration of at least {spec.order}^{dmax + 1} "
+                         f"functions exceeds cap {cap}")
     divisors = effective_divisors(curve, dmax)
     est = len(divisors) * spec.order ** (dmax + 1)
     if est > cap:

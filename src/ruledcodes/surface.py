@@ -71,7 +71,11 @@ class RuledSurfaceModel:
             d = base_point.degree
             if base_point.is_infinity or d < 2:
                 raise ValueError("the center must have degree >= 2")
-            orb = len(extend(curve.spec, d).orbit((fiber_coord,)))
+            ext = extend(curve.spec, d)
+            if not 0 <= fiber_coord < ext.order:
+                raise ValueError(f"fiber coordinate {fiber_coord} is not an "
+                                 f"encoding of an element of {ext!r}")
+            orb = len(ext.orbit((fiber_coord,)))
             if orb < 2:
                 raise ValueError("fiber coordinate of the center is rational; "
                                  "its image on P^1 must have degree >= 2")

@@ -347,3 +347,182 @@ def test_verify_fuzz_exit_contract(matrix, report):
     assert "Traceback" not in err.getvalue()
     if rc == 2:
         assert err.getvalue().strip()
+
+
+# ---------------------------------------------------------------------------
+# config input boundary of build, segre and recover
+
+def test_build_f49_decomposable(tmp_path):
+    # beta = 2P and delta of degree 2 over F_49: the x-fibers of P live in
+    # F_{49^2}, so nothing needs the field F_{49^4} above the cap
+    cfg = write_config(
+        tmp_path,
+        field={"p": 7, "m": 2},
+        curve={"kind": "elliptic", "coefficients": [0, 0, 0, 1, 3]},
+        surface={"variant": "decomposable",
+                 "delta": [{"degree": 2, "index": 1}]},
+        code={"a": 1, "beta": [{"degree": 2, "index": 0, "multiplicity": 2}]},
+        analysis={"exact_cap": 1})
+    out = tmp_path / "out"
+    assert main(["build", "--config", cfg, "--out-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["n"] == 3000
+    assert report["k"] == report["bound"]["k_lower"] == 6
+
+
+ELM_CENTER = {"variant": "elm", "center": {"degree": 2, "base_index": 0}}
+
+
+@pytest.mark.parametrize("command", ["build", "segre"])
+@pytest.mark.parametrize("fiber", [999, 25, -1, 0, 4, "3"])
+def test_elm_center_fiber_invalid_exit2(tmp_path, capsys, command, fiber):
+    # F_25 encodings are 0..24, and 0..4 are the rational ones (orbit size 1)
+    surface = {**ELM_CENTER, "center": {**ELM_CENTER["center"], "fiber": fiber}}
+    cfg = write_config(tmp_path, surface=surface)
+    assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]
+                if command == "build" else [command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config.surface.center.fiber" in err and "Traceback" not in err
+
+
+def test_elm_center_fiber_in_range_builds(tmp_path):
+    surface = {**ELM_CENTER, "center": {**ELM_CENTER["center"], "fiber": 5}}
+    build(tmp_path, surface=surface, analysis={"exact_cap": 1})
+
+
+@pytest.mark.parametrize("where, overrides", [
+    ("config.code.beta[0]",
+     {"code": {"a": 1, "beta": [{"degree": 9, "index": 0}]}}),
+    ("config.surface.delta[0]",
+     {"surface": {"variant": "decomposable",
+                  "delta": [{"degree": 9, "x": 1}]}}),
+    ("config.surface.center",
+     {"surface": {"variant": "elm", "center": {"degree": 9}}}),
+])
+def test_cap_refusal_names_the_selector(tmp_path, capsys, where, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["build", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert (f"{where}: degree-9 points need F_{{5^9}}, above the desk-scale "
+            "cap 1048576") in err
+
+
+def test_huge_field_prime_refused_at_the_cap(tmp_path, capsys):
+    # trial division of this p would not end; the cap refuses it first
+    cfg = write_config(tmp_path, field={"p": 2 ** 61 - 1, "m": 1})  # prime
+    assert main(["build", "--config", cfg]) == 2
+    assert "cap" in capsys.readouterr().err
+
+
+def test_python_dash_m_entry_point():
+    import subprocess
+    import sys
+
+    import ruledcodes
+
+    src = os.path.dirname(os.path.dirname(ruledcodes.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "ruledcodes", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert "usage: ruledcodes" in proc.stdout
+    assert proc.stderr == ""
+
+
+_odd = st.sampled_from([None, "1", 1.5, [], {}, True, -1, 30, 10 ** 6, "cone"])
+
+
+def _rarely(n):
+    """True about once in n draws (hypothesis favours the first element)."""
+    return st.sampled_from([False] * (n - 1) + [True])
+
+
+@st.composite
+def _mostly(draw, valid):
+    """A value from valid, or now and then an ill-typed or out-of-range one,
+    so that most configs get past the first check."""
+    return draw(_odd) if draw(_rarely(12)) else draw(valid)
+
+
+@st.composite
+def _selector(draw, degrees):
+    if draw(_rarely(12)):
+        return {"infinity": True}
+    sel = {"degree": draw(_mostly(st.sampled_from(degrees)))}
+    if not draw(_rarely(6)):
+        sel["index"] = draw(_mostly(st.integers(0, 1)))
+    else:
+        sel["x"] = draw(_mostly(st.integers(0, 30)))
+        sel["y"] = draw(_mostly(st.integers(0, 30)))
+    if draw(st.booleans()):
+        sel["multiplicity"] = draw(_mostly(st.integers(1, 2)))
+    return sel
+
+
+# nonsingular Weierstrass curves over F_2, F_3, F_4 and F_5
+_CURVES = {(2, 1): [[0, 0, 1, 0, 0], [1, 0, 0, 0, 1]],
+           (3, 1): [[0, 0, 0, 2, 1], [0, 1, 0, 0, 1]],
+           (2, 2): [[1, 0, 0, 0, 1], [0, 0, 1, 0, 0]],
+           (5, 1): [[0, 0, 0, 0, 1], [0, 0, 0, 1, 1]]}
+
+
+@st.composite
+def _config(draw):
+    p, m = draw(st.sampled_from(sorted(_CURVES)))
+    cfg = {"field": {"p": draw(_mostly(st.just(p))), "m": m}}
+    if draw(_rarely(4)):
+        cfg["curve"] = {"kind": draw(_mostly(st.just("p1")))}
+    else:
+        coeffs = draw(st.sampled_from(_CURVES[p, m]))
+        if draw(_rarely(8)):
+            coeffs = draw(st.lists(_mostly(st.integers(0, 4)), min_size=4,
+                                   max_size=6))
+        cfg["curve"] = {"kind": "elliptic", "coefficients": coeffs}
+    center = {"degree": draw(_mostly(st.sampled_from([2, 2, 3, 1])))}
+    if draw(st.booleans()):
+        center["base_index"] = draw(_mostly(st.integers(0, 1)))
+    if draw(st.booleans()):
+        center["fiber"] = draw(_mostly(st.sampled_from([2, 3, 7, 24, 0, 999])))
+    elif draw(st.booleans()):
+        center["fiber_index"] = draw(_mostly(st.integers(0, 3)))
+    cfg["surface"] = draw(_mostly(st.sampled_from([
+        {"variant": "decomposable",
+         "delta": draw(st.lists(_selector([1, 2]), max_size=2))},
+        {"variant": "elm", "center": center},
+        {"variant": "product"}])))
+    cfg["code"] = {"a": draw(_mostly(st.integers(0, 2))),
+                   "beta": draw(st.lists(_selector([2, 3]), min_size=1,
+                                         max_size=2))}
+    if draw(_rarely(5)):
+        cfg["code"]["tensor"] = True
+    # exact_cap stays small: only tiny codes get their distance searched
+    analysis = {"exact_cap": draw(_mostly(st.sampled_from([1, 625])))}
+    for key, values in (("segre_dmax", st.integers(0, 2)),
+                        ("locality", st.booleans())):
+        if draw(st.booleans()):
+            analysis[key] = draw(_mostly(values))
+    cfg["analysis"] = draw(_mostly(st.just(analysis)))
+    if draw(_rarely(10)):
+        del cfg[draw(st.sampled_from(sorted(cfg)))]
+    return cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(["build", "segre", "recover"]), cfg=_config())
+def test_config_fuzz_exit_contract(command, cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        argv = {"build": ["build", "--config", path, "--out-dir", tmp],
+                "segre": ["segre", "--config", path],
+                "recover": ["recover", "--config", path,
+                            "--out", os.path.join(tmp, "r.json")]}[command]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert err.getvalue().strip()

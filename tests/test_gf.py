@@ -232,3 +232,17 @@ def test_tower_of_extensions():
 
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_sqrt_without_tables_round_trips():
+    # F_{5^7} has 78125 elements, above the table limit: Tonelli-Shanks path
+    f = extend(field_create(5, 1), 7)
+    assert f._exp is None
+    half = (f.order - 1) // 2
+    z = next(e for e in range(2, f.order) if f.pow_i(e, half) != 1)
+    for x in range(1, f.order, 977):
+        sq = f.mul_i(x, x)
+        r = f.sqrt_i(sq)
+        assert f.mul_i(r, r) == sq
+        assert f.sqrt_i(f.mul_i(z, sq)) is None
+    assert f._nonresidue == z

@@ -251,6 +251,66 @@ def test_divisor_degree_sum_is_zero():
         assert total == 0
 
 
+def scan_x_fiber(curve, m):
+    """Oracle for _x_fiber: every closed point of degree deg(m) or 2 deg(m)
+    whose x-coordinate is a root of m."""
+    fiber = []
+    for dd in sorted({m.degree, 2 * m.degree}):
+        ext = extend(curve.spec, dd)
+        m_ext = m.map_to(ext)
+        for cp in curve.closed_points(dd):
+            if not cp.is_infinity and m_ext.eval_i(cp.x) == 0:
+                e = 2 if curve.is_two_torsion(cp.x, cp.y, ext) else 1
+                fiber.append((cp, e))
+    return fiber
+
+
+@pytest.mark.parametrize("pm, coeffs, dmax, shapes", [
+    ((5, 1), (0, 0, 0, 0, 1), 3, {"2-torsion", "deg x = d/2", "P, -P"}),
+    ((2, 2), (1, 0, 0, 0, 1), 3, {"2-torsion", "P, -P"}),
+    ((2, 4), (0, 0, 1, 0, 0), 2, {"deg x = d/2", "P, -P"}),
+], ids=["F5", "F4-a1", "F16-a3"])
+def test_x_fiber_matches_scan(pm, coeffs, dmax, shapes):
+    from ruledcodes.rrspace import _x_fiber
+
+    curve = curve_create(ELLIPTIC, coeffs, field_create(*pm))
+    scans = {}                          # P and -P share m and its scan
+    seen = set()
+    for d in range(1, dmax + 1):
+        for pt in curve.closed_points(d):
+            if pt.is_infinity:
+                continue
+            m, fiber = _x_fiber(curve, pt)
+            assert m == x_min_poly(curve, pt)
+            if m.coeffs not in scans:
+                scans[m.coeffs] = scan_x_fiber(curve, m)
+            assert sorted(fiber, key=lambda ce: ce[0].sort_key()) == \
+                scans[m.coeffs]
+            if fiber[0][1] == 2:
+                seen.add("2-torsion")
+            else:
+                seen.add("deg x = d/2" if len(fiber) == 1 else "P, -P")
+    assert seen == shapes
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_rr_basis_needs_only_the_points_field(d):
+    curve = curve_create(ELLIPTIC, (0, 0, 0, 0, 1), field_create(5, 1))
+    P = curve.closed_points(d)[-1]
+    assert len(rr_basis(curve, DivisorOnCurve(curve, [(P, 2)]))) == 2 * d
+    assert 2 * d not in curve._closed_cache
+
+
+def test_rr_basis_degree_four_point():
+    curve = curve_create(ELLIPTIC, (0, 0, 0, 0, 1), field_create(5, 1))
+    P = curve.closed_points(4)[0]
+    D = DivisorOnCurve(curve, [(P, 1)])
+    basis = rr_basis(curve, D)
+    assert len(basis) == 4
+    check_membership(curve, D, basis)
+    assert 8 not in curve._closed_cache
+
+
 def test_x_min_poly():
     Q = next(p for p in E5.closed_points(2)
              if len({gx for gx, _ in p.orbit()}) == 2)
