@@ -4,16 +4,14 @@ The two family bounds return a BoundReport with validity flags instead of
 raising, so parameter sweeps can tabulate invalid regions.  All arithmetic
 is integer-only.
 
-exact_params enumerates the full message space (q^k codewords) with
-numpy-vectorized blocks, data-parallel over disjoint message ranges with a
-deterministic min-reduction; the worker count is capped by the
-RULEDCODES_THREADS environment variable.
+exact_params finds the minimum distance by a single-threaded projective
+meet-in-the-middle search: it visits one word per line of the code, (q^k - 1)
+/ (q - 1) in all, by comparing each row of one small uint8 span table (uint16
+or wider for larger q) with a whole second one.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +23,7 @@ EXACT_CAP_DEFAULT = 10 ** 7
 
 
 class CapExceededError(ValueError):
-    """Exhaustive enumeration refused; a sampled probabilistic lower bound
-    would be the fallback, and the error says so."""
+    """The exact distance search was refused because q^k exceeds the cap."""
 
 
 @dataclass
@@ -157,23 +154,41 @@ def singleton_check(n: int, k: int, d: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact parameters by exhaustive message enumeration
+# exact parameters by a projective meet-in-the-middle search
 
-def _worker_count() -> int:
-    env = os.environ.get("RULEDCODES_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
+def _add(spec, x, y):
+    """Elementwise sum of int64 arrays of encodings, base-p digit by digit."""
+    out = 0
+    pw = 1
+    for _ in range(spec.deg):
+        out = out + (x // pw + y // pw) % spec.p * pw
+        pw *= spec.p
+    return out
 
 
-def exact_params(code: LinearCode, cap: int = EXACT_CAP_DEFAULT,
-                 threads: int | None = None):
-    """(n, k, exact minimum distance) by enumerating all q^k codewords.
+def _span(spec, multiples, n):
+    """Every F_q-combination of some rows, one per table row (int64).
 
-    k is the recomputed rank.  Raises CapExceededError when q^k > cap.
+    multiples holds, per row, the q x n array of its scalar multiples.
+    """
+    table = np.zeros((1, n), dtype=np.int64)
+    for mult in multiples:
+        table = _add(spec, table[:, None, :], mult[None, :, :]).reshape(-1, n)
+    return table
+
+
+def exact_params(code: LinearCode, cap: int = EXACT_CAP_DEFAULT):
+    """(n, k, exact minimum distance) by a projective meet-in-the-middle search.
+
+    k is the recomputed rank.  Raises CapExceededError when q^k > cap, before
+    any table is built.  Every nonzero codeword is a scalar multiple of exactly
+    one word g_j + sum_{i>j} m_i g_i of the rref rows g, so only those
+    (q^k - 1)/(q - 1) words are visited.  For each j the rows after g_j are
+    split in two halves whose spans are small tables; the span of the first
+    half, shifted by g_j, is the smaller table.  Since the span S of the second
+    half is closed under negation, min over s in S of wt(w + s) is n minus the
+    most coordinates w shares with a word of S, so each row w of the smaller
+    table is compared with all of S at once.
     """
     spec = code.spec
     rows, _ = linalg.rref(spec, code.matrix)
@@ -187,48 +202,18 @@ def exact_params(code: LinearCode, cap: int = EXACT_CAP_DEFAULT,
         raise CapExceededError(
             f"q^k = {total} exceeds the exhaustive cap {cap}; rerun with a "
             "higher cap or fall back to a sampled probabilistic lower bound")
-    workers = threads if threads is not None else _worker_count()
-    block = 1 << 15
-    ranges = [(lo, min(lo + block, total)) for lo in range(0, total, block)]
-    if spec.deg == 1:
-        gmat = np.array(rows, dtype=np.int64)
-        divs = (q ** np.arange(k, dtype=np.int64)).reshape(1, -1)
-
-        def run(rg):
-            lo, hi = rg
-            idx = np.arange(lo, hi, dtype=np.int64).reshape(-1, 1)
-            msgs = (idx // divs) % q
-            cw = (msgs @ gmat) % q
-            w = np.count_nonzero(cw, axis=1)
-            if lo == 0:
-                w = w[1:]
-            return int(w.min()) if w.size else n + 1
-    else:
-        add = np.zeros((q, q), dtype=np.int32)
-        mul = np.zeros((q, q), dtype=np.int32)
-        for x in range(q):
-            for y in range(q):
-                add[x, y] = spec.add_i(x, y)
-                mul[x, y] = spec.mul_i(x, y)
-        gmat = np.array(rows, dtype=np.int32)
-        scaled = [mul[np.arange(q)][:, gmat[i]] for i in range(k)]
-        divs = (q ** np.arange(k, dtype=np.int64)).reshape(1, -1)
-
-        def run(rg):
-            lo, hi = rg
-            idx = np.arange(lo, hi, dtype=np.int64).reshape(-1, 1)
-            msgs = ((idx // divs) % q).astype(np.int32)
-            cw = np.zeros((hi - lo, n), dtype=np.int32)
-            for i in range(k):
-                cw = add[cw, scaled[i][msgs[:, i]]]
-            w = np.count_nonzero(cw, axis=1)
-            if lo == 0:
-                w = w[1:]
-            return int(w.min()) if w.size else n + 1
-
-    if workers <= 1 or len(ranges) <= 1:
-        d_min = min(run(rg) for rg in ranges)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            d_min = min(pool.map(run, ranges))
-    return n, k, d_min
+    symbol = np.min_scalar_type(q - 1)
+    count = np.min_scalar_type(n)
+    gens = np.array(rows, dtype=np.int64)
+    multiples = [np.array([[spec.mul_i(c, v) for v in row] for c in range(q)],
+                          dtype=np.int64) for row in rows[1:]]
+    agree = 0
+    for j in range(k):
+        rest = multiples[j:]
+        half = len(rest) // 2
+        lead = _add(spec, _span(spec, rest[:half], n), gens[j]).astype(symbol)
+        other = np.ascontiguousarray(_span(spec, rest[half:], n).astype(symbol).T)
+        for word in lead:
+            same = (other == word[:, None]).sum(axis=0, dtype=count)
+            agree = max(agree, int(same.max()))
+    return n, k, n - agree

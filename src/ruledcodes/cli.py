@@ -192,8 +192,8 @@ def _build_surface(cfg: dict, curve):
 
 def _is_fiber_coord(ext, d, e):
     """e encodes an element of ext whose Frobenius orbit size is >= 2 and
-    divides d.  The range is checked first: orbit() of an out-of-range
-    encoding does not end."""
+    divides d.  An encoding outside 0..order-1 is not one (orbit() would
+    raise)."""
     if not 0 <= e < ext.order:
         return False
     orb = len(ext.orbit((e,)))
@@ -458,9 +458,7 @@ def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ruledcodes",
         description="evaluation codes on ruled surfaces: build, verify, "
-                    "certify, recover, and asymptotics",
-        epilog="the RULEDCODES_THREADS environment variable caps the worker "
-               "count of the exhaustive distance search")
+                    "certify, recover, and asymptotics")
     sub = ap.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="build a code from a JSON config")

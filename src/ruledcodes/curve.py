@@ -91,8 +91,9 @@ class CurveModel:
         return self._coeff_cache[key]
 
     def is_on_curve(self, x: int, y: int, ext: FieldSpec) -> bool:
+        """Whether (x, y) over ext lies on the curve; a point of P^1 is (x, 0)."""
         if self.kind == P1:
-            return True
+            return y == 0
         a1, a2, a3, a4, a6 = self.coeffs_in(ext)
         lhs = ext.add_i(ext.mul_i(y, y),
                         ext.add_i(ext.mul_i(a1, ext.mul_i(x, y)), ext.mul_i(a3, y)))
@@ -269,13 +270,10 @@ class ClosedPoint:
                 raise ValueError("the point at infinity has degree 1")
             return
         ext = extend(curve.spec, degree)
-        if not (0 <= x < ext.order and 0 <= y < ext.order):
-            raise ValueError(f"coordinates ({x}, {y}) are not encodings of "
-                             f"elements of {ext!r}")
         orbit = ext.orbit((x, y))
         if len(orbit) != degree:
             raise ValueError(f"orbit size {len(orbit)} != declared degree {degree}")
-        if curve.kind == ELLIPTIC and not curve.is_on_curve(x, y, ext):
+        if not curve.is_on_curve(x, y, ext):
             raise ValueError("coordinates do not satisfy the curve equation")
         self.x, self.y = min(orbit)
 

@@ -258,7 +258,14 @@ class FieldSpec:
         return self.pow_i(a, self.base_card)
 
     def orbit(self, t: tuple) -> list[tuple]:
-        """Frobenius orbit of the coordinate tuple t, starting at t."""
+        """Frobenius orbit of the coordinate tuple t, starting at t.
+
+        Raises ValueError if an encoding in t is outside 0..order-1: Frobenius
+        maps it into the field, so the orbit would never return to t.
+        """
+        if min(t) < 0 or max(t) >= self.order:
+            raise ValueError(f"{t} holds an encoding outside 0..{self.order - 1} "
+                             f"of {self!r}")
         frob = self.frob_i
         out = [t]
         nxt = tuple(map(frob, t))

@@ -72,9 +72,6 @@ class RuledSurfaceModel:
             if base_point.is_infinity or d < 2:
                 raise ValueError("the center must have degree >= 2")
             ext = extend(curve.spec, d)
-            if not 0 <= fiber_coord < ext.order:
-                raise ValueError(f"fiber coordinate {fiber_coord} is not an "
-                                 f"encoding of an element of {ext!r}")
             orb = len(ext.orbit((fiber_coord,)))
             if orb < 2:
                 raise ValueError("fiber coordinate of the center is rational; "

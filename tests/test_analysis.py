@@ -1,8 +1,10 @@
-import itertools
+import random
+from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from ruledcodes import linalg
 from ruledcodes.gf import field_create
 from ruledcodes.codes import LinearCode, build_prs
 from ruledcodes.analysis import (bound_elm_family, bound_decomposable_family,
@@ -12,6 +14,9 @@ from ruledcodes.analysis import (bound_elm_family, bound_decomposable_family,
 
 F5 = field_create(5, 1)
 F4 = field_create(2, 2)
+# F_2, F_3, F_4, F_5, F_7, F_8, F_9: prime fields, p = 2 and odd-p extensions
+SMALL_FIELDS = [field_create(p, m) for p, m in
+                ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))]
 
 
 def test_elm_demo():
@@ -109,6 +114,31 @@ def test_profile_consistency_randomized(q, N, g, e, a, b):
     assert (q + 1) * N - best == bound_elm_family(q, N, g, e, a, b).d_lower
 
 
+def _weights(spec, rows, n):
+    """Weight distribution of the row space, by building the span as a set."""
+    span = {(0,) * n}
+    for row in rows:
+        mults = [[spec.mul_i(c, v) for v in row] for c in range(spec.order)]
+        span = {tuple(spec.add_i(a, b) for a, b in zip(word, m))
+                for word in span for m in mults}
+    dist = [0] * (n + 1)
+    for word in span:
+        dist[sum(1 for v in word if v)] += 1
+    return dist
+
+
+def _params(spec, dist, n):
+    """(n, k, d) from a weight distribution; d = 0 for the zero code."""
+    k = 0
+    while spec.order ** k < sum(dist):
+        k += 1
+    return n, k, next((i for i in range(1, n + 1) if dist[i]), 0)
+
+
+def _code(spec, rows, n):
+    return LinearCode(spec, rows, list(range(n)))
+
+
 def test_exact_params_prs():
     assert exact_params(build_prs(F5, 1)) == (6, 2, 5)
     assert exact_params(build_prs(F4, 2)) == (5, 3, 3)
@@ -134,44 +164,122 @@ def test_exact_params_cap():
 
 
 def test_exact_params_nonprime_field_path():
-    # table-driven path: PRS over F_4 at every degree
+    # PRS over F_4 at every degree
     for a in range(5):
         n, k, d = exact_params(build_prs(F4, a))
         assert (n, k, d) == (5, a + 1, 5 - a)
 
 
-def test_exact_params_threads_deterministic(monkeypatch):
-    code = build_prs(F5, 2)
-    monkeypatch.setenv("RULEDCODES_THREADS", "3")
-    assert exact_params(code) == (6, 3, 4)
-    monkeypatch.setenv("RULEDCODES_THREADS", "1")
-    assert exact_params(code) == (6, 3, 4)
+def test_exact_params_repeat_calls_deterministic():
+    rng = random.Random(5)
+    for spec in (F5, F4):
+        q = spec.order
+        rows = [[rng.randrange(q) for _ in range(7)] for _ in range(4)]
+        code = _code(spec, rows, 7)
+        want = _params(spec, _weights(spec, rows, 7), 7)
+        assert [exact_params(code) for _ in range(3)] == [want] * 3
 
 
 def test_exact_params_against_python_oracle():
-    # both numpy paths (prime and table-driven) against direct enumeration
-    import itertools
-    import random
     rng = random.Random(17)
     for spec in (F5, F4):
         q = spec.order
         rows = [[rng.randrange(q) for _ in range(9)] for _ in range(3)]
-        code = LinearCode(spec, rows, list(range(9)))
-        weights = []
-        from ruledcodes import linalg
-        basis, _ = linalg.rref(spec, rows)
-        for msg in itertools.product(range(q), repeat=len(basis)):
-            if not any(msg):
-                continue
-            word = [0] * 9
-            for m, row in zip(msg, basis):
-                if m:
-                    word = [spec.add_i(w, spec.mul_i(m, v))
-                            for w, v in zip(word, row)]
-            weights.append(sum(1 for w in word if w))
-        n, k, d = exact_params(code)
-        assert k == len(basis)
-        assert d == min(weights)
+        assert exact_params(_code(spec, rows, 9)) == _params(
+            spec, _weights(spec, rows, 9), 9)
+
+
+@st.composite
+def _small_codes(draw):
+    """Up to 4 rows over a field of order <= 9, some columns forced to zero,
+    and now and then a last row that is a combination of two others."""
+    spec = draw(st.sampled_from(SMALL_FIELDS))
+    q = spec.order
+    n = draw(st.integers(1, 8))
+    zero = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n,
+                                  max_size=n), min_size=1, max_size=4))
+    rows = [[0 if j in zero else v for j, v in enumerate(r)] for r in rows]
+    if len(rows) >= 3 and draw(st.booleans()):
+        c = draw(st.integers(0, q - 1))
+        rows[-1] = [spec.add_i(spec.mul_i(c, a), b)
+                    for a, b in zip(rows[0], rows[1])]
+    return spec, rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(_small_codes())
+@example((F5, [[0, 3, 1, 0]]))                              # a single row
+@example((SMALL_FIELDS[6], [[4, 0, 7], [0, 0, 0], [8, 0, 5]]))  # zero column
+@example((SMALL_FIELDS[5], [[1, 2, 3], [4, 5, 6], [5, 7, 5]]))  # rank 2
+@example((F4, [[0, 0], [0, 0]]))                            # the zero code
+def test_exact_params_matches_brute_force(case):
+    spec, rows = case
+    n = len(rows[0])
+    assert exact_params(_code(spec, rows, n)) == _params(
+        spec, _weights(spec, rows, n), n)
+
+
+def _macwilliams(dual_dist, q, n):
+    """Weight distribution of a code from that of its dual (MacWilliams)."""
+    size = sum(dual_dist)
+    out = []
+    for i in range(n + 1):
+        total = sum(b * sum((-1) ** s * (q - 1) ** (i - s) * comb(j, s)
+                            * comb(n - j, i - s) for s in range(i + 1))
+                    for j, b in enumerate(dual_dist))
+        assert total % size == 0
+        out.append(total // size)
+    return out
+
+
+@pytest.mark.parametrize("spec", SMALL_FIELDS[:4], ids=str)
+def test_exact_params_macwilliams(spec):
+    q = spec.order
+    rng = random.Random(q)
+    for n in range(2, 7):
+        for _ in range(2):
+            rows = [[rng.randrange(q) for _ in range(n)]
+                    for _ in range(rng.randint(1, n - 1))]
+            dual = linalg.nullspace(spec, rows)
+            dist = _macwilliams(_weights(spec, dual, n), q, n)
+            assert dist == _weights(spec, rows, n)
+            assert exact_params(_code(spec, rows, n)) == _params(spec, dist, n)
+
+
+def _two_row_distance(spec, rows):
+    """d of a rank-2 code without enumerating it: a codeword vanishes on
+    exactly the columns on one line through 0 of F_q^2, so d is n minus the
+    zero columns minus the most nonzero columns on one line."""
+    lines = {}
+    zero = 0
+    for a, b in zip(*rows):
+        if a == b == 0:
+            zero += 1
+            continue
+        key = (1, spec.mul_i(spec.inv_i(a), b)) if a else (0, 1)
+        lines[key] = lines.get(key, 0) + 1
+    return len(rows[0]) - zero - max(lines.values())
+
+
+@pytest.mark.parametrize("spec", [field_create(257, 1), field_create(3, 6)],
+                         ids=str)
+def test_exact_params_above_uint8(spec):
+    # symbols no longer fit a uint8, and at n = 300, with 270 zero columns,
+    # neither do the counts of agreeing coordinates
+    q = spec.order
+    rng = random.Random(q)
+    lines = [(1, rng.randrange(q)) for _ in range(4)] + [(0, 1)]
+    for n in (3, 8, 300):
+        cols = [(0, 0)] * (n - 30 if n > 255 else n // 5)
+        while len(cols) < n:
+            a, b = rng.choice(lines[:2] if len(cols) % 2 else lines)
+            c = rng.randrange(1, q)
+            cols.append((spec.mul_i(c, a), spec.mul_i(c, b)))
+        rows = [list(r) for r in zip(*cols)]
+        assert exact_params(_code(spec, rows, n)) == (
+            n, 2, _two_row_distance(spec, rows))
+    assert exact_params(build_prs(spec, 1)) == (q + 1, 2, q)
 
 
 def test_griesmer():

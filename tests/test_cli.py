@@ -407,6 +407,25 @@ def test_cap_refusal_names_the_selector(tmp_path, capsys, where, overrides):
             "cap 1048576") in err
 
 
+@pytest.mark.parametrize("command", ["build", "recover"])
+def test_p1_point_off_the_line_exit2(tmp_path, capsys, command):
+    # found by the config fuzz: y = 2 lies outside F_2, so the pair (0, 2)
+    # has an orbit of size 2 although x = 0 is a rational point of P^1
+    # (segre reads no code divisor on P^1)
+    cfg = str(tmp_path / "cfg.json")
+    with open(cfg, "w") as fh:
+        json.dump({"field": {"p": 2, "m": 1}, "curve": {"kind": "p1"},
+                   "surface": {"variant": "decomposable", "delta": []},
+                   "code": {"a": 0, "beta": [{"degree": 2, "x": 0, "y": 2}]},
+                   "analysis": {"exact_cap": 1}}, fh)
+    argv = {"build": ["build", "--config", cfg, "--out-dir", str(tmp_path)],
+            "recover": ["recover", "--config", cfg,
+                        "--out", str(tmp_path / "r.json")]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config.code.beta[0]" in err and "Traceback" not in err
+
+
 def test_huge_field_prime_refused_at_the_cap(tmp_path, capsys):
     # trial division of this p would not end; the cap refuses it first
     cfg = write_config(tmp_path, field={"p": 2 ** 61 - 1, "m": 1})  # prime

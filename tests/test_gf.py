@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -166,6 +168,28 @@ def test_frobenius_orbits():
     # the tuple orbit is the joint orbit of all coordinates
     assert f64.orbit((1,)) == [(1,)]
     assert f64.orbit((gen, 1)) == [(v, 1) for (v,) in f64.orbit((gen,))]
+
+
+def test_orbit_refuses_encodings_outside_the_field():
+    # Frobenius maps an out-of-range encoding into the field, so an orbit
+    # loop that waits for it to come back never ends: the alarm turns such a
+    # hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError("FieldSpec.orbit did not return")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(20)
+    try:
+        f5 = field_create(5, 1)
+        # tables (F_5, F_25, F_16) and the table-free F_{5^7}
+        for spec in (f5, extend(f5, 2), field_create(2, 4), extend(f5, 7)):
+            for t in ((-1,), (spec.order,), (1, -1), (spec.order + 3, 0)):
+                with pytest.raises(ValueError, match="outside"):
+                    spec.orbit(t)
+            assert spec.orbit((spec.order - 1,))[0] == (spec.order - 1,)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 @settings(max_examples=300, deadline=None)
