@@ -9,8 +9,7 @@ __version__ = "0.1.0"
 
 from .gf import field_create, extend, embed, frobenius_orbit, FieldSpec, FieldElement
 from .curve import curve_create, CurveModel, ClosedPoint, DivisorOnCurve, P1, ELLIPTIC
-from .rrspace import (rr_basis, order_at, taylor_coeffs, evaluate,
-                      functions_up_to_degree, CurveFunction)
+from .rrspace import rr_basis, order_at, taylor_coeffs, evaluate, CurveFunction
 from .surface import (RuledSurfaceModel, NumClass, surface_decomposable,
                       surface_elm_product, surface_trivial, intersect,
                       canonical_class, euler_char, surface_rational_points,

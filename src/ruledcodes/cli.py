@@ -367,7 +367,10 @@ def cmd_segre(args) -> int:
     analysis_block = _opt(cfg, "analysis", dict, "config", {})
     dmax = _opt(analysis_block, "segre_dmax", int, "config.analysis",
                 max(2 * g - 1, 0))
-    lower, dstar = segre_lower_bound_elm(surface, dmax)
+    try:
+        lower, dstar = segre_lower_bound_elm(surface, dmax)
+    except ValueError as exc:
+        raise ConfigError(f"config.analysis.segre_dmax: {exc}")
     upper = segre_upper_bounds(g, N, q)
     print(f"elm surface, center degree {surface.e}:")
     print(f"  s_a >= {lower}   (graph avoidance, d* = {dstar}, "

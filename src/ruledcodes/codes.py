@@ -311,8 +311,6 @@ def _divisor_of_degree(surface: RuledSurfaceModel, deg: int) -> DivisorOnCurve:
     else:
         excluded = {surface.base_point}
     for d in range(deg, 1, -1):
-        if d > deg:
-            continue
         rem = deg - d
         if rem == 1:
             continue

@@ -13,19 +13,12 @@ They live and die with the curve.
 
 from __future__ import annotations
 
+import math
+
 from .gf import FieldSpec, extend, solve_quadratic
 
 P1 = "p1"
 ELLIPTIC = "elliptic"
-
-
-def _isqrt(n: int) -> int:
-    x = int(n ** 0.5)
-    while x * x > n:
-        x -= 1
-    while (x + 1) * (x + 1) <= n:
-        x += 1
-    return x
 
 
 class CurveModel:
@@ -388,11 +381,7 @@ def divisor_class_sum(D: DivisorOnCurve):
         raise ValueError("class sum needs an elliptic curve")
     if D.degree() != 0:
         raise ValueError("class sum is defined for degree-0 divisors")
-    degs = [pt.degree for pt in D.coeffs] or [1]
-    L = 1
-    for d in degs:
-        g = _gcd(L, d)
-        L = L // g * d
+    L = math.lcm(*(pt.degree for pt in D.coeffs))
     ext = extend(curve.spec, L)
     total = None
     for pt, n in D.items():
@@ -403,9 +392,3 @@ def divisor_class_sum(D: DivisorOnCurve):
             P = (ext.embed_i(sub, gx), ext.embed_i(sub, gy))
             total = curve.ell_add(total, curve.ell_mul(n, P, ext), ext)
     return total
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

@@ -349,9 +349,6 @@ class FieldSpec:
     def element(self, enc: int) -> "FieldElement":
         return FieldElement(self, enc % self.order)
 
-    def from_coeffs(self, coeffs) -> "FieldElement":
-        return FieldElement(self, self.encode(coeffs))
-
     def zero(self) -> "FieldElement":
         return FieldElement(self, 0)
 

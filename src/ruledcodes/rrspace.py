@@ -19,6 +19,9 @@ Each closed point P of the support needs only its own field F_{q^d},
 d = deg(P): the x-fiber through P is read off P and -P (see _x_fiber), so a
 divisor is supported exactly when q^d <= gf.DESK_CAP for every point in it.
 
+effective_divisors lists the effective divisors of one degree; the
+graph-avoidance bound in surface asks one linear solve of each L(D).
+
 Nothing here is cached at module level: local charts are cached on their
 CurveModel, and the subfield coordinate maps of subfield_coords on the big
 FieldSpec, so both are freed with their owner.
@@ -63,11 +66,6 @@ class LSeries:
         if 0 <= i < len(self.cs):
             return self.cs[i]
         return 0
-
-    def coeff(self, k):
-        if self.abs is not None and k >= self.abs:
-            raise ValueError("coefficient beyond known precision")
-        return self._coeff_raw(k)
 
     def prec(self):
         return self.abs
@@ -337,10 +335,6 @@ class CurveFunction:
     def is_constant(self):
         return (self.num_b.is_zero() and self.num_a.is_constant()
                 and self.den.is_constant())
-
-    def constant_value(self) -> int:
-        assert self.is_constant()
-        return self.num_a.coeffs[0] if self.num_a.coeffs else 0
 
     def key(self):
         return (self.num_a.coeffs, self.num_b.coeffs, self.den.coeffs)
@@ -758,7 +752,7 @@ def _monomial_series(monomials, xs, ys, k):
 
 
 # ---------------------------------------------------------------------------
-# bounded-degree function enumeration
+# effective divisors
 
 def effective_divisors(curve: CurveModel, n: int):
     """All effective divisors of degree exactly n, deterministic order."""
@@ -779,62 +773,3 @@ def effective_divisors(curve: CurveModel, n: int):
 
     rec(n, 1, 0, [])
     return out
-
-
-def function_degree(f: CurveFunction, D: DivisorOnCurve) -> int:
-    """Degree of f (= degree of its pole divisor), valid for f in L(D)."""
-    if f.is_constant():
-        return 0
-    total = 0
-    for pt in D.support():
-        o = order_at(f, pt)
-        if o < 0:
-            total += (-o) * pt.degree
-    return total
-
-
-def functions_up_to_degree(curve: CurveModel, dmax: int, cap: int = 10 ** 6):
-    """All functions of degree <= dmax, as {canonical key: (f, degree)}.
-
-    Built as the constants plus the union of L(D) over effective divisors D
-    of degree dmax, deduplicated through the canonical form.
-    """
-    spec = curve.spec
-    result: dict = {}
-    for c in range(spec.order):
-        f = CurveFunction.constant(curve, c)
-        result[f.key()] = (f, 0)
-    if dmax < 1:
-        return result
-    # at least q^(dmax+1) candidates (the divisor dmax*O alone gives them);
-    # refuse before enumerating points of every degree up to dmax
-    if dmax + 1 >= cap.bit_length() or spec.order ** (dmax + 1) > cap:
-        raise ValueError(f"enumeration of at least {spec.order}^{dmax + 1} "
-                         f"functions exceeds cap {cap}")
-    divisors = effective_divisors(curve, dmax)
-    est = len(divisors) * spec.order ** (dmax + 1)
-    if est > cap:
-        raise ValueError(f"enumeration of about {est} functions exceeds cap {cap}")
-    for D in divisors:
-        basis = rr_basis(curve, D)
-        if len(basis) <= 1:
-            continue  # L(D) is just the constants
-        k = len(basis)
-        for mindex in range(1, spec.order ** k):
-            digits = []
-            mm = mindex
-            for _ in range(k):
-                digits.append(mm % spec.order)
-                mm //= spec.order
-            f = None
-            for lam, b in zip(digits, basis):
-                if lam:
-                    term = b.scale(lam)
-                    f = term if f is None else f + term
-            if f is None or f.is_constant():
-                continue
-            key = f.key()
-            if key in result:
-                continue
-            result[key] = (f, function_degree(f, D))
-    return result

@@ -13,20 +13,31 @@ Two explicit families are supported:
 Intersection numbers, canonical classes, Euler characteristics, rational
 points, the class map of an elementary transform, and the Segre-invariant
 values and bounds all live here.
+
+The graph-avoidance bound of an elm surface asks one linear question per
+effective divisor D: does some f in L(D) take the fiber value at the
+center?  Evaluation at the center is F_q-linear into F_{q^d}, so that is
+one linalg.solve over F_q; no function is enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import linalg
 from .gf import extend
 from .curve import CurveModel, ClosedPoint, DivisorOnCurve
-from .rrspace import evaluate, functions_up_to_degree, PoleError
+from .rrspace import evaluate, effective_divisors, rr_basis, subfield_coords
 
 DECOMPOSABLE = "decomposable"
 ELM = "elm"
 
 INFTY = "inf"   # fiber coordinate marker for the point at infinity of P^1
+
+# most linear solves (one per effective divisor) a Segre bound may ask for;
+# covers every (curve, dmax) with #Eff_dmax * q^(dmax+1) <= 10^6, a bound
+# on the number of functions of degree <= dmax
+SEGRE_SOLVE_CAP = 3000
 
 
 @dataclass(frozen=True)
@@ -197,31 +208,65 @@ def segre_decomposable(surface: RuledSurfaceModel):
     return (-e, -e) if e > 0 else (0, 0)
 
 
-def segre_lower_bound_elm(surface: RuledSurfaceModel, dmax: int,
-                          cap: int = 10 ** 6):
+def _segre_solve_count(q: int, g: int, h: int, dmax: int) -> int:
+    """Most solves of a graph-avoidance walk to dmax: the number of
+    effective divisors of degree 1..dmax, by the closed form
+    #Eff_d = h (q^(d+1-g) - 1)/(q - 1), exact for d > 2g - 2.
+
+    The sum stops once it passes SEGRE_SOLVE_CAP, so a huge dmax is cheap.
+    """
+    total = 0
+    for d in range(1, dmax + 1):
+        total += h * (q ** (d + 1 - g) - 1) // (q - 1)
+        if total > SEGRE_SOLVE_CAP:
+            break
+    return total
+
+
+def segre_lower_bound_elm(surface: RuledSurfaceModel, dmax: int):
     """Graph-avoidance lower bound for s_a of an elm surface.
 
-    Enumerates every function of degree <= dmax on the base curve, finds the
-    largest d* <= dmax such that no function of degree <= d* has its graph
-    through the center, and returns (min{e, 2(d*+1) - e}, d*).
+    Finds the largest d* <= dmax such that no function of degree <= d* has
+    its graph through the center (p, fc), and returns
+    (min{e, 2(d*+1) - e}, d*).  Walking d = 1..dmax, it asks of each
+    effective D of degree d off the center whether some f in L(D) has
+    f(p) = fc; the first d that answers yes is d* + 1.  This is exact: a
+    function of degree d0 regular at p lies in L(its pole divisor), which
+    has degree d0 and avoids p, and one regular at p in L(D) also lies in
+    L(D - n*p), n the multiplicity of p in D, visited earlier.  Constants
+    never answer yes, because fc is not in F_q.
     """
     if surface.variant != ELM:
         raise ValueError("graph-avoidance bound requires the elm variant")
+    if dmax < 0:
+        raise ValueError(f"segre_dmax = {dmax} must be >= 0")
     curve = surface.curve
+    spec = curve.spec
+    # refuse before any closed point of degree >= 2 is enumerated
+    solves = _segre_solve_count(spec.order, curve.genus, curve.class_number(), dmax)
+    if solves > SEGRE_SOLVE_CAP:
+        raise ValueError(f"segre_dmax = {dmax} needs at least {solves} linear "
+                         f"solves (one per effective divisor), above the cap "
+                         f"{SEGRE_SOLVE_CAP}")
     center = surface.base_point
-    fc = surface.fiber_coord
-    funcs = functions_up_to_degree(curve, dmax, cap=cap)
-    blocked = set()
-    for f, deg_f in funcs.values():
-        try:
-            val = evaluate(f, center)
-        except PoleError:
-            continue  # the graph passes through (p, infinity), not (p, fc)
-        if val.val == fc:
-            blocked.add(deg_f)
-    dstar = dmax if not blocked else min(blocked) - 1
+    coords = subfield_coords(spec, center.ext_spec)
+    rhs = list(coords(surface.fiber_coord))
+    dstar = dmax
+    for d in range(1, dmax + 1):
+        if any(_takes_value(curve, D, center, coords, rhs)
+               for D in effective_divisors(curve, d)
+               if D.multiplicity(center) == 0):
+            dstar = d - 1
+            break
     e = surface.e
     return min(e, 2 * (dstar + 1) - e), dstar
+
+
+def _takes_value(curve, D, center, coords, rhs) -> bool:
+    """True iff some f in L(D) has coords(f(center)) == rhs."""
+    cols = [coords(evaluate(f, center).val) for f in rr_basis(curve, D)]
+    rows = [[col[j] for col in cols] for j in range(len(rhs))]
+    return linalg.solve(curve.spec, rows, rhs) is not None
 
 
 def segre_upper_bounds(g: int, N: int, q: int) -> int:

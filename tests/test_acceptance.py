@@ -37,7 +37,8 @@ from ruledcodes.locality import restriction_fiber, recovery_sets, recover
 from ruledcodes.asymptotics import (envelope_coefficient, optimized_rate,
                                     dominance_report, figure_discrepancy)
 from ruledcodes.cli import main as cli_main
-from ruledcodes.rrspace import functions_up_to_degree
+
+from function_enumeration import functions_up_to_degree
 
 F5 = field_create(5, 1)
 F4 = field_create(2, 2)

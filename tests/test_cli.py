@@ -161,6 +161,19 @@ def test_segre_certification(tmp_path, capsys):
     assert "certified: s_a = 2" in out
 
 
+@pytest.mark.parametrize("dmax, words", [(-7, "must be >= 0"),
+                                         (10 ** 9, "above the cap 3000")])
+def test_segre_dmax_refused_exit2(tmp_path, capsys, dmax, words):
+    surface = {"variant": "elm",
+               "center": {"degree": 2, "base_index": 0, "fiber_index": 0}}
+    cfg = write_config(tmp_path, surface=surface,
+                       analysis={"segre_dmax": dmax})
+    assert main(["segre", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config.analysis.segre_dmax" in captured.err and words in captured.err
+
+
 def test_segre_decomposable_exact(tmp_path, capsys):
     surface = {"variant": "decomposable",
                "delta": [{"degree": 3, "index": 0}]}
@@ -517,7 +530,7 @@ def _config(draw):
         cfg["code"]["tensor"] = True
     # exact_cap stays small: only tiny codes get their distance searched
     analysis = {"exact_cap": draw(_mostly(st.sampled_from([1, 625])))}
-    for key, values in (("segre_dmax", st.integers(0, 2)),
+    for key, values in (("segre_dmax", st.integers(-2, 2)),
                         ("locality", st.booleans())):
         if draw(st.booleans()):
             analysis[key] = draw(_mostly(values))

@@ -9,9 +9,10 @@ from ruledcodes.curve import (curve_create, ClosedPoint, DivisorOnCurve,
                               divisor_class_sum, CurveModel, P1, ELLIPTIC)
 from ruledcodes.poly import Poly
 from ruledcodes.rrspace import (rr_basis, order_at, taylor_coeffs, evaluate,
-                                functions_up_to_degree, function_degree,
                                 effective_divisors, CurveFunction, PoleError,
                                 x_min_poly, subfield_coords)
+
+from function_enumeration import functions_up_to_degree, function_degree
 
 F5 = field_create(5, 1)
 E5 = curve_create(ELLIPTIC, (0, 0, 0, 0, 1), F5)   # y^2 = x^3 + 1
@@ -349,7 +350,7 @@ def test_rr_basis_does_not_keep_its_curve_alive():
     assert live_curves() == before
 
 
-# -- bounded-degree function enumeration ------------------------------------
+# -- bounded-degree function enumeration (the Segre test oracle) ---------
 
 def test_no_degree_one_functions_on_elliptic():
     funcs = functions_up_to_degree(E5, 1)

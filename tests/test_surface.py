@@ -1,14 +1,22 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ruledcodes.gf import field_create, extend
-from ruledcodes.curve import curve_create, DivisorOnCurve, P1, ELLIPTIC
+from ruledcodes.curve import (curve_create, ClosedPoint, DivisorOnCurve, P1,
+                              ELLIPTIC)
+from ruledcodes.rrspace import effective_divisors
 from ruledcodes.surface import (NumClass, surface_decomposable,
                                 surface_elm_product, surface_trivial,
                                 intersect, canonical_class, euler_char,
                                 surface_rational_points, elm_class_map,
                                 segre_decomposable, segre_lower_bound_elm,
-                                segre_upper_bounds, INFTY)
+                                segre_upper_bounds, INFTY, SEGRE_SOLVE_CAP,
+                                _segre_solve_count)
+
+from function_enumeration import (functions_up_to_degree,
+                                  least_degree_by_value, segre_by_enumeration)
 
 F5 = field_create(5, 1)
 E5 = curve_create(ELLIPTIC, (0, 0, 0, 0, 1), F5)
@@ -153,6 +161,111 @@ def test_segre_lower_bound_elm():
     bound, dstar = segre_lower_bound_elm(x, 1)
     assert dstar == 1       # no function of degree <= 1 passes through x
     assert bound == 2       # min{2, 2(1+1) - 2}
+
+
+# (field p, m, curve coefficients or None for P^1) of the Segre oracle grid
+# (E/F_2 with coefficients (0, 0, 1, 1, 1) has one rational point, so the
+# walk meets divisors through the center before any other of its degree)
+SEGRE_GRID = [(2, 1, None), (2, 1, (0, 0, 1, 0, 0)), (2, 1, (1, 0, 0, 0, 1)),
+              (2, 1, (0, 0, 1, 1, 1)),
+              (3, 1, None), (3, 1, (0, 0, 0, 2, 1)),
+              (2, 2, None), (2, 2, (1, 0, 0, 0, 1)),
+              (5, 1, None), (5, 1, (0, 0, 0, 0, 1)),
+              (7, 1, None), (7, 1, (0, 0, 0, 0, 3))]
+
+
+def _curve(p, m, coeffs):
+    spec = field_create(p, m)
+    if coeffs is None:
+        return curve_create(P1, None, spec)
+    return curve_create(ELLIPTIC, coeffs, spec)
+
+
+def test_segre_bound_matches_enumeration():
+    # for each center, two fibers of each least degree 1, 2 and > 2 of a
+    # function through them (as the enumerator finds it), at dmax 0, 1, 2.
+    # On P^1 the functions of degree 1 suffice: PGL_2(F_q) is transitive on
+    # the elements of degree 2 and of degree 3, so they block every center.
+    outcomes = set()
+    for p, m, coeffs in SEGRE_GRID:
+        curve = _curve(p, m, coeffs)
+        spec = curve.spec
+        top = 1 if coeffs is None else 2
+        funcs = functions_up_to_degree(curve, top)
+        for d in (2, 3):
+            ext = extend(spec, d)
+            rational = {ext.embed_i(spec, c) for c in range(spec.order)}
+            for center in curve.closed_points(d)[:2]:
+                least = least_degree_by_value(funcs, center)
+                by_degree = {}
+                for fc in range(ext.order):
+                    if fc not in rational:
+                        by_degree.setdefault(least.get(fc, 3), []).append(fc)
+                for fc in (fc for group in by_degree.values() for fc in group[:2]):
+                    surface = surface_elm_product(curve, center, fc)
+                    for dmax in (0, 1, 2):
+                        assert dmax <= top or fc in least
+                        got = segre_lower_bound_elm(surface, dmax)
+                        assert got == segre_by_enumeration(d, fc, least, dmax), (
+                            curve, center, fc, dmax)
+                        if dmax:
+                            outcomes.add(got[1] < dmax)
+    assert outcomes == {True, False}    # blocked and unblocked both occur
+
+
+@pytest.mark.parametrize("p, m, coeffs", [
+    (5, 1, (0, 0, 0, 0, 1)), (2, 2, (1, 0, 0, 0, 1)), (2, 1, (0, 0, 1, 0, 0)),
+    (3, 1, None)])
+def test_effective_divisor_closed_form(p, m, coeffs):
+    curve = _curve(p, m, coeffs)
+    q, g, h = curve.spec.order, curve.genus, curve.class_number()
+    counts = [len(effective_divisors(curve, d)) for d in (1, 2, 3)]
+    assert counts == [h * (q ** (d + 1 - g) - 1) // (q - 1) for d in (1, 2, 3)]
+    assert [_segre_solve_count(q, g, h, d) for d in (0, 1, 2, 3)] == [
+        0, counts[0], counts[0] + counts[1], sum(counts)]
+
+
+def _enumerator_accepts(q, g, h, dmax):
+    """Whether a function enumeration to dmax fits a budget of 10^6
+    functions, estimated as q^(dmax+1) per effective divisor of degree dmax
+    (the budget the Segre bound kept before it asked linear solves)."""
+    cap = 10 ** 6
+    if dmax < 1:
+        return True
+    if dmax + 1 >= cap.bit_length() or q ** (dmax + 1) > cap:
+        return False
+    return h * (q ** (dmax + 1 - g) - 1) // (q - 1) * q ** (dmax + 1) <= cap
+
+
+def test_segre_refusal_accepts_what_the_enumerator_accepted():
+    prime_powers = [p ** k for p in range(2, 257)
+                    if all(p % r for r in range(2, p)) for k in range(1, 9)
+                    if p ** k <= 256]
+    worst = 0
+    for q in prime_powers:
+        hasse = range(max(1, math.ceil(q + 1 - 2 * math.sqrt(q))),
+                      math.floor(q + 1 + 2 * math.sqrt(q)) + 1)
+        for g, h in [(0, 1)] + [(1, h) for h in hasse]:
+            for dmax in range(0, 21):
+                if _enumerator_accepts(q, g, h, dmax):
+                    solves = _segre_solve_count(q, g, h, dmax)
+                    assert solves <= SEGRE_SOLVE_CAP, (q, g, h, dmax)
+                    worst = max(worst, solves)
+    # E/F_2 with 5 points at dmax 8; the cap stays near it
+    assert worst == 2510 and SEGRE_SOLVE_CAP < 2 * worst
+
+
+def test_segre_huge_dmax_refused_before_point_enumeration():
+    curve = curve_create(ELLIPTIC, (0, 0, 0, 0, 1), F5)
+    d2 = E5.closed_points(2)[0]
+    surface = surface_elm_product(curve, ClosedPoint(curve, 2, d2.x, d2.y),
+                                  elm_surface().fiber_coord)
+    with pytest.raises(ValueError, match=r"segre_dmax = 1000000000 needs at "
+                       r"least \d+ linear solves .* above the cap 3000"):
+        segre_lower_bound_elm(surface, 10 ** 9)
+    assert all(d < 2 for d in curve._closed_cache)
+    with pytest.raises(ValueError, match="segre_dmax = -1 must be >= 0"):
+        segre_lower_bound_elm(surface, -1)
 
 
 def test_segre_upper_bounds():
