@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Layer timings in the paper's regimes, which the end-to-end benchmark
+(perfbench/) runs too briefly to gate.
+
+    python3 scripts/bench_layers.py
+
+prints one JSON object of wall-clock seconds, each from a single run:
+  * table_build.F_{q}: the exp/log tables of F_256, F_2401 and F_{2^16};
+  * rref.F_{q}.{k}x{n}: linalg.rref on the generators of the decomposable
+    codes below (built first, untimed);
+  * section_rows.F_49.{k}x3200: codes._section_rows for the a = 6, b = 24
+    code;
+  * recovery_sets.F_49.18x3200: locality.recovery_sets for a = 2, b = 8.
+
+Each code lives on an elliptic curve with beta = b/2 times the degree-2
+point of index 1 and delta the degree-2 point of index 0.
+"""
+
+import json
+import os
+import sys
+import time
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from ruledcodes import codes, linalg, locality  # noqa: E402
+from ruledcodes.curve import curve_create, DivisorOnCurve, ELLIPTIC  # noqa: E402
+from ruledcodes.gf import FieldSpec, field_create  # noqa: E402
+from ruledcodes.rrspace import rr_basis  # noqa: E402
+from ruledcodes.surface import (surface_decomposable,  # noqa: E402
+                                surface_rational_points)
+
+TABLE_FIELDS = [(2, 8), (7, 4), (2, 16)]
+
+# (p, m, curve coefficients, a, b)
+CODES = {
+    "rref": [(7, 2, (0, 0, 0, 1, 3), 1, 4),     # [3000, 6], the construct job
+             (2, 4, (0, 0, 1, 0, 8), 5, 16),    # [425, 66]
+             (7, 2, (0, 0, 0, 1, 0), 6, 24)],   # [3200, 126]
+    "section_rows": [(7, 2, (0, 0, 0, 1, 0), 6, 24)],
+    "recovery_sets": [(7, 2, (0, 0, 0, 1, 0), 2, 8)],
+}
+
+
+def _seconds(fn, *args):
+    t0 = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - t0
+
+
+def table_build_s(p, m):
+    """Seconds to build the exp/log tables of F_{p^m} (a fresh FieldSpec;
+    the modulus search is not timed)."""
+    modulus = field_create(p, m).modulus
+    return _seconds(FieldSpec, p, m, modulus, p ** m)
+
+
+def decomposable_code(p, m, coeffs, a, b):
+    curve = curve_create(ELLIPTIC, coeffs, field_create(p, m))
+    points = curve.closed_points(2)
+    surface = surface_decomposable(curve, DivisorOnCurve(curve, [(points[0], 1)]))
+    beta = DivisorOnCurve(curve, [(points[1], b // 2)])
+    return codes.build_code_decomposable(surface, a, beta)
+
+
+def rref_s(code):
+    return _seconds(linalg.rref, code.spec, code.matrix)
+
+
+def section_rows_s(code):
+    """Seconds of the _section_rows call that built the code (its
+    Riemann-Roch bases are built again first, untimed)."""
+    surface, a, beta = code.meta["surface"], code.meta["a"], code.meta["beta"]
+    curve = surface.curve
+    terms = [(i, f) for i in range(a + 1)
+             for f in rr_basis(curve, beta - i * surface.delta)]
+    return _seconds(codes._section_rows, curve.spec, a, terms,
+                    curve.rational_points(), surface_rational_points(surface))
+
+
+def recovery_sets_s(code):
+    return _seconds(locality.recovery_sets, code)
+
+
+def main():
+    out = {f"table_build.F_{p ** m}": table_build_s(p, m) for p, m in TABLE_FIELDS}
+    for layer, timer in (("rref", rref_s), ("section_rows", section_rows_s),
+                         ("recovery_sets", recovery_sets_s)):
+        for config in CODES[layer]:
+            code = decomposable_code(*config)
+            out[f"{layer}.F_{code.spec.order}.{code.k}x{code.n}"] = timer(code)
+    print(json.dumps({k: round(v, 4) for k, v in out.items()}, indent=1))
+
+
+if __name__ == "__main__":
+    main()

@@ -7,7 +7,9 @@ is integer-only.
 exact_params finds the minimum distance by a single-threaded projective
 meet-in-the-middle search: it visits one word per line of the code, (q^k - 1)
 / (q - 1) in all, by comparing each row of one small uint8 span table (uint16
-or wider for larger q) with a whole second one.
+or wider for larger q) with a whole second one.  The span tables and the q
+scalar multiples of each row they are summed from are fqarray operations on
+whole arrays.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import fqarray, linalg
 from .codes import LinearCode
 
 EXACT_CAP_DEFAULT = 10 ** 7
@@ -156,24 +158,15 @@ def singleton_check(n: int, k: int, d: int) -> bool:
 # ---------------------------------------------------------------------------
 # exact parameters by a projective meet-in-the-middle search
 
-def _add(spec, x, y):
-    """Elementwise sum of int64 arrays of encodings, base-p digit by digit."""
-    out = 0
-    pw = 1
-    for _ in range(spec.deg):
-        out = out + (x // pw + y // pw) % spec.p * pw
-        pw *= spec.p
-    return out
-
-
 def _span(spec, multiples, n):
-    """Every F_q-combination of some rows, one per table row (int64).
+    """Every F_q-combination of some rows, one per table row, in digit form.
 
-    multiples holds, per row, the q x n array of its scalar multiples.
+    multiples holds, per row, the digit form of its q scalar multiples.
     """
-    table = np.zeros((1, n), dtype=np.int64)
+    table = np.zeros((spec.deg, 1, n), dtype=np.int64)
     for mult in multiples:
-        table = _add(spec, table[:, None, :], mult[None, :, :]).reshape(-1, n)
+        table = fqarray.add(spec, table[:, :, None, :],
+                            mult[:, None, :, :]).reshape(spec.deg, -1, n)
     return table
 
 
@@ -204,15 +197,18 @@ def exact_params(code: LinearCode, cap: int = EXACT_CAP_DEFAULT):
             "higher cap or fall back to a sampled probabilistic lower bound")
     symbol = np.min_scalar_type(q - 1)
     count = np.min_scalar_type(n)
-    gens = np.array(rows, dtype=np.int64)
-    multiples = [np.array([[spec.mul_i(c, v) for v in row] for c in range(q)],
-                          dtype=np.int64) for row in rows[1:]]
+    gens = fqarray.digits(spec, rows)
+    scalars = fqarray.digits(spec, np.arange(q))[:, :, None]
+    multiples = [fqarray.mul(spec, scalars, gens[:, i, None, :])
+                 for i in range(1, k)]
     agree = 0
     for j in range(k):
         rest = multiples[j:]
         half = len(rest) // 2
-        lead = _add(spec, _span(spec, rest[:half], n), gens[j]).astype(symbol)
-        other = np.ascontiguousarray(_span(spec, rest[half:], n).astype(symbol).T)
+        lead = fqarray.add(spec, _span(spec, rest[:half], n), gens[:, j, None, :])
+        lead = fqarray.encode(spec, lead).astype(symbol)
+        other = fqarray.encode(spec, _span(spec, rest[half:], n)).astype(symbol)
+        other = np.ascontiguousarray(other.T)
         for word in lead:
             same = (other == word[:, None]).sum(axis=0, dtype=count)
             agree = max(agree, int(same.max()))

@@ -354,6 +354,11 @@ def cmd_segre(args) -> int:
     cfg = load_config(args.config)
     curve = _build_curve(cfg)
     surface = _build_surface(cfg, curve)
+    if "code" in cfg:
+        # segre uses no code, but a config that build refuses must not pass
+        code_block = _need(cfg, "code", dict, "config")
+        _resolve_divisor(curve, _need(code_block, "beta", list, "config.code"),
+                         "config.code.beta")
     q = curve.spec.order
     N = len(curve.rational_points())
     g = curve.genus

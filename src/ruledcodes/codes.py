@@ -19,13 +19,15 @@ from __future__ import annotations
 
 from math import comb
 
+import numpy as np
+
 from .gf import DESK_CAP, FieldSpec, extend, field_create
 from .curve import CurveModel, ClosedPoint, DivisorOnCurve
 from .rrspace import (rr_basis, evaluate, taylor_coeffs, subfield_coords)
 from .surface import (RuledSurfaceModel, DECOMPOSABLE, ELM, INFTY,
                       surface_rational_points, segre_decomposable,
                       segre_lower_bound_elm)
-from . import linalg
+from . import fqarray, linalg
 
 
 class LinearCode:
@@ -141,20 +143,23 @@ def build_code_decomposable(surface: RuledSurfaceModel, a: int,
 
 def _section_rows(spec: FieldSpec, a: int, terms, rational, pts):
     """One generator row per (i, f) in terms: the section f * u^i of
-    a*S + pi^*(beta) at every surface point (p, u) in pts, taking f(p) u^i
-    on the affine fiber and f(p) at (p, infinity) when i == a, else 0.
-    Each distinct f is evaluated once at the rational base points."""
+    a*S + pi^*(beta) at every surface point (p, u) in pts, which is f(p)
+    times row i of PRS(a) at u: f(p) u^i on the affine fiber, and at
+    (p, infinity) f(p) when i == a, else 0.  Each distinct f is evaluated
+    once at the rational base points, and each row is read off the products
+    for every (p, u) in P^1(F_q) order."""
     values = {}
-    rows = []
-    for i, f in terms:
-        key = f.key()
-        if key not in values:
-            values[key] = {p: evaluate(f, p).val for p in rational}
-        vals = values[key]
-        rows.append([(vals[p] if i == a else 0) if u == INFTY
-                     else spec.mul_i(vals[p], spec.pow_i(u, i))
-                     for p, u in pts])
-    return rows
+    for _, f in terms:
+        if f.key() not in values:
+            values[f.key()] = [evaluate(f, p).val for p in rational]
+    prs = build_prs(spec, a).matrix
+    fvals = fqarray.digits(spec, [values[f.key()] for _, f in terms])
+    powers = fqarray.digits(spec, [prs[i] for i, _ in terms])
+    table = fqarray.mul(spec, fvals[:, :, :, None], powers[:, :, None, :])
+    table = fqarray.encode(spec, table).reshape(len(terms), -1)
+    q = spec.order
+    base = {p: j * (q + 1) for j, p in enumerate(rational)}
+    return table[:, [base[p] + (q if u == INFTY else u) for p, u in pts]].tolist()
 
 
 def build_code_elm(surface: RuledSurfaceModel, a: int,

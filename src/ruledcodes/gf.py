@@ -16,6 +16,9 @@ cardinality, so Frobenius is the identity there).
 
 from __future__ import annotations
 
+import numpy as np
+
+from . import fqarray
 
 DESK_CAP = 1 << 20          # largest field order we agree to construct
 _TABLE_MAX = 1 << 16        # build exp/log tables up to this order
@@ -149,7 +152,8 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "deg", "modulus", "base_card", "order", "_exp", "_log",
-                 "_embeddings", "_coords", "_trace_one", "_nonresidue")
+                 "_embeddings", "_coords", "_trace_one", "_nonresidue",
+                 "_fq_maps")
 
     def __init__(self, p: int, deg: int, modulus: tuple[int, ...],
                  base_card: int):
@@ -164,6 +168,7 @@ class FieldSpec:
         self._coords = {}               # subfield coordinate maps, see rrspace
         self._trace_one = None
         self._nonresidue = None
+        self._fq_maps = None            # fqarray's digit powers and z^j matrices
         if self.order <= _TABLE_MAX:
             self._build_tables()
 
@@ -330,19 +335,20 @@ class FieldSpec:
     # -- tables
 
     def _build_tables(self):
-        # mul_i and pow_i take their table-free branches while _exp is None
+        # mul_i and pow_i take their table-free branches while _exp is None.
+        # exp doubles in length: exp[L:2L] is gen^L times exp[0:L].
         n1 = self.order - 1
         factors = _prime_factors(n1) if n1 > 1 else []
         gen = next(cand for cand in range(1, self.order)
                    if all(self.pow_i(cand, n1 // ell) != 1 for ell in factors))
-        exp = [0] * n1
-        log = [0] * self.order
-        x = 1
-        for i in range(n1):
-            exp[i] = x
-            log[x] = i
-            x = self.mul_i(x, gen)
-        self._exp, self._log = exp, log
+        exp = fqarray.digits(self, [1])
+        while exp.shape[1] < n1:
+            step = self.mul_i(int(fqarray.encode(self, exp[:, -1])), gen)
+            exp = np.concatenate([exp, fqarray.scale(self, step, exp)], axis=1)
+        exp = fqarray.encode(self, exp[:, :n1])
+        log = np.zeros(self.order, dtype=np.int64)
+        log[exp] = np.arange(n1)
+        self._exp, self._log = exp.tolist(), log.tolist()
 
     # -- element-level API
 

@@ -1,39 +1,56 @@
 """Exact Gaussian elimination over a FieldSpec.
 
-Matrices are lists of rows of integer-encoded field elements.  Everything
-here is deterministic: pivots are always the first nonzero entry scanning
-left to right, rows are processed top to bottom.
+Matrices come in and go out as lists of rows of integer-encoded field
+elements; rref works on one numpy array in fqarray's digit form, so every
+field up to DESK_CAP takes the same path.  Everything here is deterministic:
+pivots are always the first nonzero entry scanning left to right, rows are
+processed top to bottom.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from . import fqarray
 from .gf import FieldSpec
 
 
 def rref(spec: FieldSpec, rows: list[list[int]]):
-    """Reduced row echelon form.  Returns (rref_rows, pivot_columns)."""
-    m = [r[:] for r in rows]
-    if not m:
+    """Reduced row echelon form.  Returns (rref_rows, pivot_columns).
+
+    Each pivot takes one array step: every row i receives c_i times the
+    pivot row, with c_i = -m_ic / pivot for i != r and c_r = 1 / pivot - 1,
+    which clears column c and scales the pivot row to 1.  The multiples of
+    the pivot row are formed once per distinct c_i.  Entries are reduced
+    mod p when read; each step adds less than p to one.
+    """
+    if not rows:
         return [], []
-    ncols = len(m[0])
+    p = spec.p
+    m = fqarray.digits(spec, rows)
+    _, k, n = m.shape
     pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+    r = c = 0
+    while r < k and c < n:
+        column = fqarray.encode(spec, m[:, :, c] % p).tolist()
+        pivot = next((i for i in range(r, k) if column[i]), None)
         if pivot is None:
+            c += 1
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = spec.inv_i(m[r][c])
-        m[r] = [spec.mul_i(inv, v) for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [spec.sub_i(a, spec.mul_i(f, b)) for a, b in zip(m[i], m[r])]
+        if pivot != r:
+            m[:, [r, pivot]] = m[:, [pivot, r]]
+            column[r], column[pivot] = column[pivot], column[r]
+        inv = spec.inv_i(column[r])
+        coeffs = [spec.mul_i(spec.neg_i(v), inv) for v in column]
+        coeffs[r] = spec.sub_i(inv, 1)
+        slot = {v: j for j, v in enumerate(dict.fromkeys(coeffs))}
+        multiples = fqarray.mul(spec, fqarray.digits(spec, list(slot))[:, :, None],
+                                m[:, r, None, c:] % p)
+        m[:, :, c:] += multiples[:, [slot[v] for v in coeffs]]
         pivots.append(c)
         r += 1
-        if r == len(m):
-            break
-    return [row for row in m[:r]], pivots
+        c += 1
+    return fqarray.encode(spec, m[:, :r] % p).tolist(), pivots
 
 
 def rank(spec: FieldSpec, rows: list[list[int]]) -> int:
@@ -89,11 +106,9 @@ def row_space_equal(spec: FieldSpec, a: list[list[int]], b: list[list[int]]) -> 
 
 
 def mat_mul(spec: FieldSpec, a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    out = []
-    for row in a:
-        acc = [0] * len(b[0])
-        for x, brow in zip(row, b):
-            if x:
-                acc = [spec.add_i(t, spec.mul_i(x, v)) for t, v in zip(acc, brow)]
-        out.append(acc)
-    return out
+    x = fqarray.digits(spec, a)
+    y = fqarray.digits(spec, b)
+    acc = np.zeros((spec.deg, x.shape[1], y.shape[2]), dtype=np.int64)
+    for t in range(y.shape[1]):
+        acc = fqarray.add(spec, acc, fqarray.mul(spec, x[:, :, t, None], y[:, None, t]))
+    return fqarray.encode(spec, acc).tolist()

@@ -8,6 +8,11 @@ a+1 are chunked greedily from the fiber points in canonical order, giving
 floor(q/(a+1)) pairwise disjoint recovery sets per coordinate.  (The
 availability stated with a ceiling is not achievable with disjoint sets of
 exact size a+1 when a+1 does not divide q; reports surface the floor.)
+
+The recovery coefficients are closed-form projective Lagrange weights, which
+depend only on the fiber coordinates of the target and its helpers, so each
+is computed once and shared by every fiber; the columns are grouped by base
+point once per call.
 """
 
 from __future__ import annotations
@@ -32,20 +37,14 @@ class RecoverySet:
                 "coefficients": list(self.coefficients)}
 
 
-def _fiber_indices(code: LinearCode, p: ClosedPoint):
-    idx = [i for i, col in enumerate(code.columns)
-           if isinstance(col, tuple) and col[0] == p]
-    if not idx:
-        raise ValueError(f"{p!r} is not a base point of the code's point index")
-    return idx
-
-
-def _base_points(code: LinearCode):
-    seen = []
-    for col in code.columns:
-        if isinstance(col, tuple) and col[0] not in seen:
-            seen.append(col[0])
-    return seen
+def _fibers(code: LinearCode):
+    """{base point: its column indices}, base points in the order their
+    first column appears."""
+    fibers = {}
+    for i, col in enumerate(code.columns):
+        if isinstance(col, tuple):
+            fibers.setdefault(col[0], []).append(i)
+    return fibers
 
 
 def restriction_fiber(code: LinearCode, p: ClosedPoint) -> LinearCode:
@@ -55,7 +54,9 @@ def restriction_fiber(code: LinearCode, p: ClosedPoint) -> LinearCode:
     spaces (the computational surrogate for the cohomological surjectivity
     condition).
     """
-    idx = _fiber_indices(code, p)
+    idx = _fibers(code).get(p)
+    if not idx:
+        raise ValueError(f"{p!r} is not a base point of the code's point index")
     rows = [[row[i] for i in idx] for row in code.matrix]
     a = code.meta.get("a")
     sub = LinearCode(code.spec, rows, [code.columns[i] for i in idx],
@@ -81,7 +82,7 @@ def restriction_section(code: LinearCode, section_spec) -> LinearCode:
     meta["expected_divisor"] names the base-curve divisor of the containing
     code when it is known.
     """
-    bases = _base_points(code)
+    bases = list(_fibers(code))
     if section_spec == "zero":
         fibers = {p: 0 for p in bases}
     elif section_spec == "infinity":
@@ -128,9 +129,10 @@ def section_restriction_contained(code: LinearCode, section_spec) -> bool:
 def recovery_sets(code: LinearCode):
     """floor(q/(a+1)) pairwise disjoint recovery sets for every column.
 
-    Requires every fiber restriction to have rank a+1 (checked); the
-    coefficients come from projective Lagrange interpolation, the point at
-    infinity carrying the degree-a coefficient.
+    Requires every fiber restriction to have rank a+1 (checked).  The
+    coefficients are the projective Lagrange weights of _lagrange_weights,
+    computed once per target coordinate and helper chunk and shared by every
+    fiber.
     """
     a = code.meta.get("a")
     if a is None:
@@ -140,42 +142,57 @@ def recovery_sets(code: LinearCode):
     r = a + 1
     if r > q:
         raise ValueError("locality a + 1 exceeds the q remaining fiber points")
-    prs = build_prs(spec, a)
-    prs_col = {u: j for j, u in enumerate(prs.columns)}
-    for p in _base_points(code):
-        sub = restriction_fiber(code, p)
-        if sub.meta["rank"] != r:
-            raise ValueError(f"fiber over {p!r} has rank {sub.meta['rank']}, "
+
+    def canonical(i):   # affine encodings ascending, infinity last
+        u = code.columns[i][1]
+        return (u == INFTY, 0 if u == INFTY else u)
+
+    fibers = {}
+    for p, idx in _fibers(code).items():
+        rk = linalg.rank(spec, [[row[i] for i in idx] for row in code.matrix])
+        if rk != r:
+            raise ValueError(f"fiber over {p!r} has rank {rk}, "
                              f"expected {r}; recovery sets unavailable")
+        fibers[p] = sorted(idx, key=canonical)
+    weights = {}
     out = {}
-    for target_idx, col in enumerate(code.columns):
-        p, u_t = col
-        fiber = _fiber_indices(code, p)
-        others = [i for i in fiber if i != target_idx]
-        # canonical order: affine encodings ascending, infinity last
-        others.sort(key=lambda i: (code.columns[i][1] == INFTY,
-                                   code.columns[i][1] if code.columns[i][1] != INFTY else 0))
+    for target_idx, (p, u_t) in enumerate(code.columns):
+        others = [i for i in fibers[p] if i != target_idx]
         sets = []
         for s in range(q // r):
-            chunk = others[s * r:(s + 1) * r]
-            coeffs = _lagrange_coefficients(
-                spec, prs, prs_col,
-                [code.columns[i][1] for i in chunk], u_t)
-            sets.append(RecoverySet(target_idx, tuple(chunk), tuple(coeffs)))
+            chunk = tuple(others[s * r:(s + 1) * r])
+            us = tuple(code.columns[i][1] for i in chunk)
+            if (u_t, us) not in weights:
+                weights[u_t, us] = _lagrange_weights(spec, us, u_t)
+            sets.append(RecoverySet(target_idx, chunk, weights[u_t, us]))
         out[target_idx] = sets
     return out
 
 
-def _lagrange_coefficients(spec, prs: LinearCode, prs_col, helper_us, target_u):
-    """gamma with h(target) = sum gamma_j h(helper_j) for all deg <= a forms."""
-    r = prs.k
-    cols = [prs_col[u] for u in helper_us]
-    tcol = prs_col[target_u]
-    system = [[prs.matrix[i][c] for c in cols] for i in range(r)]
-    rhs = [prs.matrix[i][tcol] for i in range(r)]
-    sol = linalg.solve(spec, system, rhs)
-    assert sol is not None, "PRS helper columns were dependent"
-    return sol
+def _lagrange_weights(spec, helper_us, target_u):
+    """gamma with h(target) = sum gamma_j h(helper_j) for every form h of
+    degree <= a = len(helper_us) - 1 on P^1, where h(infinity) is the
+    degree-a coefficient.
+
+    gamma_j = prod_{m != j} (u_t - u_m) / (u_j - u_m) over the finite helpers
+    u_m.  A helper at infinity takes the leading coefficient of the remaining
+    interpolation error, prod_m (u_t - u_m); when the target is at infinity
+    it reads the leading coefficient of h, so gamma_j = 1 / prod_{m != j}
+    (u_j - u_m).
+    """
+    finite = [u for u in helper_us if u != INFTY]
+    out = []
+    for u_j in helper_us:
+        num = den = 1
+        for u_m in finite:
+            if u_m == u_j:
+                continue
+            if target_u != INFTY:
+                num = spec.mul_i(num, spec.sub_i(target_u, u_m))
+            if u_j != INFTY:
+                den = spec.mul_i(den, spec.sub_i(u_j, u_m))
+        out.append(spec.mul_i(num, spec.inv_i(den)))
+    return tuple(out)
 
 
 def recover(word, target: int, rset: RecoverySet, spec):

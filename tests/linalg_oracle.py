@@ -1,0 +1,29 @@
+"""The list-based Gauss-Jordan elimination that linalg.rref replaced: one
+row operation at a time through the FieldSpec's scalar arithmetic.  It is
+the reference the numpy elimination is compared against."""
+
+
+def rref(spec, rows):
+    """Reduced row echelon form.  Returns (rref_rows, pivot_columns)."""
+    m = [r[:] for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = spec.inv_i(m[r][c])
+        m[r] = [spec.mul_i(inv, v) for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [spec.sub_i(a, spec.mul_i(f, b)) for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return [row for row in m[:r]], pivots

@@ -1,0 +1,21 @@
+import importlib.util
+import os
+
+SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "bench_layers.py")
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("bench_layers", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_layers_on_its_smallest_inputs():
+    bench = load_script()
+    p, m = bench.TABLE_FIELDS[0]
+    assert p ** m == 256 and bench.table_build_s(p, m) > 0
+    code = bench.decomposable_code(*bench.CODES["rref"][0])
+    assert (code.k, code.n, code.spec.order) == (6, 3000, 49)
+    for timer in (bench.rref_s, bench.section_rows_s, bench.recovery_sets_s):
+        assert timer(code) > 0

@@ -420,11 +420,10 @@ def test_cap_refusal_names_the_selector(tmp_path, capsys, where, overrides):
             "cap 1048576") in err
 
 
-@pytest.mark.parametrize("command", ["build", "recover"])
+@pytest.mark.parametrize("command", ["build", "recover", "segre"])
 def test_p1_point_off_the_line_exit2(tmp_path, capsys, command):
     # found by the config fuzz: y = 2 lies outside F_2, so the pair (0, 2)
     # has an orbit of size 2 although x = 0 is a rational point of P^1
-    # (segre reads no code divisor on P^1)
     cfg = str(tmp_path / "cfg.json")
     with open(cfg, "w") as fh:
         json.dump({"field": {"p": 2, "m": 1}, "curve": {"kind": "p1"},
@@ -433,7 +432,8 @@ def test_p1_point_off_the_line_exit2(tmp_path, capsys, command):
                    "analysis": {"exact_cap": 1}}, fh)
     argv = {"build": ["build", "--config", cfg, "--out-dir", str(tmp_path)],
             "recover": ["recover", "--config", cfg,
-                        "--out", str(tmp_path / "r.json")]}[command]
+                        "--out", str(tmp_path / "r.json")],
+            "segre": ["segre", "--config", cfg]}[command]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "config.code.beta[0]" in err and "Traceback" not in err

@@ -1,10 +1,13 @@
+import random
 import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ruledcodes import fqarray
 from ruledcodes.gf import (field_create, extend, frobenius_orbit,
-                           solve_quadratic, is_prime, _is_irreducible)
+                           solve_quadratic, is_prime, _is_irreducible,
+                           _pmod, _pmul, _prime_factors)
 
 
 def all_monic_irreducible_by_trial_division(p, n):
@@ -270,3 +273,60 @@ def test_sqrt_without_tables_round_trips():
         assert f.mul_i(r, r) == sq
         assert f.sqrt_i(f.mul_i(z, sq)) is None
     assert f._nonresidue == z
+
+
+def _sequential_tables(spec):
+    """The exp/log build that doubling replaced: the least generator, then
+    exp[i + 1] = exp[i] * gen one element at a time, multiplying the
+    coefficient lists over F_p without any table."""
+    p, modulus = spec.p, list(spec.modulus)
+
+    def mul(a, b):
+        return spec.encode(_pmod(_pmul(list(spec.decode(a)), list(spec.decode(b)), p),
+                                 modulus, p))
+
+    def power(a, e):
+        out = 1
+        while e:
+            if e & 1:
+                out = mul(out, a)
+            a = mul(a, a)
+            e >>= 1
+        return out
+
+    n1 = spec.order - 1
+    gen = next(c for c in range(1, spec.order)
+               if all(power(c, n1 // ell) != 1 for ell in _prime_factors(n1)))
+    exp, log = [0] * n1, [0] * spec.order
+    x = 1
+    for i in range(n1):
+        exp[i], log[x] = x, i
+        x = mul(x, gen)
+    return exp, log
+
+
+@pytest.mark.parametrize("pm", [(2, 1), (2, 4), (2, 8), (7, 2), (7, 4), (3, 6),
+                                (257, 1), (2, 12)])
+def test_tables_equal_the_sequential_build(pm):
+    spec = field_create(*pm)
+    assert (spec._exp, spec._log) == _sequential_tables(spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (7, 2), (2, 4), (3, 6), (5, 7)]),
+       st.integers(0, 10 ** 9))
+def test_fqarray_matches_scalar_arithmetic(pm, seed):
+    # F_{5^7} is above the table limit: the kernel reads no table anywhere
+    spec = field_create(*pm)
+    rng = random.Random(seed)
+    x = [rng.randrange(spec.order) for _ in range(12)]
+    y = [rng.choice([0, rng.randrange(spec.order)]) for _ in range(12)]
+    c = rng.randrange(spec.order)
+    dx, dy = fqarray.digits(spec, x), fqarray.digits(spec, y)
+    assert fqarray.encode(spec, dx).tolist() == x
+    assert fqarray.encode(spec, fqarray.add(spec, dx, dy)).tolist() == \
+        [spec.add_i(a, b) for a, b in zip(x, y)]
+    assert fqarray.encode(spec, fqarray.mul(spec, dx, dy)).tolist() == \
+        [spec.mul_i(a, b) for a, b in zip(x, y)]
+    assert fqarray.encode(spec, fqarray.scale(spec, c, dx)).tolist() == \
+        [spec.mul_i(c, a) for a in x]

@@ -8,11 +8,11 @@ from ruledcodes.gf import field_create, extend
 from ruledcodes.curve import curve_create, DivisorOnCurve, ELLIPTIC
 from ruledcodes.surface import (surface_decomposable, surface_elm_product,
                                 surface_trivial, INFTY)
-from ruledcodes.codes import (build_curve_code,
+from ruledcodes.codes import (build_curve_code, build_prs,
                               build_code_decomposable, build_code_elm)
 from ruledcodes.locality import (restriction_fiber, restriction_section,
                                  section_restriction_contained, recovery_sets,
-                                 recover)
+                                 recover, _lagrange_weights)
 
 F5 = field_create(5, 1)
 E5 = curve_create(ELLIPTIC, (0, 0, 0, 0, 1), F5)
@@ -220,3 +220,28 @@ def test_recovery_export_shape():
     rec = sets[3][0].as_dict()
     assert set(rec) == {"target", "helpers", "coefficients"}
     assert rec["target"] == 3
+
+
+@pytest.mark.parametrize("a", [0, 1, 2, 3])
+@pytest.mark.parametrize("pm", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_lagrange_weights_match_solve(pm, a):
+    # the helper chunks recovery_sets takes from P^1(F_q) minus the target in
+    # canonical order, and again in reverse order so that infinity helps the
+    # first chunk, against the linear solve on the PRS(a) columns
+    spec = field_create(*pm)
+    prs = build_prs(spec, a)
+    column = {u: j for j, u in enumerate(prs.columns)}
+    r = a + 1
+    seen = set()
+    for target in prs.columns:
+        others = [u for u in prs.columns if u != target]
+        for order in (others, others[::-1]):
+            for s in range(spec.order // r):
+                helpers = tuple(order[s * r:(s + 1) * r])
+                system = [[prs.matrix[i][column[u]] for u in helpers]
+                          for i in range(r)]
+                rhs = [prs.matrix[i][column[target]] for i in range(r)]
+                assert _lagrange_weights(spec, helpers, target) == \
+                    tuple(linalg.solve(spec, system, rhs))
+                seen.add((target == INFTY, INFTY in helpers))
+    assert {(False, True), (True, False)} <= seen

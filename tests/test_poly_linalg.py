@@ -1,13 +1,20 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ruledcodes import linalg
-from ruledcodes.gf import field_create, extend
+from ruledcodes.gf import _TABLE_MAX, field_create, extend
 from ruledcodes.poly import Poly
+
+from linalg_oracle import rref as oracle_rref
 
 F5 = field_create(5, 1)
 F4 = field_create(2, 2)
+
+# F_2..F_9, F_49, F_{3^6}, and F_{5^7} above the table limit
+RREF_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (7, 2),
+               (3, 6), (5, 7)]
 
 
 def rand_poly(spec, rng, maxdeg=5):
@@ -129,3 +136,44 @@ def test_solve_quadratic_extension_fields(bb, cc):
         assert len(roots) == len(set(roots))
         # root count parity: 0, 1, or 2 solutions
         assert len(roots) <= 2
+
+
+@st.composite
+def field_matrices(draw):
+    """A field of RREF_FIELDS and a k x n matrix over it, often sparse, with
+    a zero row or a row dependent on two others inserted at random."""
+    spec = field_create(*draw(st.sampled_from(RREF_FIELDS)))
+    k, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.integers(1, spec.order - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    extra = draw(st.sampled_from(["none", "zero", "dependent"]))
+    at = draw(st.integers(0, k))
+    if extra == "zero":
+        rows.insert(at, [0] * n)
+    elif extra == "dependent":
+        c = draw(st.integers(0, spec.order - 1))
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        rows.insert(at, [spec.add_i(spec.mul_i(c, x), y)
+                         for x, y in zip(rows[i], rows[j])])
+    return spec, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_matrices())
+def test_rref_matches_list_oracle(case):
+    spec, rows = case
+    assert linalg.rref(spec, rows) == oracle_rref(spec, rows)
+
+
+@pytest.mark.parametrize("pm", RREF_FIELDS)
+def test_rref_edge_shapes_match_list_oracle(pm):
+    spec = field_create(*pm)
+    rng = random.Random(pm[0] ** pm[1])
+    shapes = [(1, 7), (7, 1), (1, 1), (3, 5)]
+    for k, n in shapes:
+        rows = [[rng.randrange(spec.order) for _ in range(n)] for _ in range(k)]
+        assert linalg.rref(spec, rows) == oracle_rref(spec, rows)
+        zero = [[0] * n for _ in range(k)]
+        assert linalg.rref(spec, zero) == oracle_rref(spec, zero) == ([], [])
+    assert (spec.order > _TABLE_MAX) == (spec._exp is None)
