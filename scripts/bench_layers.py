@@ -10,7 +10,11 @@ prints one JSON object of wall-clock seconds, each from a single run:
     codes below (built first, untimed);
   * section_rows.F_49.{k}x3200: codes._section_rows for the a = 6, b = 24
     code;
-  * recovery_sets.F_49.18x3200: locality.recovery_sets for a = 2, b = 8.
+  * recovery_sets.F_49.18x3200: locality.recovery_sets for a = 2, b = 8;
+  * recover_write.F_49.3200: writing that code's recovery.json (the sets
+    are computed first, untimed);
+  * closed_points.F_{q^d}.d{d}: CurveModel.closed_points(d) on fresh
+    curves, both F_49 curves at d = 2 and the F_16 one at d = 4.
 
 Each code lives on an elliptic curve with beta = b/2 times the degree-2
 point of index 1 and delta the degree-2 point of index 0.
@@ -19,13 +23,14 @@ point of index 1 and delta the degree-2 point of index 0.
 import json
 import os
 import sys
+import tempfile
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from ruledcodes import codes, linalg, locality  # noqa: E402
+from ruledcodes import cli, codes, linalg, locality  # noqa: E402
 from ruledcodes.curve import curve_create, DivisorOnCurve, ELLIPTIC  # noqa: E402
-from ruledcodes.gf import FieldSpec, field_create  # noqa: E402
+from ruledcodes.gf import FieldSpec, extend, field_create  # noqa: E402
 from ruledcodes.rrspace import rr_basis  # noqa: E402
 from ruledcodes.surface import (surface_decomposable,  # noqa: E402
                                 surface_rational_points)
@@ -39,7 +44,12 @@ CODES = {
              (7, 2, (0, 0, 0, 1, 0), 6, 24)],   # [3200, 126]
     "section_rows": [(7, 2, (0, 0, 0, 1, 0), 6, 24)],
     "recovery_sets": [(7, 2, (0, 0, 0, 1, 0), 2, 8)],
+    "recover_write": [(7, 2, (0, 0, 0, 1, 0), 2, 8)],
 }
+
+# (p, m, curve coefficients, degree d)
+CLOSED_POINTS = [(7, 2, [(0, 0, 0, 1, 3), (0, 0, 0, 1, 0)], 2),
+                 (2, 4, [(0, 0, 1, 0, 8)], 4)]
 
 
 def _seconds(fn, *args):
@@ -53,6 +63,15 @@ def table_build_s(p, m):
     the modulus search is not timed)."""
     modulus = field_create(p, m).modulus
     return _seconds(FieldSpec, p, m, modulus, p ** m)
+
+
+def closed_points_s(p, m, curves, d):
+    """Seconds to enumerate the degree-d closed points of each curve over
+    F_{p^m}, on fresh curve objects (the extension is built first)."""
+    spec = field_create(p, m)
+    extend(spec, d)
+    fresh = [curve_create(ELLIPTIC, coeffs, spec) for coeffs in curves]
+    return sum(_seconds(curve.closed_points, d) for curve in fresh)
 
 
 def decomposable_code(p, m, coeffs, a, b):
@@ -82,13 +101,31 @@ def recovery_sets_s(code):
     return _seconds(locality.recovery_sets, code)
 
 
+def recover_write_s(code):
+    """Seconds to write recovery.json the way cmd_recover does."""
+    sets = locality.recovery_sets(code)
+    records = [rs.as_dict() for target in sorted(sets) for rs in sets[target]]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "recovery.json")
+
+        def write():
+            with open(path, "w") as fh:
+                fh.write(cli.recovery_json(records))
+        return _seconds(write)
+
+
 def main():
     out = {f"table_build.F_{p ** m}": table_build_s(p, m) for p, m in TABLE_FIELDS}
+    for p, m, curves, d in CLOSED_POINTS:
+        out[f"closed_points.F_{p ** (m * d)}.d{d}"] = closed_points_s(p, m, curves, d)
     for layer, timer in (("rref", rref_s), ("section_rows", section_rows_s),
                          ("recovery_sets", recovery_sets_s)):
         for config in CODES[layer]:
             code = decomposable_code(*config)
             out[f"{layer}.F_{code.spec.order}.{code.k}x{code.n}"] = timer(code)
+    for config in CODES["recover_write"]:
+        code = decomposable_code(*config)
+        out[f"recover_write.F_{code.spec.order}.{code.n}"] = recover_write_s(code)
     print(json.dumps({k: round(v, 4) for k, v in out.items()}, indent=1))
 
 

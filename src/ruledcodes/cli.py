@@ -428,6 +428,17 @@ def cmd_asymptotics(args) -> int:
     return 0
 
 
+def recovery_json(records) -> str:
+    """json.dumps(records, indent=2) + newline for {target, helpers,
+    coefficients} records of ints, by a fixed-schema formatter."""
+    def ints(values):
+        return "[\n      " + ",\n      ".join(map(str, values)) + "\n    ]" if values else "[]"
+    return "[\n" + ",\n".join(
+        f'  {{\n    "target": {r["target"]},\n    "helpers": {ints(r["helpers"])},'
+        f'\n    "coefficients": {ints(r["coefficients"])}\n  }}'
+        for r in records) + "\n]\n" if records else "[]\n"
+
+
 def cmd_recover(args) -> int:
     cfg = load_config(args.config)
     code = _build_code(cfg)
@@ -442,8 +453,7 @@ def cmd_recover(args) -> int:
             records.append(rs.as_dict())
     out = args.out or "recovery.json"
     with open(out, "w") as fh:
-        json.dump(records, fh, indent=2)
-        fh.write("\n")
+        fh.write(recovery_json(records))
     per = len(sets[0]) if sets else 0
     print(f"wrote {len(records)} recovery sets ({per} per column) to {out}")
     q, a = code.spec.order, code.meta["a"]

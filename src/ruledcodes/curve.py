@@ -6,6 +6,11 @@ Geometric points are coordinate pairs encoded as integers in an extension
 field; a closed point is a Frobenius orbit, stored through its canonical
 representative (the orbit element with the least coordinate encoding).
 
+Closed points are enumerated in fqarray steps over chunks of the field:
+the y-coordinates over every x come from one join of per-x keys against a
+table of preimages over the field, and orbits from the F_p-linear map
+x -> x^q as one matrix applied to the digits of all points at once.
+
 A CurveModel owns its caches: embedded coefficients, point counts, closed
 points by degree, and the local charts that rrspace expands functions in.
 They live and die with the curve.
@@ -15,10 +20,20 @@ from __future__ import annotations
 
 import math
 
-from .gf import FieldSpec, extend, solve_quadratic
+import numpy as np
+
+from . import fqarray
+from .gf import FieldSpec, extend
 
 P1 = "p1"
 ELLIPTIC = "elliptic"
+
+_CHUNK = 1 << 14        # field elements per array step in digit form
+
+
+def _chunks(n: int):
+    """(lo, hi) bounds of the chunks of range(n)."""
+    return [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
 
 
 class CurveModel:
@@ -56,24 +71,10 @@ class CurveModel:
                 raise ValueError("singular Weierstrass equation (zero discriminant)")
 
     def discriminant(self) -> int:
-        s = self.spec
-        a1, a2, a3, a4, a6 = self.a
-
-        def ct(n):  # small integer constant in the field
-            return n % s.p
-
-        b2 = s.add_i(s.mul_i(a1, a1), s.mul_i(ct(4), a2))
-        b4 = s.add_i(s.mul_i(ct(2), a4), s.mul_i(a1, a3))
-        b6 = s.add_i(s.mul_i(a3, a3), s.mul_i(ct(4), a6))
-        b8 = s.add_i(
-            s.add_i(s.mul_i(s.mul_i(a1, a1), a6), s.mul_i(ct(4), s.mul_i(a2, a6))),
-            s.add_i(s.neg_i(s.mul_i(a1, s.mul_i(a3, a4))),
-                    s.sub_i(s.mul_i(a2, s.mul_i(a3, a3)), s.mul_i(a4, a4))))
-        t1 = s.neg_i(s.mul_i(s.mul_i(b2, b2), b8))
-        t2 = s.neg_i(s.mul_i(ct(8), s.mul_i(b4, s.mul_i(b4, b4))))
-        t3 = s.neg_i(s.mul_i(ct(27), s.mul_i(b6, b6)))
-        t4 = s.mul_i(ct(9), s.mul_i(b2, s.mul_i(b4, b6)))
-        return s.add_i(s.add_i(t1, t2), s.add_i(t3, t4))
+        a1, a2, a3, a4, a6 = map(self.spec.element, self.a)
+        b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+        return (-b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6).val
 
     # -- coefficients embedded in an extension
 
@@ -96,25 +97,79 @@ class CurveModel:
                                   ext.add_i(ext.mul_i(a4, x), a6)))
         return lhs == rhs
 
+    def _sides(self, ext: FieldSpec, x: np.ndarray):
+        """(b, f) in digit form for the digit array x of an elliptic curve:
+        b = a1 x + a3 and f = x^3 + a2 x^2 + a4 x + a6, so that (x, y) is
+        on the curve iff y^2 + b y = f."""
+        a1, a2, a3, a4, a6 = self.coeffs_in(ext)
+        const = fqarray.digits(ext, [a2, a3, a4, a6])[:, :, None]
+        f = fqarray.mul(ext, fqarray.add(ext, x, const[:, 0]), x)
+        f = fqarray.mul(ext, fqarray.add(ext, f, const[:, 2]), x)
+        f = fqarray.add(ext, f, const[:, 3])
+        return fqarray.add(ext, fqarray.scale(ext, a1, x), const[:, 1]), f
+
+    def _on_curve(self, ext: FieldSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """is_on_curve for arrays of encodings, elementwise."""
+        if self.kind == P1:
+            return ys == 0
+        out = np.empty(len(xs), dtype=bool)
+        for lo, hi in _chunks(len(xs)):
+            b, f = self._sides(ext, fqarray.digits(ext, xs[lo:hi]))
+            y = fqarray.digits(ext, ys[lo:hi])
+            lhs = fqarray.mul(ext, y, fqarray.add(ext, y, b))
+            out[lo:hi] = (lhs == f).all(axis=0)
+        return out
+
     # -- point enumeration
 
     def affine_points(self, ext: FieldSpec):
-        """All affine geometric points with coordinates in ext, sorted."""
-        pts = []
+        """All affine geometric points with coordinates in ext, sorted.
+
+        The roots y of y^2 + b y = f over every x come from one join of the
+        per-x keys against a table of a quadratic map over the field: for
+        odd p, y' = y + b/2 has y'^2 = f + b^2/4; for p = 2 and a1 = 0,
+        y^2 + a3 y = f; for p = 2 and a1 != 0, z = y/b has z^2 + z = f/b^2
+        (fqarray.inv), and at the one x with b = 0, y = f^(order/2)."""
+        order, p = ext.order, ext.p
         if self.kind == P1:
-            for x in range(ext.order):
-                pts.append((x, 0))
-            return pts
-        a1, a2, a3, a4, a6 = self.coeffs_in(ext)
-        for x in range(ext.order):
-            b = ext.add_i(ext.mul_i(a1, x), a3)
-            x2 = ext.mul_i(x, x)
-            c = ext.add_i(ext.mul_i(x2, x),
-                          ext.add_i(ext.mul_i(a2, x2),
-                                    ext.add_i(ext.mul_i(a4, x), a6)))
-            for y in solve_quadratic(ext, b, c):
-                pts.append((x, y))
-        return pts
+            return [(x, 0) for x in range(order)]
+        a1, _, a3, _, _ = self.coeffs_in(ext)
+        # root[t]: one preimage of t under y -> y (y + shift), i.e. y'^2,
+        # y^2 + a3 y or z^2 + z, or -1; the other one is -shift - root[t]
+        shift = fqarray.digits(ext, [0 if p != 2 else 1 if a1 else a3])[:, :, None]
+        root = np.full(order, -1)
+        for lo, hi in _chunks(order):
+            y = fqarray.digits(ext, np.arange(lo, hi))
+            root[fqarray.encode(ext, fqarray.mul(ext, y, fqarray.add(ext, y, shift[:, 0])))] = \
+                np.arange(lo, hi)
+        xs, ys = [], []
+        for lo, hi in _chunks(order):
+            b, f = self._sides(ext, fqarray.digits(ext, np.arange(lo, hi)))
+            if p != 2:
+                half = fqarray.scale(ext, (p + 1) // 2, b)
+                f = fqarray.add(ext, f, fqarray.mul(ext, half, half))
+            elif a1:
+                joins = fqarray.encode(ext, b) != 0
+                binv = fqarray.inv(ext, b[:, joins])
+                f[:, joins] = fqarray.mul(ext, f[:, joins], fqarray.mul(ext, binv, binv))
+            key = fqarray.encode(ext, f)
+            r = root[key]
+            pair = fqarray.digits(ext, r)[:, None]
+            pair = np.concatenate([pair, fqarray.add(ext, -pair, -shift)], axis=1)
+            if p != 2:
+                pair = fqarray.add(ext, pair, -half[:, None])
+            elif a1:
+                pair = fqarray.mul(ext, pair, b[:, None])
+            pair = fqarray.encode(ext, pair)
+            pair = np.stack([np.minimum(pair[0], pair[1]), np.maximum(pair[0], pair[1])], axis=1)
+            found = np.stack([r >= 0, (r >= 0) & (pair[:, 0] != pair[:, 1])], axis=1)
+            if p == 2 and a1:       # at b = 0, y^2 = f has the one root f^(order/2)
+                for x in np.nonzero(~joins)[0]:
+                    pair[x, 0] = ext.pow_i(int(key[x]), order // 2)
+                    found[x] = True, False
+            xs.append(np.repeat(np.arange(lo, hi), 2).reshape(-1, 2)[found])
+            ys.append(pair[found])
+        return list(zip(np.concatenate(xs).tolist(), np.concatenate(ys).tolist()))
 
     def point_count(self, d: int) -> int:
         """#C(F_{q^d})."""
@@ -126,7 +181,8 @@ class CurveModel:
     def rational_points(self):
         """Degree-1 closed points, affine sorted by encoding, infinity last."""
         if self._rational is None:
-            pts = [ClosedPoint(self, 1, x, y) for x, y in self.affine_points(self.spec)]
+            xs, ys = np.array(self.affine_points(self.spec), dtype=np.int64).reshape(-1, 2).T
+            pts = ClosedPoint.batch(self, 1, xs, ys)
             pts.append(ClosedPoint(self, 1, None, None))
             q, g, n = self.spec.order, self.genus, len(pts)
             assert (n - q - 1) ** 2 <= 4 * g * g * q, "Hasse-Weil bound violated"
@@ -141,15 +197,10 @@ class CurveModel:
             out = self.rational_points()
         else:
             ext = extend(self.spec, d)
-            seen = set()
-            out = []
-            for x, y in self.affine_points(ext):
-                if (x, y) in seen:
-                    continue
-                orbit = ext.orbit((x, y))
-                seen.update(orbit)
-                if len(orbit) == d:
-                    out.append(ClosedPoint(self, d, x, y))
+            xs, ys = np.array(self.affine_points(ext), dtype=np.int64).reshape(-1, 2).T
+            self._count_cache.setdefault(d, len(xs) + 1)
+            keep = _orbit_minima(ext, d, xs, ys)
+            out = ClosedPoint.batch(self, d, xs[keep], ys[keep])
         self._closed_cache[d] = out
         return list(out)
 
@@ -243,6 +294,30 @@ def curve_create(kind: str, coefficients, spec: FieldSpec) -> CurveModel:
     return CurveModel(kind, spec, coefficients)
 
 
+def _orbit_minima(ext: FieldSpec, d: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Whether each point (xs[i], ys[i]) of ext = F_{q^d} has a key
+    x * order + y below that of each of its images under Frobenius
+    x -> x^q, x^(q^2), .., x^(q^(d-1)): that is, whether its orbit has size
+    d and the point is the orbit's least member.  Frobenius is F_p-linear:
+    its matrix, with the digits of (z^i)^q as column i, is applied to the
+    digits of the points still below all their images so far."""
+    order, out = ext.order, np.zeros(len(xs), dtype=bool)
+    if d == 1:
+        return ~out
+    frob = fqarray.digits(ext, [ext.frob_i(ext.p ** i) for i in range(ext.deg)])
+    for lo, hi in _chunks(len(xs)):
+        at = np.arange(lo, hi)
+        start = xs[at] * order + ys[at]
+        pt = fqarray.digits(ext, np.stack([xs[at], ys[at]]))
+        for _ in range(1, d):
+            pt = fqarray.linear(ext, frob, pt)
+            image = fqarray.encode(ext, pt)
+            below = start < image[0] * order + image[1]
+            at, start, pt = at[below], start[below], pt.compress(below, axis=2)
+        out[at] = True
+    return out
+
+
 class ClosedPoint:
     """A Galois orbit of geometric points, via its canonical representative.
 
@@ -269,6 +344,30 @@ class ClosedPoint:
         if not curve.is_on_curve(x, y, ext):
             raise ValueError("coordinates do not satisfy the curve equation")
         self.x, self.y = min(orbit)
+
+    @classmethod
+    def batch(cls, curve: CurveModel, degree: int, xs: np.ndarray, ys: np.ndarray):
+        """[ClosedPoint(curve, degree, x, y) for x, y in zip(xs, ys)] for
+        int64 arrays of affine coordinates, with the same checks and
+        ValueErrors, each one array step over the batch.  A point that is
+        not the least of an orbit of size degree (never one that
+        closed_points passes) has its orbit taken alone."""
+        ext = extend(curve.spec, degree)
+        xs, ys = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+        outside = (np.minimum(xs, ys) < 0) | (np.maximum(xs, ys) >= ext.order)
+        for i in np.flatnonzero(outside | ~_orbit_minima(ext, degree, xs, ys)):
+            orbit = ext.orbit((int(xs[i]), int(ys[i])))     # raises if outside
+            if len(orbit) != degree:
+                raise ValueError(f"orbit size {len(orbit)} != declared degree {degree}")
+            xs[i], ys[i] = min(orbit)
+        if not curve._on_curve(ext, xs, ys).all():
+            raise ValueError("coordinates do not satisfy the curve equation")
+        out = []
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            pt = cls.__new__(cls)
+            pt.curve, pt.degree, pt.x, pt.y = curve, degree, x, y
+            out.append(pt)
+        return out
 
     @property
     def is_infinity(self) -> bool:

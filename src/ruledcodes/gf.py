@@ -152,8 +152,7 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "deg", "modulus", "base_card", "order", "_exp", "_log",
-                 "_embeddings", "_coords", "_trace_one", "_nonresidue",
-                 "_fq_maps")
+                 "_embeddings", "_coords", "_fq_maps")
 
     def __init__(self, p: int, deg: int, modulus: tuple[int, ...],
                  base_card: int):
@@ -166,9 +165,7 @@ class FieldSpec:
         self._log = None
         self._embeddings = {}
         self._coords = {}               # subfield coordinate maps, see rrspace
-        self._trace_one = None
-        self._nonresidue = None
-        self._fq_maps = None            # fqarray's digit powers and z^j matrices
+        self._fq_maps = None            # fqarray's digit powers and reduction maps
         if self.order <= _TABLE_MAX:
             self._build_tables()
 
@@ -279,59 +276,6 @@ class FieldSpec:
             nxt = tuple(map(frob, nxt))
         return out
 
-    def sqrt_i(self, a: int):
-        """A square root of a, or None if a is not a square.  Odd p only."""
-        if self.p == 2:
-            # squaring is bijective in characteristic 2
-            return self.pow_i(a, self.order // 2)
-        if a == 0:
-            return 0
-        if self._exp is not None:
-            l = self._log[a]
-            if l % 2:
-                return None
-            return self._exp[l // 2]
-        if self.pow_i(a, (self.order - 1) // 2) != 1:
-            return None
-        return self._tonelli(a)
-
-    def _tonelli(self, a: int) -> int:
-        q, s = self.order - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        if self._nonresidue is None:
-            # least non-residue in encoding order, deterministic
-            self._nonresidue = next(e for e in range(2, self.order)
-                                    if self.pow_i(e, (self.order - 1) // 2) != 1)
-        z = self._nonresidue
-        m, c, t, r = s, self.pow_i(z, q), self.pow_i(a, q), self.pow_i(a, (q + 1) // 2)
-        while t != 1:
-            t2, i = t, 0
-            while t2 != 1:
-                t2 = self.mul_i(t2, t2)
-                i += 1
-            b = self.pow_i(c, 1 << (m - i - 1))
-            m, c = i, self.mul_i(b, b)
-            t, r = self.mul_i(t, c), self.mul_i(r, b)
-        return r
-
-    def trace2_i(self, a: int) -> int:
-        """Absolute trace to F_2 (characteristic 2 only)."""
-        t = 0
-        x = a
-        for _ in range(self.deg):
-            t = self.add_i(t, x)
-            x = self.mul_i(x, x)
-        return t
-
-    def trace_one_element(self) -> int:
-        """A cached element of absolute trace 1 (characteristic 2)."""
-        if self._trace_one is None:
-            self._trace_one = next(e for e in range(1, self.order)
-                                   if self.trace2_i(e) == 1)
-        return self._trace_one
-
     # -- tables
 
     def _build_tables(self):
@@ -421,6 +365,18 @@ class FieldSpec:
         return hash((self.p, self.deg, self.modulus, self.base_card))
 
 
+def _lift(fn):
+    """fn(spec, a, b) on encodings as a FieldElement operator; the other
+    operand is an element of the same field or an int, a prime-field
+    constant."""
+    def op(self, other):
+        v = self._coerce(other)
+        if v is NotImplemented:
+            return NotImplemented
+        return FieldElement(self.spec, fn(self.spec, self.val, v))
+    return op
+
+
 class FieldElement:
     """An element of a FieldSpec, immutable, encoded as an integer."""
 
@@ -443,48 +399,15 @@ class FieldElement:
             return other % self.spec.p
         return NotImplemented
 
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.add_i(self.val, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub_i(self.val, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub_i(v, self.val))
+    __add__ = __radd__ = _lift(FieldSpec.add_i)
+    __sub__ = _lift(FieldSpec.sub_i)
+    __rsub__ = _lift(lambda s, a, b: s.sub_i(b, a))
+    __mul__ = __rmul__ = _lift(FieldSpec.mul_i)
+    __truediv__ = _lift(lambda s, a, b: s.mul_i(a, s.inv_i(b)))
+    __rtruediv__ = _lift(lambda s, a, b: s.mul_i(b, s.inv_i(a)))
 
     def __neg__(self):
         return FieldElement(self.spec, self.spec.neg_i(self.val))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul_i(self.val, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul_i(self.val, self.spec.inv_i(v)))
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul_i(v, self.spec.inv_i(self.val)))
 
     def __pow__(self, e: int):
         return FieldElement(self.spec, self.spec.pow_i(self.val, e))
@@ -503,7 +426,8 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.val, self.spec.p, self.spec.deg))
+        # an element equal to the int c, 0 <= c < p, hashes like c
+        return hash(self.val)
 
     def __bool__(self):
         return self.val != 0
@@ -570,54 +494,3 @@ def embed(x: FieldElement, target: FieldSpec) -> FieldElement:
 def frobenius_orbit(x: FieldElement) -> list[FieldElement]:
     """Orbit of x under the tower Frobenius y -> y^q, starting at x."""
     return [FieldElement(x.spec, v) for (v,) in x.spec.orbit((x.val,))]
-
-
-def solve_quadratic(spec: FieldSpec, b: int, c: int) -> list[int]:
-    """Encoded roots y of y^2 + b*y = c, without multiplicity, sorted."""
-    if spec.p == 2:
-        if b == 0:
-            return [spec.sqrt_i(c)]
-        binv2 = spec.inv_i(spec.mul_i(b, b))
-        a = spec.mul_i(c, binv2)
-        if spec.trace2_i(a) != 0:
-            return []
-        z0 = _artin_schreier_root(spec, a)
-        r1 = spec.mul_i(b, z0)
-        r2 = spec.add_i(r1, b)
-        return sorted({r1, r2})
-    # odd characteristic: complete the square
-    inv2 = spec.inv_i(2 % spec.p)
-    disc = spec.add_i(spec.mul_i(b, b), spec.mul_i(4 % spec.p, c))
-    if disc == 0:
-        return [spec.mul_i(spec.neg_i(b), inv2)]
-    s = spec.sqrt_i(disc)
-    if s is None:
-        return []
-    r1 = spec.mul_i(spec.add_i(spec.neg_i(b), s), inv2)
-    r2 = spec.mul_i(spec.sub_i(spec.neg_i(b), s), inv2)
-    return sorted({r1, r2})
-
-
-def _artin_schreier_root(spec: FieldSpec, a: int) -> int:
-    """One root z of z^2 + z = a over F_{2^n}, assuming Tr(a) = 0."""
-    n = spec.deg
-    if n % 2 == 1:
-        # half trace
-        z = a
-        acc = a
-        for _ in range((n - 1) // 2):
-            acc = spec.mul_i(acc, acc)
-            acc = spec.mul_i(acc, acc)
-            z = spec.add_i(z, acc)
-        return z
-    theta = spec.trace_one_element()
-    # z = sum_{i=0}^{n-2} (sum_{j=0}^{i} a^{2^j}) * theta^{2^{i+1}}
-    z = 0
-    partial = a
-    theta_pow = spec.mul_i(theta, theta)
-    for i in range(n - 1):
-        z = spec.add_i(z, spec.mul_i(partial, theta_pow))
-        partial = spec.add_i(partial, spec.pow_i(a, 1 << (i + 1)))
-        theta_pow = spec.mul_i(theta_pow, theta_pow)
-    assert spec.add_i(spec.mul_i(z, z), z) == a, "Artin-Schreier solve failed"
-    return z

@@ -17,5 +17,8 @@ def test_bench_layers_on_its_smallest_inputs():
     assert p ** m == 256 and bench.table_build_s(p, m) > 0
     code = bench.decomposable_code(*bench.CODES["rref"][0])
     assert (code.k, code.n, code.spec.order) == (6, 3000, 49)
-    for timer in (bench.rref_s, bench.section_rows_s, bench.recovery_sets_s):
+    for timer in (bench.rref_s, bench.section_rows_s, bench.recovery_sets_s,
+                  bench.recover_write_s):
         assert timer(code) > 0
+    p, m, curves, d = bench.CLOSED_POINTS[0]
+    assert (p ** (m * d), d) == (2401, 2) and bench.closed_points_s(p, m, curves, d) > 0

@@ -231,6 +231,18 @@ def test_recover_export(tmp_path):
     assert set(records[0]) == {"target", "helpers", "coefficients"}
 
 
+def test_recovery_json_matches_the_json_encoder():
+    from ruledcodes.cli import _build_code, load_config, recovery_json
+    from ruledcodes.locality import recovery_sets
+    demo = os.path.join(os.path.dirname(__file__), "..", "scripts", "configs",
+                        "locality_demo.json")
+    sets = recovery_sets(_build_code(load_config(demo)))
+    records = [rs.as_dict() for target in sorted(sets) for rs in sets[target]]
+    assert records
+    for recs in (records, [], records[:1]):
+        assert recovery_json(recs) == json.dumps(recs, indent=2) + "\n"
+
+
 def test_recover_refuses_rank_deficient(tmp_path, capsys):
     cfg = write_config(tmp_path)  # b = 3: one rank-deficient fiber
     rc = main(["recover", "--config", cfg, "--out", str(tmp_path / "r.json")])

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import curve_oracle
 from ruledcodes.gf import field_create, extend
 from ruledcodes.curve import (curve_create, ClosedPoint,
                               DivisorOnCurve, divisor_class_sum, P1, ELLIPTIC)
@@ -183,3 +185,88 @@ def test_divisor_class_sum_nonprincipal(e5):
     O = ClosedPoint(e5, 1, None, None)
     D = DivisorOnCurve(e5, [(pts[0], 1), (O, -1)])
     assert divisor_class_sum(D) is not None
+
+
+# (p, m, coefficients): both a1 = 0 and a1 != 0 in characteristics 2 and 3
+ORACLE_CURVES = [
+    (2, 1, (1, 0, 0, 0, 1)), (2, 1, (0, 0, 1, 0, 0)),
+    (3, 1, (0, 0, 0, 2, 1)), (3, 1, (1, 0, 0, 0, 1)),
+    (2, 2, (1, 0, 0, 0, 1)), (2, 2, (0, 0, 1, 0, 0)),
+    (5, 1, (0, 0, 0, 0, 1)), (7, 1, (0, 0, 0, 1, 3)),
+    (2, 3, (1, 0, 0, 0, 1)), (2, 3, (0, 0, 1, 0, 0)),
+    (3, 2, (0, 0, 0, 2, 1)), (3, 2, (1, 0, 0, 0, 1)),
+    (2, 4, (0, 0, 1, 0, 8)), (2, 4, (1, 0, 0, 0, 1)),
+    (7, 2, (0, 0, 0, 1, 3)),
+]
+
+
+@pytest.mark.parametrize("p, m, coeffs", ORACLE_CURVES,
+                         ids=[f"F{p ** m}-{''.join(map(str, c))}"
+                              for p, m, c in ORACLE_CURVES])
+@pytest.mark.parametrize("kind", [ELLIPTIC, P1])
+def test_points_match_the_scalar_oracle(p, m, coeffs, kind):
+    spec = field_create(p, m)
+    curve = curve_create(kind, coeffs if kind == ELLIPTIC else None, spec)
+    for d in (1, 2, 3):
+        if spec.order ** d > 4096:
+            break
+        ext = extend(spec, d)
+        assert curve.affine_points(ext) == curve_oracle.affine_points(curve, ext)
+        oracle = curve_oracle.closed_points(curve, d)
+        if d == 1:
+            oracle.append(ClosedPoint(curve, 1, None, None))
+        assert curve.closed_points(d) == oracle
+
+
+def _mobius(n):
+    out, f = 1, 2
+    while f * f <= n:
+        if n % f == 0:
+            n //= f
+            if n % f == 0:
+                return 0
+            out = -out
+        f += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("p, coeffs, d", [(5, (0, 0, 0, 0, 1), 7),
+                                          (2, (1, 0, 0, 0, 1), 17)],
+                         ids=["F5-d7", "F2-a1-d17"])
+def test_counts_above_the_table_limit(p, coeffs, d):
+    # #E(F_{q^d}) = q^d + 1 - s_d with s_d = s_1 s_{d-1} - q s_{d-2}, and
+    # the closed points of degree d by Moebius inversion
+    spec = field_create(p, 1)
+    assert extend(spec, d)._exp is None
+    curve = curve_create(ELLIPTIC, coeffs, spec)
+    q = spec.order
+    s = [2, q + 1 - len(curve.rational_points())]
+    for _ in range(2, d + 1):
+        s.append(s[1] * s[-1] - q * s[-2])
+    count = {e: q ** e + 1 - s[e] for e in range(1, d + 1)}
+    closed = curve.closed_points(d)
+    assert curve.point_count(d) == count[d]
+    assert len(closed) * d == sum(_mobius(d // e) * count[e]
+                                  for e in range(1, d + 1) if d % e == 0)
+    assert all(pt.degree == d for pt in closed)
+
+
+def test_batch_constructor_rejects_like_the_scalar_one(e5):
+    pts = e5.closed_points(2)
+    xs = np.array([pt.x for pt in pts])
+    ys = np.array([pt.y for pt in pts])
+    assert ClosedPoint.batch(e5, 2, xs, ys) == pts
+    ext = extend(F5, 2)
+    off = next(y for y in range(ext.order) if not e5.is_on_curve(pts[0].x, y, ext)
+               and len(ext.orbit((pts[0].x, y))) == 2)
+    for ctor in (lambda x, y: ClosedPoint.batch(e5, 2, np.array(x), np.array(y)),
+                 lambda x, y: ClosedPoint(e5, 2, x[-1], y[-1])):
+        with pytest.raises(ValueError, match="curve equation"):
+            ctor([pts[1].x, pts[0].x], [pts[1].y, off])
+        rational = e5.rational_points()[0]          # a degree-1 orbit in F_25
+        with pytest.raises(ValueError, match="orbit size 1 != declared degree 2"):
+            ctor([pts[0].x, rational.x], [pts[0].y, rational.y])
+    # a non-least orbit member is normalized like the scalar constructor does
+    other = pts[3].orbit()[1]
+    assert ClosedPoint.batch(e5, 2, np.array([other[0]]), np.array([other[1]])) == \
+        [ClosedPoint(e5, 2, *other)]

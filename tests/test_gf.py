@@ -4,9 +4,10 @@ import signal
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curve_oracle import nonresidue, solve_quadratic, sqrt_i
 from ruledcodes import fqarray
 from ruledcodes.gf import (field_create, extend, frobenius_orbit,
-                           solve_quadratic, is_prime, _is_irreducible,
+                           is_prime, _is_irreducible,
                            _pmod, _pmul, _prime_factors)
 
 
@@ -212,6 +213,16 @@ def test_int_equality_is_not_encoding_equality():
     assert f49.element(3) == 10 and f49.element(3) + 7 == 3
 
 
+@pytest.mark.parametrize("pm", [(5, 1), (7, 2), (2, 4)])
+def test_hash_agrees_with_int_equality(pm):
+    spec = field_create(*pm)
+    for c in range(spec.p):
+        x = spec.element(c)
+        assert x == c and hash(x) == hash(c)
+        assert len({x, c}) == 1
+        assert {x: "key"}[c] == "key"
+
+
 def test_element_text_encoding_roundtrip():
     f9 = field_create(3, 2)
     for e in range(9):
@@ -269,10 +280,10 @@ def test_sqrt_without_tables_round_trips():
     z = next(e for e in range(2, f.order) if f.pow_i(e, half) != 1)
     for x in range(1, f.order, 977):
         sq = f.mul_i(x, x)
-        r = f.sqrt_i(sq)
+        r = sqrt_i(f, sq)
         assert f.mul_i(r, r) == sq
-        assert f.sqrt_i(f.mul_i(z, sq)) is None
-    assert f._nonresidue == z
+        assert sqrt_i(f, f.mul_i(z, sq)) is None
+    assert nonresidue(f) == z
 
 
 def _sequential_tables(spec):
@@ -313,10 +324,12 @@ def test_tables_equal_the_sequential_build(pm):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (7, 2), (2, 4), (3, 6), (5, 7)]),
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (7, 2), (2, 4), (3, 6), (5, 7),
+                        (2, 16)]),
        st.integers(0, 10 ** 9))
 def test_fqarray_matches_scalar_arithmetic(pm, seed):
-    # F_{5^7} is above the table limit: the kernel reads no table anywhere
+    # F_{5^7} is above the table limit: the kernel reads no table anywhere;
+    # F_{2^16} is the largest field with tables, at degree 16
     spec = field_create(*pm)
     rng = random.Random(seed)
     x = [rng.randrange(spec.order) for _ in range(12)]
@@ -330,3 +343,6 @@ def test_fqarray_matches_scalar_arithmetic(pm, seed):
         [spec.mul_i(a, b) for a, b in zip(x, y)]
     assert fqarray.encode(spec, fqarray.scale(spec, c, dx)).tolist() == \
         [spec.mul_i(c, a) for a in x]
+    nonzero = [a for a in x + y if a]
+    inverses = fqarray.inv(spec, fqarray.digits(spec, nonzero).reshape(spec.deg, -1))
+    assert fqarray.encode(spec, inverses).tolist() == [spec.inv_i(a) for a in nonzero]

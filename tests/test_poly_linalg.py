@@ -127,7 +127,7 @@ def test_mat_mul_against_direct():
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
 def test_solve_quadratic_extension_fields(bb, cc):
-    from ruledcodes.gf import solve_quadratic
+    from curve_oracle import solve_quadratic
     for spec in (extend(F5, 2), extend(F4, 2)):
         b, c = bb % spec.order, cc % spec.order
         roots = solve_quadratic(spec, b, c)
