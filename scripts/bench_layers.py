@@ -14,7 +14,9 @@ prints one JSON object of wall-clock seconds, each from a single run:
   * recover_write.F_49.3200: writing that code's recovery.json (the sets
     are computed first, untimed);
   * closed_points.F_{q^d}.d{d}: CurveModel.closed_points(d) on fresh
-    curves, both F_49 curves at d = 2 and the F_16 one at d = 4.
+    curves, both F_49 curves at d = 2 and the F_16 one at d = 4;
+  * embedding.F_{q}.d{d}: the embedding of F_16 into a fresh F_{16^5}
+    (the least root of F_16's modulus in F_{2^20}).
 
 Each code lives on an elliptic curve with beta = b/2 times the degree-2
 point of index 1 and delta the degree-2 point of index 0.
@@ -51,6 +53,9 @@ CODES = {
 CLOSED_POINTS = [(7, 2, [(0, 0, 0, 1, 3), (0, 0, 0, 1, 0)], 2),
                  (2, 4, [(0, 0, 1, 0, 8)], 4)]
 
+# (p, m, d): F_{p^m} embedded into F_{p^(m d)}
+EMBEDDINGS = [(2, 4, 5)]
+
 
 def _seconds(fn, *args):
     t0 = time.perf_counter()
@@ -72,6 +77,15 @@ def closed_points_s(p, m, curves, d):
     extend(spec, d)
     fresh = [curve_create(ELLIPTIC, coeffs, spec) for coeffs in curves]
     return sum(_seconds(curve.closed_points, d) for curve in fresh)
+
+
+def embedding_s(p, m, d):
+    """Seconds to embed F_{p^m} into a fresh FieldSpec of F_{p^(m d)}, which
+    the spec cache has not seen (the modulus search is not timed)."""
+    small = field_create(p, m)
+    modulus = extend(small, d).modulus
+    big = FieldSpec(p, m * d, modulus, p ** m)
+    return _seconds(big._embedding_powers, small)
 
 
 def decomposable_code(p, m, coeffs, a, b):
@@ -118,6 +132,8 @@ def main():
     out = {f"table_build.F_{p ** m}": table_build_s(p, m) for p, m in TABLE_FIELDS}
     for p, m, curves, d in CLOSED_POINTS:
         out[f"closed_points.F_{p ** (m * d)}.d{d}"] = closed_points_s(p, m, curves, d)
+    for p, m, d in EMBEDDINGS:
+        out[f"embedding.F_{p ** m}.d{d}"] = embedding_s(p, m, d)
     for layer, timer in (("rref", rref_s), ("section_rows", section_rows_s),
                          ("recovery_sets", recovery_sets_s)):
         for config in CODES[layer]:

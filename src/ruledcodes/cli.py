@@ -171,14 +171,14 @@ def _build_surface(cfg: dict, curve):
         ext = extend(curve.spec, d)
         if "fiber" in center:
             fc = _need(center, "fiber", int, "config.surface.center")
-            if not _is_fiber_coord(ext, d, fc):
+            if not (0 <= fc < ext.order and ext.frob_i(fc) != fc):
                 raise ConfigError(
                     f"config.surface.center.fiber: {fc} must encode an element "
-                    f"of F_{{{curve.spec.order}^{d}}} (0..{ext.order - 1}) whose "
-                    f"Frobenius orbit size is >= 2 and divides {d}")
+                    f"of F_{{{curve.spec.order}^{d}}} (0..{ext.order - 1}) "
+                    f"outside F_{curve.spec.order}")
         else:
             fi = _opt(center, "fiber_index", int, "config.surface.center", 0)
-            valid = _valid_fiber_coords(ext, d)
+            valid = _valid_fiber_coords(ext, curve.spec)
             if not 0 <= fi < len(valid):
                 raise ConfigError("config.surface.center.fiber_index: only "
                                   f"{len(valid)} valid coordinates exist")
@@ -190,19 +190,13 @@ def _build_surface(cfg: dict, curve):
     raise ConfigError(f"config.surface.variant: unknown variant {variant!r}")
 
 
-def _is_fiber_coord(ext, d, e):
-    """e encodes an element of ext whose Frobenius orbit size is >= 2 and
-    divides d.  An encoding outside 0..order-1 is not one (orbit() would
-    raise)."""
-    if not 0 <= e < ext.order:
-        return False
-    orb = len(ext.orbit((e,)))
-    return orb >= 2 and d % orb == 0
-
-
-def _valid_fiber_coords(ext, d):
-    """Coordinates of ext whose Frobenius orbit size is >= 2 and divides d."""
-    return [e for e in range(ext.order) if _is_fiber_coord(ext, d, e)]
+def _valid_fiber_coords(ext, spec):
+    """The encodings of ext = F_{q^d} outside its subfield spec = F_q, in
+    ascending order.  Every Frobenius orbit of F_{q^d} over F_q has a size
+    dividing d, so these are the coordinates whose orbit size is >= 2 and
+    divides d."""
+    sub = {ext.embed_i(spec, c) for c in range(spec.order)}
+    return [e for e in range(ext.order) if e not in sub]
 
 
 def _build_code(cfg: dict):

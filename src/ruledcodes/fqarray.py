@@ -9,7 +9,9 @@ Frobenius) is a deg x deg matrix over F_p, and an elementwise product is the
 schoolbook product of the two digit polynomials, whose coefficients of
 z^deg .. z^(2 deg - 2) one matrix folds back.  inv inverts a whole array
 with one scalar inversion.  No exp/log table is read, so fields above gf's
-_TABLE_MAX take the same path, and FieldSpec builds its tables with it.
+_TABLE_MAX take the same path.  FieldSpec builds its tables with it, finds
+an embedding's root with it, and above _TABLE_MAX multiplies two scalars
+as one factor's matrix times the other's digits.
 
 Every result is int64 and reduced mod p.  Matrices are applied and products
 formed in the narrowest integer type that holds their largest intermediate
@@ -69,11 +71,16 @@ def linear(spec, mat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out.astype(np.int64)
 
 
-def scale(spec, c: int, x: np.ndarray) -> np.ndarray:
-    """c * x for one encoded constant c, through c's matrix sum_j c_j Z^j."""
+def matrix(spec, c: int) -> np.ndarray:
+    """The deg x deg matrix over F_p of x -> c x for one encoded constant c,
+    sum_j c_j Z^j."""
     z = _maps(spec)[1]
-    mat = (digits(spec, c) @ z.reshape(spec.deg, -1)).reshape(z.shape[1:]) % spec.p
-    return linear(spec, mat, x)
+    return (digits(spec, c) @ z.reshape(spec.deg, -1)).reshape(z.shape[1:]) % spec.p
+
+
+def scale(spec, c: int, x: np.ndarray) -> np.ndarray:
+    """c * x for one encoded constant c, through c's matrix."""
+    return linear(spec, matrix(spec, c), x)
 
 
 def mul(spec, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -5,13 +5,17 @@ irreducible modulus f (the lexicographically least one in ascending
 coefficient-encoding order), so serialized data is reproducible across runs.
 Elements are encoded as integers in [0, p^deg) via sum(c_i * p^i) over the
 coefficient vector; this encoding is the wire format used by all exports.
+The modulus is found by Rabin's test on Poly over F_p.  Up to _TABLE_MAX
+elements, products go through exp/log tables; above it, through fqarray's
+multiplication matrix of one factor applied to the digits of the other.
 
 An extension F_{q^d} of a field F_q is just another absolute field of degree
 deg(F_q) * d over F_p, together with a cached embedding computed once by
-finding the least root of the small modulus inside the big field.  The
-Frobenius of a field is x -> x^q where q is the cardinality of the field it
-was extended from (for a field built directly by field_create, its own
-cardinality, so Frobenius is the identity there).
+finding the least root of the small modulus inside the big field, one
+fqarray Horner step per chunk of encodings.  The Frobenius of a field is
+x -> x^q where q is the cardinality of the field it was extended from (for a
+field built directly by field_create, its own cardinality, so Frobenius is
+the identity there).
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import fqarray
+from .poly import Poly
 
 DESK_CAP = 1 << 20          # largest field order we agree to construct
 _TABLE_MAX = 1 << 16        # build exp/log tables up to this order
@@ -53,91 +58,31 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# low-level polynomial arithmetic over F_p (coefficient lists, ascending)
-
-def _pnorm(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pnorm(out)
-
-
-def _pmod(a: list[int], f: list[int], p: int) -> list[int]:
-    a = a[:]
-    df = len(f) - 1
-    inv_lead = pow(f[-1], p - 2, p)
-    while len(a) - 1 >= df and a:
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - df
-        for i, fi in enumerate(f):
-            a[shift + i] = (a[shift + i] - c * fi) % p
-        _pnorm(a)
-    return a
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = a[:], b[:]
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _ppowmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pmod(base, f, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), f, p)
-        base = _pmod(_pmul(base, base, p), f, p)
-        e >>= 1
-    return result
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin test: f of degree n is irreducible over F_p iff x^(p^n) = x
-    mod f and gcd(x^(p^(n/l)) - x, f) = 1 for every prime l dividing n."""
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    x = [0, 1]
-    for ell in _prime_factors(n):
-        h = _ppowmod(x, p ** (n // ell), f, p)
-        h = _pnorm([(h[i] if i < len(h) else 0) - (x[i] if i < len(x) else 0)
-                    for i in range(max(len(h), len(x)))])
-        h = [c % p for c in h]
-        if len(_pgcd(h, f, p)) != 1:
+def _is_irreducible(f: Poly) -> bool:
+    """Rabin's test for a monic f of degree n >= 2 over F_p: f is irreducible
+    iff x^(p^n) = x mod f and gcd(x^(p^(n/l)) - x, f) = 1 for every prime l
+    dividing n.  One chain of p-th powers gives every x^(p^k)."""
+    n, p, x = f.degree, f.spec.p, Poly.x(f.spec)
+    checks = {n // ell for ell in _prime_factors(n)}
+    h = x
+    for k in range(1, n + 1):
+        h = pow(h, p, f)
+        if k in checks and (h - x).gcd(f).degree > 0:
             return False
-    top = _ppowmod(x, p ** n, f, p)
-    return top == x
+    return h == x
 
 
 def _least_irreducible(p: int, n: int) -> list[int]:
-    # monic degree-n polynomials scanned in ascending low-coefficient encoding
+    """The least monic irreducible polynomial of degree n over F_p in
+    ascending low-coefficient encoding order, as a coefficient list."""
+    if n == 1:
+        return [0, 1]
+    fp = field_create(p, 1)
     for enc in range(p ** n):
-        coeffs = []
-        e = enc
-        for _ in range(n):
-            coeffs.append(e % p)
-            e //= p
-        f = coeffs + [1]
-        if _is_irreducible(f, p):
-            return f
+        f = Poly(fp, [enc // p ** i % p for i in range(n)] + [1])
+        # a root in F_p is a linear factor; Rabin is not needed for that
+        if all(f.eval_i(a) for a in range(p)) and _is_irreducible(f):
+            return list(f.coeffs)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
@@ -226,9 +171,8 @@ class FieldSpec:
             return 0
         if self._exp is not None:
             return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
-        prod = _pmul(list(self.decode(a)), list(self.decode(b)), self.p)
-        prod = _pmod(prod, list(self.modulus), self.p)
-        return self.encode(prod + [0] * (self.deg - len(prod)))
+        prod = fqarray.matrix(self, a) @ fqarray.digits(self, b) % self.p
+        return int(fqarray.encode(self, prod))
 
     def inv_i(self, a: int) -> int:
         if a == 0:
@@ -279,20 +223,28 @@ class FieldSpec:
     # -- tables
 
     def _build_tables(self):
-        # mul_i and pow_i take their table-free branches while _exp is None.
-        # exp doubles in length: exp[L:2L] is gen^L times exp[0:L].
-        n1 = self.order - 1
-        factors = _prime_factors(n1) if n1 > 1 else []
-        gen = next(cand for cand in range(1, self.order)
-                   if all(self.pow_i(cand, n1 // ell) != 1 for ell in factors))
-        exp = fqarray.digits(self, [1])
-        while exp.shape[1] < n1:
-            step = self.mul_i(int(fqarray.encode(self, exp[:, -1])), gen)
-            exp = np.concatenate([exp, fqarray.scale(self, step, exp)], axis=1)
-        exp = fqarray.encode(self, exp[:, :n1])
+        # Elements of F_p have orders dividing p - 1, so for deg > 1 no
+        # generator is among them.
+        cands = range(1 if self.deg == 1 else self.p, self.order)
+        exp = next(e for e in map(self._cyclic_powers, cands) if e is not None)
         log = np.zeros(self.order, dtype=np.int64)
-        log[exp] = np.arange(n1)
+        log[exp] = np.arange(self.order - 1)
         self._exp, self._log = exp.tolist(), log.tolist()
+
+    def _cyclic_powers(self, gen: int):
+        """The encodings of gen^0 .. gen^(order - 2), or None if some gen^j
+        with 0 < j < order - 1 is 1, i.e. gen is not a generator.  The list
+        doubles in length: exp[L:2L] is gen^L times exp[0:L], and squaring
+        the matrix of gen^L gives that of gen^2L."""
+        n1 = self.order - 1
+        exp, mat = fqarray.digits(self, [1]), fqarray.matrix(self, gen)
+        while exp.shape[1] < n1:
+            block = fqarray.linear(self, mat, exp)[:, :n1 - exp.shape[1]]
+            if (fqarray.encode(self, block) == 1).any():
+                return None
+            exp = np.concatenate([exp, block], axis=1)
+            mat = mat @ mat % self.p
+        return fqarray.encode(self, exp)
 
     # -- element-level API
 
@@ -324,24 +276,28 @@ class FieldSpec:
                     for i in range(small.deg)]
             self._embeddings[key] = pows
             return pows
-        # least root of the small modulus inside this field; roots form one
-        # p-power orbit, and an ascending scan finds the least one first
-        mod = small.modulus
-        root = None
-        for cand in range(self.order):
-            acc = 0
-            for c in reversed(mod):
-                acc = self.add_i(self.mul_i(acc, cand), c % self.p)
-            if acc == 0:
-                root = cand
-                break
-        if root is None:
-            raise AssertionError("modulus has no root in extension")
         pows = [1]
-        for _ in range(small.deg - 1):
-            pows.append(self.mul_i(pows[-1], root))
+        if small.deg > 1:
+            root = self._least_root(small.modulus)
+            for _ in range(small.deg - 1):
+                pows.append(self.mul_i(pows[-1], root))
         self._embeddings[key] = pows
         return pows
+
+    def _least_root(self, mod: tuple[int, ...]) -> int:
+        """The least root in this field of a monic polynomial over F_p, by
+        one Horner step in digit form per chunk of 2^14 encodings."""
+        for lo in range(0, self.order, 1 << 14):
+            x = fqarray.digits(self, np.arange(lo, min(lo + (1 << 14), self.order)))
+            acc = x.copy()                  # the leading 1 times x
+            for c in reversed(mod[1:-1]):
+                acc[0] = (acc[0] + c) % self.p
+                acc = fqarray.mul(self, acc, x)
+            acc[0] = (acc[0] + mod[0]) % self.p
+            hits = np.flatnonzero(~acc.any(axis=0))
+            if hits.size:
+                return lo + int(hits[0])
+        raise AssertionError("modulus has no root in extension")
 
     def embed_i(self, small: "FieldSpec", enc: int) -> int:
         if small is self:

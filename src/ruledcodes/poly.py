@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from .gf import FieldSpec
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .gf import FieldSpec
 
 
 class Poly:
@@ -92,15 +95,18 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        out = Poly.one(self.spec)
-        base = self
+    def __pow__(self, e: int, mod: "Poly | None" = None):
+        """self^e; pow(self, e, mod) reduces mod `mod` after every product."""
+        def reduce(f):
+            return f if mod is None else f % mod
+        out, base = Poly.one(self.spec), self
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = reduce(out * base)
             e >>= 1
-        return out
+            if e:
+                base = reduce(base * base)
+        return reduce(out)
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x^k."""
@@ -121,10 +127,10 @@ class Poly:
         for i in range(dq, -1, -1):
             top = rem[i + other.degree]
             if top:
-                c = s.mul_i(top, inv_lead)
-                quot[i] = c
+                quot[i] = c = s.mul_i(top, inv_lead)
+                nc = s.neg_i(c)
                 for j, oc in enumerate(other.coeffs):
-                    rem[i + j] = s.sub_i(rem[i + j], s.mul_i(c, oc))
+                    rem[i + j] = s.add_i(rem[i + j], s.mul_i(nc, oc))
         return Poly(s, quot), Poly(s, rem)
 
     def __floordiv__(self, other):

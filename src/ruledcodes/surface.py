@@ -83,12 +83,10 @@ class RuledSurfaceModel:
             if base_point.is_infinity or d < 2:
                 raise ValueError("the center must have degree >= 2")
             ext = extend(curve.spec, d)
-            orb = len(ext.orbit((fiber_coord,)))
-            if orb < 2:
+            # every orbit size divides d: only an element of F_q is refused
+            if len(ext.orbit((fiber_coord,))) < 2:
                 raise ValueError("fiber coordinate of the center is rational; "
                                  "its image on P^1 must have degree >= 2")
-            if d % orb != 0:
-                raise ValueError("center orbit size is not the declared degree")
         else:
             raise ValueError(f"unknown surface variant {variant!r}")
 

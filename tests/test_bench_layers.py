@@ -22,3 +22,4 @@ def test_bench_layers_on_its_smallest_inputs():
         assert timer(code) > 0
     p, m, curves, d = bench.CLOSED_POINTS[0]
     assert (p ** (m * d), d) == (2401, 2) and bench.closed_points_s(p, m, curves, d) > 0
+    assert bench.EMBEDDINGS == [(2, 4, 5)] and bench.embedding_s(2, 2, 3) > 0

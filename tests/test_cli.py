@@ -415,6 +415,20 @@ def test_elm_center_fiber_in_range_builds(tmp_path):
     build(tmp_path, surface=surface, analysis={"exact_cap": 1})
 
 
+@pytest.mark.parametrize("pm, d", [((5, 1), 2), ((5, 1), 3), ((2, 4), 2),
+                                   ((2, 4), 4), ((7, 2), 2)])
+def test_fiber_coords_are_the_orbit_scan(pm, d):
+    # the coordinates whose Frobenius orbit size is >= 2 and divides d, as
+    # the scan over all orbits listed them
+    from ruledcodes.cli import _valid_fiber_coords
+    from ruledcodes.gf import field_create, extend
+    spec = field_create(*pm)
+    ext = extend(spec, d)
+    scan = [e for e in range(ext.order)
+            if len(ext.orbit((e,))) >= 2 and d % len(ext.orbit((e,))) == 0]
+    assert _valid_fiber_coords(ext, spec) == scan
+
+
 @pytest.mark.parametrize("where, overrides", [
     ("config.code.beta[0]",
      {"code": {"a": 1, "beta": [{"degree": 9, "index": 0}]}}),

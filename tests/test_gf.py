@@ -4,11 +4,12 @@ import signal
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gf_oracle
 from curve_oracle import nonresidue, solve_quadratic, sqrt_i
 from ruledcodes import fqarray
-from ruledcodes.gf import (field_create, extend, frobenius_orbit,
-                           is_prime, _is_irreducible,
-                           _pmod, _pmul, _prime_factors)
+from ruledcodes.gf import (DESK_CAP, field_create, extend, frobenius_orbit,
+                           is_prime, _is_irreducible, _least_irreducible)
+from ruledcodes.poly import Poly
 
 
 def all_monic_irreducible_by_trial_division(p, n):
@@ -66,7 +67,8 @@ def test_f16_modulus_is_least_irreducible_quartic():
         return sum(c * 2 ** i for i, c in enumerate(f[:-1]))
     least = min(irreducibles, key=enc)
     assert list(f16.modulus) == least
-    assert _is_irreducible(list(f16.modulus), 2)
+    assert gf_oracle.is_irreducible(list(f16.modulus), 2)
+    assert _is_irreducible(Poly(field_create(2, 1), f16.modulus))
 
 
 def test_inverse_in_f5():
@@ -290,11 +292,8 @@ def _sequential_tables(spec):
     """The exp/log build that doubling replaced: the least generator, then
     exp[i + 1] = exp[i] * gen one element at a time, multiplying the
     coefficient lists over F_p without any table."""
-    p, modulus = spec.p, list(spec.modulus)
-
     def mul(a, b):
-        return spec.encode(_pmod(_pmul(list(spec.decode(a)), list(spec.decode(b)), p),
-                                 modulus, p))
+        return gf_oracle.mul_i(spec, a, b)
 
     def power(a, e):
         out = 1
@@ -307,7 +306,7 @@ def _sequential_tables(spec):
 
     n1 = spec.order - 1
     gen = next(c for c in range(1, spec.order)
-               if all(power(c, n1 // ell) != 1 for ell in _prime_factors(n1)))
+               if all(power(c, n1 // ell) != 1 for ell in gf_oracle.prime_factors(n1)))
     exp, log = [0] * n1, [0] * spec.order
     x = 1
     for i in range(n1):
@@ -346,3 +345,82 @@ def test_fqarray_matches_scalar_arithmetic(pm, seed):
     nonzero = [a for a in x + y if a]
     inverses = fqarray.inv(spec, fqarray.digits(spec, nonzero).reshape(spec.deg, -1))
     assert fqarray.encode(spec, inverses).tolist() == [spec.inv_i(a) for a in nonzero]
+
+
+def test_least_irreducible_matches_the_list_oracle():
+    # every field of order <= DESK_CAP with p^2 <= DESK_CAP; above that only
+    # n = 1 is left, whose modulus is x
+    fields = [(p, n) for p in range(2, 1 << 10) if is_prime(p)
+              for n in range(1, DESK_CAP.bit_length()) if p ** n <= DESK_CAP]
+    assert len(fields) == 414
+    for p, n in fields:
+        assert _least_irreducible(p, n) == gf_oracle.least_irreducible(p, n), (p, n)
+
+
+@pytest.mark.parametrize("p, degrees", [(2, range(2, 9)), (3, range(2, 6)),
+                                         (5, range(2, 4))])
+def test_rabin_on_poly_matches_the_list_oracle(p, degrees):
+    # every monic polynomial, also those with a root in F_p, which the
+    # modulus search rejects before Rabin's test
+    fp = field_create(p, 1)
+    for n in degrees:
+        for enc in range(p ** n):
+            coeffs = [enc // p ** i % p for i in range(n)] + [1]
+            assert _is_irreducible(Poly(fp, coeffs)) == \
+                gf_oracle.is_irreducible(coeffs, p), coeffs
+
+
+@pytest.mark.parametrize("pm", [(5, 7), (2, 17), (3, 11), (2, 20)])
+def test_table_free_mul_matches_the_list_oracle(pm):
+    spec = field_create(*pm)
+    assert spec._exp is None
+    rng = random.Random(spec.order)
+    pairs = [(rng.randrange(spec.order), rng.randrange(spec.order)) for _ in range(100)]
+    pairs += [(0, 5), (1, spec.order - 1), (spec.order - 1, spec.order - 1)]
+    for a, b in pairs:
+        assert spec.mul_i(a, b) == gf_oracle.mul_i(spec, a, b)
+
+
+def _scalar_least_root(big, mod):
+    """The scan the array root search replaced: the first encoding of big
+    at which Horner's rule with big's scalar arithmetic gives 0."""
+    for cand in range(big.order):
+        acc = 0
+        for c in reversed(mod):
+            acc = big.add_i(big.mul_i(acc, cand), c)
+        if acc == 0:
+            return cand
+
+
+def test_embedding_at_the_desk_cap():
+    # F_16 into F_{2^20}: the least root of the modulus of F_16 is 265666,
+    # which a scalar scan reached in about a minute
+    def hang(signum, frame):
+        raise TimeoutError("extend(F_16, 5) did not return")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(20)
+    try:
+        f16 = field_create(2, 4)
+        big = extend(f16, 5)
+        for a in range(16):
+            for b in range(16):
+                ea, eb = big.embed_i(f16, a), big.embed_i(f16, b)
+                assert big.add_i(ea, eb) == big.embed_i(f16, f16.add_i(a, b))
+                assert big.mul_i(ea, eb) == big.embed_i(f16, f16.mul_i(a, b))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_root_search_matches_the_scalar_scan():
+    pairs = [(p, m, d) for p, m in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
+                                    (5, 1), (5, 2), (7, 1), (7, 2), (2, 4))
+             for d in range(2, 13) if p ** (m * d) <= 4096]
+    assert len(pairs) == 38
+    for p, m, d in pairs:
+        small = field_create(p, m)
+        big = extend(small, d)
+        root = _scalar_least_root(big, small.modulus)
+        assert big._least_root(small.modulus) == root, (p, m, d)
+        assert big._embedding_powers(small)[1:2] == ([root] if m > 1 else [])

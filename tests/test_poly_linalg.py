@@ -67,6 +67,20 @@ def test_poly_shift_and_pow():
     assert (x + Poly.one(F5)) ** 2 == Poly(F5, (1, 2, 1))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 9), st.sampled_from([(5, 1), (2, 1), (2, 4), (7, 2)]))
+def test_pow_with_modulus_is_repeated_multiply_and_reduce(seed, pm):
+    spec = field_create(*pm)
+    rng = random.Random(seed)
+    g, f = rand_poly(spec, rng), rand_poly(spec, rng)
+    if f.is_zero():
+        return
+    acc = Poly.one(spec) % f
+    for e in range(40):
+        assert pow(g, e, f) == acc
+        acc = acc * g % f
+
+
 def test_rref_and_rank():
     rows = [[1, 2, 3], [2, 4, 1], [0, 0, 1]]
     red, pivots = linalg.rref(F5, rows)
