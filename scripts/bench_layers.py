@@ -14,7 +14,7 @@ prints one JSON object of wall-clock seconds, each from a single run:
   * recover_write.F_49.3200: writing that code's recovery.json (the sets
     are computed first, untimed);
   * closed_points.F_{q^d}.d{d}: CurveModel.closed_points(d) on fresh
-    curves, both F_49 curves at d = 2 and the F_16 one at d = 4;
+    curves, both F_49 curves at d = 2 and the F_16 one at d = 4 and 5;
   * embedding.F_{q}.d{d}: the embedding of F_16 into a fresh F_{16^5}
     (the least root of F_16's modulus in F_{2^20}).
 
@@ -51,7 +51,8 @@ CODES = {
 
 # (p, m, curve coefficients, degree d)
 CLOSED_POINTS = [(7, 2, [(0, 0, 0, 1, 3), (0, 0, 0, 1, 0)], 2),
-                 (2, 4, [(0, 0, 1, 0, 8)], 4)]
+                 (2, 4, [(0, 0, 1, 0, 8)], 4),
+                 (2, 4, [(0, 0, 1, 0, 8)], 5)]
 
 # (p, m, d): F_{p^m} embedded into F_{p^(m d)}
 EMBEDDINGS = [(2, 4, 5)]

@@ -10,6 +10,9 @@ Closed points are enumerated in fqarray steps over chunks of the field:
 the y-coordinates over every x come from one join of per-x keys against a
 table of preimages over the field, and orbits from the F_p-linear map
 x -> x^q as one matrix applied to the digits of all points at once.
+Enumeration builds its ClosedPoints straight from these arrays, since they
+already hold on-curve orbit minima; the ClosedPoint constructor validates
+a point that comes from anywhere else.
 
 A CurveModel owns its caches: embedded coefficients, point counts, closed
 points by degree, and the local charts that rrspace expands functions in.
@@ -27,14 +30,6 @@ from .gf import FieldSpec, extend
 
 P1 = "p1"
 ELLIPTIC = "elliptic"
-
-_CHUNK = 1 << 14        # field elements per array step in digit form
-
-
-def _chunks(n: int):
-    """(lo, hi) bounds of the chunks of range(n)."""
-    return [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-
 
 class CurveModel:
     """A projective line or a nonsingular long-Weierstrass elliptic curve.
@@ -108,18 +103,6 @@ class CurveModel:
         f = fqarray.add(ext, f, const[:, 3])
         return fqarray.add(ext, fqarray.scale(ext, a1, x), const[:, 1]), f
 
-    def _on_curve(self, ext: FieldSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """is_on_curve for arrays of encodings, elementwise."""
-        if self.kind == P1:
-            return ys == 0
-        out = np.empty(len(xs), dtype=bool)
-        for lo, hi in _chunks(len(xs)):
-            b, f = self._sides(ext, fqarray.digits(ext, xs[lo:hi]))
-            y = fqarray.digits(ext, ys[lo:hi])
-            lhs = fqarray.mul(ext, y, fqarray.add(ext, y, b))
-            out[lo:hi] = (lhs == f).all(axis=0)
-        return out
-
     # -- point enumeration
 
     def affine_points(self, ext: FieldSpec):
@@ -138,12 +121,12 @@ class CurveModel:
         # y^2 + a3 y or z^2 + z, or -1; the other one is -shift - root[t]
         shift = fqarray.digits(ext, [0 if p != 2 else 1 if a1 else a3])[:, :, None]
         root = np.full(order, -1)
-        for lo, hi in _chunks(order):
+        for lo, hi in fqarray.chunks(order):
             y = fqarray.digits(ext, np.arange(lo, hi))
             root[fqarray.encode(ext, fqarray.mul(ext, y, fqarray.add(ext, y, shift[:, 0])))] = \
                 np.arange(lo, hi)
         xs, ys = [], []
-        for lo, hi in _chunks(order):
+        for lo, hi in fqarray.chunks(order):
             b, f = self._sides(ext, fqarray.digits(ext, np.arange(lo, hi)))
             if p != 2:
                 half = fqarray.scale(ext, (p + 1) // 2, b)
@@ -181,8 +164,7 @@ class CurveModel:
     def rational_points(self):
         """Degree-1 closed points, affine sorted by encoding, infinity last."""
         if self._rational is None:
-            xs, ys = np.array(self.affine_points(self.spec), dtype=np.int64).reshape(-1, 2).T
-            pts = ClosedPoint.batch(self, 1, xs, ys)
+            pts = _enumerated(self, 1, self.affine_points(self.spec))
             pts.append(ClosedPoint(self, 1, None, None))
             q, g, n = self.spec.order, self.genus, len(pts)
             assert (n - q - 1) ** 2 <= 4 * g * g * q, "Hasse-Weil bound violated"
@@ -200,7 +182,7 @@ class CurveModel:
             xs, ys = np.array(self.affine_points(ext), dtype=np.int64).reshape(-1, 2).T
             self._count_cache.setdefault(d, len(xs) + 1)
             keep = _orbit_minima(ext, d, xs, ys)
-            out = ClosedPoint.batch(self, d, xs[keep], ys[keep])
+            out = _enumerated(self, d, zip(xs[keep].tolist(), ys[keep].tolist()))
         self._closed_cache[d] = out
         return list(out)
 
@@ -302,10 +284,8 @@ def _orbit_minima(ext: FieldSpec, d: int, xs: np.ndarray, ys: np.ndarray) -> np.
     its matrix, with the digits of (z^i)^q as column i, is applied to the
     digits of the points still below all their images so far."""
     order, out = ext.order, np.zeros(len(xs), dtype=bool)
-    if d == 1:
-        return ~out
     frob = fqarray.digits(ext, [ext.frob_i(ext.p ** i) for i in range(ext.deg)])
-    for lo, hi in _chunks(len(xs)):
+    for lo, hi in fqarray.chunks(len(xs)):
         at = np.arange(lo, hi)
         start = xs[at] * order + ys[at]
         pt = fqarray.digits(ext, np.stack([xs[at], ys[at]]))
@@ -315,6 +295,18 @@ def _orbit_minima(ext: FieldSpec, d: int, xs: np.ndarray, ys: np.ndarray) -> np.
             below = start < image[0] * order + image[1]
             at, start, pt = at[below], start[below], pt.compress(below, axis=2)
         out[at] = True
+    return out
+
+
+def _enumerated(curve: CurveModel, degree: int, pairs):
+    """ClosedPoints for (x, y) pairs that enumeration has already shown to
+    lie on the curve and to be the least members of orbits of size degree,
+    so ClosedPoint's checks are not run again."""
+    out = []
+    for x, y in pairs:
+        pt = ClosedPoint.__new__(ClosedPoint)
+        pt.curve, pt.degree, pt.x, pt.y = curve, degree, x, y
+        out.append(pt)
     return out
 
 
@@ -344,30 +336,6 @@ class ClosedPoint:
         if not curve.is_on_curve(x, y, ext):
             raise ValueError("coordinates do not satisfy the curve equation")
         self.x, self.y = min(orbit)
-
-    @classmethod
-    def batch(cls, curve: CurveModel, degree: int, xs: np.ndarray, ys: np.ndarray):
-        """[ClosedPoint(curve, degree, x, y) for x, y in zip(xs, ys)] for
-        int64 arrays of affine coordinates, with the same checks and
-        ValueErrors, each one array step over the batch.  A point that is
-        not the least of an orbit of size degree (never one that
-        closed_points passes) has its orbit taken alone."""
-        ext = extend(curve.spec, degree)
-        xs, ys = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
-        outside = (np.minimum(xs, ys) < 0) | (np.maximum(xs, ys) >= ext.order)
-        for i in np.flatnonzero(outside | ~_orbit_minima(ext, degree, xs, ys)):
-            orbit = ext.orbit((int(xs[i]), int(ys[i])))     # raises if outside
-            if len(orbit) != degree:
-                raise ValueError(f"orbit size {len(orbit)} != declared degree {degree}")
-            xs[i], ys[i] = min(orbit)
-        if not curve._on_curve(ext, xs, ys).all():
-            raise ValueError("coordinates do not satisfy the curve equation")
-        out = []
-        for x, y in zip(xs.tolist(), ys.tolist()):
-            pt = cls.__new__(cls)
-            pt.curve, pt.degree, pt.x, pt.y = curve, degree, x, y
-            out.append(pt)
-        return out
 
     @property
     def is_infinity(self) -> bool:

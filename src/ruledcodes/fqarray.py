@@ -22,6 +22,13 @@ from __future__ import annotations
 
 import numpy as np
 
+_CHUNK = 1 << 14        # field elements per array step in digit form
+
+
+def chunks(n: int):
+    """(lo, hi) bounds of the chunks of range(n)."""
+    return [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+
 
 def _maps(spec):
     """(p^i for i < deg, Z, H, the working integer type): Z[j] is the

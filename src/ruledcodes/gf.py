@@ -251,15 +251,8 @@ class FieldSpec:
     def element(self, enc: int) -> "FieldElement":
         return FieldElement(self, enc % self.order)
 
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
     def one(self) -> "FieldElement":
         return FieldElement(self, 1)
-
-    def elements(self):
-        for enc in range(self.order):
-            yield FieldElement(self, enc)
 
     # -- embeddings
 
@@ -286,9 +279,9 @@ class FieldSpec:
 
     def _least_root(self, mod: tuple[int, ...]) -> int:
         """The least root in this field of a monic polynomial over F_p, by
-        one Horner step in digit form per chunk of 2^14 encodings."""
-        for lo in range(0, self.order, 1 << 14):
-            x = fqarray.digits(self, np.arange(lo, min(lo + (1 << 14), self.order)))
+        one Horner step in digit form per chunk of encodings."""
+        for lo, hi in fqarray.chunks(self.order):
+            x = fqarray.digits(self, np.arange(lo, hi))
             acc = x.copy()                  # the leading 1 times x
             for c in reversed(mod[1:-1]):
                 acc[0] = (acc[0] + c) % self.p

@@ -12,8 +12,12 @@ u * L(D) is the subspace of L(M'*O) cut out by vanishing conditions at known
 closed points.  Vanishing to order n at a degree-d point contributes n*d
 linear conditions over F_q once the order-n truncated expansion (computed in
 F_{q^d} with a local chart) is flattened through a fixed F_q-basis of
-F_{q^d}.  The resulting nullspace is echelonized against the monomial order
-of L(M'*O), which makes bases reproducible.
+F_{q^d}.  A zero of order n at O itself reads the n coefficients from
+t^(-M') on, in the same loop.  The resulting nullspace is echelonized
+against the monomial order of L(M'*O), which makes bases reproducible.
+
+Values and orders at infinity need no expansion: they follow from the pole
+orders there of numerator and denominator (see _poles_at_infinity).
 
 Each closed point P of the support needs only its own field F_{q^d},
 d = deg(P): the x-fiber through P is read off P and -P (see _x_fiber), so a
@@ -401,13 +405,6 @@ class CurveFunction:
             return f"Fn({self.num_a!r}/{self.den!r})"
         return f"Fn(({self.num_a!r} + ({self.num_b!r})*y)/{self.den!r})"
 
-    def text(self) -> str:
-        def ptxt(p):
-            return "+".join(f"{c}x^{i}" for i, c in enumerate(p.coeffs) if c) or "0"
-        if self.curve.kind == P1:
-            return f"{ptxt(self.num_a)}/{ptxt(self.den)}"
-        return f"({ptxt(self.num_a)} + ({ptxt(self.num_b)})*y)/{ptxt(self.den)}"
-
 
 # ---------------------------------------------------------------------------
 # valuations, evaluation, Taylor expansion
@@ -421,6 +418,20 @@ def _num_zero_bound(f: CurveFunction) -> int:
     return max(da, db) + 1
 
 
+def _poles_at_infinity(f: CurveFunction) -> tuple[int, int]:
+    """Pole orders at infinity of the numerator and the denominator of f:
+    deg A and deg Q on P^1; at O, where x and y have poles of orders 2 and
+    3, max(2 deg A, 2 deg B + 3) and 2 deg Q.  The two terms at O differ in
+    parity, so they cannot cancel.  A zero numerator reads -1 or -2, below
+    every denominator."""
+    if f.curve.kind == P1:
+        return f.num_a.degree, f.den.degree
+    num = 2 * f.num_a.degree
+    if not f.num_b.is_zero():
+        num = max(num, 2 * f.num_b.degree + 3)
+    return num, 2 * f.den.degree
+
+
 def _numerator_series(f: CurveFunction, chart: _Chart, rel: int) -> LSeries:
     xs, ys = chart.xy(rel)
     ns = _poly_on_series(f.num_a, xs, chart.ext)
@@ -430,12 +441,8 @@ def _numerator_series(f: CurveFunction, chart: _Chart, rel: int) -> LSeries:
 
 
 def _numerator_valuation(f: CurveFunction, pt: ClosedPoint) -> int:
-    curve = f.curve
-    if curve.kind == ELLIPTIC and pt.is_infinity:
-        da = 2 * f.num_a.degree if not f.num_a.is_zero() else None
-        db = 3 + 2 * f.num_b.degree if not f.num_b.is_zero() else None
-        return -max(d for d in (da, db) if d is not None)
-    chart = _chart(curve, pt)
+    """Valuation of A + B*y at an affine point of an elliptic curve."""
+    chart = _chart(f.curve, pt)
     bound = _num_zero_bound(f)
     rel = 8
     while True:
@@ -451,15 +458,14 @@ def order_at(f: CurveFunction, pt: ClosedPoint) -> int:
     """Valuation of f at the closed point (same at every orbit member)."""
     if f.is_zero():
         raise ValueError("the zero function has no valuation")
+    if pt.is_infinity:
+        num, den = _poles_at_infinity(f)
+        return den - num
     curve = f.curve
     ext = pt.ext_spec
     if curve.kind == P1:
-        if pt.is_infinity:
-            return f.den.degree - f.num_a.degree
         return (f.num_a.root_multiplicity(pt.x, ext)
                 - f.den.root_multiplicity(pt.x, ext))
-    if pt.is_infinity:
-        return _numerator_valuation(f, pt) + 2 * f.den.degree
     e = 2 if curve.is_two_torsion(pt.x, pt.y, ext) else 1
     den_ord = e * f.den.root_multiplicity(pt.x, ext)
     return _numerator_valuation(f, pt) - den_ord
@@ -505,24 +511,29 @@ def _laurent(f: CurveFunction, pt: ClosedPoint, abs_target: int) -> LSeries:
 
 
 def evaluate(f: CurveFunction, pt: ClosedPoint) -> FieldElement:
-    """Value of f at the canonical representative, in F_{q^d}."""
+    """Value of f at the canonical representative, in F_{q^d}.
+
+    At infinity the value is read from the pole orders: x = 1/t on P^1, and
+    x and y lead with t^-2 and t^-3 at O in the uniformizer t = x/y.  When
+    numerator and denominator have the same pole order it is even, so it
+    comes from A, and the value is the ratio of the leading coefficients of
+    A and Q."""
     curve = f.curve
-    if not pt.is_infinity:
-        ext = pt.ext_spec
-        dv = f.den.eval_i(pt.x, target=ext)
-        if dv != 0:
-            nv = f.num_a.eval_i(pt.x, target=ext)
-            if curve.kind == ELLIPTIC and not f.num_b.is_zero():
-                nv = ext.add_i(nv, ext.mul_i(f.num_b.eval_i(pt.x, target=ext), pt.y))
-            return FieldElement(ext, ext.mul_i(nv, ext.inv_i(dv)))
-    elif curve.kind == P1:
-        dn, dd = f.num_a.degree, f.den.degree
-        if dn > dd:
-            raise PoleError("pole at infinity")
-        if dn < dd:
-            return FieldElement(curve.spec, 0)
+    if pt.is_infinity:
         s = curve.spec
+        num, den = _poles_at_infinity(f)
+        if num > den:
+            raise PoleError(f"{f!r} has a pole at {pt!r}")
+        if num < den:
+            return FieldElement(s, 0)
         return FieldElement(s, s.mul_i(f.num_a.coeffs[-1], s.inv_i(f.den.coeffs[-1])))
+    ext = pt.ext_spec
+    dv = f.den.eval_i(pt.x, target=ext)
+    if dv != 0:
+        nv = f.num_a.eval_i(pt.x, target=ext)
+        if curve.kind == ELLIPTIC and not f.num_b.is_zero():
+            nv = ext.add_i(nv, ext.mul_i(f.num_b.eval_i(pt.x, target=ext), pt.y))
+        return FieldElement(ext, ext.mul_i(nv, ext.inv_i(dv)))
     return taylor_coeffs(f, pt, 1)[0]
 
 
@@ -651,9 +662,7 @@ def _rr_basis_elliptic(curve, D):
         if divisor_class_sum(D) is not None:
             return []
     dp, dm = D.pos_part(), D.neg_part()
-    inf_pt = ClosedPoint(curve, 1, None, None)
-    n_o = dp.multiplicity(inf_pt)
-    m_o = dm.multiplicity(inf_pt)
+    n_o = dp.multiplicity(ClosedPoint(curve, 1, None, None))
 
     u = Poly.one(spec)
     zdiv: dict[ClosedPoint, int] = {}
@@ -674,34 +683,21 @@ def _rr_basis_elliptic(curve, D):
                  if 2 * i + 3 * j <= m_amb]
     monomials.sort(key=lambda ij: (2 * ij[0] + 3 * ij[1], ij[1]))
 
+    # u f vanishes to order r_Q at each point Q; at O, where the monomials
+    # have poles of order up to m_amb, its expansion starts at t^(-m_amb)
     rows = []
-    cond_pts = sorted(set(zdiv) | {p for p in dm.support() if not p.is_infinity},
-                      key=ClosedPoint.sort_key)
+    cond_pts = sorted(set(zdiv) | set(dm.support()), key=ClosedPoint.sort_key)
     for qpt in cond_pts:
         r_q = zdiv.get(qpt, 0) - dp.multiplicity(qpt) + dm.multiplicity(qpt)
         if r_q <= 0:
             continue
-        ext = qpt.ext_spec
-        chart = _chart(curve, qpt)
-        coords = subfield_coords(spec, ext)
-        rel = r_q + 4
-        xs, ys = chart.xy(rel)
-        series = _monomial_series(monomials, xs, ys, r_q)
-        for k in range(r_q):
+        start = -m_amb if qpt.is_infinity else 0
+        coords = subfield_coords(spec, qpt.ext_spec)
+        xs, ys = _chart(curve, qpt).xy(r_q + 4)
+        series = _monomial_series(monomials, xs, ys, start + r_q)
+        for k in range(start, start + r_q):
             for j in range(qpt.degree):
                 rows.append([coords(s._coeff_raw(k))[j] for s in series])
-    if m_o > 0:
-        chart = _chart(curve, inf_pt)
-        rel = m_amb + m_o + 4
-        xs, ys = chart.xy(rel)
-        series = []
-        for i, j in monomials:
-            s = _pow_series(xs, i)
-            if j:
-                s = s * ys
-            series.append(s)
-        for l in range(m_o):
-            rows.append([s._coeff_raw(-m_amb + l) for s in series])
 
     if rows:
         null = linalg.nullspace(spec, rows)
@@ -726,27 +722,22 @@ def _rr_basis_elliptic(curve, D):
     return basis
 
 
-def _pow_series(s: LSeries, e: int) -> LSeries:
-    out = LSeries.const(s.spec, 1)
-    base = s
-    while e:
-        if e & 1:
-            out = out * base
-        base = base * base
-        e >>= 1
-    return out
+def _monomial_series(monomials, xs, ys, top):
+    """The series of x^i y^j for (i, j) in monomials, known below t^top.
 
-
-def _monomial_series(monomials, xs, ys, k):
-    out = []
-    xpow = [LSeries.const(xs.spec, 1)]
+    Every later product by x or y lowers absolute precision by the order of
+    its pole (2 or 3 at O, none at an affine point), so x^i is kept that far
+    above top."""
+    vx, vy = -min(xs.v, 0), -min(ys.v, 0)
     maxi = max(i for i, _ in monomials)
-    for _ in range(maxi):
-        xpow.append((xpow[-1] * xs).truncate(k + 2))
+    xpow = [LSeries.const(xs.spec, 1)]
+    for i in range(1, maxi + 1):
+        xpow.append((xpow[-1] * xs).truncate(top + vy + vx * (maxi - i)))
+    out = []
     for i, j in monomials:
         s = xpow[i]
         if j:
-            s = (s * ys).truncate(k + 2)
+            s = (s * ys).truncate(top)
         out.append(s)
     return out
 

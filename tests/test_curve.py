@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -251,22 +250,22 @@ def test_counts_above_the_table_limit(p, coeffs, d):
     assert all(pt.degree == d for pt in closed)
 
 
-def test_batch_constructor_rejects_like_the_scalar_one(e5):
+def test_closed_point_constructor_checks_its_input(e5):
+    # enumeration skips these checks, so every point it returns must pass them
     pts = e5.closed_points(2)
-    xs = np.array([pt.x for pt in pts])
-    ys = np.array([pt.y for pt in pts])
-    assert ClosedPoint.batch(e5, 2, xs, ys) == pts
+    assert [ClosedPoint(e5, 2, pt.x, pt.y) for pt in pts] == pts
     ext = extend(F5, 2)
     off = next(y for y in range(ext.order) if not e5.is_on_curve(pts[0].x, y, ext)
                and len(ext.orbit((pts[0].x, y))) == 2)
-    for ctor in (lambda x, y: ClosedPoint.batch(e5, 2, np.array(x), np.array(y)),
-                 lambda x, y: ClosedPoint(e5, 2, x[-1], y[-1])):
-        with pytest.raises(ValueError, match="curve equation"):
-            ctor([pts[1].x, pts[0].x], [pts[1].y, off])
-        rational = e5.rational_points()[0]          # a degree-1 orbit in F_25
-        with pytest.raises(ValueError, match="orbit size 1 != declared degree 2"):
-            ctor([pts[0].x, rational.x], [pts[0].y, rational.y])
-    # a non-least orbit member is normalized like the scalar constructor does
+    with pytest.raises(ValueError, match="curve equation"):
+        ClosedPoint(e5, 2, pts[0].x, off)
+    rational = e5.rational_points()[0]             # a degree-1 orbit in F_25
+    with pytest.raises(ValueError, match="orbit size 1 != declared degree 2"):
+        ClosedPoint(e5, 2, rational.x, rational.y)
+    # a non-least orbit member is normalized to the least one
     other = pts[3].orbit()[1]
-    assert ClosedPoint.batch(e5, 2, np.array([other[0]]), np.array([other[1]])) == \
-        [ClosedPoint(e5, 2, *other)]
+    assert other != (pts[3].x, pts[3].y)
+    assert ClosedPoint(e5, 2, *other) == pts[3]
+    for x, y in ((-1, pts[0].y), (pts[0].x, ext.order)):
+        with pytest.raises(ValueError, match="outside"):
+            ClosedPoint(e5, 2, x, y)

@@ -126,6 +126,48 @@ def test_evaluate_on_rational_points():
         assert evaluate(f, p).val == p.x
 
 
+E4 = curve_create(ELLIPTIC, (1, 0, 0, 0, 1), field_create(2, 2))
+E16 = curve_create(ELLIPTIC, (0, 0, 1, 0, 8), field_create(2, 4))
+
+
+@pytest.mark.parametrize("curve", [L5, E5, E4, E16], ids=["P1-F5", "F5", "F4-a1", "F16"])
+def test_value_at_infinity_matches_the_expansion(curve):
+    # evaluate reads infinity from pole orders; the Laurent expansion is the oracle
+    inf = ClosedPoint(curve, 1, None, None)
+    affine = [p for p in curve.rational_points() if not p.is_infinity]
+    quad = curve.closed_points(2)[0]
+    checked = set()
+    for n_inf in (-2, -1, 0, 1, 2, 3):
+        for D in (DivisorOnCurve(curve, [(affine[0], 2), (inf, n_inf)]),
+                  DivisorOnCurve(curve, [(quad, 1), (affine[-1], 1), (inf, n_inf)])):
+            basis = rr_basis(curve, D)
+            for f in basis + [f.scale(2) for f in basis] + [CurveFunction.constant(curve, 0)]:
+                try:
+                    value = evaluate(f, inf)
+                except PoleError:
+                    with pytest.raises(PoleError):
+                        taylor_coeffs(f, inf, 1)
+                    checked.add("pole")
+                    continue
+                assert value == taylor_coeffs(f, inf, 1)[0], (D, f)
+                checked.add({0: "zero", 1: "one"}.get(value.val, "other"))
+    assert checked == {"pole", "zero", "one", "other"}
+
+
+@pytest.mark.parametrize("curve", [E4, E16], ids=["F4-a1", "F16"])
+@pytest.mark.parametrize("m_o", [-1, -2, -3])
+def test_rr_basis_with_zeros_at_the_origin(curve, m_o):
+    origin = ClosedPoint(curve, 1, None, None)
+    affine = [p for p in curve.rational_points() if not p.is_infinity]
+    D = DivisorOnCurve(curve, [(curve.closed_points(2)[1], 2), (affine[0], 1),
+                               (origin, m_o)])
+    basis = rr_basis(curve, D)
+    assert len(basis) == D.degree() == 5 + m_o
+    check_membership(curve, D, basis)
+    # L(D - O) has codimension 1, so some f vanishes at O to order -m_o exactly
+    assert min(order_at(f, origin) for f in basis) == -m_o
+
+
 # -- Riemann-Roch bases -----------------------------------------------------
 
 def test_p1_polynomial_space():
