@@ -6,6 +6,10 @@
 
 prints one JSON object of wall-clock seconds, each from a single run:
   * table_build.F_{q}: the exp/log tables of F_256, F_2401 and F_{2^16};
+  * rr_basis.F_{q}.a{a}b{b}: the a + 1 Riemann-Roch bases
+    L(beta - i delta) of each of those codes, on a fresh curve whose local
+    charts are not cached yet (its degree-2 points are enumerated first,
+    untimed);
   * rref.F_{q}.{k}x{n}: linalg.rref on the generators of the decomposable
     codes below (built first, untimed);
   * section_rows.F_49.{k}x3200: codes._section_rows for the a = 6, b = 24
@@ -89,12 +93,23 @@ def embedding_s(p, m, d):
     return _seconds(big._embedding_powers, small)
 
 
-def decomposable_code(p, m, coeffs, a, b):
+def _code_divisors(p, m, coeffs, b):
+    """A fresh curve, delta and beta of a code."""
     curve = curve_create(ELLIPTIC, coeffs, field_create(p, m))
     points = curve.closed_points(2)
-    surface = surface_decomposable(curve, DivisorOnCurve(curve, [(points[0], 1)]))
-    beta = DivisorOnCurve(curve, [(points[1], b // 2)])
-    return codes.build_code_decomposable(surface, a, beta)
+    return (curve, DivisorOnCurve(curve, [(points[0], 1)]),
+            DivisorOnCurve(curve, [(points[1], b // 2)]))
+
+
+def decomposable_code(p, m, coeffs, a, b):
+    curve, delta, beta = _code_divisors(p, m, coeffs, b)
+    return codes.build_code_decomposable(surface_decomposable(curve, delta), a, beta)
+
+
+def rr_basis_s(p, m, coeffs, a, b):
+    """Seconds for the bases L(beta - i delta), i = 0..a, of a code."""
+    curve, delta, beta = _code_divisors(p, m, coeffs, b)
+    return _seconds(lambda: [rr_basis(curve, beta - i * delta) for i in range(a + 1)])
 
 
 def rref_s(code):
@@ -135,6 +150,8 @@ def main():
         out[f"closed_points.F_{p ** (m * d)}.d{d}"] = closed_points_s(p, m, curves, d)
     for p, m, d in EMBEDDINGS:
         out[f"embedding.F_{p ** m}.d{d}"] = embedding_s(p, m, d)
+    for p, m, coeffs, a, b in CODES["rref"]:
+        out[f"rr_basis.F_{p ** m}.a{a}b{b}"] = rr_basis_s(p, m, coeffs, a, b)
     for layer, timer in (("rref", rref_s), ("section_rows", section_rows_s),
                          ("recovery_sets", recovery_sets_s)):
         for config in CODES[layer]:

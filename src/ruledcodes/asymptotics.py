@@ -27,8 +27,10 @@ class FrontierPoint:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        assert -1e-12 <= self.delta <= 1 + 1e-12
-        assert -1e-12 <= self.rate <= 1 + 1e-12
+        for name, value in (("delta", self.delta), ("rate", self.rate)):
+            if not -1e-12 <= value <= 1 + 1e-12:
+                raise ValueError(f"{self.family} point has {name} = {value:.6g} "
+                                 "outside [0, 1]")
 
 
 def envelope_coefficient(q: int, A: float) -> float:

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
-from .gf import DESK_CAP, field_create, extend, within_desk_cap
+from .gf import DESK_CAP, field_create, extend, prime_power, within_desk_cap
 from .curve import curve_create, DivisorOnCurve, ClosedPoint, P1, ELLIPTIC
 from .surface import (NumClass, surface_decomposable, surface_elm_product,
                       surface_trivial, segre_decomposable,
@@ -382,6 +383,17 @@ def cmd_segre(args) -> int:
 
 def cmd_asymptotics(args) -> int:
     q, A = args.q, args.A
+    if prime_power(q) is None:
+        raise ValueError(f"--q {q} must be a prime power >= 2")
+    if not math.isfinite(A):
+        raise ValueError(f"--A {A} must be finite")
+    try:
+        return _asymptotics(args, q, A)
+    except ValueError as exc:
+        raise ValueError(f"--q {q} --A {A:g}: {exc}")
+
+
+def _asymptotics(args, q: int, A: float) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     pts = envelope_product(q, A, args.samples)
     write_frontier_csv(pts, os.path.join(args.out_dir, "product_envelope.csv"))

@@ -21,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from .gf import DESK_CAP, FieldSpec, extend, field_create
+from .gf import DESK_CAP, FieldSpec, extend, field_create, prime_power
 from .curve import CurveModel, ClosedPoint, DivisorOnCurve
 from .rrspace import (rr_basis, evaluate, taylor_coeffs, subfield_coords)
 from .surface import (RuledSurfaceModel, DECOMPOSABLE, ELM, INFTY,
@@ -367,15 +367,10 @@ def read_matrix(path) -> LinearCode:
         if not 2 <= q <= DESK_CAP:
             raise ValueError(f"{path}: header q = {q} is not a prime power "
                              f"in 2..{DESK_CAP}")
-        p = next(f for f in range(2, q + 1) if q % f == 0)  # least factor: prime
-        m = 0
-        qq = q
-        while qq > 1:
-            qq //= p
-            m += 1
-        if p ** m != q:
+        pm = prime_power(q)
+        if pm is None:
             raise ValueError(f"{path}: header q = {q} is not a prime power")
-        spec = field_create(p, m)
+        spec = field_create(*pm)
         matrix = []
         for i in range(1, k + 1):
             try:

@@ -385,6 +385,17 @@ class FieldElement:
         return f"{self.val}@{self.spec!r}"
 
 
+def prime_power(q: int) -> tuple[int, int] | None:
+    """(p, m) with q = p^m for a prime p, or None if q is no prime power."""
+    factors = _prime_factors(q) if q >= 2 else []
+    if len(factors) != 1:
+        return None
+    m = 1
+    while factors[0] ** m < q:
+        m += 1
+    return factors[0], m
+
+
 _SPEC_CACHE: dict = {}
 
 

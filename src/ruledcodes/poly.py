@@ -163,20 +163,6 @@ class Poly:
     def map_to(self, target: FieldSpec) -> "Poly":
         return Poly(target, [target.embed_i(self.spec, c) for c in self.coeffs])
 
-    def root_multiplicity(self, x: int, spec: FieldSpec | None = None) -> int:
-        """Multiplicity of the root x (x lives in spec, defaults to own)."""
-        s = spec or self.spec
-        f = self if s is self.spec else self.map_to(s)
-        lin = Poly(s, (s.neg_i(x), 1))
-        mult = 0
-        while not f.is_zero():
-            q, r = f.divmod(lin)
-            if not r.is_zero():
-                break
-            mult += 1
-            f = q
-        return mult
-
     def __repr__(self):
         if self.is_zero():
             return "Poly(0)"

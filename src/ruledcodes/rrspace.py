@@ -16,8 +16,12 @@ F_{q^d}.  A zero of order n at O itself reads the n coefficients from
 t^(-M') on, in the same loop.  The resulting nullspace is echelonized
 against the monomial order of L(M'*O), which makes bases reproducible.
 
-Values and orders at infinity need no expansion: they follow from the pole
-orders there of numerator and denominator (see _poles_at_infinity).
+Local expansions are LSeries, t^v times a Poly in the uniformizer t, so they
+use Poly's arithmetic.  A chart fixes one coordinate (x0 + t, y0 + t, or
+t = x/y at O) and finds the other as the Newton root of the curve equation.
+Orders at affine points are read from the expansion.  Values and orders at
+infinity need none: they follow from the pole orders there of numerator and
+denominator (see _poles_at_infinity).
 
 Each closed point P of the support needs only its own field F_{q^d},
 d = deg(P): the x-fiber through P is read off P and -P (see _x_fiber), so a
@@ -45,133 +49,101 @@ class PoleError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# truncated Laurent series over a FieldSpec
+# truncated Laurent series: t^v times a Poly in t
+
+def _head(poly: Poly, n: int) -> Poly:
+    """poly modulo t^n."""
+    return poly if len(poly.coeffs) <= n else Poly(poly.spec, poly.coeffs[:max(n, 0)])
+
 
 class LSeries:
-    """sum cs[i] * t^(v+i), known modulo t^abs (abs=None: exact polynomial)."""
+    """t^v * poly, known modulo t^abs (abs=None: exact)."""
 
-    __slots__ = ("spec", "v", "cs", "abs")
+    __slots__ = ("v", "poly", "abs")
 
-    def __init__(self, spec, v, cs, *, abs):
-        self.spec = spec
+    def __init__(self, v, poly: Poly, *, abs):
         self.v = v
-        self.cs = list(cs)
+        # terms from t^abs on are unknown, so they are dropped
+        self.poly = poly if abs is None else _head(poly, abs - v)
         self.abs = abs
-        # abs None means exact; otherwise it must cover the listed terms
-        if self.abs is not None:
-            assert self.abs >= self.v + len(self.cs) or not self.cs
+
+    @property
+    def spec(self) -> FieldSpec:
+        return self.poly.spec
 
     @classmethod
     def const(cls, spec, c):
-        return cls(spec, 0, [c] if c else [], abs=None)
+        return cls(0, Poly.const(spec, c), abs=None)
 
     def _coeff_raw(self, k):
         i = k - self.v
-        if 0 <= i < len(self.cs):
-            return self.cs[i]
-        return 0
-
-    def prec(self):
-        return self.abs
+        cs = self.poly.coeffs
+        return cs[i] if 0 <= i < len(cs) else 0
 
     def normalized(self) -> "LSeries":
-        cs = self.cs[:]
-        v = self.v
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            v += 1
-        if not cs:
-            # zero to the full known precision
-            return LSeries(self.spec, self.abs if self.abs is not None else 0,
-                           [], abs=self.abs)
-        return LSeries(self.spec, v, cs, abs=self.abs)
+        cs = self.poly.coeffs
+        if not cs:      # zero to the full known precision
+            return LSeries(self.abs or 0, self.poly, abs=self.abs)
+        i = next(i for i, c in enumerate(cs) if c)
+        return LSeries(self.v + i, Poly(self.spec, cs[i:]), abs=self.abs) if i else self
 
     def valuation(self):
         """Exact valuation, or None when zero to the known precision."""
         n = self.normalized()
-        return n.v if n.cs else None
+        return n.v if n.poly.coeffs else None
 
     def __add__(self, other):
-        s = self.spec
-        if self.abs is None and other.abs is None:
-            abs_out = None
-            hi = max(self.v + len(self.cs), other.v + len(other.cs))
-        else:
-            abs_out = min(a for a in (self.abs, other.abs) if a is not None)
-            hi = abs_out
         v = min(self.v, other.v)
-        cs = [s.add_i(self._coeff_raw(k), other._coeff_raw(k))
-              for k in range(v, hi)]
-        return LSeries(s, v, cs, abs=abs_out)
+        return LSeries(v, self.poly.shift(self.v - v) + other.poly.shift(other.v - v),
+                       abs=_min_abs(self.abs, other.abs))
 
     def __neg__(self):
-        return LSeries(self.spec, self.v, [self.spec.neg_i(c) for c in self.cs],
-                       abs=self.abs)
+        return LSeries(self.v, -self.poly, abs=self.abs)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        s = self.spec
-        if self.abs is None and other.abs is None:
-            abs_out = None
-            n_out = len(self.cs) + len(other.cs) - 1 if self.cs and other.cs else 0
-        else:
-            cands = []
-            if self.abs is not None:
-                cands.append(self.abs + other.v)
-            if other.abs is not None:
-                cands.append(other.abs + self.v)
-            abs_out = min(cands)
-            n_out = abs_out - (self.v + other.v)
         v = self.v + other.v
-        if not self.cs or not other.cs:
-            return LSeries(s, v, [], abs=abs_out)
-        out = [0] * max(n_out, 0)
-        for i, a in enumerate(self.cs):
-            if a and i < n_out:
-                top = min(len(other.cs), n_out - i)
-                for j in range(top):
-                    b = other.cs[j]
-                    if b:
-                        out[i + j] = s.add_i(out[i + j], s.mul_i(a, b))
-        return LSeries(s, v, out, abs=abs_out)
-
-    def scale(self, c):
-        s = self.spec
-        return LSeries(s, self.v, [s.mul_i(c, a) for a in self.cs], abs=self.abs)
+        abs_out = _min_abs(None if self.abs is None else self.abs + other.v,
+                           None if other.abs is None else other.abs + self.v)
+        if abs_out is None:
+            return LSeries(v, self.poly * other.poly, abs=None)
+        n = abs_out - v
+        return LSeries(v, _head(self.poly, n) * _head(other.poly, n), abs=abs_out)
 
     def inverse(self) -> "LSeries":
         n = self.normalized()
-        if not n.cs:
+        cs = n.poly.coeffs
+        if not cs:
             raise ZeroDivisionError("inverting a series that is zero to precision")
         s = self.spec
-        if n.abs is None and len(n.cs) == 1:
-            return LSeries(s, -n.v, [s.inv_i(n.cs[0])], abs=None)
+        if n.abs is None and len(cs) == 1:
+            return LSeries(-n.v, Poly.const(s, s.inv_i(cs[0])), abs=None)
         assert n.abs is not None, "cannot invert an exact multi-term series"
-        rel = len(n.cs)
-        a0inv = s.inv_i(n.cs[0])
+        rel = n.abs - n.v
+        a0inv = s.inv_i(cs[0])
         out = [a0inv] + [0] * (rel - 1)
         for k in range(1, rel):
             acc = 0
-            for i in range(1, k + 1):
-                ai = n.cs[i] if i < len(n.cs) else 0
-                if ai:
-                    acc = s.add_i(acc, s.mul_i(ai, out[k - i]))
+            for i in range(1, min(k, len(cs) - 1) + 1):
+                if cs[i]:
+                    acc = s.add_i(acc, s.mul_i(cs[i], out[k - i]))
             out[k] = s.neg_i(s.mul_i(a0inv, acc))
-        return LSeries(s, -n.v, out, abs=-n.v + rel)
+        return LSeries(-n.v, Poly(s, out), abs=-n.v + rel)
 
     def truncate(self, abs_prec) -> "LSeries":
         if self.abs is not None and self.abs <= abs_prec:
             return self
-        n = abs_prec - self.v
-        cs = self.cs[:max(n, 0)]
-        if self.abs is None and n > len(self.cs):
-            cs = cs + [0] * (n - len(self.cs))
-        return LSeries(self.spec, self.v, cs, abs=abs_prec)
+        return LSeries(self.v, self.poly, abs=abs_prec)
 
     def __repr__(self):
-        return f"LSeries(v={self.v}, cs={self.cs}, abs={self.abs})"
+        return f"LSeries(v={self.v}, cs={self.poly.coeffs}, abs={self.abs})"
+
+
+def _min_abs(a, b):
+    """The precision of a sum: the smaller known one (None is exact)."""
+    return b if a is None else a if b is None else min(a, b)
 
 
 def _poly_on_series(f: Poly, xs: LSeries, ext: FieldSpec) -> LSeries:
@@ -182,6 +154,27 @@ def _poly_on_series(f: Poly, xs: LSeries, ext: FieldSpec) -> LSeries:
     return acc
 
 
+def _newton_root(cs, u0: int, prec: int) -> LSeries:
+    """The root u = u0 + O(t) of sum cs[i] u^i, known modulo t^prec.
+
+    cs are series known at least to t^prec.  Each step reads u, known
+    modulo t^n, as exact and returns u - F(u)/F'(u) modulo t^(2n); F'(u) is
+    a unit because the curve is nonsingular at the point."""
+    ext = cs[0].spec
+    u = LSeries(0, Poly.const(ext, u0), abs=1)
+    n = 1
+    while n < prec:
+        n = min(2 * n, prec)
+        un = LSeries(u.v, u.poly, abs=n)
+        # Horner for F and F' together
+        f, fp = cs[-1], LSeries.const(ext, 0)
+        for c in reversed(cs[:-1]):
+            fp = fp * un + f
+            f = f * un + c
+        u = un - f * fp.inverse()
+    return u
+
+
 # ---------------------------------------------------------------------------
 # local charts: series for the coordinate functions in the uniformizer
 
@@ -190,16 +183,15 @@ class _Chart:
 
     Uniformizers: x - x0 at affine non-2-torsion, y - y0 at affine
     2-torsion, x/y at the origin of an elliptic curve, 1/x at infinity on
-    the projective line.
+    the projective line.  On an elliptic curve one coordinate is known and
+    the other is the Newton root of the curve equation (see _cubic).
     """
 
-    def __init__(self, curve: CurveModel, pt: ClosedPoint | None):
+    def __init__(self, curve: CurveModel, pt: ClosedPoint):
         self.curve = curve
         self.pt = pt
-        self.ext = pt.ext_spec if pt is not None and not pt.is_infinity else curve.spec
-        self._cache_rel = 0
-        self._xs = None
-        self._ys = None
+        self.ext = curve.spec if pt.is_infinity else pt.ext_spec
+        self._cache_rel, self._xs, self._ys = 0, None, None
         if curve.kind == P1:
             self.kind = "p1_inf" if pt.is_infinity else "p1_affine"
         elif pt.is_infinity:
@@ -211,75 +203,35 @@ class _Chart:
     def xy(self, rel: int):
         if rel <= self._cache_rel:
             return self._xs, self._ys
-        ext = self.ext
-        if self.kind == "p1_affine":
-            xs = LSeries(ext, 0, [self.pt.x, 1] + [0] * max(rel - 2, 0), abs=rel)
-            ys = None
-        elif self.kind == "p1_inf":
-            xs = LSeries(ext, -1, [1] + [0] * (rel - 1), abs=rel - 1)
-            ys = None
-        elif self.kind == "ell_affine":
-            xs = LSeries(ext, 0, [self.pt.x, 1] + [0] * max(rel - 2, 0), abs=rel)
-            ys = self._newton_y(xs, rel)
-        elif self.kind == "ell_2tors":
-            ys = LSeries(ext, 0, [self.pt.y, 1] + [0] * max(rel - 2, 0), abs=rel)
-            xs = self._newton_x(ys, rel)
+        ext, kind, pt = self.ext, self.kind, self.pt
+        if kind == "p1_inf":
+            xs, ys = LSeries(-1, Poly.one(ext), abs=rel - 1), None
+        elif kind == "ell_O":
+            # s = 1/y = t^3 + ...: 1/s to t^(rel-3) needs s to t^(rel+3)
+            t = LSeries(1, Poly.one(ext), abs=None)
+            ys = _newton_root(self._cubic(t), 0, rel + 3).inverse()
+            xs = t * ys
+        elif kind == "ell_2tors":
+            ys = LSeries(0, Poly(ext, (pt.y, 1)), abs=rel)
+            xs = _newton_root(self._cubic(ys), pt.x, rel)
         else:
-            xs, ys = self._origin_xy(rel)
+            xs = LSeries(0, Poly(ext, (pt.x, 1)), abs=rel)
+            ys = None if kind == "p1_affine" else _newton_root(self._cubic(xs), pt.y, rel)
         self._xs, self._ys, self._cache_rel = xs, ys, rel
         return xs, ys
 
-    def _newton_y(self, xs, rel):
-        ext = self.ext
-        a1, a2, a3, a4, a6 = self.curve.coeffs_in(ext)
-        rhs = self._rhs_series(xs, ext)
-        lin = xs.scale(a1) + LSeries.const(ext, a3)
-        y = LSeries(ext, 0, [self.pt.y] + [0] * (rel - 1), abs=rel)
-        it = 0
-        while (1 << it) < rel:
-            it += 1
-        for _ in range(it + 1):
-            f = (y * y + lin * y - rhs).truncate(rel)
-            fp = (y.scale(2 % ext.p) + lin).truncate(rel)
-            y = (y - f * fp.inverse()).truncate(rel)
-        return y
-
-    def _newton_x(self, ys, rel):
-        ext = self.ext
-        a1, a2, a3, a4, a6 = self.curve.coeffs_in(ext)
-        x = LSeries(ext, 0, [self.pt.x] + [0] * (rel - 1), abs=rel)
-        it = 0
-        while (1 << it) < rel:
-            it += 1
-        for _ in range(it + 1):
-            g = (self._rhs_series(x, ext) - ys * ys
-                 - x.scale(a1) * ys - ys.scale(a3)).truncate(rel)
-            gp = ((x * x).scale(3 % ext.p) + x.scale(ext.mul_i(2 % ext.p, a2))
-                  + LSeries.const(ext, a4) - ys.scale(a1)).truncate(rel)
-            x = (x - g * gp.inverse()).truncate(rel)
-        return x
-
-    def _rhs_series(self, xs, ext):
-        _, a2, _, a4, a6 = self.curve.coeffs_in(ext)
-        x2 = xs * xs
-        return (x2 * xs + x2.scale(a2) + xs.scale(a4) + LSeries.const(ext, a6))
-
-    def _origin_xy(self, rel):
-        # sigma = 1/y solves sigma = t^3 + a2 t^2 s + a4 t s^2 + a6 s^3
-        #                            - a1 t s - a3 s^2   with t = x/y
-        ext = self.ext
-        a1, a2, a3, a4, a6 = self.curve.coeffs_in(ext)
-        prec = rel + 4
-        t = LSeries(ext, 1, [1] + [0] * (prec - 1), abs=prec + 1)
-        sig = (t * t * t).truncate(prec + 3)
-        for _ in range(prec + 1):
-            s2 = sig * sig
-            sig = ((t * t * t) + (t * t * sig).scale(a2) + (t * s2).scale(a4)
-                   + (s2 * sig).scale(a6) - (t * sig).scale(a1)
-                   - s2.scale(a3)).truncate(prec + 3)
-        ys = sig.inverse()          # valuation -3
-        xs = (t * ys).truncate(-2 + rel)
-        return xs.truncate(-2 + rel), ys.truncate(-3 + rel)
+    def _cubic(self, known: LSeries):
+        """y^2 + a1 xy + a3 y - x^3 - a2 x^2 - a4 x - a6 as a cubic in the
+        coordinate the chart solves for, its coefficients polynomials in the
+        known one: y in x at an affine point, x in y at a 2-torsion point,
+        and (divided by y^3) s = 1/y in t = x/y at O."""
+        spec = self.curve.spec
+        a1, a2, a3, a4, a6 = self.curve.a
+        n = spec.neg_i
+        cs = {"ell_affine": [(n(a6), n(a4), n(a2), n(1)), (a3, a1), (1,)],
+              "ell_2tors": [(n(a6), a3, 1), (n(a4), a1), (n(a2),), (n(1),)],
+              "ell_O": [(0, 0, 0, n(1)), (1, a1, n(a2)), (a3, n(a4)), (n(a6),)]}
+        return [_poly_on_series(Poly(spec, c), known, self.ext) for c in cs[self.kind]]
 
 
 def _chart(curve: CurveModel, pt: ClosedPoint) -> _Chart:
@@ -440,20 +392,6 @@ def _numerator_series(f: CurveFunction, chart: _Chart, rel: int) -> LSeries:
     return ns
 
 
-def _numerator_valuation(f: CurveFunction, pt: ClosedPoint) -> int:
-    """Valuation of A + B*y at an affine point of an elliptic curve."""
-    chart = _chart(f.curve, pt)
-    bound = _num_zero_bound(f)
-    rel = 8
-    while True:
-        v = _numerator_series(f, chart, rel).valuation()
-        if v is not None:
-            return v
-        if rel > bound + 4:
-            raise AssertionError("nonzero numerator vanished beyond its bound")
-        rel *= 2
-
-
 def order_at(f: CurveFunction, pt: ClosedPoint) -> int:
     """Valuation of f at the closed point (same at every orbit member)."""
     if f.is_zero():
@@ -461,14 +399,7 @@ def order_at(f: CurveFunction, pt: ClosedPoint) -> int:
     if pt.is_infinity:
         num, den = _poles_at_infinity(f)
         return den - num
-    curve = f.curve
-    ext = pt.ext_spec
-    if curve.kind == P1:
-        return (f.num_a.root_multiplicity(pt.x, ext)
-                - f.den.root_multiplicity(pt.x, ext))
-    e = 2 if curve.is_two_torsion(pt.x, pt.y, ext) else 1
-    den_ord = e * f.den.root_multiplicity(pt.x, ext)
-    return _numerator_valuation(f, pt) - den_ord
+    return _laurent(f, pt, 0).valuation()
 
 
 def taylor_coeffs(f: CurveFunction, pt: ClosedPoint, k: int):
@@ -479,34 +410,29 @@ def taylor_coeffs(f: CurveFunction, pt: ClosedPoint, k: int):
     """
     if k <= 0:
         return []
-    curve = f.curve
-    ext = pt.ext_spec if not pt.is_infinity else curve.spec
     ls = _laurent(f, pt, k)
-    if ls.valuation() is not None and ls.valuation() < 0:
+    v = ls.valuation()
+    if v is not None and v < 0:
         raise PoleError(f"{f!r} has a pole at {pt!r}")
-    return [FieldElement(ext, ls._coeff_raw(i)) for i in range(k)]
+    return [FieldElement(ls.spec, ls._coeff_raw(i)) for i in range(k)]
 
 
 def _laurent(f: CurveFunction, pt: ClosedPoint, abs_target: int) -> LSeries:
     """Expansion of f at pt with absolute precision >= abs_target."""
+    chart = _chart(f.curve, pt)
     if f.is_zero():
-        ext = pt.ext_spec if not pt.is_infinity else f.curve.spec
-        return LSeries(ext, abs_target, [], abs=abs_target)
-    curve = f.curve
-    chart = _chart(curve, pt)
+        return LSeries(abs_target, Poly.zero(chart.ext), abs=abs_target)
     bound = _num_zero_bound(f) + 2 * f.den.degree + 2
     rel = max(8, abs_target + 4)
     while True:
         num = _numerator_series(f, chart, rel).normalized()
         den = _poly_on_series(f.den, chart.xy(rel)[0], chart.ext).normalized()
-        if num.valuation() is None or den.valuation() is None:
-            if rel > bound + abs_target + 8:
-                raise AssertionError("series did not stabilize within bounds")
-            rel *= 2
-            continue
-        quot = num * den.inverse()
-        if quot.prec() is not None and quot.prec() >= abs_target:
-            return quot
+        if num.valuation() is not None and den.valuation() is not None:
+            quot = num * den.inverse()
+            if quot.abs >= abs_target:
+                return quot
+        elif rel > bound + abs_target + 8:
+            raise AssertionError("series did not stabilize within bounds")
         rel *= 2
 
 
@@ -696,8 +622,8 @@ def _rr_basis_elliptic(curve, D):
         xs, ys = _chart(curve, qpt).xy(r_q + 4)
         series = _monomial_series(monomials, xs, ys, start + r_q)
         for k in range(start, start + r_q):
-            for j in range(qpt.degree):
-                rows.append([coords(s._coeff_raw(k))[j] for s in series])
+            digits = [coords(s._coeff_raw(k)) for s in series]
+            rows.extend([c[j] for c in digits] for j in range(qpt.degree))
 
     if rows:
         null = linalg.nullspace(spec, rows)

@@ -142,8 +142,10 @@ def test_dominance_handles_incomparable_points():
 
 
 def test_frontier_point_range_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="delta = 1.5 outside"):
         FrontierPoint(1.5, 0.2, "bogus")
+    with pytest.raises(ValueError, match="rate = nan outside"):
+        FrontierPoint(0.5, float("nan"), "bogus")
 
 
 def test_csv_output(tmp_path):

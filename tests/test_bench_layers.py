@@ -17,6 +17,7 @@ def test_bench_layers_on_its_smallest_inputs():
     assert p ** m == 256 and bench.table_build_s(p, m) > 0
     code = bench.decomposable_code(*bench.CODES["rref"][0])
     assert (code.k, code.n, code.spec.order) == (6, 3000, 49)
+    assert bench.rr_basis_s(*bench.CODES["rref"][0]) > 0
     for timer in (bench.rref_s, bench.section_rows_s, bench.recovery_sets_s,
                   bench.recover_write_s):
         assert timer(code) > 0

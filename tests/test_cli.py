@@ -219,6 +219,21 @@ def test_asymptotics_A_too_small(tmp_path, capsys):
     assert "A must exceed 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("q, A, flag", [
+    ("-1", "3", "--q -1 must be a prime power"),
+    ("0", "3", "--q 0 must be a prime power"),
+    ("6", "3", "--q 6 must be a prime power"),
+    ("16", "nan", "--A nan must be finite"),
+    ("16", "inf", "--A inf must be finite"),
+    ("16", "1e308", "--q 16 --A 1e+308: product_envelope point has rate"),
+])
+def test_asymptotics_out_of_domain_exit2(tmp_path, capsys, q, A, flag):
+    rc = main(["asymptotics", "--q", q, "--A", A, "--samples", "5",
+               "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2 and flag in err and "Traceback" not in err
+
+
 def test_recover_export(tmp_path):
     cfg = write_config(
         tmp_path,

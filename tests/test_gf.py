@@ -8,7 +8,8 @@ import gf_oracle
 from curve_oracle import nonresidue, solve_quadratic, sqrt_i
 from ruledcodes import fqarray
 from ruledcodes.gf import (DESK_CAP, field_create, extend, frobenius_orbit,
-                           is_prime, _is_irreducible, _least_irreducible)
+                           is_prime, prime_power, _is_irreducible,
+                           _least_irreducible)
 from ruledcodes.poly import Poly
 
 
@@ -272,6 +273,13 @@ def test_tower_of_extensions():
 
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_prime_power_matches_a_scan():
+    powers = {p ** m: (p, m) for p in range(2, 300) if is_prime(p)
+              for m in range(1, 9) if p ** m < 300}
+    for q in range(-3, 300):
+        assert prime_power(q) == powers.get(q), q
 
 
 def test_sqrt_without_tables_round_trips():

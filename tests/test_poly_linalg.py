@@ -48,9 +48,9 @@ def test_poly_gcd_divides_both(seed):
 
 def test_poly_from_roots_and_multiplicity():
     p = Poly.from_roots(F5, [2, 2, 3])
-    assert p.root_multiplicity(2) == 2
-    assert p.root_multiplicity(3) == 1
-    assert p.root_multiplicity(1) == 0
+    x_minus_2, x_minus_3 = Poly(F5, (3, 1)), Poly(F5, (2, 1))
+    assert p == x_minus_2 * x_minus_2 * x_minus_3
+    assert p == Poly(F5, (3, 1, 3, 1))      # x^3 - 7x^2 + 16x - 12 over F_5
     assert p.eval_i(2) == 0 and p.eval_i(3) == 0
 
 

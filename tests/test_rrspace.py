@@ -10,7 +10,7 @@ from ruledcodes.curve import (curve_create, ClosedPoint, DivisorOnCurve,
 from ruledcodes.poly import Poly
 from ruledcodes.rrspace import (rr_basis, order_at, taylor_coeffs, evaluate,
                                 effective_divisors, CurveFunction, PoleError,
-                                x_min_poly, subfield_coords)
+                                x_min_poly, subfield_coords, LSeries, _chart)
 
 from function_enumeration import functions_up_to_degree, function_degree
 
@@ -152,6 +152,116 @@ def test_value_at_infinity_matches_the_expansion(curve):
                 assert value == taylor_coeffs(f, inf, 1)[0], (D, f)
                 checked.add({0: "zero", 1: "one"}.get(value.val, "other"))
     assert checked == {"pole", "zero", "one", "other"}
+
+
+E49 = curve_create(ELLIPTIC, (0, 0, 0, 1, 0), field_create(7, 2))
+E5_FULL = curve_create(ELLIPTIC, (1, 2, 3, 4, 1), F5)   # every a_i nonzero
+
+
+def chart_points(curve):
+    """O, a rational point that is not 2-torsion, a rational 2-torsion
+    point where one exists, and a point of degree 2."""
+    affine = [p for p in curve.rational_points() if not p.is_infinity]
+    tors = [p for p in affine if curve.is_two_torsion(p.x, p.y, p.ext_spec)]
+    plain = [p for p in affine if p not in tors]
+    return ([ClosedPoint(curve, 1, None, None), plain[0]] + tors[:1]
+            + [curve.closed_points(2)[0]])
+
+
+@pytest.mark.parametrize("curve, has_tors", [(E5, True), (E4, True), (E16, False),
+                                             (E49, True), (E5_FULL, True)],
+                         ids=["F5", "F4-a1", "F16", "F49", "F5-full"])
+def test_charts_solve_the_curve_equation(curve, has_tors):
+    curve = curve_create(ELLIPTIC, curve.a, curve.spec)   # no cached charts
+    kinds = set()
+    for pt in chart_points(curve):
+        rel = 9
+        xs, ys = _chart(curve, pt).xy(rel)
+        ext = xs.spec
+        a1, a2, a3, a4, a6 = (LSeries.const(ext, a) for a in curve.coeffs_in(ext))
+        residue = (ys * ys + a1 * xs * ys + a3 * ys
+                   - xs * xs * xs - a2 * xs * xs - a4 * xs - a6)
+        # x and y have poles of orders 2 and 3 at O, none elsewhere
+        top = rel - 6 if pt.is_infinity else rel
+        assert residue.valuation() is None and residue.abs >= top, pt
+        if pt.is_infinity:
+            kinds.add("O")
+            lead = [(s.valuation(), s.normalized().poly.coeffs[0]) for s in (xs, ys)]
+            assert lead == [(-2, 1), (-3, 1)]
+            assert (xs.abs, ys.abs) == (rel - 2, rel - 3)
+            continue
+        tors = curve.is_two_torsion(pt.x, pt.y, ext)
+        kinds.add((pt.degree, tors))
+        known, other, other0 = (ys, xs, pt.x) if tors else (xs, ys, pt.y)
+        assert known.v == 0 and known.poly.coeffs == ((pt.y if tors else pt.x), 1)
+        assert other._coeff_raw(0) == other0 and (xs.abs, ys.abs) == (rel, rel)
+    assert kinds >= {"O", (1, False), (2, False)} | ({(1, True)} if has_tors else set())
+
+
+def test_p1_charts_are_x0_plus_t_and_one_over_t():
+    line = curve_create(P1, None, F5)                        # no cached charts
+    inf = ClosedPoint(line, 1, None, None)
+    for pt in [inf] + line.closed_points(1)[:2] + line.closed_points(2)[:1]:
+        xs, ys = _chart(line, pt).xy(6)
+        assert ys is None
+        if pt.is_infinity:
+            assert (xs.v, xs.poly.coeffs, xs.abs) == (-1, (1,), 5)
+        else:
+            assert (xs.v, xs.poly.coeffs, xs.abs) == (0, (pt.x, 1), 6)
+
+
+def valuation_samples(curve, seed):
+    """O and points of degree 1-3, and the nonconstant functions of the
+    bases of random divisors supported on them."""
+    rng = random.Random(seed)
+    pts = [ClosedPoint(curve, 1, None, None)]
+    for d in (1, 2, 3):
+        affine = [p for p in curve.closed_points(d) if not p.is_infinity]
+        pts += rng.sample(affine, min(3, len(affine)))
+    funcs = []
+    while len(funcs) < 8:
+        D = DivisorOnCurve(curve, [(p, rng.choice([-2, -1, 1, 2, 3]))
+                                   for p in rng.sample(pts, 3)])
+        if 1 <= D.degree() <= 7:
+            funcs += [f for f in rr_basis(curve, D) if not f.is_constant()]
+    return pts, funcs
+
+
+@pytest.mark.parametrize("curve", [L5, E5, E4, E16], ids=["P1-F5", "F5", "F4-a1", "F16"])
+def test_order_is_a_valuation(curve):
+    pts, funcs = valuation_samples(curve, 7)
+    pairs = list(zip(funcs, funcs[1:] + funcs[:1]))
+    signs = set()
+    for pt in pts:
+        for f, g in pairs:
+            o = order_at(f, pt)
+            assert order_at(f * g, pt) == o + order_at(g, pt), (f, g, pt)
+            assert order_at(f.inverse(), pt) == -o, (f, pt)
+            signs.add((o > 0) - (o < 0))
+    assert signs == {-1, 0, 1}
+
+
+def multiplicity(poly, m):
+    """How often m divides poly, by repeated division."""
+    count = 0
+    while True:
+        q, r = poly.divmod(m)
+        if not r.is_zero():
+            return count
+        poly, count = q, count + 1
+
+
+def test_p1_order_counts_the_factor():
+    pts, funcs = valuation_samples(L5, 11)
+    funcs += [f * g for f in funcs[:4] for g in funcs[:4]]
+    seen = set()
+    for pt in pts[1:]:
+        m = x_min_poly(L5, pt)
+        for f in funcs + [f.inverse() for f in funcs]:
+            o = order_at(f, pt)
+            assert o == multiplicity(f.num_a, m) - multiplicity(f.den, m), (f, pt)
+            seen.add((o > 0) - (o < 0))
+    assert seen == {-1, 0, 1}
 
 
 @pytest.mark.parametrize("curve", [E4, E16], ids=["F4-a1", "F16"])
