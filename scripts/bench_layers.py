@@ -20,7 +20,10 @@ prints one JSON object of wall-clock seconds, each from a single run:
   * closed_points.F_{q^d}.d{d}: CurveModel.closed_points(d) on fresh
     curves, both F_49 curves at d = 2 and the F_16 one at d = 4 and 5;
   * embedding.F_{q}.d{d}: the embedding of F_16 into a fresh F_{16^5}
-    (the least root of F_16's modulus in F_{2^20}).
+    (the least root of F_16's modulus in F_{2^20});
+  * asymptotics.q{q}.A{A}: one dominance_report(49, 6, 400) plus the
+    optimized rates of the 120-point ruled grid b = 0.3..0.98, the work of
+    `ruledcodes asymptotics` at the benchmark's settings.
 
 Each code lives on an elliptic curve with beta = b/2 times the degree-2
 point of index 1 and delta the degree-2 point of index 0.
@@ -35,6 +38,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from ruledcodes import cli, codes, linalg, locality  # noqa: E402
+from ruledcodes.asymptotics import dominance_report, optimized_rate  # noqa: E402
 from ruledcodes.curve import curve_create, DivisorOnCurve, ELLIPTIC  # noqa: E402
 from ruledcodes.gf import FieldSpec, extend, field_create  # noqa: E402
 from ruledcodes.rrspace import rr_basis  # noqa: E402
@@ -60,6 +64,10 @@ CLOSED_POINTS = [(7, 2, [(0, 0, 0, 1, 3), (0, 0, 0, 1, 0)], 2),
 
 # (p, m, d): F_{p^m} embedded into F_{p^(m d)}
 EMBEDDINGS = [(2, 4, 5)]
+
+# (q, A, samples, (lo, hi, count)): the dominance table and the ruled grid
+# of `asymptotics --samples 400 --b-range 0.3:0.98:120`
+ASYMPTOTICS = [(49, 6.0, 400, (0.3, 0.98, 120))]
 
 
 def _seconds(fn, *args):
@@ -91,6 +99,18 @@ def embedding_s(p, m, d):
     modulus = extend(small, d).modulus
     big = FieldSpec(p, m * d, modulus, p ** m)
     return _seconds(big._embedding_powers, small)
+
+
+def asymptotics_s(q, A, samples, b_range):
+    """Seconds for dominance_report(q, A, samples) plus optimized_rate on
+    the ruled grid of b_range = (lo, hi, count), as the CLI builds it."""
+    lo, hi, count = b_range
+    grid = [lo + (hi - lo) * i / max(count - 1, 1) for i in range(count)]
+
+    def run():
+        dominance_report(q, A, samples)
+        optimized_rate(q, A, grid)
+    return _seconds(run)
 
 
 def _code_divisors(p, m, coeffs, b):
@@ -150,6 +170,8 @@ def main():
         out[f"closed_points.F_{p ** (m * d)}.d{d}"] = closed_points_s(p, m, curves, d)
     for p, m, d in EMBEDDINGS:
         out[f"embedding.F_{p ** m}.d{d}"] = embedding_s(p, m, d)
+    for q, A, samples, b_range in ASYMPTOTICS:
+        out[f"asymptotics.q{q}.A{A:g}"] = asymptotics_s(q, A, samples, b_range)
     for p, m, coeffs, a, b in CODES["rref"]:
         out[f"rr_basis.F_{p ** m}.a{a}b{b}"] = rr_basis_s(p, m, coeffs, a, b)
     for layer, timer in (("rref", rref_s), ("section_rows", section_rows_s),

@@ -4,13 +4,17 @@ limit parameters, the optimized rate, and the dominance comparison.
 All quantities are real-valued limits; closed forms are cross-validated
 against an independent golden-section maximization, and the numeric optimum
 is authoritative: a disagreement beyond tolerance is reported in the result,
-never silently overridden.
+never silently overridden.  optimized_rate takes a whole grid of b values
+and runs one array search over it; each element takes the steps of a
+scalar search, so the results do not depend on the grid around them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -106,21 +110,41 @@ def _rate_on_balanced_line(q: int, A: float, b: float, a: float) -> float:
     return (a + 1 / (q + 1)) * (b - 1 / A - (q + 1) * a * d / 2)
 
 
-def _golden_section_max(fn, lo: float, hi: float, tol: float = 1e-12):
+def _golden_section_max(fn, lo, hi, tol: float = 1e-12):
+    """Golden-section maxima of fn on the intervals [lo[i], hi[i]], all at
+    once.
+
+    fn(x, idx) returns, for each j, the idx[j]-th objective at x[j].  Each
+    element takes exactly the steps of a scalar golden-section loop: it
+    stays in the working set while its hi - lo > tol, takes the branch
+    fc >= fd on its own values, and costs one evaluation at its new probe
+    per step, so an fn built from elementwise float arithmetic gives the
+    scalar results bit for bit.  Returns the arrays (x, fn(x)).
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    idx = np.arange(lo.size)
+    final_lo, final_hi = lo.copy(), hi.copy()
     c = hi - GOLDEN * (hi - lo)
     d = lo + GOLDEN * (hi - lo)
-    fc, fd = fn(c), fn(d)
-    while hi - lo > tol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - GOLDEN * (hi - lo)
-            fc = fn(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + GOLDEN * (hi - lo)
-            fd = fn(d)
-    x = (lo + hi) / 2
-    return x, fn(x)
+    fc, fd = fn(c, idx), fn(d, idx)
+    while True:
+        live = hi - lo > tol
+        if not live.all():
+            final_lo[idx[~live]], final_hi[idx[~live]] = lo[~live], hi[~live]
+            idx, lo, hi, c, d, fc, fd = (v[live] for v in
+                                         (idx, lo, hi, c, d, fc, fd))
+        if not idx.size:
+            break
+        left = fc >= fd
+        hi = np.where(left, d, hi)
+        lo = np.where(left, lo, c)
+        probe = np.where(left, hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo))
+        fp = fn(probe, idx)
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
+    x = (final_lo + final_hi) / 2
+    return x, fn(x, np.arange(x.size))
 
 
 @dataclass
@@ -135,7 +159,7 @@ class OptimizedRate:
     reason: str = ""
 
 
-def optimized_rate(q: int, A: float, b: float, tol: float = 1e-6) -> OptimizedRate:
+def optimized_rate(q: int, A: float, b, tol: float = 1e-6):
     """Closed-form maximizer of the ruled-family rate at fixed b.
 
     a0 = 1 - sqrt((q+2) A (1-b) / ((q+1)(A(b+1) - 2))) and the maximal rate
@@ -143,23 +167,41 @@ def optimized_rate(q: int, A: float, b: float, tol: float = 1e-6) -> OptimizedRa
     consistent with a0 and with the figures.  Both are checked against a
     golden-section maximization of the rate over a in [0, b]; the numeric
     optimum is authoritative and any disagreement beyond tol is reported.
+
+    b is a float, giving one OptimizedRate, or a 1-D sequence, giving one
+    OptimizedRate per b in order from a single array search over the whole
+    grid; a bad b raises at the first offender, in b order.
     """
     if A <= 2:
         raise ValueError("A must exceed 2 for the optimized rate")
-    if not 0 < b < 1:
-        raise ValueError("b must lie in (0, 1)")
-    denom = (q + 1) * (A * (b + 1) - 2)
-    a0 = 1 - math.sqrt((q + 2) * A * (1 - b) / denom)
-    r_max = (math.sqrt((q + 2) * (A * (b + 1) - 2) / (2 * A * (q + 1)))
-             - math.sqrt((1 - b) / 2)) ** 2
+    scalar = np.ndim(b) == 0
+    grid = [b] if scalar else list(b)
+    closed = []
+    for bi in grid:
+        if not 0 < bi < 1:
+            raise ValueError("b must lie in (0, 1)")
+        denom = (q + 1) * (A * (bi + 1) - 2)
+        a0 = 1 - math.sqrt((q + 2) * A * (1 - bi) / denom)
+        r_max = (math.sqrt((q + 2) * (A * (bi + 1) - 2) / (2 * A * (q + 1)))
+                 - math.sqrt((1 - bi) / 2)) ** 2
+        point = FrontierPoint(1 - bi, max(r_max, 0.0), "ruled_optimized",
+                              {"a0": a0, "b": bi})
+        closed.append((a0, r_max, point))
+    if not grid:
+        return []
+    bs = np.array(grid, dtype=float)
     num_a, num_rate = _golden_section_max(
-        lambda a: _rate_on_balanced_line(q, A, b, a), 0.0, min(b, 1 - 1e-9))
-    agrees = abs(num_a - a0) <= tol and abs(num_rate - r_max) <= tol
-    valid = 0 <= a0 <= b
-    reason = "" if valid else f"a0 = {a0:.6f} falls outside [0, b = {b}]"
-    point = FrontierPoint(1 - b, max(r_max, 0.0), "ruled_optimized",
-                          {"a0": a0, "b": b})
-    return OptimizedRate(a0, r_max, point, num_a, num_rate, agrees, valid, reason)
+        lambda a, i: _rate_on_balanced_line(q, A, bs[i], a),
+        np.zeros(bs.size), np.minimum(bs, 1 - 1e-9))
+    out = []
+    for bi, (a0, r_max, point), na, nr in zip(grid, closed, num_a.tolist(),
+                                             num_rate.tolist()):
+        agrees = abs(na - a0) <= tol and abs(nr - r_max) <= tol
+        valid = 0 <= a0 <= bi
+        reason = "" if valid else f"a0 = {a0:.6f} falls outside [0, b = {bi}]"
+        out.append(OptimizedRate(a0, r_max, point, na, nr, agrees, valid,
+                                 reason))
+    return out[0] if scalar else out
 
 
 def dominance_report(q: int, A: float, samples: int):
@@ -167,20 +209,23 @@ def dominance_report(q: int, A: float, samples: int):
     the ruled curve strictly exceeds the product envelope.
 
     Points where one side is undefined (delta beyond the envelope reach, or
-    a0 > b) are reported with None entries and never compared.
+    a0 > b) are reported with None entries and never compared.  The ruled
+    rates of all samples come from one optimized_rate call.
     """
     if A <= 2:
         raise ValueError("A must exceed 2")
     B = envelope_coefficient(q, A)
+    deltas = [i * B / samples for i in range(1, samples)]
+    grid = [1 - delta for delta in deltas if 0 < 1 - delta < 1]
+    opts = iter(optimized_rate(q, A, grid))
     rows = []
     dominated = []
-    for i in range(1, samples):
-        delta = i * B / samples
+    for delta in deltas:
         r_prod = envelope_rate_at(q, A, delta)
         b = 1 - delta
         r_ruled = None
         if 0 < b < 1:
-            opt = optimized_rate(q, A, b)
+            opt = next(opts)
             if opt.valid:
                 r_ruled = max(opt.numeric_rate, 0.0)
         rows.append((delta, r_prod, r_ruled))

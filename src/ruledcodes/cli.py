@@ -13,7 +13,8 @@ import math
 import os
 import sys
 
-from .gf import DESK_CAP, field_create, extend, prime_power, within_desk_cap
+from .gf import (DESK_CAP, PRIME_CERT_BOUND, field_create, extend, prime_power,
+                 within_desk_cap)
 from .curve import curve_create, DivisorOnCurve, ClosedPoint, P1, ELLIPTIC
 from .surface import (NumClass, surface_decomposable, surface_elm_product,
                       surface_trivial, segre_decomposable,
@@ -383,6 +384,9 @@ def cmd_segre(args) -> int:
 
 def cmd_asymptotics(args) -> int:
     q, A = args.q, args.A
+    if q >= PRIME_CERT_BOUND:
+        raise ValueError(f"--q {q} must be below {PRIME_CERT_BOUND}, the "
+                         "bound below which primality is certified")
     if prime_power(q) is None:
         raise ValueError(f"--q {q} must be a prime power >= 2")
     if not math.isfinite(A):
@@ -410,13 +414,9 @@ def _asymptotics(args, q: int, A: float) -> int:
                   file=sys.stderr)
             return 2
         lo, hi, count = args.b_range
-        ruled = []
-        for i in range(count):
-            b = lo + (hi - lo) * i / max(count - 1, 1)
-            r = optimized_rate(q, A, b)
-            if r.valid:
-                ruled.append(FrontierPoint(1 - b, max(r.rate, 0.0),
-                                           "ruled_optimized", {"b": b}))
+        grid = [lo + (hi - lo) * i / max(count - 1, 1) for i in range(count)]
+        ruled = [FrontierPoint(1 - b, max(r.rate, 0.0), "ruled_optimized", {"b": b})
+                 for b, r in zip(grid, optimized_rate(q, A, grid)) if r.valid]
         write_frontier_csv(ruled, os.path.join(args.out_dir, "ruled_optimized.csv"))
         rows, interval = dominance_report(q, A, args.samples)
         with open(os.path.join(args.out_dir, "dominance.csv"), "w") as fh:

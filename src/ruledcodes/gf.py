@@ -29,19 +29,47 @@ DESK_CAP = 1 << 20          # largest field order we agree to construct
 _TABLE_MAX = 1 << 16        # build exp/log tables up to this order
 
 
+# Miller-Rabin to the 13 bases 2, 3, ..., 41 is exact below this bound
+# (the least strong pseudoprime to all of them; Sorenson and Webster 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_CERT_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < PRIME_CERT_BOUND.
+
+    Raises ValueError for larger n, whose answer it could not certify.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= PRIME_CERT_BOUND:
+        raise ValueError(f"primality is certified only below {PRIME_CERT_BOUND}")
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def _iroot(n: int, m: int) -> int:
+    """floor(n^(1/m)) for n >= 1, by integer Newton steps from above."""
+    x = 1 << -(-n.bit_length() // m)
+    while True:
+        y = ((m - 1) * x + n // x ** (m - 1)) // m
+        if y >= x:
+            return x
+        x = y
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -386,14 +414,18 @@ class FieldElement:
 
 
 def prime_power(q: int) -> tuple[int, int] | None:
-    """(p, m) with q = p^m for a prime p, or None if q is no prime power."""
-    factors = _prime_factors(q) if q >= 2 else []
-    if len(factors) != 1:
+    """(p, m) with q = p^m for a prime p, or None if q is no prime power.
+
+    Tries the integer m-th roots of q, largest m first, so only a root at
+    or above PRIME_CERT_BOUND (then is_prime's ValueError) is undecided.
+    """
+    if q < 2:
         return None
-    m = 1
-    while factors[0] ** m < q:
-        m += 1
-    return factors[0], m
+    for m in range(q.bit_length() - 1, 0, -1):
+        p = _iroot(q, m)
+        if p ** m == q and is_prime(p):
+            return p, m
+    return None
 
 
 _SPEC_CACHE: dict = {}

@@ -1,3 +1,4 @@
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,8 @@ from ruledcodes.asymptotics import (envelope_coefficient, envelope_product,
                                     ruled_limit_params, balanced_d,
                                     optimized_rate, dominance_report,
                                     write_frontier_csv, FrontierPoint)
+
+import asymptotics_oracle as oracle
 
 
 def test_envelope_coefficient_q16():
@@ -156,3 +159,69 @@ def test_csv_output(tmp_path):
     assert lines[0] == "family,param,delta,rate"
     assert len(lines) == 6
     assert lines[1].startswith("product_envelope,")
+
+
+def _grid(lo, hi, count):
+    return [lo + (hi - lo) * i / max(count - 1, 1) for i in range(count)]
+
+
+def _same(new, old):
+    # == on the whole result, floats included: the array search must take
+    # the scalar search's steps exactly
+    assert new == old
+    assert type(new.numeric_a) is float and type(new.numeric_rate) is float
+
+
+# q beyond 2^63 too: numpy must turn it into the float that Python does
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 4, 16, 49, 64, 10 ** 14 + 31, 2 ** 61 - 1,
+                        10 ** 20 + 39]),
+       st.floats(2.0, 1e6, exclude_min=True),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_array_search_equals_scalar_oracle(q, A, b):
+    try:
+        expected = oracle.optimized_rate(q, A, b)
+    except ValueError as exc:
+        # rate above 1 (small q, large A, b near 1): the same error
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            optimized_rate(q, A, b)
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            optimized_rate(q, A, [b])
+        return
+    _same(optimized_rate(q, A, b), expected)
+    (single,) = optimized_rate(q, A, [b])
+    _same(single, expected)
+
+
+@pytest.mark.parametrize("q, A, samples", [(16, 3, 400), (49, 6, 400),
+                                           (64, 7, 1000)])
+def test_grids_equal_scalar_oracle(q, A, samples):
+    grid = _grid(0.3, 0.98, 120) + [1 - i * envelope_coefficient(q, A) / samples
+                                    for i in range(1, samples)]
+    for new, b in zip(optimized_rate(q, A, grid), grid, strict=True):
+        _same(new, oracle.optimized_rate(q, A, b))
+    assert dominance_report(q, A, samples) == oracle.dominance_report(q, A, samples)
+
+
+def test_optimized_rate_sequence_errors_at_first_offender():
+    assert optimized_rate(16, 3, []) == []
+    assert optimized_rate(16, 3, ()) == []
+    for A in (1.5, 2.0):
+        with pytest.raises(ValueError, match="A must exceed 2"):
+            optimized_rate(16, A, [0.5, 0.6])
+    for bad in (0.0, 1.0, -0.2, 1.5, float("nan")):
+        for pos in range(3):
+            grid = [0.5, 0.6]
+            grid.insert(pos, bad)
+            with pytest.raises(ValueError, match=r"b must lie in \(0, 1\)"):
+                optimized_rate(16, 3, grid)
+    # q = 2, A = 1e6: the closed-form rate exceeds 1 for b near 1
+    with pytest.raises(ValueError, match="rate = 1.16877"):
+        oracle.optimized_rate(2, 1e6, 0.99)
+    with pytest.raises(ValueError, match="rate = 1.16877"):
+        optimized_rate(2, 1e6, 0.99)
+    # the first offender in b order decides which error is raised
+    with pytest.raises(ValueError, match="rate = 1.16877"):
+        optimized_rate(2, 1e6, [0.5, 0.99, 1.5])
+    with pytest.raises(ValueError, match=r"b must lie in \(0, 1\)"):
+        optimized_rate(2, 1e6, [0.5, 1.5, 0.99])

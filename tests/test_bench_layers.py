@@ -24,3 +24,6 @@ def test_bench_layers_on_its_smallest_inputs():
     p, m, curves, d = bench.CLOSED_POINTS[0]
     assert (p ** (m * d), d) == (2401, 2) and bench.closed_points_s(p, m, curves, d) > 0
     assert bench.EMBEDDINGS == [(2, 4, 5)] and bench.embedding_s(2, 2, 3) > 0
+    q, A, samples, b_range = bench.ASYMPTOTICS[0]
+    assert (q, A, samples, b_range) == (49, 6.0, 400, (0.3, 0.98, 120))
+    assert bench.asymptotics_s(16, 3.0, 20, (0.3, 0.98, 6)) > 0

@@ -226,12 +226,22 @@ def test_asymptotics_A_too_small(tmp_path, capsys):
     ("16", "nan", "--A nan must be finite"),
     ("16", "inf", "--A inf must be finite"),
     ("16", "1e308", "--q 16 --A 1e+308: product_envelope point has rate"),
+    ("3317044064679887385961981", "3",
+     "--q 3317044064679887385961981 must be below 3317044064679887385961981"),
+    (str(2 ** 100), "3", "must be below 3317044064679887385961981"),
 ])
 def test_asymptotics_out_of_domain_exit2(tmp_path, capsys, q, A, flag):
     rc = main(["asymptotics", "--q", q, "--A", A, "--samples", "5",
                "--out-dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == 2 and flag in err and "Traceback" not in err
+
+
+def test_asymptotics_accepts_a_large_prime_q(tmp_path, capsys):
+    # a prime near 2^61: the prime-power check must not trial-divide it
+    rc = main(["asymptotics", "--q", str(2 ** 61 - 1), "--A", "3",
+               "--samples", "5", "--no-optimized", "--out-dir", str(tmp_path)])
+    assert rc == 0
 
 
 def test_recover_export(tmp_path):

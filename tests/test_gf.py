@@ -1,5 +1,7 @@
+import math
 import random
 import signal
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import gf_oracle
 from curve_oracle import nonresidue, solve_quadratic, sqrt_i
 from ruledcodes import fqarray
-from ruledcodes.gf import (DESK_CAP, field_create, extend, frobenius_orbit,
+from ruledcodes.gf import (DESK_CAP, PRIME_CERT_BOUND, field_create, extend, frobenius_orbit,
                            is_prime, prime_power, _is_irreducible,
                            _least_irreducible)
 from ruledcodes.poly import Poly
@@ -280,6 +282,48 @@ def test_prime_power_matches_a_scan():
               for m in range(1, 9) if p ** m < 300}
     for q in range(-3, 300):
         assert prime_power(q) == powers.get(q), q
+
+
+def _trial_division_is_prime(n: int) -> bool:
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == _trial_division_is_prime(n)
+               for n in range(-3, 20000))
+
+
+@pytest.mark.parametrize("n", [
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051,
+    # composite, a strong pseudoprime to every base up to 37
+    318665857834031151167461])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_refuses_at_the_certified_bound():
+    # the bound is the least strong pseudoprime to all 13 bases
+    assert is_prime(2 ** 61 - 1) and not is_prime(PRIME_CERT_BOUND - 1)
+    with pytest.raises(ValueError, match=str(PRIME_CERT_BOUND)):
+        is_prime(PRIME_CERT_BOUND)
+
+
+@pytest.mark.parametrize("q, expected", [
+    (100000000000031, (100000000000031, 1)),
+    (2 ** 61 - 1, (2 ** 61 - 1, 1)),
+    (1000003 ** 2, (1000003, 2)),
+    (2 ** 100, (2, 100)),
+    (561, None),            # Carmichael, 3 * 11 * 17
+    (3215031751, None),     # Carmichael, strong pseudoprime to 2, 3, 5, 7
+    (1000003 * 1000033, None),
+    (-8, None),
+    (-(2 ** 61 - 1), None),
+])
+def test_prime_power_of_large_q(q, expected):
+    t0 = time.perf_counter()
+    assert prime_power(q) == expected
+    assert time.perf_counter() - t0 < 0.01
 
 
 def test_sqrt_without_tables_round_trips():

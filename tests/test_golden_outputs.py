@@ -2,8 +2,9 @@
 
 The sha256 of every file `build` writes for the three configs in
 scripts/configs, of the `verify` stdout on the decomposable demo build, of
-the `segre` stdout on the elm demo, and of `recovery.json` on the locality
-demo.  A refactor that changes any output
+the `segre` stdout on the elm demo, of `recovery.json` on the locality
+demo, and of the `asymptotics` stdout and CSVs for q = 16, A = 3 and
+q = 49, A = 6 (the benchmark's frontier settings).  A refactor that changes any output
 byte fails here; a deliberate output change must re-record the digest.
 """
 
@@ -32,6 +33,14 @@ GOLDEN = {
     "locality_demo/recovery.json": "cd31f7e83151966cec53266f06ff01d2dd2da893ae2c5ea02455572bde1e2578",
     "locality_demo/report.json": "6c9f14f4cbdf152ca992759480b5d85438b6177622bc608b7f7660ba9c8285c9",
     "locality_demo/table.csv": "b898fb82c03e1517a101447a1f980d20cd1180cfa7c316b36930b324d01256a3",
+    "asymptotics_q16_A3/stdout": "9a159d37ee1cd025399fc6ce920b74a2376b22e5abf23f518ba10628f0a2ee12",
+    "asymptotics_q16_A3/product_envelope.csv": "da30d59b74c292c0294be3d4f6ff01c68bf7c319d1116af366448da21832e113",
+    "asymptotics_q16_A3/ruled_optimized.csv": "8e056e7f96614cf3284c6d3ee97ac592e9fa717f55aef6220d3909acc16c263d",
+    "asymptotics_q16_A3/dominance.csv": "4f67458c4c3b71d5e490f2480d2f84a32e891b92623df7390d2886c1d5421b34",
+    "asymptotics_q49_A6/stdout": "f38e899ae3a4099715a31103f7975dba3d4da90889d8b6c585006107163bd2ae",
+    "asymptotics_q49_A6/product_envelope.csv": "a2a3b799f4cac2abfa0d763e0edc5cac98261b2902e697e457af0ce771ee14ba",
+    "asymptotics_q49_A6/ruled_optimized.csv": "178ac42d48ebad6c2b5840d7fd4367275548d7e836d253f08d6159da19f792ae",
+    "asymptotics_q49_A6/dominance.csv": "718b6ae01ac5ef3148e5ec94b1250ab6a58153d1eed9e61fd68be3797bc21097",
 }
 
 
@@ -79,3 +88,15 @@ def test_recovery_json_matches_golden(tmp_path, capsys):
     assert main(["recover", "--config", _config("locality_demo"),
                  "--out", str(rec)]) == 0
     assert _sha(rec.read_bytes()) == GOLDEN["locality_demo/recovery.json"]
+
+
+@pytest.mark.parametrize("q, A", [(16, "3"), (49, "6")])
+def test_asymptotics_outputs_match_golden(tmp_path, monkeypatch, capsys, q, A):
+    monkeypatch.chdir(tmp_path)
+    assert main(["asymptotics", "--q", str(q), "--A", A, "--samples", "400",
+                 "--b-range", "0.3:0.98:120", "--out-dir", "asym"]) == 0
+    stdout = capsys.readouterr().out
+    name = f"asymptotics_q{q}_A{A}"
+    assert _sha(stdout.encode()) == GOLDEN[f"{name}/stdout"]
+    for fname in ("product_envelope.csv", "ruled_optimized.csv", "dominance.csv"):
+        assert _sha((tmp_path / "asym" / fname).read_bytes()) == GOLDEN[f"{name}/{fname}"], fname
