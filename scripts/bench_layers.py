@@ -21,9 +21,9 @@ prints one JSON object of wall-clock seconds, each from a single run:
     curves, both F_49 curves at d = 2 and the F_16 one at d = 4 and 5;
   * embedding.F_{q}.d{d}: the embedding of F_16 into a fresh F_{16^5}
     (the least root of F_16's modulus in F_{2^20});
-  * asymptotics.q{q}.A{A}: one dominance_report(49, 6, 400) plus the
-    optimized rates of the 120-point ruled grid b = 0.3..0.98, the work of
-    `ruledcodes asymptotics` at the benchmark's settings.
+  * asymptotics.q{q}.A{A}: one dominance_report(49, 6, 400) plus one
+    optimized_rate call per b of the 120-point ruled grid b = 0.3..0.98,
+    the work of `ruledcodes asymptotics` at the benchmark's settings.
 
 Each code lives on an elliptic curve with beta = b/2 times the degree-2
 point of index 1 and delta the degree-2 point of index 0.
@@ -102,14 +102,16 @@ def embedding_s(p, m, d):
 
 
 def asymptotics_s(q, A, samples, b_range):
-    """Seconds for dominance_report(q, A, samples) plus optimized_rate on
-    the ruled grid of b_range = (lo, hi, count), as the CLI builds it."""
+    """Seconds for dominance_report(q, A, samples) plus optimized_rate at
+    each b of the ruled grid b_range = (lo, hi, count), as the CLI builds
+    it."""
     lo, hi, count = b_range
     grid = [lo + (hi - lo) * i / max(count - 1, 1) for i in range(count)]
 
     def run():
         dominance_report(q, A, samples)
-        optimized_rate(q, A, grid)
+        for b in grid:
+            optimized_rate(q, A, b)
     return _seconds(run)
 
 

@@ -28,8 +28,7 @@ from .analysis import (bound_elm_family, bound_decomposable_family, exact_params
                        EXACT_CAP_DEFAULT)
 from .locality import restriction_fiber, recovery_sets
 from .asymptotics import (envelope_product, optimized_rate, dominance_report,
-                          figure_discrepancy, write_frontier_csv,
-                          FrontierPoint)
+                          figure_discrepancy, write_frontier_csv)
 
 
 class ConfigError(ValueError):
@@ -409,14 +408,10 @@ def _asymptotics(args, q: int, A: float) -> int:
                   f"but the figure for q={q} shows {fig:.12g}; emitting the "
                   "formula value")
     if args.optimized:
-        if A <= 2:
-            print("error: A must exceed 2 for the optimized ruled curve",
-                  file=sys.stderr)
-            return 2
         lo, hi, count = args.b_range
         grid = [lo + (hi - lo) * i / max(count - 1, 1) for i in range(count)]
-        ruled = [FrontierPoint(1 - b, max(r.rate, 0.0), "ruled_optimized", {"b": b})
-                 for b, r in zip(grid, optimized_rate(q, A, grid)) if r.valid]
+        ruled = [r.point for r in (optimized_rate(q, A, b) for b in grid)
+                 if r.valid]
         write_frontier_csv(ruled, os.path.join(args.out_dir, "ruled_optimized.csv"))
         rows, interval = dominance_report(q, A, args.samples)
         with open(os.path.join(args.out_dir, "dominance.csv"), "w") as fh:

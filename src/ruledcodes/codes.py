@@ -383,4 +383,6 @@ def read_matrix(path) -> LinearCode:
             if any(not 0 <= v < q for v in row):
                 raise ValueError(f"{path}: row {i} has an entry outside 0..{q - 1}")
             matrix.append(row)
+        if any(line.strip() for line in fh):
+            raise ValueError(f"{path}: more rows than header k = {k}")
     return LinearCode(spec, matrix, list(range(n)), {"family": "imported"})

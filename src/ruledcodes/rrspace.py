@@ -558,6 +558,8 @@ def rr_basis(curve: CurveModel, D: DivisorOnCurve):
 
 
 def _rr_basis_p1(curve, D):
+    if D.degree() < 0:
+        return []
     spec = curve.spec
     den = Poly.one(spec)
     forced = Poly.one(spec)

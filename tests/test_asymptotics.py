@@ -101,9 +101,9 @@ def test_ruled_limit_domain_errors():
 @pytest.mark.parametrize("b", [0.5, 0.6, 0.7, 0.8])
 def test_optimized_rate_matches_golden_section(q, A, b):
     r = optimized_rate(q, A, b)
-    assert r.agrees
-    assert abs(r.a0 - r.numeric_a) <= 1e-6
-    assert abs(r.rate - r.numeric_rate) <= 1e-6
+    a_num, rate_num = oracle.numeric_optimum(q, A, b)
+    assert abs(r.a0 - a_num) <= 1e-6
+    assert abs(r.rate - rate_num) <= 1e-6
     assert r.valid
     assert r.point.delta == 1 - b
 
@@ -165,63 +165,60 @@ def _grid(lo, hi, count):
     return [lo + (hi - lo) * i / max(count - 1, 1) for i in range(count)]
 
 
-def _same(new, old):
-    # == on the whole result, floats included: the array search must take
-    # the scalar search's steps exactly
-    assert new == old
-    assert type(new.numeric_a) is float and type(new.numeric_rate) is float
-
-
-# q beyond 2^63 too: numpy must turn it into the float that Python does
+# q beyond 2^63 too, where (q + 1) and (q + 2) round to the same float
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([2, 3, 4, 16, 49, 64, 10 ** 14 + 31, 2 ** 61 - 1,
                         10 ** 20 + 39]),
        st.floats(2.0, 1e6, exclude_min=True),
        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-def test_array_search_equals_scalar_oracle(q, A, b):
+def test_closed_form_matches_oracle_search(q, A, b):
     try:
-        expected = oracle.optimized_rate(q, A, b)
+        r = optimized_rate(q, A, b)
     except ValueError as exc:
-        # rate above 1 (small q, large A, b near 1): the same error
-        with pytest.raises(ValueError, match=re.escape(str(exc))):
-            optimized_rate(q, A, b)
-        with pytest.raises(ValueError, match=re.escape(str(exc))):
-            optimized_rate(q, A, [b])
+        # small q, large A, b near 1: the maximal rate exceeds 1, and the
+        # search finds a rate above 1 as well
+        assert re.search(r"ruled_optimized point has rate = \S+ outside", str(exc))
+        assert oracle.numeric_optimum(q, A, b)[1] > 1
         return
-    _same(optimized_rate(q, A, b), expected)
-    (single,) = optimized_rate(q, A, [b])
-    _same(single, expected)
+    assert r.point.delta == 1 - b and r.point.rate == max(r.rate, 0.0)
+    assert r.valid == oracle.a0_in_range(q, A, b)
+    if not r.valid:
+        assert r.reason.startswith(f"a0 = {r.a0:.6f} falls outside")
+        return
+    a_num, rate_num = oracle.numeric_optimum(q, A, b)
+    assert abs(r.a0 - a_num) <= 1e-6
+    assert abs(r.rate - rate_num) <= 1e-6
 
 
 @pytest.mark.parametrize("q, A, samples", [(16, 3, 400), (49, 6, 400),
                                            (64, 7, 1000)])
 def test_grids_equal_scalar_oracle(q, A, samples):
-    grid = _grid(0.3, 0.98, 120) + [1 - i * envelope_coefficient(q, A) / samples
-                                    for i in range(1, samples)]
-    for new, b in zip(optimized_rate(q, A, grid), grid, strict=True):
-        _same(new, oracle.optimized_rate(q, A, b))
-    assert dominance_report(q, A, samples) == oracle.dominance_report(q, A, samples)
+    # the ruled grid of the CLI and the dominance table agree with the
+    # search to 1e-6 and 1e-9, and the dominance interval is the same
+    for b in _grid(0.3, 0.98, 120):
+        r = optimized_rate(q, A, b)
+        assert r.valid == oracle.a0_in_range(q, A, b)
+        if r.valid:
+            assert abs(r.point.rate - oracle.numeric_optimum(q, A, b)[1]) <= 1e-6
+    rows, interval = dominance_report(q, A, samples)
+    expected_rows, expected_interval = oracle.dominance_report(q, A, samples)
+    assert interval == expected_interval
+    assert len(rows) == len(expected_rows)
+    for (delta, r_prod, r_ruled), (e_delta, e_prod, e_ruled) in zip(rows, expected_rows):
+        assert (delta, r_prod) == (e_delta, e_prod)
+        assert (r_ruled is None) == (e_ruled is None)
+        if r_ruled is not None:
+            assert abs(r_ruled - e_ruled) <= 1e-9
 
 
-def test_optimized_rate_sequence_errors_at_first_offender():
-    assert optimized_rate(16, 3, []) == []
-    assert optimized_rate(16, 3, ()) == []
+def test_optimized_rate_domain_errors():
     for A in (1.5, 2.0):
         with pytest.raises(ValueError, match="A must exceed 2"):
-            optimized_rate(16, A, [0.5, 0.6])
+            optimized_rate(16, A, 0.5)
     for bad in (0.0, 1.0, -0.2, 1.5, float("nan")):
-        for pos in range(3):
-            grid = [0.5, 0.6]
-            grid.insert(pos, bad)
-            with pytest.raises(ValueError, match=r"b must lie in \(0, 1\)"):
-                optimized_rate(16, 3, grid)
-    # q = 2, A = 1e6: the closed-form rate exceeds 1 for b near 1
-    with pytest.raises(ValueError, match="rate = 1.16877"):
-        oracle.optimized_rate(2, 1e6, 0.99)
+        with pytest.raises(ValueError, match=r"b must lie in \(0, 1\)"):
+            optimized_rate(16, 3, bad)
+    # q = 2, A = 1e6: the maximal rate exceeds 1 for b near 1
     with pytest.raises(ValueError, match="rate = 1.16877"):
         optimized_rate(2, 1e6, 0.99)
-    # the first offender in b order decides which error is raised
-    with pytest.raises(ValueError, match="rate = 1.16877"):
-        optimized_rate(2, 1e6, [0.5, 0.99, 1.5])
-    with pytest.raises(ValueError, match=r"b must lie in \(0, 1\)"):
-        optimized_rate(2, 1e6, [0.5, 1.5, 0.99])
+    assert oracle.numeric_optimum(2, 1e6, 0.99)[1] > 1

@@ -301,6 +301,7 @@ GOOD_REPORT = {"n": 3, "bound": {"valid": True, "k_lower": 1, "d_lower": 3}}
     ("1 3 6\n1 2 3\n", GOOD_REPORT, "matrix", "header q"),
     ("1 3\n1 2 3\n", GOOD_REPORT, "matrix", "header"),
     ("2 3 5\n1 2 3\n", GOOD_REPORT, "matrix", "row 2"),
+    ("1 3 5\n1 2 3\n4 4 4\n", GOOD_REPORT, "matrix", "header k = 1"),
     ("1 3 5\n1 x 3\n", GOOD_REPORT, "matrix", "row 1"),
     ("1 3 5\n1 2 9\n", GOOD_REPORT, "matrix", "row 1"),
     ("1 3 5\n0 0 0\n", GOOD_REPORT, "matrix", "rank 0"),
@@ -314,9 +315,10 @@ GOOD_REPORT = {"n": 3, "bound": {"valid": True, "k_lower": 1, "d_lower": 3}}
     (GOOD_MATRIX, {"n": 3, "bound": {"valid": True, "k_lower": 1,
                                      "d_lower": 2.5}}, "report",
      "report.bound.d_lower"),
-], ids=["q-1", "q-6", "short-header", "missing-row", "non-integer-entry",
-        "entry-range", "rank-0", "no-n", "list-report", "string-n",
-        "string-d-exact", "bound-not-object", "no-k-lower", "float-d-lower"])
+], ids=["q-1", "q-6", "short-header", "missing-row", "extra-row",
+        "non-integer-entry", "entry-range", "rank-0", "no-n", "list-report",
+        "string-n", "string-d-exact", "bound-not-object", "no-k-lower",
+        "float-d-lower"])
 def test_verify_malformed_input_exit2(tmp_path, capsys, matrix, report, bad,
                                       field):
     paths = {"matrix": tmp_path / "g.txt", "report": tmp_path / "r.json"}
@@ -332,6 +334,13 @@ def test_verify_malformed_input_exit2(tmp_path, capsys, matrix, report, bad,
 def test_verify_good_input_passes(tmp_path, capsys):
     mpath, rpath = tmp_path / "g.txt", tmp_path / "r.json"
     mpath.write_text(GOOD_MATRIX)
+    rpath.write_text(json.dumps(GOOD_REPORT))
+    assert main(["verify", str(mpath), "--report", str(rpath)]) == 0
+
+
+def test_verify_ignores_trailing_blank_lines(tmp_path):
+    mpath, rpath = tmp_path / "g.txt", tmp_path / "r.json"
+    mpath.write_text(GOOD_MATRIX + "\n  \n")
     rpath.write_text(json.dumps(GOOD_REPORT))
     assert main(["verify", str(mpath), "--report", str(rpath)]) == 0
 

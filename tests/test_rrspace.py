@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -310,6 +311,15 @@ def test_negative_degree_empty():
     p = E5.rational_points()[0]
     D = DivisorOnCurve(E5, [(p, -1)])
     assert rr_basis(E5, D) == []
+
+
+def test_p1_negative_degree_empty_without_powering():
+    # deg D < 0 is decided before any point's polynomial is raised to |n|
+    p, r = [pt for pt in L5.rational_points() if not pt.is_infinity][:2]
+    start = time.perf_counter()
+    assert rr_basis(L5, DivisorOnCurve(L5, [(p, -10 ** 9)])) == []
+    assert rr_basis(L5, DivisorOnCurve(L5, [(p, 10 ** 9), (r, -10 ** 9 - 1)])) == []
+    assert time.perf_counter() - start < 1
 
 
 def test_degree_zero_principal_dichotomy():
