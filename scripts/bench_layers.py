@@ -12,8 +12,12 @@ prints one JSON object of wall-clock seconds, each from a single run:
     untimed);
   * rref.F_{q}.{k}x{n}: linalg.rref on the generators of the decomposable
     codes below (built first, untimed);
-  * section_rows.F_49.{k}x3200: codes._section_rows for the a = 6, b = 24
-    code;
+  * section_rows.F_49.{k}x3200: the a = 6, b = 24 code's rows from its
+    Riemann-Roch bases: codes._values at the rational base points, then
+    codes._section_rows;
+  * build_elm.F_49.{k}x3200: codes.build_code_elm for a = 6, b = 24, the
+    center being the degree-2 point of index 0 with the first fiber
+    coordinate that `build` offers (fiber_index 0);
   * recovery_sets.F_49.18x3200: locality.recovery_sets for a = 2, b = 8;
   * recover_write.F_49.3200: writing that code's recovery.json (the sets
     are computed first, untimed);
@@ -26,7 +30,8 @@ prints one JSON object of wall-clock seconds, each from a single run:
     the work of `ruledcodes asymptotics` at the benchmark's settings.
 
 Each code lives on an elliptic curve with beta = b/2 times the degree-2
-point of index 1 and delta the degree-2 point of index 0.
+point of index 1 and delta (or the elm center) the degree-2 point of
+index 0.
 """
 
 import json
@@ -43,7 +48,7 @@ from ruledcodes.curve import curve_create, DivisorOnCurve, ELLIPTIC  # noqa: E40
 from ruledcodes.gf import FieldSpec, extend, field_create  # noqa: E402
 from ruledcodes.rrspace import rr_basis  # noqa: E402
 from ruledcodes.surface import (surface_decomposable,  # noqa: E402
-                                surface_rational_points)
+                                surface_elm_product)
 
 TABLE_FIELDS = [(2, 8), (7, 4), (2, 16)]
 
@@ -53,6 +58,7 @@ CODES = {
              (2, 4, (0, 0, 1, 0, 8), 5, 16),    # [425, 66]
              (7, 2, (0, 0, 0, 1, 0), 6, 24)],   # [3200, 126]
     "section_rows": [(7, 2, (0, 0, 0, 1, 0), 6, 24)],
+    "build_elm": [(7, 2, (0, 0, 0, 1, 0), 6, 24)],    # [3200, 126]
     "recovery_sets": [(7, 2, (0, 0, 0, 1, 0), 2, 8)],
     "recover_write": [(7, 2, (0, 0, 0, 1, 0), 2, 8)],
 }
@@ -139,14 +145,35 @@ def rref_s(code):
 
 
 def section_rows_s(code):
-    """Seconds of the _section_rows call that built the code (its
-    Riemann-Roch bases are built again first, untimed)."""
+    """Seconds to evaluate a decomposable code's Riemann-Roch bases at the
+    rational base points and form its rows, as build_code_decomposable does
+    (the bases are built again first, untimed)."""
     surface, a, beta = code.meta["surface"], code.meta["a"], code.meta["beta"]
     curve = surface.curve
-    terms = [(i, f) for i in range(a + 1)
-             for f in rr_basis(curve, beta - i * surface.delta)]
-    return _seconds(codes._section_rows, curve.spec, a, terms,
-                    curve.rational_points(), surface_rational_points(surface))
+    functions = [f for i in range(a + 1)
+                 for f in rr_basis(curve, beta - i * surface.delta)]
+    rational = curve.rational_points()
+
+    def run():
+        values = codes._values(functions, rational)
+        zero = [0] * len(rational)
+        coeffs = [[v if bi == i else zero
+                   for bi, v in zip(code.meta["block_index"], values)]
+                  for i in range(a + 1)]
+        return codes._section_rows(curve.spec, a, coeffs)
+    return _seconds(run)
+
+
+def build_elm_s(p, m, coeffs, a, b):
+    """(seconds, code) of build_code_elm on a fresh curve (its degree-2
+    points and the center's fiber coordinates are found first, untimed)."""
+    curve, center, beta = _code_divisors(p, m, coeffs, b)
+    (point, _), = center.items()
+    fiber = cli._valid_fiber_coords(point.ext_spec, curve.spec)[0]
+    surface = surface_elm_product(curve, point, fiber)
+    t0 = time.perf_counter()
+    code = codes.build_code_elm(surface, a, beta)
+    return time.perf_counter() - t0, code
 
 
 def recovery_sets_s(code):
@@ -181,6 +208,9 @@ def main():
         for config in CODES[layer]:
             code = decomposable_code(*config)
             out[f"{layer}.F_{code.spec.order}.{code.k}x{code.n}"] = timer(code)
+    for config in CODES["build_elm"]:
+        seconds, code = build_elm_s(*config)
+        out[f"build_elm.F_{code.spec.order}.{code.k}x{code.n}"] = seconds
     for config in CODES["recover_write"]:
         code = decomposable_code(*config)
         out[f"recover_write.F_{code.spec.order}.{code.n}"] = recover_write_s(code)

@@ -144,8 +144,8 @@ def _resolve_divisor(curve, items: list, path: str) -> DivisorOnCurve:
     for i, sel in enumerate(items):
         if not isinstance(sel, dict):
             raise ConfigError(f"{path}[{i}]: expected an object")
-        mult = sel.get("multiplicity", 1)
-        if not isinstance(mult, int) or mult == 0:
+        mult = _opt(sel, "multiplicity", int, f"{path}[{i}]", 1)
+        if mult == 0:
             raise ConfigError(f"{path}[{i}].multiplicity: nonzero integer required")
         out.append((_resolve_point(curve, sel, f"{path}[{i}]"), mult))
     return DivisorOnCurve(curve, out)
@@ -397,10 +397,17 @@ def cmd_asymptotics(args) -> int:
 
 
 def _asymptotics(args, q: int, A: float) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
+    # compute everything first, so that a run that exits 2 writes no file
     pts = envelope_product(q, A, args.samples)
-    write_frontier_csv(pts, os.path.join(args.out_dir, "product_envelope.csv"))
     disc = figure_discrepancy(q, A)
+    if args.optimized:
+        lo, hi, count = args.b_range
+        grid = [lo + (hi - lo) * i / max(count - 1, 1) for i in range(count)]
+        ruled = [r.point for r in (optimized_rate(q, A, b) for b in grid)
+                 if r.valid]
+        rows, interval = dominance_report(q, A, args.samples)
+    os.makedirs(args.out_dir, exist_ok=True)
+    write_frontier_csv(pts, os.path.join(args.out_dir, "product_envelope.csv"))
     if disc is not None:
         B, fig, mismatch = disc
         if mismatch:
@@ -408,12 +415,7 @@ def _asymptotics(args, q: int, A: float) -> int:
                   f"but the figure for q={q} shows {fig:.12g}; emitting the "
                   "formula value")
     if args.optimized:
-        lo, hi, count = args.b_range
-        grid = [lo + (hi - lo) * i / max(count - 1, 1) for i in range(count)]
-        ruled = [r.point for r in (optimized_rate(q, A, b) for b in grid)
-                 if r.valid]
         write_frontier_csv(ruled, os.path.join(args.out_dir, "ruled_optimized.csv"))
-        rows, interval = dominance_report(q, A, args.samples)
         with open(os.path.join(args.out_dir, "dominance.csv"), "w") as fh:
             fh.write("delta,rate_product,rate_ruled\n")
             for delta, rp, rr in rows:

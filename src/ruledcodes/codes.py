@@ -6,28 +6,33 @@ Families:
   * decomposable-surface codes: sections of a*S + pi^*(beta) on
     P(O (+) O(-delta)), message space the direct sum of L(beta - i*delta);
   * elm-surface codes: sections with a multiplicity-a condition at the
-    center, cut out by flattened local vanishing conditions;
-  * product codes PRS(a) (x) C_curve(beta) on C x P^1;
+    center, cut out by Hasse-derivative conditions on L(beta)^(a+1);
+  * product codes PRS(a) (x) C_curve(beta) on C x P^1, an independent
+    oracle for both surface families;
   * unisecant codes (a = 1) with their dimension/distance records.
 
 A section (f_0, ..., f_a) takes the value sum_i f_i(p) u^i at the surface
 point (p, u) and the top coefficient f_a(p) at (p, infinity), matching the
-projective Reed-Solomon convention on every fiber.
+projective Reed-Solomon convention on every fiber.  So both surface
+families share one evaluator, _section_rows: each row's values of
+(f_0, ..., f_a) at the N rational base points times the generator of PRS(a).
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import comb
 
 import numpy as np
 
 from .gf import DESK_CAP, FieldSpec, extend, field_create, prime_power
 from .curve import CurveModel, ClosedPoint, DivisorOnCurve
-from .rrspace import (rr_basis, evaluate, taylor_coeffs, subfield_coords)
+from .rrspace import (rr_basis, evaluate, taylor_coeffs, subfield_coords,
+                      subfield_rows)
 from .surface import (RuledSurfaceModel, DECOMPOSABLE, ELM, INFTY,
                       surface_rational_points, segre_decomposable,
                       segre_lower_bound_elm)
-from . import fqarray, linalg
+from . import linalg
 
 
 class LinearCode:
@@ -105,8 +110,7 @@ def build_curve_code(curve: CurveModel, beta: DivisorOnCurve) -> LinearCode:
     basis = rr_basis(curve, beta)
     if not basis:
         raise ValueError("empty message space L(beta)")
-    matrix = [[evaluate(f, p).val for p in pts] for f in basis]
-    return LinearCode(curve.spec, matrix, pts,
+    return LinearCode(curve.spec, _values(basis, pts), pts,
                       {"family": "curve", "b": b, "N": len(pts),
                        "beta": beta, "curve": curve})
 
@@ -130,10 +134,12 @@ def build_code_decomposable(surface: RuledSurfaceModel, a: int,
     blocks = [rr_basis(curve, beta - i * surface.delta) for i in range(a + 1)]
     if not any(blocks):
         raise ValueError("empty message space")
-    terms = [(i, f) for i, block in enumerate(blocks) for f in block]
-    matrix = _section_rows(curve.spec, a, terms, rational, pts)
-    block_index = [i for i, _ in terms]
-    return LinearCode(curve.spec, matrix, pts,
+    block_index = [i for i, block in enumerate(blocks) for _ in block]
+    values = _values([f for block in blocks for f in block], rational)
+    zero = [0] * len(rational)
+    coeffs = [[v if bi == i else zero for bi, v in zip(block_index, values)]
+              for i in range(a + 1)]
+    return LinearCode(curve.spec, _section_rows(curve.spec, a, coeffs), pts,
                       {"family": "decomposable_surface", "a": a, "b": b,
                        "e": surface.e, "N": len(rational),
                        "g": curve.genus, "surface": surface, "beta": beta,
@@ -141,35 +147,37 @@ def build_code_decomposable(surface: RuledSurfaceModel, a: int,
                        "block_dims": [len(bl) for bl in blocks]})
 
 
-def _section_rows(spec: FieldSpec, a: int, terms, rational, pts):
-    """One generator row per (i, f) in terms: the section f * u^i of
-    a*S + pi^*(beta) at every surface point (p, u) in pts, which is f(p)
-    times row i of PRS(a) at u: f(p) u^i on the affine fiber, and at
-    (p, infinity) f(p) when i == a, else 0.  Each distinct f is evaluated
-    once at the rational base points, and each row is read off the products
-    for every (p, u) in P^1(F_q) order."""
-    values = {}
-    for _, f in terms:
-        if f.key() not in values:
-            values[f.key()] = [evaluate(f, p).val for p in rational]
-    prs = build_prs(spec, a).matrix
-    fvals = fqarray.digits(spec, [values[f.key()] for _, f in terms])
-    powers = fqarray.digits(spec, [prs[i] for i, _ in terms])
-    table = fqarray.mul(spec, fvals[:, :, :, None], powers[:, :, None, :])
-    table = fqarray.encode(spec, table).reshape(len(terms), -1)
-    q = spec.order
-    base = {p: j * (q + 1) for j, p in enumerate(rational)}
-    return table[:, [base[p] + (q if u == INFTY else u) for p, u in pts]].tolist()
+def _values(functions, points):
+    """The value rows [f(p) for p in points], each distinct f evaluated once."""
+    rows = {}
+    for f in functions:
+        if f.key() not in rows:
+            rows[f.key()] = [evaluate(f, p).val for p in points]
+    return [rows[f.key()] for f in functions]
+
+
+def _section_rows(spec: FieldSpec, a: int, coeffs):
+    """The rows of the sections sum_i g_i u^i, coeffs[i] holding each row's
+    g_i at the N rational base points: the (k N) x (a + 1) values times
+    PRS(a)'s generator, read base major and fiber minor like
+    surface_rational_points."""
+    k, N = len(coeffs[0]), len(coeffs[0][0])
+    values = np.asarray(coeffs, dtype=np.int64).transpose(1, 2, 0).reshape(k * N, a + 1)
+    table = linalg.mat_mul(spec, values, build_prs(spec, a).matrix)
+    return [list(chain.from_iterable(table[r * N:(r + 1) * N])) for r in range(k)]
 
 
 def build_code_elm(surface: RuledSurfaceModel, a: int,
                    beta: DivisorOnCurve) -> LinearCode:
     """Sections of a(C0 - E) + pi^*(beta) on an elm surface.
 
-    Ambient space {sum_i f_i u^i : f_i in L(beta)} restricted by vanishing
-    of every local monomial t^j w^k, j + k <= a - 1, at the center
-    (t the uniformizer at the base point, w = u - fiber coordinate),
-    flattened into F_q-linear conditions.
+    The sections sum_i g_i u^i, g_i in L(beta), whose local expansion
+    sum_{j,kk} t^j w^kk at the center vanishes for j + kk <= a - 1 (t the
+    uniformizer at the base point, w = u - fiber coordinate).  The
+    coefficient of t^j w^kk is sum_i C(i, kk) u0^(i - kk) T_j(g_i), T_j the
+    j-th Taylor coefficient; each is flattened into deg(center) F_q-linear
+    conditions on the coefficients of the g_i in the L(beta) basis, and
+    each row of their null space is applied at the rational base points.
     """
     if surface.variant != ELM:
         raise ValueError("elm builder on a non-elm surface")
@@ -191,46 +199,33 @@ def build_code_elm(surface: RuledSurfaceModel, a: int,
     d = center.degree
     ext = extend(spec, d)
     u0 = surface.fiber_coord
+    m = len(basis)
 
-    # ambient generators: (i, f) for i = 0..a, f in the L(beta) basis
-    ambient = [(i, f) for i in range(a + 1) for f in basis]
+    # the coefficient vector lists g_i's L(beta) coordinates, i = 0..a
+    coords = subfield_coords(spec, ext)
+    taylors = [[c.val for c in taylor_coeffs(f, center, a)] for f in basis]
     cond_rows = []
-    if a >= 1:
-        coords = subfield_coords(spec, ext)
-        taylors = {f.key(): [c.val for c in taylor_coeffs(f, center, a)]
-                   for f in basis}
-        u0_pows = [1]
-        for _ in range(a):
-            u0_pows.append(ext.mul_i(u0_pows[-1], u0))
-        for j in range(a):
-            for kk in range(a - j):
-                entries = []
-                for i, f in ambient:
-                    if kk > i:
-                        entries.append(0)
-                        continue
-                    binom = comb(i, kk) % spec.p
-                    val = ext.mul_i(ext.mul_i(binom, taylors[f.key()][j]),
-                                    u0_pows[i - kk])
-                    entries.append(val)
-                for t in range(d):
-                    cond_rows.append([coords(v)[t] for v in entries])
-    if cond_rows:
-        null = linalg.nullspace(spec, cond_rows)
-    else:
-        null = [[1 if t == s else 0 for t in range(len(ambient))]
-                for s in range(len(ambient))]
+    for j in range(a):
+        for kk in range(a - j):
+            hasse = [ext.mul_i(comb(i, kk) % spec.p, ext.pow_i(u0, i - kk))
+                     if i >= kk else 0 for i in range(a + 1)]
+            cond_rows.extend(subfield_rows(coords, [
+                ext.mul_i(h, t[j]) for h in hasse for t in taylors]))
+    null = linalg.nullspace(spec, cond_rows, (a + 1) * m)
     if not null:
         raise ValueError("empty message space after multiplicity conditions")
 
-    pts = surface_rational_points(surface)
-    amb_rows = _section_rows(spec, a, ambient, rational, pts)
-    matrix = linalg.mat_mul(spec, null, amb_rows)
-    return LinearCode(spec, matrix, pts,
+    # row r's g_i at the base points: its block-i coordinates times the
+    # basis values, all blocks of all rows in one product
+    blocks = [row[i * m:(i + 1) * m] for row in null for i in range(a + 1)]
+    values = linalg.mat_mul(spec, blocks, _values(basis, rational))
+    coeffs = [values[i::a + 1] for i in range(a + 1)]
+    return LinearCode(spec, _section_rows(spec, a, coeffs),
+                      surface_rational_points(surface),
                       {"family": "elm_surface", "a": a, "b": b, "d": d,
                        "N": len(rational), "g": curve.genus,
                        "surface": surface, "beta": beta, "curve": curve,
-                       "condition_rank": len(ambient) - len(null),
+                       "condition_rank": (a + 1) * m - len(null),
                        "condition_count": len(cond_rows)})
 
 

@@ -57,11 +57,9 @@ def rank(spec: FieldSpec, rows: list[list[int]]) -> int:
     return len(rref(spec, rows)[0])
 
 
-def nullspace(spec: FieldSpec, rows: list[list[int]]) -> list[list[int]]:
-    """Echelonized basis of {x : rows @ x = 0}, free variables in column order."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
+def nullspace(spec: FieldSpec, rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Echelonized basis of {x in F_q^ncols : rows @ x = 0}, free variables
+    in column order; no rows give the identity."""
     red, pivots = rref(spec, rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -105,10 +103,12 @@ def row_space_equal(spec: FieldSpec, a: list[list[int]], b: list[list[int]]) -> 
     return ra == rb
 
 
-def mat_mul(spec: FieldSpec, a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+def mat_mul(spec: FieldSpec, a, b) -> list[list[int]]:
+    """a @ b; row t of b meets only the rows of a nonzero in column t."""
     x = fqarray.digits(spec, a)
     y = fqarray.digits(spec, b)
     acc = np.zeros((spec.deg, x.shape[1], y.shape[2]), dtype=np.int64)
     for t in range(y.shape[1]):
-        acc = fqarray.add(spec, acc, fqarray.mul(spec, x[:, :, t, None], y[:, None, t]))
-    return fqarray.encode(spec, acc).tolist()
+        rows = np.flatnonzero(x[:, :, t].any(axis=0))
+        acc[:, rows] += fqarray.mul(spec, x[:, rows, t, None], y[:, None, t])
+    return fqarray.encode(spec, acc % spec.p).tolist()

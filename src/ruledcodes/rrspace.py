@@ -514,6 +514,12 @@ def subfield_coords(small: FieldSpec, big: FieldSpec):
     return fn
 
 
+def subfield_rows(coords, values) -> list[list[int]]:
+    """The F_q-linear rows of values in F_{q^d}: row t holds coordinate t
+    of every value, with coords from subfield_coords."""
+    return [list(row) for row in zip(*map(coords, values))]
+
+
 def x_min_poly(curve: CurveModel, pt: ClosedPoint) -> Poly:
     """Minimal polynomial over F_q of the x-coordinate of pt."""
     assert not pt.is_infinity
@@ -624,17 +630,10 @@ def _rr_basis_elliptic(curve, D):
         xs, ys = _chart(curve, qpt).xy(r_q + 4)
         series = _monomial_series(monomials, xs, ys, start + r_q)
         for k in range(start, start + r_q):
-            digits = [coords(s._coeff_raw(k)) for s in series]
-            rows.extend([c[j] for c in digits] for j in range(qpt.degree))
-
-    if rows:
-        null = linalg.nullspace(spec, rows)
-    else:
-        null = [[1 if t == k else 0 for t in range(len(monomials))]
-                for k in range(len(monomials))]
+            rows.extend(subfield_rows(coords, [s._coeff_raw(k) for s in series]))
 
     basis = []
-    for vec in null:
+    for vec in linalg.nullspace(spec, rows, len(monomials)):
         a_coeffs = {}
         b_coeffs = {}
         for lam, (i, j) in zip(vec, monomials):

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from . import linalg
 from .gf import extend
 from .curve import CurveModel, ClosedPoint, DivisorOnCurve
-from .rrspace import evaluate, effective_divisors, rr_basis, subfield_coords
+from .rrspace import (evaluate, effective_divisors, rr_basis, subfield_coords,
+                      subfield_rows)
 
 DECOMPOSABLE = "decomposable"
 ELM = "elm"
@@ -262,8 +263,8 @@ def segre_lower_bound_elm(surface: RuledSurfaceModel, dmax: int):
 
 def _takes_value(curve, D, center, coords, rhs) -> bool:
     """True iff some f in L(D) has coords(f(center)) == rhs."""
-    cols = [coords(evaluate(f, center).val) for f in rr_basis(curve, D)]
-    rows = [[col[j] for col in cols] for j in range(len(rhs))]
+    rows = subfield_rows(coords, [evaluate(f, center).val
+                                  for f in rr_basis(curve, D)])
     return linalg.solve(curve.spec, rows, rhs) is not None
 
 

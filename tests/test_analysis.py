@@ -241,7 +241,7 @@ def test_exact_params_macwilliams(spec):
         for _ in range(2):
             rows = [[rng.randrange(q) for _ in range(n)]
                     for _ in range(rng.randint(1, n - 1))]
-            dual = linalg.nullspace(spec, rows)
+            dual = linalg.nullspace(spec, rows, n)
             dist = _macwilliams(_weights(spec, dual, n), q, n)
             assert dist == _weights(spec, rows, n)
             assert exact_params(_code(spec, rows, n)) == _params(spec, dist, n)

@@ -213,10 +213,12 @@ def test_asymptotics_q49_discrepancy_note(tmp_path, capsys):
 
 
 def test_asymptotics_A_too_small(tmp_path, capsys):
-    rc = main(["asymptotics", "--q", "16", "--A", "1.5",
-               "--out-dir", str(tmp_path)])
-    assert rc == 2
-    assert "A must exceed 2" in capsys.readouterr().err
+    # the error comes after the envelope is computed, but no file is written
+    out = tmp_path / "asym"
+    rc = main(["asymptotics", "--q", "16", "--A", "1.5", "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2 and "A must exceed 2" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("q, A, flag", [
@@ -478,6 +480,14 @@ def test_cap_refusal_names_the_selector(tmp_path, capsys, where, overrides):
     err = capsys.readouterr().err
     assert (f"{where}: degree-9 points need F_{{5^9}}, above the desk-scale "
             "cap 1048576") in err
+
+
+def test_boolean_multiplicity_exit2(tmp_path, capsys):
+    code = {"a": 1, "beta": [{"degree": 3, "index": 0, "multiplicity": True}]}
+    cfg = write_config(tmp_path, code=code)
+    assert main(["build", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config.code.beta[0].multiplicity" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["build", "recover", "segre"])

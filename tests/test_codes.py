@@ -194,6 +194,27 @@ def test_elm_condition_rank_cap():
     assert k >= rep.k_lower and dist >= rep.d_lower
 
 
+@pytest.mark.parametrize("pm, coeffs, mult", [((5, 1), (0, 0, 0, 0, 1), 2),
+                                              ((2, 2), (1, 0, 0, 0, 1), 3),
+                                              ((2, 4), (0, 0, 1, 0, 8), 2)],
+                         ids=["F5", "F4", "F16"])
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_elm_rows_lie_in_the_product_code(pm, coeffs, mult, a):
+    # every elm section is a section of a*C0 + pi^*(beta) on C x P^1, so the
+    # elm code is a k-dimensional subcode of PRS(a) (x) C(beta)
+    spec = field_create(*pm)
+    curve = curve_create(ELLIPTIC, coeffs, spec)
+    center, other = curve.closed_points(2)[:2]
+    ext = extend(spec, 2)
+    embedded = {ext.embed_i(spec, v) for v in range(spec.order)}
+    fc = next(e for e in range(ext.order) if e not in embedded)
+    beta = DivisorOnCurve(curve, [(other, mult)])
+    elm = build_code_elm(surface_elm_product(curve, center, fc), a, beta)
+    product = build_product_code(curve, a, beta)
+    assert elm.k > 0 and linalg.rank(spec, elm.matrix) == elm.k
+    assert linalg.row_space_contains(spec, product.matrix, elm.matrix)
+
+
 def test_elm_rejects_center_in_support():
     surf = elm_surface()
     with pytest.raises(ValueError):

@@ -3,12 +3,15 @@
 The sha256 of every file `build` writes for the three configs in
 scripts/configs, of the `verify` stdout on the decomposable demo build, of
 the `segre` stdout on the elm demo, of `recovery.json` on the locality
-demo, and of the `asymptotics` stdout and CSVs for q = 16, A = 3 and
-q = 49, A = 6 (the benchmark's frontier settings).  A refactor that changes any output
-byte fails here; a deliberate output change must re-record the digest.
+demo, of the `asymptotics` stdout and CSVs for q = 16, A = 3 and
+q = 49, A = 6 (the benchmark's frontier settings), and of `generator.txt`
+for three surface codes on the max curves over F_16 and F_49.  A refactor
+that changes any output byte fails here; a deliberate output change must
+re-record the digest.
 """
 
 import hashlib
+import json
 import os
 
 import pytest
@@ -100,3 +103,40 @@ def test_asymptotics_outputs_match_golden(tmp_path, monkeypatch, capsys, q, A):
     assert _sha(stdout.encode()) == GOLDEN[f"{name}/stdout"]
     for fname in ("product_envelope.csv", "ruled_optimized.csv", "dominance.csv"):
         assert _sha((tmp_path / "asym" / fname).read_bytes()) == GOLDEN[f"{name}/{fname}"], fname
+
+
+# Paper-regime surface codes on the max curves: beta is b/2 times the
+# degree-2 point of index 1; an elm center is the degree-2 point of index 0
+# with fiber_index 0, and delta is that point for the decomposable code.
+REGIME_GENERATORS = [
+    ((2, 4), [0, 0, 1, 0, 8], "elm", 3, 12,
+     "89dcfab3cfbc558626984fdf02f17878a90dd5e0d6ad2bc98fbe730750a45ec7"),
+    ((2, 4), [0, 0, 1, 0, 8], "decomposable", 5, 16,
+     "6122ccd66902e6b0c7ec1ab2a0470fb6dcc07c35891e4e9c6bc6cd77622b8643"),
+    ((7, 2), [0, 0, 0, 1, 0], "elm", 3, 12,
+     "7ba525e61657d7370d0c13544462ef78b3b88b9a0508e2c0252d02a90bae8a70"),
+]
+
+
+@pytest.mark.parametrize("pm, coefficients, variant, a, b, digest",
+                         REGIME_GENERATORS,
+                         ids=["F16-elm-a3b12", "F16-decomposable-a5b16",
+                              "F49-elm-a3b12"])
+def test_regime_generator_matches_golden(tmp_path, capsys, pm, coefficients,
+                                         variant, a, b, digest):
+    point = {"degree": 2, "index": 0}
+    surface = ({"variant": "elm", "center": {"degree": 2, "base_index": 0,
+                                             "fiber_index": 0}}
+               if variant == "elm" else
+               {"variant": "decomposable", "delta": [point]})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "field": {"p": pm[0], "m": pm[1]},
+        "curve": {"kind": "elliptic", "coefficients": coefficients},
+        "surface": surface,
+        "code": {"a": a, "beta": [{"degree": 2, "index": 1,
+                                   "multiplicity": b // 2}]},
+        "analysis": {"exact_cap": 1}}))
+    out = tmp_path / "out"
+    assert main(["build", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    assert _sha((out / "generator.txt").read_bytes()) == digest

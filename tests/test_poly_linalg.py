@@ -11,6 +11,7 @@ from linalg_oracle import rref as oracle_rref
 
 F5 = field_create(5, 1)
 F4 = field_create(2, 2)
+F16 = field_create(2, 4)
 
 # F_2..F_9, F_49, F_{3^6}, and F_{5^7} above the table limit
 RREF_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (7, 2),
@@ -91,7 +92,7 @@ def test_rref_and_rank():
 def test_nullspace_orthogonality():
     rng = random.Random(3)
     rows = [[rng.randrange(5) for _ in range(6)] for _ in range(3)]
-    null = linalg.nullspace(F5, rows)
+    null = linalg.nullspace(F5, rows, 6)
     assert len(null) >= 3
     for vec in null:
         for row in rows:
@@ -104,7 +105,11 @@ def test_nullspace_orthogonality():
 
 def test_nullspace_full_rank_matrix_is_trivial():
     rows = [[1, 0], [0, 1]]
-    assert linalg.nullspace(F5, rows) == []
+    assert linalg.nullspace(F5, rows, 2) == []
+
+
+def test_nullspace_of_no_rows_is_the_identity():
+    assert linalg.nullspace(F5, [], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_solve_consistent_and_inconsistent():
@@ -136,6 +141,18 @@ def test_mat_mul_against_direct():
             for t in range(3):
                 acc = F4.add_i(acc, F4.mul_i(a[i][t], b[t][j]))
             assert out[i][j] == acc
+
+
+def test_mat_mul_skips_zero_blocks_exactly():
+    # block-diagonal left factor and a zero row: each inner column is
+    # nonzero on a few rows only, the rows the product visits
+    rng = random.Random(7)
+    a = [[rng.randrange(1, 16) if t == i % 3 else 0 for t in range(3)]
+         for i in range(7)] + [[0, 0, 0]]
+    b = [[rng.randrange(16) for _ in range(4)] for _ in range(3)]
+    out = linalg.mat_mul(F16, a, b)
+    assert out == [[F16.mul_i(row[i % 3], b[i % 3][j]) if i < 7 else 0
+                    for j in range(4)] for i, row in enumerate(a)]
 
 
 @settings(max_examples=100, deadline=None)
