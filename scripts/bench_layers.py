@@ -19,6 +19,8 @@ prints one JSON object of wall-clock seconds, each from a single run:
     center being the degree-2 point of index 0 with the first fiber
     coordinate that `build` offers (fiber_index 0);
   * recovery_sets.F_49.18x3200: locality.recovery_sets for a = 2, b = 8;
+  * fiber_ranks.F_49.18x3200: locality.fiber_ranks on the same code, the
+    work of `build` with analysis.locality;
   * recover_write.F_49.3200: writing that code's recovery.json (the sets
     are computed first, untimed);
   * closed_points.F_{q^d}.d{d}: CurveModel.closed_points(d) on fresh
@@ -60,6 +62,7 @@ CODES = {
     "section_rows": [(7, 2, (0, 0, 0, 1, 0), 6, 24)],
     "build_elm": [(7, 2, (0, 0, 0, 1, 0), 6, 24)],    # [3200, 126]
     "recovery_sets": [(7, 2, (0, 0, 0, 1, 0), 2, 8)],
+    "fiber_ranks": [(7, 2, (0, 0, 0, 1, 0), 2, 8)],
     "recover_write": [(7, 2, (0, 0, 0, 1, 0), 2, 8)],
 }
 
@@ -180,6 +183,10 @@ def recovery_sets_s(code):
     return _seconds(locality.recovery_sets, code)
 
 
+def fiber_ranks_s(code):
+    return _seconds(locality.fiber_ranks, code)
+
+
 def recover_write_s(code):
     """Seconds to write recovery.json the way cmd_recover does."""
     sets = locality.recovery_sets(code)
@@ -204,7 +211,8 @@ def main():
     for p, m, coeffs, a, b in CODES["rref"]:
         out[f"rr_basis.F_{p ** m}.a{a}b{b}"] = rr_basis_s(p, m, coeffs, a, b)
     for layer, timer in (("rref", rref_s), ("section_rows", section_rows_s),
-                         ("recovery_sets", recovery_sets_s)):
+                         ("recovery_sets", recovery_sets_s),
+                         ("fiber_ranks", fiber_ranks_s)):
         for config in CODES[layer]:
             code = decomposable_code(*config)
             out[f"{layer}.F_{code.spec.order}.{code.k}x{code.n}"] = timer(code)

@@ -26,7 +26,7 @@ from .codes import (build_code_decomposable, build_code_elm,
 from .analysis import (bound_elm_family, bound_decomposable_family, exact_params,
                        griesmer_check, singleton_check, CapExceededError,
                        EXACT_CAP_DEFAULT)
-from .locality import restriction_fiber, recovery_sets
+from .locality import fiber_ranks, recovery_sets
 from .asymptotics import (envelope_product, optimized_rate, dominance_report,
                           figure_discrepancy, write_frontier_csv)
 
@@ -41,6 +41,8 @@ def _need(block: dict, key: str, kind, path: str):
     v = block[key]
     if kind is int and (not isinstance(v, int) or isinstance(v, bool)):
         raise ConfigError(f"{path}.{key}: expected an integer, got {v!r}")
+    if kind is bool and not isinstance(v, bool):
+        raise ConfigError(f"{path}.{key}: expected true or false, got {v!r}")
     if kind is dict and not isinstance(v, dict):
         raise ConfigError(f"{path}.{key}: expected an object")
     if kind is list and not isinstance(v, list):
@@ -104,7 +106,7 @@ def _build_curve(cfg: dict):
         return curve_create(P1, None, spec)
     if kind == "elliptic":
         coeffs = _need(cb, "coefficients", list, "config.curve")
-        if len(coeffs) != 5 or not all(isinstance(c, int) for c in coeffs):
+        if len(coeffs) != 5 or not all(type(c) is int for c in coeffs):
             raise ConfigError("config.curve.coefficients: expected 5 integers "
                               "(a1, a2, a3, a4, a6)")
         try:
@@ -115,7 +117,7 @@ def _build_curve(cfg: dict):
 
 
 def _resolve_point(curve, sel: dict, path: str) -> ClosedPoint:
-    if sel.get("infinity"):
+    if _opt(sel, "infinity", bool, path, False):
         return ClosedPoint(curve, 1, None, None)
     d = _need(sel, "degree", int, path)
     if d < 1:
@@ -214,7 +216,7 @@ def _build_code(cfg: dict):
     try:
         if surface.variant == ELM:
             code = build_code_elm(surface, a, beta)
-        elif code_block.get("tensor", False):
+        elif _opt(code_block, "tensor", bool, "config.code", False):
             code = build_product_code(curve, a, beta)
             code.meta["surface"] = surface
         else:
@@ -262,6 +264,7 @@ def cmd_build(args) -> int:
     analysis_block = _opt(cfg, "analysis", dict, "config", {})
     cap = _opt(analysis_block, "exact_cap", int, "config.analysis",
                EXACT_CAP_DEFAULT)
+    locality = _opt(analysis_block, "locality", bool, "config.analysis", False)
     bound = _bound_for(code)
     report = {
         "family": code.meta["family"],
@@ -282,9 +285,8 @@ def cmd_build(args) -> int:
         report["singleton"] = singleton_check(n, k, d)
     except CapExceededError as exc:
         report["exact_skipped"] = str(exc)
-    if analysis_block.get("locality"):
-        ranks = [restriction_fiber(code, p).meta["rank"]
-                 for p in code.meta["curve"].rational_points()]
+    if locality:
+        ranks = list(fiber_ranks(code).values())
         report["fiber_ranks"] = ranks
         report["fibers_full_rank"] = all(r == code.meta["a"] + 1 for r in ranks)
     report["class"] = str(NumClass(code.meta["a"], code.meta["b"]))

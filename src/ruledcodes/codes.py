@@ -20,15 +20,13 @@ families share one evaluator, _section_rows: each row's values of
 
 from __future__ import annotations
 
-from itertools import chain
 from math import comb
 
 import numpy as np
 
 from .gf import DESK_CAP, FieldSpec, extend, field_create, prime_power
 from .curve import CurveModel, ClosedPoint, DivisorOnCurve
-from .rrspace import (rr_basis, evaluate, taylor_coeffs, subfield_coords,
-                      subfield_rows)
+from .rrspace import rr_basis, evaluate, taylor_coeffs, subfield_coords
 from .surface import (RuledSurfaceModel, DECOMPOSABLE, ELM, INFTY,
                       surface_rational_points, segre_decomposable,
                       segre_lower_bound_elm)
@@ -161,10 +159,9 @@ def _section_rows(spec: FieldSpec, a: int, coeffs):
     g_i at the N rational base points: the (k N) x (a + 1) values times
     PRS(a)'s generator, read base major and fiber minor like
     surface_rational_points."""
-    k, N = len(coeffs[0]), len(coeffs[0][0])
-    values = np.asarray(coeffs, dtype=np.int64).transpose(1, 2, 0).reshape(k * N, a + 1)
-    table = linalg.mat_mul(spec, values, build_prs(spec, a).matrix)
-    return [list(chain.from_iterable(table[r * N:(r + 1) * N])) for r in range(k)]
+    values = np.asarray(coeffs, dtype=np.int64).transpose(1, 2, 0)
+    table = linalg.mat_mul(spec, values.reshape(-1, a + 1), build_prs(spec, a).matrix)
+    return table.reshape(len(values), -1).tolist()
 
 
 def build_code_elm(surface: RuledSurfaceModel, a: int,
@@ -202,15 +199,14 @@ def build_code_elm(surface: RuledSurfaceModel, a: int,
     m = len(basis)
 
     # the coefficient vector lists g_i's L(beta) coordinates, i = 0..a
-    coords = subfield_coords(spec, ext)
     taylors = [[c.val for c in taylor_coeffs(f, center, a)] for f in basis]
-    cond_rows = []
+    conditions = []
     for j in range(a):
         for kk in range(a - j):
             hasse = [ext.mul_i(comb(i, kk) % spec.p, ext.pow_i(u0, i - kk))
                      if i >= kk else 0 for i in range(a + 1)]
-            cond_rows.extend(subfield_rows(coords, [
-                ext.mul_i(h, t[j]) for h in hasse for t in taylors]))
+            conditions.append([ext.mul_i(h, t[j]) for h in hasse for t in taylors])
+    cond_rows = subfield_coords(spec, ext, conditions)
     null = linalg.nullspace(spec, cond_rows, (a + 1) * m)
     if not null:
         raise ValueError("empty message space after multiplicity conditions")

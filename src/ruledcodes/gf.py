@@ -137,7 +137,7 @@ class FieldSpec:
         self._exp = None
         self._log = None
         self._embeddings = {}
-        self._coords = {}               # subfield coordinate maps, see rrspace
+        self._coords = {}               # inverse basis matrices, see rrspace
         self._fq_maps = None            # fqarray's digit powers and reduction maps
         if self.order <= _TABLE_MAX:
             self._build_tables()

@@ -103,12 +103,13 @@ def row_space_equal(spec: FieldSpec, a: list[list[int]], b: list[list[int]]) -> 
     return ra == rb
 
 
-def mat_mul(spec: FieldSpec, a, b) -> list[list[int]]:
-    """a @ b; row t of b meets only the rows of a nonzero in column t."""
+def mat_mul(spec: FieldSpec, a, b) -> np.ndarray:
+    """a @ b as an int64 array of encodings; row t of b meets only the rows
+    of a nonzero in column t."""
     x = fqarray.digits(spec, a)
     y = fqarray.digits(spec, b)
     acc = np.zeros((spec.deg, x.shape[1], y.shape[2]), dtype=np.int64)
     for t in range(y.shape[1]):
         rows = np.flatnonzero(x[:, :, t].any(axis=0))
         acc[:, rows] += fqarray.mul(spec, x[:, rows, t, None], y[:, None, t])
-    return fqarray.encode(spec, acc % spec.p).tolist()
+    return fqarray.encode(spec, acc % spec.p)

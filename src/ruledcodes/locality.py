@@ -47,6 +47,13 @@ def _fibers(code: LinearCode):
     return fibers
 
 
+def fiber_ranks(code: LinearCode) -> dict:
+    """{base point: rank of the code restricted to its fiber}, base points
+    in the order their first column appears; the columns are grouped once."""
+    return {p: linalg.rank(code.spec, [[row[i] for i in idx] for row in code.matrix])
+            for p, idx in _fibers(code).items()}
+
+
 def restriction_fiber(code: LinearCode, p: ClosedPoint) -> LinearCode:
     """The code restricted to the q+1 columns of the fiber over p.
 
@@ -147,13 +154,11 @@ def recovery_sets(code: LinearCode):
         u = code.columns[i][1]
         return (u == INFTY, 0 if u == INFTY else u)
 
-    fibers = {}
-    for p, idx in _fibers(code).items():
-        rk = linalg.rank(spec, [[row[i] for i in idx] for row in code.matrix])
+    for p, rk in fiber_ranks(code).items():
         if rk != r:
             raise ValueError(f"fiber over {p!r} has rank {rk}, "
                              f"expected {r}; recovery sets unavailable")
-        fibers[p] = sorted(idx, key=canonical)
+    fibers = {p: sorted(idx, key=canonical) for p, idx in _fibers(code).items()}
     weights = {}
     out = {}
     for target_idx, (p, u_t) in enumerate(code.columns):

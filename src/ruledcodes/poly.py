@@ -152,12 +152,14 @@ class Poly:
         return Poly(self.spec, [self.spec.mul_i(inv, c) for c in self.coeffs])
 
     def eval_i(self, x: int, target: FieldSpec | None = None) -> int:
-        """Horner evaluation; coefficients are embedded into target if given."""
+        """Horner evaluation; coefficients are embedded into target if it is
+        another field."""
         s = target or self.spec
+        cs = self.coeffs if s is self.spec else [s.embed_i(self.spec, c)
+                                                 for c in self.coeffs]
         acc = 0
-        for c in reversed(self.coeffs):
-            cc = s.embed_i(self.spec, c) if target is not None else c
-            acc = s.add_i(s.mul_i(acc, x), cc)
+        for c in reversed(cs):
+            acc = s.add_i(s.mul_i(acc, x), c)
         return acc
 
     def map_to(self, target: FieldSpec) -> "Poly":

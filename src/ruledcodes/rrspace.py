@@ -9,12 +9,14 @@ The elliptic basis algorithm multiplies L(D) into a pole-at-infinity-only
 space: an auxiliary function u, a product of minimal polynomials of the
 x-coordinates of the positive support, has an explicitly known divisor, so
 u * L(D) is the subspace of L(M'*O) cut out by vanishing conditions at known
-closed points.  Vanishing to order n at a degree-d point contributes n*d
-linear conditions over F_q once the order-n truncated expansion (computed in
-F_{q^d} with a local chart) is flattened through a fixed F_q-basis of
-F_{q^d}.  A zero of order n at O itself reads the n coefficients from
-t^(-M') on, in the same loop.  The resulting nullspace is echelonized
-against the monomial order of L(M'*O), which makes bases reproducible.
+affine closed points.  Vanishing to order n at a degree-d point contributes
+n*d linear conditions over F_q: the n x M coefficient matrix of the
+order-n truncated expansions of the M monomials (computed in F_{q^d} with a
+local chart) goes through subfield_coords, the one map from F_{q^d} to
+F_q-coordinates, in one call.  The monomials x^i y^j have the distinct pole
+orders 2i + 3j at O, so D(O) is read into M' as D(infinity) is on P^1, and O
+imposes no condition.  The resulting nullspace is echelonized against the
+monomial order of L(M'*O), which makes bases reproducible.
 
 Local expansions are LSeries, t^v times a Poly in the uniformizer t, so they
 use Poly's arithmetic.  A chart fixes one coordinate (x0 + t, y0 + t, or
@@ -31,17 +33,19 @@ effective_divisors lists the effective divisors of one degree; the
 graph-avoidance bound in surface asks one linear solve of each L(D).
 
 Nothing here is cached at module level: local charts are cached on their
-CurveModel, and the subfield coordinate maps of subfield_coords on the big
+CurveModel, and the inverse basis matrices of subfield_coords on the big
 FieldSpec, so both are freed with their owner.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .gf import FieldSpec, FieldElement, field_create
 from .poly import Poly
 from .curve import (CurveModel, ClosedPoint, DivisorOnCurve, P1, ELLIPTIC,
                     divisor_class_sum)
-from . import linalg
+from . import fqarray, linalg
 
 
 class PoleError(ArithmeticError):
@@ -467,57 +471,43 @@ def evaluate(f: CurveFunction, pt: ClosedPoint) -> FieldElement:
 # minimal polynomial of an x-coordinate, and the fiber of the x-map over it
 
 def _coerce_down(spec: FieldSpec, big: FieldSpec, poly_big: Poly) -> Poly:
-    coords = subfield_coords(spec, big)
-    out = []
-    for c in poly_big.coeffs:
-        u = coords(c)
-        assert all(x == 0 for x in u[1:]), "coefficient not in the base field"
-        out.append(u[0])
-    return Poly(spec, out)
+    coords = subfield_coords(spec, big, [poly_big.coeffs])
+    assert not any(map(any, coords[1:])), "coefficient not in the base field"
+    return Poly(spec, coords[0])
 
 
-def subfield_coords(small: FieldSpec, big: FieldSpec):
-    """Callable mapping enc in big to its coordinate tuple over small,
-    with respect to the basis 1, z, ..., z^(d-1) of big (z the class of
-    the absolute generator).  Cached on big, keyed like its embeddings."""
+def subfield_coords(small: FieldSpec, big: FieldSpec, values) -> list[list[int]]:
+    """The F_q-linear rows of a k x M matrix of encodings in big = F_{q^d}
+    over small = F_q: row t*k + r holds coordinate t of row r, with respect
+    to the basis 1, z, ..., z^(d-1) of big over small (z the class of the
+    absolute generator).  One F_p-linear map takes the digits of every value
+    to its coordinates in the basis e_i z^j, e_i the basis of small over F_p;
+    its matrix is cached on big, keyed like its embeddings."""
+    if not len(values):
+        return []
     key = (small.p, small.deg, small.modulus)
-    if key in big._coords:
-        return big._coords[key]
-    if small is big or small == big:
-        fn = lambda enc: (enc,)
-        big._coords[key] = fn
-        return fn
-    d = big.deg // small.deg
-    p = big.p
-    n = big.deg
-    z = p if big.deg > 1 else 0   # encoding of the generator z of big
-    cols = []
-    for j in range(d):
-        zj = big.pow_i(z, j) if big.deg > 1 else (1 if j == 0 else 0)
-        for i in range(small.deg):
-            base_el = big.embed_i(small, small.encode([0] * i + [1]))
-            cols.append(big.decode(big.mul_i(base_el, zj)))
-    # invert the n x n basis matrix over F_p: rref of [M | I] is [I | M^-1]
+    if key not in big._coords:
+        big._coords[key] = _subfield_inverse(small, big)
+    sol = fqarray.linear(big, big._coords[key], fqarray.digits(big, values))
+    d, k, ncols = big.deg // small.deg, *sol.shape[1:]
+    sol = sol.reshape(d, small.deg, k, ncols).swapaxes(0, 1)
+    return fqarray.encode(small, sol).reshape(d * k, ncols).tolist()
+
+
+def _subfield_inverse(small: FieldSpec, big: FieldSpec):
+    """The inverse over F_p of the matrix whose column j*deg(small) + i holds
+    the digits of e_i z^j in big."""
+    n, p = big.deg, big.p
+    z = p if n > 1 else 0   # encoding of the generator z of big
+    cols = [big.decode(big.mul_i(big.embed_i(small, small.encode([0] * i + [1])),
+                                 big.pow_i(z, j)))
+            for j in range(n // small.deg) for i in range(small.deg)]
+    # rref of [M | I] is [I | M^-1]
     aug = [[cols[c][r] for c in range(n)] + [1 if r == j else 0 for j in range(n)]
            for r in range(n)]
     red, pivots = linalg.rref(field_create(p, 1), aug)
     assert pivots == list(range(n)), "basis matrix is singular"
-    inv_mat = [row[n:] for row in red]
-
-    def fn(enc: int):
-        digs = big.decode(enc)
-        sol = [sum(inv_mat[i][j] * digs[j] for j in range(n)) % p for i in range(n)]
-        return tuple(small.encode(sol[j * small.deg:(j + 1) * small.deg])
-                     for j in range(d))
-
-    big._coords[key] = fn
-    return fn
-
-
-def subfield_rows(coords, values) -> list[list[int]]:
-    """The F_q-linear rows of values in F_{q^d}: row t holds coordinate t
-    of every value, with coords from subfield_coords."""
-    return [list(row) for row in zip(*map(coords, values))]
+    return np.array([row[n:] for row in red], dtype=np.int64)
 
 
 def x_min_poly(curve: CurveModel, pt: ClosedPoint) -> Poly:
@@ -595,14 +585,11 @@ def _rr_basis_elliptic(curve, D):
         # the degree-0 dichotomy is decided by the group law, not by rank
         if divisor_class_sum(D) is not None:
             return []
-    dp, dm = D.pos_part(), D.neg_part()
-    n_o = dp.multiplicity(ClosedPoint(curve, 1, None, None))
-
     u = Poly.one(spec)
     zdiv: dict[ClosedPoint, int] = {}
     m_pole = 0
-    for pt, n in dp.items():
-        if pt.is_infinity:
+    for pt, n in D.items():
+        if n <= 0 or pt.is_infinity:
             continue
         e_pt = 2 if curve.is_two_torsion(pt.x, pt.y, pt.ext_spec) else 1
         c = -(-n // e_pt)
@@ -611,26 +598,25 @@ def _rr_basis_elliptic(curve, D):
         m_pole += 2 * c * m.degree
         for cp, e in fiber:
             zdiv[cp] = zdiv.get(cp, 0) + c * e
-    m_amb = m_pole + n_o
+    # x^i y^j has a pole of order 2i + 3j at O and no other, so D(O) only
+    # moves the bound of the ambient space, as on P^1
+    m_amb = m_pole + D.multiplicity(ClosedPoint(curve, 1, None, None))
 
     monomials = [(i, j) for j in (0, 1) for i in range(m_amb + 1)
                  if 2 * i + 3 * j <= m_amb]
     monomials.sort(key=lambda ij: (2 * ij[0] + 3 * ij[1], ij[1]))
 
-    # u f vanishes to order r_Q at each point Q; at O, where the monomials
-    # have poles of order up to m_amb, its expansion starts at t^(-m_amb)
+    # u f vanishes to order r_Q = div(u)(Q) - D(Q) at each affine point Q
     rows = []
-    cond_pts = sorted(set(zdiv) | set(dm.support()), key=ClosedPoint.sort_key)
-    for qpt in cond_pts:
-        r_q = zdiv.get(qpt, 0) - dp.multiplicity(qpt) + dm.multiplicity(qpt)
-        if r_q <= 0:
+    for qpt in sorted({*zdiv, *D.support()}, key=ClosedPoint.sort_key):
+        r_q = zdiv.get(qpt, 0) - D.multiplicity(qpt)
+        if r_q <= 0 or qpt.is_infinity:
             continue
-        start = -m_amb if qpt.is_infinity else 0
-        coords = subfield_coords(spec, qpt.ext_spec)
         xs, ys = _chart(curve, qpt).xy(r_q + 4)
-        series = _monomial_series(monomials, xs, ys, start + r_q)
-        for k in range(start, start + r_q):
-            rows.extend(subfield_rows(coords, [s._coeff_raw(k) for s in series]))
+        series = _monomial_series(monomials, xs, ys, r_q)
+        rows.extend(subfield_coords(spec, qpt.ext_spec,
+                                    [[s._coeff_raw(k) for s in series]
+                                     for k in range(r_q)]))
 
     basis = []
     for vec in linalg.nullspace(spec, rows, len(monomials)):
@@ -650,23 +636,12 @@ def _rr_basis_elliptic(curve, D):
 
 
 def _monomial_series(monomials, xs, ys, top):
-    """The series of x^i y^j for (i, j) in monomials, known below t^top.
-
-    Every later product by x or y lowers absolute precision by the order of
-    its pole (2 or 3 at O, none at an affine point), so x^i is kept that far
-    above top."""
-    vx, vy = -min(xs.v, 0), -min(ys.v, 0)
-    maxi = max(i for i, _ in monomials)
+    """The series of x^i y^j for (i, j) in monomials at an affine point,
+    known below t^top."""
     xpow = [LSeries.const(xs.spec, 1)]
-    for i in range(1, maxi + 1):
-        xpow.append((xpow[-1] * xs).truncate(top + vy + vx * (maxi - i)))
-    out = []
-    for i, j in monomials:
-        s = xpow[i]
-        if j:
-            s = (s * ys).truncate(top)
-        out.append(s)
-    return out
+    for _ in range(max(i for i, _ in monomials)):
+        xpow.append((xpow[-1] * xs).truncate(top))
+    return [(xpow[i] * ys).truncate(top) if j else xpow[i] for i, j in monomials]
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from . import linalg
 from .gf import extend
 from .curve import CurveModel, ClosedPoint, DivisorOnCurve
-from .rrspace import (evaluate, effective_divisors, rr_basis, subfield_coords,
-                      subfield_rows)
+from .rrspace import evaluate, effective_divisors, rr_basis, subfield_coords
 
 DECOMPOSABLE = "decomposable"
 ELM = "elm"
@@ -248,11 +247,11 @@ def segre_lower_bound_elm(surface: RuledSurfaceModel, dmax: int):
                          f"solves (one per effective divisor), above the cap "
                          f"{SEGRE_SOLVE_CAP}")
     center = surface.base_point
-    coords = subfield_coords(spec, center.ext_spec)
-    rhs = list(coords(surface.fiber_coord))
+    ext = center.ext_spec
+    rhs = [r for r, in subfield_coords(spec, ext, [[surface.fiber_coord]])]
     dstar = dmax
     for d in range(1, dmax + 1):
-        if any(_takes_value(curve, D, center, coords, rhs)
+        if any(_takes_value(curve, D, center, spec, ext, rhs)
                for D in effective_divisors(curve, d)
                if D.multiplicity(center) == 0):
             dstar = d - 1
@@ -261,11 +260,12 @@ def segre_lower_bound_elm(surface: RuledSurfaceModel, dmax: int):
     return min(e, 2 * (dstar + 1) - e), dstar
 
 
-def _takes_value(curve, D, center, coords, rhs) -> bool:
-    """True iff some f in L(D) has coords(f(center)) == rhs."""
-    rows = subfield_rows(coords, [evaluate(f, center).val
-                                  for f in rr_basis(curve, D)])
-    return linalg.solve(curve.spec, rows, rhs) is not None
+def _takes_value(curve, D, center, small, big, rhs) -> bool:
+    """True iff some f in L(D) has f(center) in big = F_{q^d} with the
+    coordinates rhs over small = F_q."""
+    rows = subfield_coords(small, big, [[evaluate(f, center).val
+                                         for f in rr_basis(curve, D)]])
+    return linalg.solve(small, rows, rhs) is not None
 
 
 def segre_upper_bounds(g: int, N: int, q: int) -> int:

@@ -19,7 +19,7 @@ def test_bench_layers_on_its_smallest_inputs():
     assert (code.k, code.n, code.spec.order) == (6, 3000, 49)
     assert bench.rr_basis_s(*bench.CODES["rref"][0]) > 0
     for timer in (bench.rref_s, bench.section_rows_s, bench.recovery_sets_s,
-                  bench.recover_write_s):
+                  bench.fiber_ranks_s, bench.recover_write_s):
         assert timer(code) > 0
     seconds, elm = bench.build_elm_s(*bench.CODES["rref"][0])
     assert seconds > 0 and (elm.k, elm.n, elm.meta["family"]) == (6, 3000, "elm_surface")

@@ -490,6 +490,23 @@ def test_boolean_multiplicity_exit2(tmp_path, capsys):
     assert "config.code.beta[0].multiplicity" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("where, overrides", [
+    ("config.curve.coefficients",
+     {"curve": {"kind": "elliptic", "coefficients": [False, False, False, False, True]}}),
+    ("config.code.beta[0].infinity",
+     {"code": {"a": 1, "beta": [{"infinity": "no", "degree": 3, "index": 0}]}}),
+    ("config.code.tensor",
+     {"code": {"a": 1, "beta": [{"degree": 3, "index": 0}], "tensor": 1}}),
+    ("config.analysis.locality", {"analysis": {"locality": "yes"}}),
+])
+def test_non_boolean_flags_and_boolean_coefficients_exit2(tmp_path, capsys, where,
+                                                          overrides):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["build", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["build", "recover", "segre"])
 def test_p1_point_off_the_line_exit2(tmp_path, capsys, command):
     # found by the config fuzz: y = 2 lies outside F_2, so the pair (0, 2)

@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 
 import pytest
@@ -10,9 +11,13 @@ from ruledcodes.surface import (surface_decomposable, surface_elm_product,
                                 surface_trivial, INFTY)
 from ruledcodes.codes import (build_curve_code, build_prs,
                               build_code_decomposable, build_code_elm)
-from ruledcodes.locality import (restriction_fiber, restriction_section,
+from ruledcodes.locality import (fiber_ranks, restriction_fiber,
+                                 restriction_section,
                                  section_restriction_contained, recovery_sets,
                                  recover, _lagrange_weights)
+from ruledcodes.cli import _build_code, load_config
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "scripts", "configs")
 
 F5 = field_create(5, 1)
 E5 = curve_create(ELLIPTIC, (0, 0, 0, 0, 1), F5)
@@ -245,3 +250,11 @@ def test_lagrange_weights_match_solve(pm, a):
                     tuple(linalg.solve(spec, system, rhs))
                 seen.add((target == INFTY, INFTY in helpers))
     assert {(False, True), (True, False)} <= seen
+
+
+@pytest.mark.parametrize("name", ["decomposable_demo", "elm_demo", "locality_demo"])
+def test_fiber_ranks_match_the_fiber_restrictions(name):
+    code = _build_code(load_config(os.path.join(CONFIGS, f"{name}.json")))
+    ranks = fiber_ranks(code)
+    assert list(ranks) == code.meta["curve"].rational_points()
+    assert ranks == {p: restriction_fiber(code, p).meta["rank"] for p in ranks}

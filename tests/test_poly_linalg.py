@@ -134,7 +134,7 @@ def test_mat_mul_against_direct():
     rng = random.Random(5)
     a = [[rng.randrange(4) for _ in range(3)] for _ in range(2)]
     b = [[rng.randrange(4) for _ in range(5)] for _ in range(3)]
-    out = linalg.mat_mul(F4, a, b)
+    out = linalg.mat_mul(F4, a, b).tolist()
     for i in range(2):
         for j in range(5):
             acc = 0
@@ -151,8 +151,8 @@ def test_mat_mul_skips_zero_blocks_exactly():
          for i in range(7)] + [[0, 0, 0]]
     b = [[rng.randrange(16) for _ in range(4)] for _ in range(3)]
     out = linalg.mat_mul(F16, a, b)
-    assert out == [[F16.mul_i(row[i % 3], b[i % 3][j]) if i < 7 else 0
-                    for j in range(4)] for i, row in enumerate(a)]
+    assert out.tolist() == [[F16.mul_i(row[i % 3], b[i % 3][j]) if i < 7 else 0
+                             for j in range(4)] for i, row in enumerate(a)]
 
 
 @settings(max_examples=100, deadline=None)

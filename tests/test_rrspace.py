@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import time
 
@@ -487,15 +488,56 @@ def test_x_min_poly():
 def test_subfield_coords_round_trip(pm, d):
     small = field_create(*pm)
     big = extend(small, d)
-    coords = subfield_coords(small, big)
+    rows = subfield_coords(small, big, [list(range(big.order))])
+    assert len(rows) == d
     z_pows = [big.pow_i(big.p, j) for j in range(d)]  # encoding p is z
-    for enc in range(big.order):
-        cs = coords(enc)
-        assert len(cs) == d and all(0 <= c < small.order for c in cs)
+    for enc, cs in enumerate(zip(*rows)):
+        assert all(0 <= c < small.order for c in cs)
         total = 0
         for c, zj in zip(cs, z_pows):
             total = big.add_i(total, big.mul_i(big.embed_i(small, c), zj))
         assert total == enc
+
+
+@pytest.mark.parametrize("pm, d", [((5, 1), 1), ((5, 1), 3), ((2, 2), 2)])
+def test_subfield_coords_shape_contract(pm, d):
+    """A k x M matrix gives d k rows of length M, coordinate t of row r in
+    row t k + r; no rows give none."""
+    small = field_create(*pm)
+    big = extend(small, d)
+    rng = random.Random(d)
+    mat = [[rng.randrange(big.order) for _ in range(5)] for _ in range(3)]
+    rows = subfield_coords(small, big, mat)
+    assert len(rows) == 3 * d and all(len(row) == 5 for row in rows)
+    for r in range(3):
+        for c in range(5):
+            single = subfield_coords(small, big, [[mat[r][c]]])
+            assert [rows[t * 3 + r][c] for t in range(d)] == [s for s, in single]
+    if d == 1:
+        assert rows == mat
+    assert subfield_coords(small, big, []) == []
+
+
+# sha256 of the bases below, each with its zero or pole at O
+RR_ZEROS_AT_O_DIGEST = "f0742c5a27523409e516e810f427aee43fa617df167ab97cc62e90609cc10a25"
+
+
+def test_rr_bases_with_zeros_at_origin_are_pinned():
+    """Bases of divisors with a zero (m_o < 0) or a pole at O, which
+    enters only through the ambient bound M'."""
+    lines = []
+    for coeffs, pm in [((1, 0, 0, 0, 1), (2, 2)), ((0, 0, 1, 0, 8), (2, 4)),
+                       ((0, 0, 0, 1, 0), (7, 2))]:
+        curve = curve_create(ELLIPTIC, coeffs, field_create(*pm))
+        O = ClosedPoint(curve, 1, None, None)
+        affine = next(P for P in curve.rational_points() if not P.is_infinity)
+        for m_o in (-1, -2, -3, 0, 2):
+            D = DivisorOnCurve(curve, [(curve.closed_points(2)[1], 2),
+                                       (curve.closed_points(3)[0], 1),
+                                       (affine, 1), (O, m_o)])
+            lines.append(repr([f.key() for f in rr_basis(curve, D)]))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == RR_ZEROS_AT_O_DIGEST
 
 
 def test_rr_basis_does_not_keep_its_curve_alive():
