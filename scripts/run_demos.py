@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Build and exactly verify the two demo code families, then certify the
 Segre invariant of the elm surface.  Everything runs through the CLI, so
-this doubles as an end-to-end smoke test."""
+this doubles as an end-to-end smoke test.
+
+Usage: run_demos.py [OUT_DIR].  The outputs go to OUT_DIR if given, else to
+a temporary directory that is removed at the end."""
 
 import os
 import sys
@@ -30,18 +33,24 @@ def demo(config_name, workdir):
     return rc
 
 
-def main_script():
-    rc = 0
-    with tempfile.TemporaryDirectory() as workdir:
-        rc |= demo("decomposable_demo.json", workdir)
-        rc |= demo("elm_demo.json", workdir)
-        rc |= demo("locality_demo.json", workdir)
-        rc |= run(["segre", "--config",
-                   os.path.join(HERE, "configs", "elm_demo.json")])
-        rc |= run(["recover", "--config",
-                   os.path.join(HERE, "configs", "locality_demo.json"),
-                   "--out", os.path.join(workdir, "recovery.json")])
+def run_all(workdir):
+    rc = demo("decomposable_demo.json", workdir)
+    rc |= demo("elm_demo.json", workdir)
+    rc |= demo("locality_demo.json", workdir)
+    rc |= run(["segre", "--config",
+               os.path.join(HERE, "configs", "elm_demo.json")])
+    rc |= run(["recover", "--config",
+               os.path.join(HERE, "configs", "locality_demo.json"),
+               "--out", os.path.join(workdir, "recovery.json")])
     return rc
+
+
+def main_script():
+    if len(sys.argv) > 1:
+        os.makedirs(sys.argv[1], exist_ok=True)
+        return run_all(sys.argv[1])
+    with tempfile.TemporaryDirectory() as workdir:
+        return run_all(workdir)
 
 
 if __name__ == "__main__":

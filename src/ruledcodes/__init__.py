@@ -7,7 +7,7 @@ are the rational points of a ruled surface over a curve.
 
 __version__ = "0.1.0"
 
-from .gf import field_create, extend, embed, frobenius_orbit, FieldSpec, FieldElement
+from .gf import field_create, extend, FieldSpec
 from .curve import curve_create, CurveModel, ClosedPoint, DivisorOnCurve, P1, ELLIPTIC
 from .rrspace import rr_basis, order_at, taylor_coeffs, evaluate, CurveFunction
 from .surface import (RuledSurfaceModel, NumClass, surface_decomposable,

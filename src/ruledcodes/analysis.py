@@ -15,11 +15,14 @@ whole arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import fqarray, linalg
-from .codes import LinearCode
+
+if TYPE_CHECKING:
+    from .codes import LinearCode
 
 EXACT_CAP_DEFAULT = 10 ** 7
 

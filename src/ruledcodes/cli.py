@@ -19,7 +19,7 @@ from .curve import curve_create, DivisorOnCurve, ClosedPoint, P1, ELLIPTIC
 from .surface import (NumClass, surface_decomposable, surface_elm_product,
                       surface_trivial, segre_decomposable,
                       segre_lower_bound_elm, segre_upper_bounds,
-                      DECOMPOSABLE, ELM)
+                      segre_dmax_default, DECOMPOSABLE, ELM)
 from .codes import (build_code_decomposable, build_code_elm,
                     build_product_code, write_matrix, write_points,
                     read_matrix)
@@ -368,7 +368,7 @@ def cmd_segre(args) -> int:
         return 0
     analysis_block = _opt(cfg, "analysis", dict, "config", {})
     dmax = _opt(analysis_block, "segre_dmax", int, "config.analysis",
-                max(2 * g - 1, 0))
+                segre_dmax_default(g))
     try:
         lower, dstar = segre_lower_bound_elm(surface, dmax)
     except ValueError as exc:
@@ -524,9 +524,6 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

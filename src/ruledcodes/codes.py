@@ -29,7 +29,8 @@ from .curve import CurveModel, ClosedPoint, DivisorOnCurve
 from .rrspace import rr_basis, evaluate, taylor_coeffs, subfield_coords
 from .surface import (RuledSurfaceModel, DECOMPOSABLE, ELM, INFTY,
                       surface_rational_points, segre_decomposable,
-                      segre_lower_bound_elm)
+                      segre_dmax_default, segre_lower_bound_elm)
+from .analysis import bound_unisecant
 from . import linalg
 
 
@@ -150,7 +151,7 @@ def _values(functions, points):
     rows = {}
     for f in functions:
         if f.key() not in rows:
-            rows[f.key()] = [evaluate(f, p).val for p in points]
+            rows[f.key()] = [evaluate(f, p) for p in points]
     return [rows[f.key()] for f in functions]
 
 
@@ -199,7 +200,7 @@ def build_code_elm(surface: RuledSurfaceModel, a: int,
     m = len(basis)
 
     # the coefficient vector lists g_i's L(beta) coordinates, i = 0..a
-    taylors = [[c.val for c in taylor_coeffs(f, center, a)] for f in basis]
+    taylors = [taylor_coeffs(f, center, a) for f in basis]
     conditions = []
     for j in range(a):
         for kk in range(a - j):
@@ -254,31 +255,25 @@ def build_unisecant(surface: RuledSurfaceModel, degL: int,
                     s_a: int | None = None,
                     segre_dmax: int | None = None) -> LinearCode:
     """The a = 1 code for a divisor of fiber degree degL, with the unisecant
-    parameter records k >= deg E + 2(degL + 1 - g) and
-    d >= q(N - (deg E - s_a)/2 - degL).
+    parameter records of analysis.bound_unisecant:
+    k >= deg E + 2(degL + 1 - g) and d >= q(N - (deg E - s_a)/2 - degL).
 
     For an elm surface s_a defaults to the certified graph-avoidance lower
     bound, which keeps the distance record valid.
     """
     curve = surface.curve
-    g = curve.genus
-    q = surface.q
-    N = len(curve.rational_points())
-    deg_e = surface.deg_sheaf
-    k_bound = deg_e + 2 * (degL + 1 - g)
-    if k_bound <= 0:
-        raise ValueError(f"deg E + 2(degL + 1 - g) = {k_bound} must be positive")
     if s_a is None:
         if surface.variant == DECOMPOSABLE:
             s_a = segre_decomposable(surface)[1]
         else:
             s_a, _ = segre_lower_bound_elm(
-                surface, 2 * g - 1 if segre_dmax is None else segre_dmax)
-    if (deg_e - s_a) % 2 != 0:
-        raise ValueError("parity violation: deg E and s_a must be congruent mod 2")
-    d_bound = q * (N - (deg_e - s_a) // 2 - degL)
-    if d_bound <= 0:
-        raise ValueError(f"unisecant distance record {d_bound} must be positive")
+                surface, segre_dmax_default(curve.genus) if segre_dmax is None
+                else segre_dmax)
+    rep = bound_unisecant(surface.q, len(curve.rational_points()), curve.genus,
+                          surface.deg_sheaf, s_a, degL)
+    if not rep.valid:
+        raise ValueError(f"unisecant records k >= {rep.k_lower} and "
+                         f"d >= {rep.d_lower} must both be positive")
     if beta is None:
         beta = _divisor_of_degree(surface, degL)
     if beta.degree() != degL:
@@ -288,8 +283,8 @@ def build_unisecant(surface: RuledSurfaceModel, degL: int,
     else:
         code = build_code_elm(surface, 1, beta)
     code.meta.update({"family": "unisecant", "degL": degL, "s_a": s_a,
-                      "k_lower_unisecant": k_bound,
-                      "d_lower_unisecant": d_bound})
+                      "k_lower_unisecant": rep.k_lower,
+                      "d_lower_unisecant": rep.d_lower})
     return code
 
 

@@ -59,17 +59,30 @@ class CurveModel:
         else:
             if coefficients is None or len(coefficients) != 5:
                 raise ValueError("elliptic curve needs coefficients (a1,a2,a3,a4,a6)")
-            self.a = tuple(c % spec.order if isinstance(c, int) else c.val
-                           for c in coefficients)
+            self.a = tuple(c % spec.order for c in coefficients)
             self.genus = 1
             if self.discriminant() == 0:
                 raise ValueError("singular Weierstrass equation (zero discriminant)")
 
     def discriminant(self) -> int:
-        a1, a2, a3, a4, a6 = map(self.spec.element, self.a)
-        b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
-        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-        return (-b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6).val
+        s = self.spec
+
+        def terms(*ts):
+            """sum of n * x * y * .. over ts = (n, x, y, ..), n an integer."""
+            out = 0
+            for n, *xs in ts:
+                t = n % s.p             # the prime-field constant n
+                for x in xs:
+                    t = s.mul_i(t, x)
+                out = s.add_i(out, t)
+            return out
+
+        a1, a2, a3, a4, a6 = self.a
+        b2, b4 = terms((1, a1, a1), (4, a2)), terms((2, a4), (1, a1, a3))
+        b6 = terms((1, a3, a3), (4, a6))
+        b8 = terms((1, a1, a1, a6), (4, a2, a6), (-1, a1, a3, a4), (1, a2, a3, a3),
+                   (-1, a4, a4))
+        return terms((-1, b2, b2, b8), (-8, b4, b4, b4), (-27, b6, b6), (9, b2, b4, b6))
 
     # -- coefficients embedded in an extension
 
@@ -225,16 +238,11 @@ class CurveModel:
                 ext.mul_i(a1, y1))
             den = ext.add_i(ext.mul_i(2 % ext.p, y1),
                             ext.add_i(ext.mul_i(a1, x1), a3))
-            lam = ext.mul_i(num, ext.inv_i(den))
-            nu_num = ext.sub_i(
-                ext.add_i(ext.mul_i(a4, x1), ext.mul_i(2 % ext.p, a6)),
-                ext.add_i(ext.mul_i(x1, ext.mul_i(x1, x1)), ext.mul_i(a3, y1)))
-            nu = ext.mul_i(nu_num, ext.inv_i(den))
         else:
-            dx = ext.sub_i(x2, x1)
-            lam = ext.mul_i(ext.sub_i(y2, y1), ext.inv_i(dx))
-            nu = ext.mul_i(ext.sub_i(ext.mul_i(y1, x2), ext.mul_i(y2, x1)),
-                           ext.inv_i(dx))
+            num, den = ext.sub_i(y2, y1), ext.sub_i(x2, x1)
+        # the line y = lam x + nu through P (tangent there when P = Q)
+        lam = ext.mul_i(num, ext.inv_i(den))
+        nu = ext.sub_i(y1, ext.mul_i(lam, x1))
         x3 = ext.sub_i(ext.sub_i(ext.add_i(ext.mul_i(lam, lam), ext.mul_i(a1, lam)),
                                  a2),
                        ext.add_i(x1, x2))
@@ -397,15 +405,6 @@ class DivisorOnCurve:
 
     def items(self):
         return [(pt, self.coeffs[pt]) for pt in self.support()]
-
-    def pos_part(self) -> "DivisorOnCurve":
-        return DivisorOnCurve(self.curve,
-                              {p: n for p, n in self.coeffs.items() if n > 0})
-
-    def neg_part(self) -> "DivisorOnCurve":
-        """The effective divisor D_- with self = pos_part - neg_part."""
-        return DivisorOnCurve(self.curve,
-                              {p: -n for p, n in self.coeffs.items() if n < 0})
 
     def is_effective(self) -> bool:
         return all(n > 0 for n in self.coeffs.values())

@@ -4,7 +4,8 @@ Every field is represented absolutely, as F_p[z]/(f) for a deterministic
 irreducible modulus f (the lexicographically least one in ascending
 coefficient-encoding order), so serialized data is reproducible across runs.
 Elements are encoded as integers in [0, p^deg) via sum(c_i * p^i) over the
-coefficient vector; this encoding is the wire format used by all exports.
+coefficient vector.  This encoding is the one element representation: every
+module computes on it, and it is the wire format of all exports.
 The modulus is found by Rabin's test on Poly over F_p.  Up to _TABLE_MAX
 elements, products go through exp/log tables; above it, through fqarray's
 multiplication matrix of one factor applied to the digits of the other.
@@ -274,14 +275,6 @@ class FieldSpec:
             mat = mat @ mat % self.p
         return fqarray.encode(self, exp)
 
-    # -- element-level API
-
-    def element(self, enc: int) -> "FieldElement":
-        return FieldElement(self, enc % self.order)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
     # -- embeddings
 
     def _embedding_powers(self, small: "FieldSpec") -> list[int]:
@@ -342,77 +335,6 @@ class FieldSpec:
         return hash((self.p, self.deg, self.modulus, self.base_card))
 
 
-def _lift(fn):
-    """fn(spec, a, b) on encodings as a FieldElement operator; the other
-    operand is an element of the same field or an int, a prime-field
-    constant."""
-    def op(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, fn(self.spec, self.val, v))
-    return op
-
-
-class FieldElement:
-    """An element of a FieldSpec, immutable, encoded as an integer."""
-
-    __slots__ = ("spec", "val")
-
-    def __init__(self, spec: FieldSpec, val: int):
-        self.spec = spec
-        self.val = val
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.spec.decode(self.val)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.spec is not self.spec and other.spec != self.spec:
-                raise ValueError("mixed field specs")
-            return other.val
-        if isinstance(other, int):
-            return other % self.spec.p
-        return NotImplemented
-
-    __add__ = __radd__ = _lift(FieldSpec.add_i)
-    __sub__ = _lift(FieldSpec.sub_i)
-    __rsub__ = _lift(lambda s, a, b: s.sub_i(b, a))
-    __mul__ = __rmul__ = _lift(FieldSpec.mul_i)
-    __truediv__ = _lift(lambda s, a, b: s.mul_i(a, s.inv_i(b)))
-    __rtruediv__ = _lift(lambda s, a, b: s.mul_i(b, s.inv_i(a)))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg_i(self.val))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.spec, self.spec.pow_i(self.val, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv_i(self.val))
-
-    def frobenius(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.frob_i(self.val))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.val == other.val and self.spec == other.spec
-        if isinstance(other, int):
-            return self.val == other % self.spec.p
-        return NotImplemented
-
-    def __hash__(self):
-        # an element equal to the int c, 0 <= c < p, hashes like c
-        return hash(self.val)
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __repr__(self):
-        return f"{self.val}@{self.spec!r}"
-
-
 def prime_power(q: int) -> tuple[int, int] | None:
     """(p, m) with q = p^m for a prime p, or None if q is no prime power.
 
@@ -460,7 +382,7 @@ def extend(spec: FieldSpec, d: int) -> FieldSpec:
 
     The declared Frobenius exponent is the cardinality of the field being
     extended, so orbits partition F_{q^d} into closed points over F_q.
-    The embedding of spec is computed eagerly and cached; use embed().
+    The embedding of spec is computed eagerly and cached; use embed_i.
     """
     if d < 1:
         raise ValueError("extension degree must be >= 1")
@@ -476,13 +398,3 @@ def extend(spec: FieldSpec, d: int) -> FieldSpec:
     big = _SPEC_CACHE[key]
     big._embedding_powers(spec)  # force and cache the embedding now
     return big
-
-
-def embed(x: FieldElement, target: FieldSpec) -> FieldElement:
-    """Image of x under the cached embedding of its field into target."""
-    return FieldElement(target, target.embed_i(x.spec, x.val))
-
-
-def frobenius_orbit(x: FieldElement) -> list[FieldElement]:
-    """Orbit of x under the tower Frobenius y -> y^q, starting at x."""
-    return [FieldElement(x.spec, v) for (v,) in x.spec.orbit((x.val,))]

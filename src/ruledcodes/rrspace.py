@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import FieldSpec, FieldElement, field_create
+from .gf import FieldSpec, field_create
 from .poly import Poly
 from .curve import (CurveModel, ClosedPoint, DivisorOnCurve, P1, ELLIPTIC,
                     divisor_class_sum)
@@ -409,8 +409,8 @@ def order_at(f: CurveFunction, pt: ClosedPoint) -> int:
 def taylor_coeffs(f: CurveFunction, pt: ClosedPoint, k: int):
     """First k coefficients of f in the local uniformizer at pt.
 
-    Raises PoleError if f has a pole there.  Coefficients are FieldElements
-    of F_{q^d}, d = deg(pt).
+    Raises PoleError if f has a pole there.  Coefficients are encodings
+    in F_{q^d}, d = deg(pt).
     """
     if k <= 0:
         return []
@@ -418,7 +418,7 @@ def taylor_coeffs(f: CurveFunction, pt: ClosedPoint, k: int):
     v = ls.valuation()
     if v is not None and v < 0:
         raise PoleError(f"{f!r} has a pole at {pt!r}")
-    return [FieldElement(ls.spec, ls._coeff_raw(i)) for i in range(k)]
+    return [ls._coeff_raw(i) for i in range(k)]
 
 
 def _laurent(f: CurveFunction, pt: ClosedPoint, abs_target: int) -> LSeries:
@@ -440,8 +440,8 @@ def _laurent(f: CurveFunction, pt: ClosedPoint, abs_target: int) -> LSeries:
         rel *= 2
 
 
-def evaluate(f: CurveFunction, pt: ClosedPoint) -> FieldElement:
-    """Value of f at the canonical representative, in F_{q^d}.
+def evaluate(f: CurveFunction, pt: ClosedPoint) -> int:
+    """Encoding of the value of f at the canonical representative, in F_{q^d}.
 
     At infinity the value is read from the pole orders: x = 1/t on P^1, and
     x and y lead with t^-2 and t^-3 at O in the uniformizer t = x/y.  When
@@ -455,15 +455,15 @@ def evaluate(f: CurveFunction, pt: ClosedPoint) -> FieldElement:
         if num > den:
             raise PoleError(f"{f!r} has a pole at {pt!r}")
         if num < den:
-            return FieldElement(s, 0)
-        return FieldElement(s, s.mul_i(f.num_a.coeffs[-1], s.inv_i(f.den.coeffs[-1])))
+            return 0
+        return s.mul_i(f.num_a.coeffs[-1], s.inv_i(f.den.coeffs[-1]))
     ext = pt.ext_spec
     dv = f.den.eval_i(pt.x, target=ext)
     if dv != 0:
         nv = f.num_a.eval_i(pt.x, target=ext)
         if curve.kind == ELLIPTIC and not f.num_b.is_zero():
             nv = ext.add_i(nv, ext.mul_i(f.num_b.eval_i(pt.x, target=ext), pt.y))
-        return FieldElement(ext, ext.mul_i(nv, ext.inv_i(dv)))
+        return ext.mul_i(nv, ext.inv_i(dv))
     return taylor_coeffs(f, pt, 1)[0]
 
 
@@ -591,9 +591,8 @@ def _rr_basis_elliptic(curve, D):
     for pt, n in D.items():
         if n <= 0 or pt.is_infinity:
             continue
-        e_pt = 2 if curve.is_two_torsion(pt.x, pt.y, pt.ext_spec) else 1
-        c = -(-n // e_pt)
         m, fiber = _x_fiber(curve, pt)
+        c = -(-n // fiber[0][1])        # pt's ramification, 2 at 2-torsion
         u = u * m ** c
         m_pole += 2 * c * m.degree
         for cp, e in fiber:

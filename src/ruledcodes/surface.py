@@ -221,6 +221,11 @@ def _segre_solve_count(q: int, g: int, h: int, dmax: int) -> int:
     return total
 
 
+def segre_dmax_default(g: int) -> int:
+    """The default depth of the graph-avoidance walk: 2g - 1, and 0 on P^1."""
+    return max(2 * g - 1, 0)
+
+
 def segre_lower_bound_elm(surface: RuledSurfaceModel, dmax: int):
     """Graph-avoidance lower bound for s_a of an elm surface.
 
@@ -263,7 +268,7 @@ def segre_lower_bound_elm(surface: RuledSurfaceModel, dmax: int):
 def _takes_value(curve, D, center, small, big, rhs) -> bool:
     """True iff some f in L(D) has f(center) in big = F_{q^d} with the
     coordinates rhs over small = F_q."""
-    rows = subfield_coords(small, big, [[evaluate(f, center).val
+    rows = subfield_coords(small, big, [[evaluate(f, center)
                                          for f in rr_basis(curve, D)]])
     return linalg.solve(small, rows, rhs) is not None
 

@@ -64,7 +64,7 @@ def least_degree_by_value(funcs, center):
     out = {}
     for f, deg in funcs.values():
         try:
-            val = evaluate(f, center).val
+            val = evaluate(f, center)
         except PoleError:
             continue  # the graph passes through (center, infinity)
         out[val] = min(deg, out.get(val, deg))

@@ -94,6 +94,18 @@ def test_verify_pass(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_build_tensor_writes_the_product_code(tmp_path, capsys):
+    out = build(tmp_path, code={"a": 1, "beta": [{"degree": 3, "index": 0}],
+                                "tensor": True})
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["family"] == "product"
+    assert (report["k_exact"], report["d_exact"]) == (6, 15)
+    rc = main(["verify", os.path.join(out, "generator.txt"),
+               "--report", os.path.join(out, "report.json")])
+    assert rc == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def corrupt_one_entry(matrix_path):
     """Change one generator entry so a minimum-weight codeword drops below
     the recorded distance."""

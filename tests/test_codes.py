@@ -294,6 +294,19 @@ def test_unisecant_elm_surface():
     assert d >= code.meta["d_lower_unisecant"]
 
 
+def test_unisecant_elm_surface_over_p1():
+    # on P^1 the default walk depth is 0, not 2g - 1 = -1
+    center = L5.closed_points(2)[0]
+    f25 = extend(F5, 2)
+    embedded = {f25.embed_i(F5, v) for v in range(5)}
+    fc = next(e for e in range(25) if e not in embedded)
+    code = build_unisecant(surface_elm_product(L5, center, fc), 2)
+    assert code.meta["s_a"] == 0
+    assert code.meta["k_lower_unisecant"] == 4
+    assert code.meta["d_lower_unisecant"] == 25
+    assert exact_params(code) == (36, 4, 25)
+
+
 def test_hirzebruch_pipeline_genus_zero():
     # decomposable surface over P^1 (a rational ruled surface), e = 2
     delta = DivisorOnCurve(L5, [(L5.closed_points(2)[0], 1)])

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import gf_oracle
 from curve_oracle import nonresidue, solve_quadratic, sqrt_i
 from ruledcodes import fqarray
-from ruledcodes.gf import (DESK_CAP, PRIME_CERT_BOUND, field_create, extend, frobenius_orbit,
+from ruledcodes.gf import (DESK_CAP, PRIME_CERT_BOUND, field_create, extend,
                            is_prime, prime_power, _is_irreducible,
                            _least_irreducible)
 from ruledcodes.poly import Poly
@@ -98,12 +98,13 @@ def test_primitive_element_order_in_f16():
        st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
 def test_field_axioms(pm, a, b, c):
     spec = field_create(*pm)
-    x, y, z = (spec.element(a), spec.element(b), spec.element(c))
-    assert (x + y) + z == x + (y + z)
-    assert x * (y + z) == x * y + x * z
-    assert x * y == y * x
-    if x.val != 0:
-        assert x * x.inverse() == spec.one()
+    add, mul = spec.add_i, spec.mul_i
+    x, y, z = (v % spec.order for v in (a, b, c))
+    assert add(add(x, y), z) == add(x, add(y, z))
+    assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
+    assert mul(x, y) == mul(y, x)
+    if x != 0:
+        assert mul(x, spec.inv_i(x)) == 1
 
 
 def test_frobenius_fixed_field_size():
@@ -165,15 +166,14 @@ def test_frobenius_orbits():
     f5 = field_create(5, 1)
     f25 = extend(f5, 2)
     emb = f25.embed_i(f5, 3)
-    assert len(frobenius_orbit(f25.element(emb))) == 1
+    assert len(f25.orbit((emb,))) == 1
     nonsub = next(e for e in range(25)
                   if e not in {f25.embed_i(f5, v) for v in range(5)})
-    assert len(frobenius_orbit(f25.element(nonsub))) == 2
+    assert len(f25.orbit((nonsub,))) == 2
     f4 = field_create(2, 2)
     f64 = extend(f4, 3)
-    gen = next(e for e in range(2, 64)
-               if len(frobenius_orbit(f64.element(e))) == 3)
-    assert len(frobenius_orbit(f64.element(gen))) == 3
+    gen = next(e for e in range(2, 64) if len(f64.orbit((e,))) == 3)
+    assert f64.orbit((gen,))[0] == (gen,)
     # the tuple orbit is the joint orbit of all coordinates
     assert f64.orbit((1,)) == [(1,)]
     assert f64.orbit((gen, 1)) == [(v, 1) for (v,) in f64.orbit((gen,))]
@@ -199,33 +199,6 @@ def test_orbit_refuses_encodings_outside_the_field():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from([(5, 1), (2, 2), (7, 2)]), st.integers(0, 10 ** 6),
-       st.integers(-100, 100))
-def test_int_equality_means_prime_field_constant(pm, xx, n):
-    spec = field_create(*pm)
-    x = spec.element(xx)
-    assert (x == n) == ((x - n) == 0)
-    assert spec.element(n % spec.p) == n
-
-
-def test_int_equality_is_not_encoding_equality():
-    f49 = field_create(7, 2)
-    assert f49.element(7) != 7          # encoding 7 is the generator z
-    assert f49.element(0) == 7          # 7 is zero in characteristic 7
-    assert f49.element(3) == 10 and f49.element(3) + 7 == 3
-
-
-@pytest.mark.parametrize("pm", [(5, 1), (7, 2), (2, 4)])
-def test_hash_agrees_with_int_equality(pm):
-    spec = field_create(*pm)
-    for c in range(spec.p):
-        x = spec.element(c)
-        assert x == c and hash(x) == hash(c)
-        assert len({x, c}) == 1
-        assert {x: "key"}[c] == "key"
 
 
 def test_element_text_encoding_roundtrip():
@@ -269,8 +242,7 @@ def test_tower_of_extensions():
             assert f625.mul_i(step, stepb) == ab
     # orbits under x -> x^25 divide the relative degree 2
     for e in (3, 77, 311):
-        orbit = frobenius_orbit(f625.element(e))
-        assert len(orbit) in (1, 2)
+        assert len(f625.orbit((e,))) in (1, 2)
 
 
 def test_is_prime():

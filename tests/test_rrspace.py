@@ -79,14 +79,14 @@ def test_zero_function_has_no_order():
 def test_taylor_constant():
     p = E5.rational_points()[0]
     cs = taylor_coeffs(CurveFunction.constant(E5, 3), p, 4)
-    assert [c.val for c in cs] == [3, 0, 0, 0]
+    assert cs == [3, 0, 0, 0]
 
 
 def test_taylor_uniformizer():
     p = next(p for p in E5.rational_points() if not p.is_infinity and p.y != 0)
     f = fn_x(E5) + CurveFunction.constant(E5, F5.neg_i(p.x))
     cs = taylor_coeffs(f, p, 3)
-    assert [c.val for c in cs] == [0, 1, 0]
+    assert cs == [0, 1, 0]
 
 
 def test_taylor_pole_raises():
@@ -109,9 +109,9 @@ def test_taylor_products_multiply(seed_a, seed_b):
     if f.is_zero() or g.is_zero():
         return
     p = next(p for p in E5.rational_points() if not p.is_infinity)
-    tf = [c.val for c in taylor_coeffs(f, p, k)]
-    tg = [c.val for c in taylor_coeffs(g, p, k)]
-    tfg = [c.val for c in taylor_coeffs(f * g, p, k)]
+    tf = taylor_coeffs(f, p, k)
+    tg = taylor_coeffs(g, p, k)
+    tfg = taylor_coeffs(f * g, p, k)
     spec = p.ext_spec
     conv = [0] * k
     for i in range(k):
@@ -125,7 +125,7 @@ def test_evaluate_on_rational_points():
     for p in E5.rational_points():
         if p.is_infinity:
             continue
-        assert evaluate(f, p).val == p.x
+        assert evaluate(f, p) == p.x
 
 
 E4 = curve_create(ELLIPTIC, (1, 0, 0, 0, 1), field_create(2, 2))
@@ -152,7 +152,7 @@ def test_value_at_infinity_matches_the_expansion(curve):
                     checked.add("pole")
                     continue
                 assert value == taylor_coeffs(f, inf, 1)[0], (D, f)
-                checked.add({0: "zero", 1: "one"}.get(value.val, "other"))
+                checked.add({0: "zero", 1: "one"}.get(value, "other"))
     assert checked == {"pole", "zero", "one", "other"}
 
 
