@@ -6,10 +6,10 @@ is integer-only.
 
 exact_params finds the minimum distance by a single-threaded projective
 meet-in-the-middle search: it visits one word per line of the code, (q^k - 1)
-/ (q - 1) in all, by comparing each row of one small uint8 span table (uint16
-or wider for larger q) with a whole second one.  The span tables and the q
-scalar multiples of each row they are summed from are fqarray operations on
-whole arrays.
+/ (q - 1) in all, by comparing blocks of rows of one small span table with a
+whole second one, both packed as bit planes of their encodings, by XOR and
+popcount, the same way for every q.  The tables and the q scalar multiples of
+each row they are summed from are fqarray operations on whole arrays.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ if TYPE_CHECKING:
     from .codes import LinearCode
 
 EXACT_CAP_DEFAULT = 10 ** 7
+_WORDS = 1 << 15        # word pairs times uint64 words per plane, per array step
 
 
 class CapExceededError(ValueError):
@@ -173,6 +174,18 @@ def _span(spec, multiples, n):
     return table
 
 
+def _planes(spec, enc):
+    """Bit t < b = (q - 1).bit_length() of an (m, n) array of encodings, as
+    (b, ceil(n / 64), m) uint64 words of 64 coordinates, 0-padded."""
+    m, n = enc.shape
+    enc = enc.astype(np.uint32)  # q <= gf.DESK_CAP
+    out = np.zeros(((spec.order - 1).bit_length(), m, -(-n // 64) * 8), dtype=np.uint8)
+    for t, plane in enumerate(out):
+        bits = (enc >> t).astype(np.uint8) & 1
+        plane[:, :-(-n // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    return np.ascontiguousarray(out.view(np.uint64).transpose(0, 2, 1))
+
+
 def exact_params(code: LinearCode, cap: int = EXACT_CAP_DEFAULT):
     """(n, k, exact minimum distance) by a projective meet-in-the-middle search.
 
@@ -182,9 +195,9 @@ def exact_params(code: LinearCode, cap: int = EXACT_CAP_DEFAULT):
     (q^k - 1)/(q - 1) words are visited.  For each j the rows after g_j are
     split in two halves whose spans are small tables; the span of the first
     half, shifted by g_j, is the smaller table.  Since the span S of the second
-    half is closed under negation, min over s in S of wt(w + s) is n minus the
-    most coordinates w shares with a word of S, so each row w of the smaller
-    table is compared with all of S at once.
+    half is closed under negation, min over s in S of wt(w + s) is the least
+    distance from w to S: the popcount of the OR over bit planes of w XOR s,
+    taken for a block of rows w and all of S in one array step.
     """
     spec = code.spec
     rows, _ = linalg.rref(spec, code.matrix)
@@ -198,21 +211,21 @@ def exact_params(code: LinearCode, cap: int = EXACT_CAP_DEFAULT):
         raise CapExceededError(
             f"q^k = {total} exceeds the exhaustive cap {cap}; rerun with a "
             "higher cap or fall back to a sampled probabilistic lower bound")
-    symbol = np.min_scalar_type(q - 1)
-    count = np.min_scalar_type(n)
     gens = fqarray.digits(spec, rows)
     scalars = fqarray.digits(spec, np.arange(q))[:, :, None]
     multiples = [fqarray.mul(spec, scalars, gens[:, i, None, :])
                  for i in range(1, k)]
-    agree = 0
+    best = n
     for j in range(k):
         rest = multiples[j:]
         half = len(rest) // 2
         lead = fqarray.add(spec, _span(spec, rest[:half], n), gens[:, j, None, :])
-        lead = fqarray.encode(spec, lead).astype(symbol)
-        other = fqarray.encode(spec, _span(spec, rest[half:], n)).astype(symbol)
-        other = np.ascontiguousarray(other.T)
-        for word in lead:
-            same = (other == word[:, None]).sum(axis=0, dtype=count)
-            agree = max(agree, int(same.max()))
-    return n, k, n - agree
+        lead = _planes(spec, fqarray.encode(spec, lead))
+        other = _planes(spec, fqarray.encode(spec, _span(spec, rest[half:], n)))
+        step = max(1, _WORDS // other[0].size)
+        for lo in range(0, lead.shape[2], step):
+            diff = lead[0, :, lo:lo + step, None] ^ other[0, :, None]
+            for x, y in zip(lead[1:], other[1:]):
+                diff |= x[:, lo:lo + step, None] ^ y[:, None]
+            best = min(best, int(np.bitwise_count(diff).sum(axis=0, dtype=np.uint32).min()))
+    return n, k, best

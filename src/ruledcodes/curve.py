@@ -216,16 +216,25 @@ class CurveModel:
         x, y = P
         return (x, ext.sub_i(ext.neg_i(y), ext.add_i(ext.mul_i(a1, x), a3)))
 
-    def ell_add(self, P, Q, ext: FieldSpec):
+    def _check_group(self, points, ext: FieldSpec):
+        """Raise unless the curve is elliptic and every point (None is O) is
+        on it."""
         if self.kind != ELLIPTIC:
             raise ValueError("group law requires an elliptic curve")
+        for T in points:
+            if T is not None and not self.is_on_curve(T[0], T[1], ext):
+                raise ValueError(f"point {T} is not on the curve")
+
+    def ell_add(self, P, Q, ext: FieldSpec):
+        self._check_group((P, Q), ext)
+        return self._ell_add(P, Q, ext)
+
+    def _ell_add(self, P, Q, ext: FieldSpec):
+        """P + Q for points already known to be on the curve."""
         if P is None:
             return Q
         if Q is None:
             return P
-        for T in (P, Q):
-            if not self.is_on_curve(T[0], T[1], ext):
-                raise ValueError(f"point {T} is not on the curve")
         a1, a2, a3, a4, a6 = self.coeffs_in(ext)
         x1, y1 = P
         x2, y2 = Q
@@ -251,14 +260,17 @@ class CurveModel:
         return (x3, y3)
 
     def ell_mul(self, n: int, P, ext: FieldSpec):
+        """n P by double-and-add; P is checked once, the points it makes
+        from P are on the curve."""
+        self._check_group((P,), ext)
         if n < 0:
-            return self.ell_mul(-n, self.ell_neg(P, ext), ext)
+            n, P = -n, self.ell_neg(P, ext)
         R = None
         Q = P
         while n:
             if n & 1:
-                R = self.ell_add(R, Q, ext)
-            Q = self.ell_add(Q, Q, ext)
+                R = self._ell_add(R, Q, ext)
+            Q = self._ell_add(Q, Q, ext)
             n >>= 1
         return R
 

@@ -482,10 +482,13 @@ def subfield_coords(small: FieldSpec, big: FieldSpec, values) -> list[list[int]]
     to the basis 1, z, ..., z^(d-1) of big over small (z the class of the
     absolute generator).  One F_p-linear map takes the digits of every value
     to its coordinates in the basis e_i z^j, e_i the basis of small over F_p;
-    its matrix is cached on big, keyed like its embeddings."""
+    its matrix is cached on big, keyed like its embeddings.  When small is
+    big the map is the identity and the rows come back as they are."""
     if not len(values):
         return []
     key = (small.p, small.deg, small.modulus)
+    if key == (big.p, big.deg, big.modulus):
+        return [list(row) for row in values]
     if key not in big._coords:
         big._coords[key] = _subfield_inverse(small, big)
     sol = fqarray.linear(big, big._coords[key], fqarray.digits(big, values))

@@ -220,6 +220,23 @@ def test_exact_params_matches_brute_force(case):
         spec, _weights(spec, rows, n), n)
 
 
+@pytest.mark.parametrize("n", [63, 64, 65, 129])
+@pytest.mark.parametrize("spec", [s for s in SMALL_FIELDS if s.order != 7], ids=str)
+def test_exact_params_word_boundary(spec, n):
+    # the search packs 64 coordinates to a word, one bit plane per bit of
+    # q - 1: one plane for q = 2, a sparse top plane for q = 5 and 9, and
+    # lengths on either side of one and two words, with a zero column
+    q = spec.order
+    rng = random.Random(q * n)
+    for k in (1, 2, 3):
+        rows = [[rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(n)]
+                for _ in range(k)]
+        for row in rows:
+            row[n // 2] = 0
+        assert exact_params(_code(spec, rows, n)) == _params(
+            spec, _weights(spec, rows, n), n)
+
+
 def _macwilliams(dual_dist, q, n):
     """Weight distribution of a code from that of its dual (MacWilliams)."""
     size = sum(dual_dist)
@@ -265,8 +282,8 @@ def _two_row_distance(spec, rows):
 @pytest.mark.parametrize("spec", [field_create(257, 1), field_create(3, 6)],
                          ids=str)
 def test_exact_params_above_uint8(spec):
-    # symbols no longer fit a uint8, and at n = 300, with 270 zero columns,
-    # neither do the counts of agreeing coordinates
+    # 9 and 10 bit planes, more than one byte of an encoding, and at
+    # n = 300, with 270 zero columns, five 64-bit words per plane
     q = spec.order
     rng = random.Random(q)
     lines = [(1, rng.randrange(q)) for _ in range(4)] + [(0, 1)]

@@ -103,8 +103,22 @@ def test_group_law_doubling_on_curve(e5):
 
 
 def test_group_law_rejects_off_curve(e5):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"point \(1, 1\) is not on the curve"):
         e5.ell_add((1, 1), (0, 1), F5)
+    # ell_mul checks its point once on entry, for every n
+    for n in (-2, 0, 3):
+        with pytest.raises(ValueError, match=r"point \(1, 1\) is not on the curve"):
+            e5.ell_mul(n, (1, 1), F5)
+
+
+def test_ell_mul_is_repeated_addition(e5):
+    for p in e5.rational_points():
+        P = None if p.is_infinity else (p.x, p.y)
+        total = None
+        for n in range(8):
+            assert e5.ell_mul(n, P, F5) == total
+            assert e5.ell_mul(-n, P, F5) == e5.ell_neg(total, F5)
+            total = e5.ell_add(total, P, F5)
 
 
 @settings(max_examples=60, deadline=None)

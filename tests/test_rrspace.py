@@ -6,13 +6,15 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ruledcodes import fqarray
 from ruledcodes.gf import field_create, extend
 from ruledcodes.curve import (curve_create, ClosedPoint, DivisorOnCurve,
                               divisor_class_sum, CurveModel, P1, ELLIPTIC)
 from ruledcodes.poly import Poly
 from ruledcodes.rrspace import (rr_basis, order_at, taylor_coeffs, evaluate,
                                 effective_divisors, CurveFunction, PoleError,
-                                x_min_poly, subfield_coords, LSeries, _chart)
+                                x_min_poly, subfield_coords, LSeries, _chart,
+                                _subfield_inverse)
 
 from function_enumeration import functions_up_to_degree, function_degree
 
@@ -516,6 +518,17 @@ def test_subfield_coords_shape_contract(pm, d):
     if d == 1:
         assert rows == mat
     assert subfield_coords(small, big, []) == []
+
+
+@pytest.mark.parametrize("pm", [(2, 4), (7, 2)], ids=["F16", "F49"])
+def test_subfield_coords_identity_shortcut(pm):
+    # the rows a field returns over itself are those of the general
+    # digit -> linear map -> encode path, with the basis matrix of F over F
+    spec = field_create(*pm)
+    mat = [list(range(spec.order)), list(range(spec.order))[::-1]]
+    general = fqarray.encode(spec, fqarray.linear(
+        spec, _subfield_inverse(spec, spec), fqarray.digits(spec, mat)))
+    assert subfield_coords(spec, spec, mat) == general.tolist() == mat
 
 
 # sha256 of the bases below, each with its zero or pole at O
