@@ -29,7 +29,12 @@ prints one JSON object of wall-clock seconds, each from a single run:
     (the least root of F_16's modulus in F_{2^20});
   * asymptotics.q{q}.A{A}: one dominance_report(49, 6, 400) plus one
     optimized_rate call per b of the 120-point ruled grid b = 0.3..0.98,
-    the work of `ruledcodes asymptotics` at the benchmark's settings.
+    the work of `ruledcodes asymptotics` at the benchmark's settings;
+  * distance.F_{q}.{k}x{n}: analysis.exact_params (rref and distance
+    search) on the two product-surface codes of the verify-exhaustive
+    workload, [36, 10] over F_5 and [40, 10] over F_4, and on two codes
+    where the Zimmermann certificate does not pay: PRS(4) over F_25
+    ([26, 5, 22]) and a random [60, 4] code over F_49.
 
 Each code lives on an elliptic curve with beta = b/2 times the degree-2
 point of index 1 and delta (or the elm center) the degree-2 point of
@@ -38,19 +43,20 @@ index 0.
 
 import json
 import os
+import random
 import sys
 import tempfile
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from ruledcodes import cli, codes, linalg, locality  # noqa: E402
+from ruledcodes import analysis, cli, codes, linalg, locality  # noqa: E402
 from ruledcodes.asymptotics import dominance_report, optimized_rate  # noqa: E402
 from ruledcodes.curve import curve_create, DivisorOnCurve, ELLIPTIC  # noqa: E402
 from ruledcodes.gf import FieldSpec, extend, field_create  # noqa: E402
 from ruledcodes.rrspace import rr_basis  # noqa: E402
 from ruledcodes.surface import (surface_decomposable,  # noqa: E402
-                                surface_elm_product)
+                                surface_elm_product, surface_trivial)
 
 TABLE_FIELDS = [(2, 8), (7, 4), (2, 16)]
 
@@ -73,6 +79,16 @@ CLOSED_POINTS = [(7, 2, [(0, 0, 0, 1, 3), (0, 0, 0, 1, 0)], 2),
 
 # (p, m, d): F_{p^m} embedded into F_{p^(m d)}
 EMBEDDINGS = [(2, 4, 5)]
+
+# (p, m, curve coefficients, index of the degree-2 point, index of the
+# degree-3 point): a = 1 codes on the product surface with beta the sum of
+# the two points, the shapes of the verify-exhaustive workload
+DISTANCE_PRODUCT = [(5, 1, (0, 0, 0, 0, 1), 2, 0),    # [36, 10, 5]
+                    (2, 2, (1, 0, 0, 0, 1), 0, 0)]    # [40, 10, 12]
+# (p, m, a): PRS(a); (p, m, k, n, seed): k random rows of length n, drawn
+# row by row with random.Random(seed)
+DISTANCE_PRS = [(5, 2, 4)]
+DISTANCE_RANDOM = [(7, 2, 4, 60, 5)]
 
 # (q, A, samples, (lo, hi, count)): the dominance table and the ruled grid
 # of `asymptotics --samples 400 --b-range 0.3:0.98:120`
@@ -200,6 +216,26 @@ def recover_write_s(code):
         return _seconds(write)
 
 
+def product_code(p, m, coeffs, i2, i3):
+    """The a = 1 code on the product surface over a fresh curve, with beta
+    the degree-2 point of index i2 plus the degree-3 point of index i3."""
+    curve = curve_create(ELLIPTIC, coeffs, field_create(p, m))
+    beta = DivisorOnCurve(curve, [(curve.closed_points(2)[i2], 1),
+                                  (curve.closed_points(3)[i3], 1)])
+    return codes.build_code_decomposable(surface_trivial(curve), 1, beta)
+
+
+def random_code(p, m, k, n, seed):
+    rng = random.Random(seed)
+    q = p ** m
+    rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+    return codes.LinearCode(field_create(p, m), rows, list(range(n)))
+
+
+def distance_s(code):
+    return _seconds(analysis.exact_params, code)
+
+
 def main():
     out = {f"table_build.F_{p ** m}": table_build_s(p, m) for p, m in TABLE_FIELDS}
     for p, m, curves, d in CLOSED_POINTS:
@@ -222,6 +258,10 @@ def main():
     for config in CODES["recover_write"]:
         code = decomposable_code(*config)
         out[f"recover_write.F_{code.spec.order}.{code.n}"] = recover_write_s(code)
+    for code in ([product_code(*c) for c in DISTANCE_PRODUCT]
+                 + [codes.build_prs(field_create(p, m), a) for p, m, a in DISTANCE_PRS]
+                 + [random_code(*c) for c in DISTANCE_RANDOM]):
+        out[f"distance.F_{code.spec.order}.{code.k}x{code.n}"] = distance_s(code)
     print(json.dumps({k: round(v, 4) for k, v in out.items()}, indent=1))
 
 

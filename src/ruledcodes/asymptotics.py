@@ -94,11 +94,6 @@ def ruled_limit_params(q: int, A: float, a: float, b: float, d: float,
                          {"a": a, "b": b, "d": d, "m": m})
 
 
-def balanced_d(q: int, a: float, b: float) -> float:
-    """d = (1-b)/((q+1)(1-a)), equating the two delta branches at m = a."""
-    return (1 - b) / ((q + 1) * (1 - a))
-
-
 @dataclass
 class OptimizedRate:
     a0: float

@@ -37,7 +37,7 @@ class CurveModel:
     Elliptic:  y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6  over spec.
     """
 
-    __slots__ = ("kind", "spec", "a", "genus", "_coeff_cache", "_count_cache",
+    __slots__ = ("kind", "spec", "a", "genus", "_coeff_cache",
                  "_closed_cache", "_rational", "_charts")
 
     def __init__(self, kind: str, spec: FieldSpec, coefficients=None):
@@ -49,7 +49,6 @@ class CurveModel:
         self.kind = kind
         self.spec = spec
         self._coeff_cache = {}
-        self._count_cache = {}
         self._closed_cache = {}
         self._rational = None
         self._charts = {}       # local charts by point, see rrspace._chart
@@ -167,13 +166,6 @@ class CurveModel:
             ys.append(pair[found])
         return list(zip(np.concatenate(xs).tolist(), np.concatenate(ys).tolist()))
 
-    def point_count(self, d: int) -> int:
-        """#C(F_{q^d})."""
-        if d not in self._count_cache:
-            ext = extend(self.spec, d)
-            self._count_cache[d] = len(self.affine_points(ext)) + 1
-        return self._count_cache[d]
-
     def rational_points(self):
         """Degree-1 closed points, affine sorted by encoding, infinity last."""
         if self._rational is None:
@@ -193,7 +185,6 @@ class CurveModel:
         else:
             ext = extend(self.spec, d)
             xs, ys = np.array(self.affine_points(ext), dtype=np.int64).reshape(-1, 2).T
-            self._count_cache.setdefault(d, len(xs) + 1)
             keep = _orbit_minima(ext, d, xs, ys)
             out = _enumerated(self, d, zip(xs[keep].tolist(), ys[keep].tolist()))
         self._closed_cache[d] = out

@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .codes import LinearCode, build_prs, build_curve_code
-from .curve import ClosedPoint
+from .codes import LinearCode
 from .surface import INFTY
 
 
@@ -52,31 +51,6 @@ def fiber_ranks(code: LinearCode) -> dict:
     in the order their first column appears; the columns are grouped once."""
     return {p: linalg.rank(code.spec, [[row[i] for i in idx] for row in code.matrix])
             for p, idx in _fibers(code).items()}
-
-
-def restriction_fiber(code: LinearCode, p: ClosedPoint) -> LinearCode:
-    """The code restricted to the q+1 columns of the fiber over p.
-
-    meta carries the rank and whether the restriction equals PRS(a) as row
-    spaces (the computational surrogate for the cohomological surjectivity
-    condition).
-    """
-    idx = _fibers(code).get(p)
-    if not idx:
-        raise ValueError(f"{p!r} is not a base point of the code's point index")
-    rows = [[row[i] for i in idx] for row in code.matrix]
-    a = code.meta.get("a")
-    sub = LinearCode(code.spec, rows, [code.columns[i] for i in idx],
-                     {"family": "fiber_restriction", "a": a, "base": p})
-    rk = linalg.rank(code.spec, rows)
-    sub.meta["rank"] = rk
-    if a is not None:
-        assert rk <= a + 1, "fiber restriction rank exceeds a + 1"
-        prs = build_prs(code.spec, a)
-        sub.meta["equals_prs"] = (rk == a + 1
-                                  and linalg.row_space_equal(code.spec, rows,
-                                                             prs.matrix))
-    return sub
 
 
 def restriction_section(code: LinearCode, section_spec) -> LinearCode:
@@ -119,18 +93,6 @@ def restriction_section(code: LinearCode, section_spec) -> LinearCode:
                 and surface.variant == "decomposable":
             meta["expected_divisor"] = beta - a * surface.delta
     return LinearCode(code.spec, rows, [code.columns[i] for i in idx], meta)
-
-
-def section_restriction_contained(code: LinearCode, section_spec) -> bool:
-    """Row-space containment of the section restriction in the stated
-    base-curve code (raises if the expected divisor is unknown)."""
-    sub = restriction_section(code, section_spec)
-    expected = sub.meta.get("expected_divisor")
-    if expected is None:
-        raise ValueError("no expected base-curve divisor for this section")
-    curve = code.meta["curve"]
-    outer = build_curve_code(curve, expected)
-    return linalg.row_space_contains(code.spec, outer.matrix, sub.matrix)
 
 
 def recovery_sets(code: LinearCode):

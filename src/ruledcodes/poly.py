@@ -162,9 +162,6 @@ class Poly:
             acc = s.add_i(s.mul_i(acc, x), c)
         return acc
 
-    def map_to(self, target: FieldSpec) -> "Poly":
-        return Poly(target, [target.embed_i(self.spec, c) for c in self.coeffs])
-
     def __repr__(self):
         if self.is_zero():
             return "Poly(0)"

@@ -6,10 +6,14 @@ a0 and R_max, and its own dominance table."""
 
 import math
 
-from ruledcodes.asymptotics import (balanced_d, envelope_coefficient,
-                                    envelope_rate_at)
+from ruledcodes.asymptotics import envelope_coefficient, envelope_rate_at
 
 GOLDEN = (math.sqrt(5) - 1) / 2
+
+
+def balanced_d(q: int, a: float, b: float) -> float:
+    """d = (1-b)/((q+1)(1-a)), equating the two delta branches at m = a."""
+    return (1 - b) / ((q + 1) * (1 - a))
 
 
 def golden_section_max(fn, lo: float, hi: float, tol: float = 1e-12):

@@ -151,3 +151,9 @@ def closed_points(curve, d):
         if len(orbit) == d:
             out.append(ClosedPoint(curve, d, x, y))
     return out
+
+
+def point_count(curve, d: int) -> int:
+    """#C(F_{q^d}): the affine points over the degree-d extension, plus the
+    point at infinity."""
+    return len(curve.affine_points(extend(curve.spec, d))) + 1

@@ -33,7 +33,8 @@ from ruledcodes.surface import (NumClass, surface_decomposable,
 from ruledcodes.codes import (build_prs, build_code_decomposable,
                               build_code_elm, build_product_code)
 from ruledcodes.analysis import (exact_params, griesmer_check, singleton_check)
-from ruledcodes.locality import restriction_fiber, recovery_sets, recover
+from ruledcodes.locality import recovery_sets, recover
+from locality_oracle import restriction_fiber
 from ruledcodes.asymptotics import (envelope_coefficient, optimized_rate,
                                     dominance_report, figure_discrepancy)
 from ruledcodes.cli import main as cli_main

@@ -1,12 +1,15 @@
 import random
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ruledcodes import linalg
+from ruledcodes import analysis, linalg
 from ruledcodes.gf import field_create
-from ruledcodes.codes import LinearCode, build_prs
+from ruledcodes.codes import LinearCode, build_code_decomposable, build_prs
+from ruledcodes.curve import curve_create, DivisorOnCurve, ELLIPTIC
+from ruledcodes.surface import surface_trivial
 from ruledcodes.analysis import (bound_elm_family, bound_decomposable_family,
                                  bound_unisecant, section_count_profile,
                                  exact_params, griesmer_check, singleton_check,
@@ -235,6 +238,91 @@ def test_exact_params_word_boundary(spec, n):
             row[n // 2] = 0
         assert exact_params(_code(spec, rows, n)) == _params(
             spec, _weights(spec, rows, n), n)
+
+
+@st.composite
+def _codes_with_repeats(draw):
+    """k <= 8 rows and 2k <= n <= 4k columns over a field of order <= 9,
+    where a column may be zero or a multiple of an earlier one, so that
+    later information sets can have partial rank."""
+    spec = draw(st.sampled_from(SMALL_FIELDS))
+    q = spec.order
+    k = draw(st.integers(1, max(j for j in range(1, 9) if q ** j <= 10 ** 5)))
+    cols = []
+    for _ in range(draw(st.integers(2 * k, 4 * k))):
+        kind = draw(st.sampled_from(("fresh",) * 4 + ("zero", "repeat")))
+        if kind == "zero":
+            cols.append([0] * k)
+        elif kind == "repeat" and cols:
+            c = draw(st.integers(1, q - 1))
+            cols.append([spec.mul_i(c, v) for v in draw(st.sampled_from(cols))])
+        else:
+            cols.append(draw(st.lists(st.integers(0, q - 1), min_size=k,
+                                      max_size=k)))
+    return spec, [list(r) for r in zip(*cols)]
+
+
+def _search(spec, rows):
+    red, pivots = linalg.rref(spec, rows)
+    return analysis._distance(spec, red, pivots, len(rows[0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_codes_with_repeats())
+@example((field_create(2, 1), [[0, 0, 0, 1, 1, 1], [0, 0, 1, 0, 0, 1]]))  # d = 2
+@example((F5, [[2, 2, 0, 2, 0, 1, 3, 1, 0], [2, 2, 0, 2, 0, 0, 2, 0, 0],
+               [4, 2, 0, 1, 0, 3, 2, 0, 0], [4, 2, 0, 3, 0, 2, 0, 2, 0]]))
+# d = 2, and the second set has rank 2: counted as full rank, it would
+# stop the search at 3
+def test_certificate_matches_exhaustive(case):
+    # the certificate under its budget (exact_params), and with a budget no
+    # code reaches, against the meet-in-the-middle search run alone
+    spec, rows = case
+    n = len(rows[0])
+    red, _ = linalg.rref(spec, rows)
+    if not red:
+        assert exact_params(_code(spec, rows, n)) == (n, 0, 0)
+        return
+    d = analysis._exhaustive(spec, red, n, n)
+    assert exact_params(_code(spec, rows, n)) == (n, len(red), d)
+    with mock.patch.object(analysis._Cost, "exhaustive", lambda self: 10 ** 30):
+        search = _search(spec, rows)
+    assert search.certified and search.d == d
+    if spec.order ** len(red) * n <= 20000:
+        assert d == _params(spec, _weights(spec, rows, n), n)[2]
+
+
+def _product_codes_f5():
+    """The verify-exhaustive shape over F_5: y^2 = x^3 + 1, the product
+    surface, a = 1, beta one degree-2 point (x of degree 2) plus one
+    degree-3 point."""
+    curve = curve_create(ELLIPTIC, (0, 0, 0, 0, 1), F5)
+    twos, threes = curve.closed_points(2), curve.closed_points(3)
+    for i in range(2, len(twos)):
+        beta = DivisorOnCurve(curve, [(twos[i], 1), (threes[7 * i % len(threes)], 1)])
+        yield build_code_decomposable(surface_trivial(curve), 1, beta)
+
+
+def test_search_counts_verify_exhaustive_shape():
+    # d = 5 is settled at level 1: three sets, 30 rows, bound 2 + 2 + 2
+    for code in _product_codes_f5():
+        assert (code.n, code.k) == (36, 10)
+        assert _search(F5, code.matrix) == (5, 3, 1, True)
+
+
+def test_search_counts_random_high_rate_code():
+    # [12, 10] over F_5, d = 2: a weight-2 row of the rref meets the bound 2
+    rng = random.Random(6)
+    rows = [[rng.randrange(5) for _ in range(12)] for _ in range(10)]
+    assert _search(F5, rows) == (2, 1, 1, True)
+
+
+def test_search_counts_prs_large_field():
+    # [730, 2, 729]: a certificate needs 365 sets at level 1, 364 eliminations
+    # where the exhaustive search compares 730 words, so it is not started
+    spec = field_create(3, 6)
+    search = _search(spec, build_prs(spec, 1).matrix)
+    assert search.d == 729 and not search.certified and search.sets <= 2
 
 
 def _macwilliams(dual_dist, q, n):

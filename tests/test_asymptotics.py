@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from ruledcodes.asymptotics import (envelope_coefficient, envelope_product,
                                     figure_discrepancy,
-                                    ruled_limit_params, balanced_d,
+                                    ruled_limit_params,
                                     optimized_rate, dominance_report,
                                     write_frontier_csv, FrontierPoint)
 
@@ -63,7 +63,7 @@ def test_envelope_range_invariants():
 
 def test_ruled_limit_balanced_d_equalizes_branches():
     q, A, a, b = 16, 3, 0.4, 0.7
-    d = balanced_d(q, a, b)
+    d = oracle.balanced_d(q, a, b)
     fp = ruled_limit_params(q, A, a, b, d)
     assert abs(fp.delta - (1 - b)) < 1e-12
     m = fp.params["m"]
@@ -111,7 +111,7 @@ def test_optimized_rate_matches_golden_section(q, A, b):
 def test_optimized_rate_reproduced_by_limit_params():
     q, A, b = 16, 3, 0.7
     r = optimized_rate(q, A, b)
-    fp = ruled_limit_params(q, A, r.a0, b, balanced_d(q, r.a0, b))
+    fp = ruled_limit_params(q, A, r.a0, b, oracle.balanced_d(q, r.a0, b))
     assert abs(fp.rate - r.rate) < 1e-9
     assert abs(fp.delta - (1 - b)) < 1e-12
 

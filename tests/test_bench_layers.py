@@ -29,3 +29,9 @@ def test_bench_layers_on_its_smallest_inputs():
     q, A, samples, b_range = bench.ASYMPTOTICS[0]
     assert (q, A, samples, b_range) == (49, 6.0, 400, (0.3, 0.98, 120))
     assert bench.asymptotics_s(16, 3.0, 20, (0.3, 0.98, 6)) > 0
+    code = bench.product_code(*bench.DISTANCE_PRODUCT[1])
+    assert (code.k, code.n, code.spec.order) == (10, 40, 4)
+    assert bench.distance_s(code) > 0
+    assert bench.DISTANCE_PRS == [(5, 2, 4)]
+    small = bench.random_code(5, 1, 3, 8, 1)
+    assert (small.k, small.n) == (3, 8) and bench.distance_s(small) > 0

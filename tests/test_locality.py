@@ -11,10 +11,9 @@ from ruledcodes.surface import (surface_decomposable, surface_elm_product,
                                 surface_trivial, INFTY)
 from ruledcodes.codes import (build_curve_code, build_prs,
                               build_code_decomposable, build_code_elm)
-from ruledcodes.locality import (fiber_ranks, restriction_fiber,
-                                 restriction_section,
-                                 section_restriction_contained, recovery_sets,
-                                 recover, _lagrange_weights)
+from ruledcodes.locality import (fiber_ranks, restriction_section,
+                                 recovery_sets, recover, _lagrange_weights)
+from locality_oracle import restriction_fiber, section_restriction_contained
 from ruledcodes.cli import _build_code, load_config
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "scripts", "configs")

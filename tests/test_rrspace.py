@@ -423,9 +423,8 @@ def scan_x_fiber(curve, m):
     fiber = []
     for dd in sorted({m.degree, 2 * m.degree}):
         ext = extend(curve.spec, dd)
-        m_ext = m.map_to(ext)
         for cp in curve.closed_points(dd):
-            if not cp.is_infinity and m_ext.eval_i(cp.x) == 0:
+            if not cp.is_infinity and m.eval_i(cp.x, ext) == 0:
                 e = 2 if curve.is_two_torsion(cp.x, cp.y, ext) else 1
                 fiber.append((cp, e))
     return fiber

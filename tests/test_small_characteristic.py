@@ -1,7 +1,7 @@
 """End-to-end runs in characteristics 2 and 3, where the long Weierstrass
 form, Artin-Schreier quadratic solving, and the 2-torsion charts all matter."""
 
-
+import curve_oracle
 
 from ruledcodes import linalg
 from ruledcodes.gf import field_create, extend
@@ -28,7 +28,7 @@ def test_char2_supersingular_curve():
     for d in (1, 2, 3, 4):
         total = sum(ee * len(e.closed_points(ee))
                     for ee in range(1, d + 1) if d % ee == 0)
-        assert total == e.point_count(d)
+        assert total == curve_oracle.point_count(e, d)
 
 
 def test_char2_riemann_roch_and_orders():
