@@ -34,7 +34,9 @@ prints one JSON object of wall-clock seconds, each from a single run:
     search) on the two product-surface codes of the verify-exhaustive
     workload, [36, 10] over F_5 and [40, 10] over F_4, and on two codes
     where the Zimmermann certificate does not pay: PRS(4) over F_25
-    ([26, 5, 22]) and a random [60, 4] code over F_49.
+    ([26, 5, 22]), a random [60, 4] code over F_49, and the a = 1 code on
+    the product surface over P^1 over F_7 with beta one degree-3 point
+    ([64, 8, 35]), a code `build` serves that the exhaustive search settles.
 
 Each code lives on an elliptic curve with beta = b/2 times the degree-2
 point of index 1 and delta (or the elm center) the degree-2 point of
@@ -52,7 +54,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from ruledcodes import analysis, cli, codes, linalg, locality  # noqa: E402
 from ruledcodes.asymptotics import dominance_report, optimized_rate  # noqa: E402
-from ruledcodes.curve import curve_create, DivisorOnCurve, ELLIPTIC  # noqa: E402
+from ruledcodes.curve import curve_create, DivisorOnCurve, ELLIPTIC, P1  # noqa: E402
 from ruledcodes.gf import FieldSpec, extend, field_create  # noqa: E402
 from ruledcodes.rrspace import rr_basis  # noqa: E402
 from ruledcodes.surface import (surface_decomposable,  # noqa: E402
@@ -89,6 +91,9 @@ DISTANCE_PRODUCT = [(5, 1, (0, 0, 0, 0, 1), 2, 0),    # [36, 10, 5]
 # row by row with random.Random(seed)
 DISTANCE_PRS = [(5, 2, 4)]
 DISTANCE_RANDOM = [(7, 2, 4, 60, 5)]
+# (p, m, a, d, i): the code of degree a on the product surface over P^1,
+# with beta the degree-d point of index i
+DISTANCE_P1 = [(7, 1, 1, 3, 1)]
 
 # (q, A, samples, (lo, hi, count)): the dominance table and the ruled grid
 # of `asymptotics --samples 400 --b-range 0.3:0.98:120`
@@ -225,6 +230,12 @@ def product_code(p, m, coeffs, i2, i3):
     return codes.build_code_decomposable(surface_trivial(curve), 1, beta)
 
 
+def p1_product_code(p, m, a, d, i):
+    curve = curve_create(P1, None, field_create(p, m))
+    beta = DivisorOnCurve(curve, [(curve.closed_points(d)[i], 1)])
+    return codes.build_code_decomposable(surface_trivial(curve), a, beta)
+
+
 def random_code(p, m, k, n, seed):
     rng = random.Random(seed)
     q = p ** m
@@ -260,7 +271,8 @@ def main():
         out[f"recover_write.F_{code.spec.order}.{code.n}"] = recover_write_s(code)
     for code in ([product_code(*c) for c in DISTANCE_PRODUCT]
                  + [codes.build_prs(field_create(p, m), a) for p, m, a in DISTANCE_PRS]
-                 + [random_code(*c) for c in DISTANCE_RANDOM]):
+                 + [random_code(*c) for c in DISTANCE_RANDOM]
+                 + [p1_product_code(*c) for c in DISTANCE_P1]):
         out[f"distance.F_{code.spec.order}.{code.k}x{code.n}"] = distance_s(code)
     print(json.dumps({k: round(v, 4) for k, v in out.items()}, indent=1))
 

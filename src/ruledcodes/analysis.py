@@ -22,16 +22,25 @@ reaches the lightest word seen, or once level k of set 1 has visited every
 word.  Each step visits the next level of the set in use with the lowest
 level (the lowest set first).
 
-The certificate runs only while its cost, spent plus the least still needed
-to reach the lightest word seen, stays under half the cost of the
-exhaustive search, from counts of the input alone; past that, the
-exhaustive search runs from the lightest word found.  Costs count
-eliminations, words built and pairs compared in one unit, one 64-coordinate
-bit-plane word of a compared pair.  The exhaustive search took 0.6-1.4
-ns per counted unit on 60 codes with q <= 729 and k <= 20, the benchmark's
-two verify codes among them (one core, Python 3.11, numpy 2.4); there an
-array step costs about 4,000 units, and an rref pivot 5,500 (4 + deg)
-units plus its pass over the rows.
+Before each step the certificate plans the rest of it in that order, and
+it goes on only while the rest costs under a twelfth of the exhaustive
+search, from counts of the input alone; past that, the exhaustive search
+runs from the lightest word found.  The plan counts on the sets not built
+yet at full rank, and on none once a set of partial rank has come: a set's
+rank is the rank of the columns no earlier set holds, so every later set
+has partial rank too, adds to the bound only from a higher level, and costs
+an elimination.  Only that first set of partial rank can raise the plan,
+so a certificate that gives up late has spent under a twelfth of the
+exhaustive search's cost.  Costs count eliminations, words built and pairs
+compared in one unit, one 64-coordinate bit-plane word of a compared pair.
+On 19 codes with q <= 729 and k <= 20, the benchmark's two verify codes
+among them, the exhaustive search took 0.6-1.5 ns per counted unit and the
+certificate 0.7-1.7 ns (one core, Python 3.11, numpy 2.4); there an array
+step costs about 4,000 units and an rref pivot about 10,000 (4 + deg).  The
+exhaustive search runs on codes of small k and large d, such as the
+product codes over F_16 and F_49 with a <= 1, and on the benchmark's F_4
+[40, 10] code; on its F_5 [36, 10] code the certificate settles d = 5 at
+level 1 of three sets.
 
 The exhaustive search is a single-threaded projective meet-in-the-middle
 search: it visits one word per line of the code, (q^k - 1) / (q - 1) in
@@ -60,8 +69,8 @@ EXACT_CAP_DEFAULT = 10 ** 7
 _WORDS = 1 << 15        # word pairs times uint64 words per plane, per array step
 # costs per digit of a built word, per digit product, per array step, and
 # per rref pivot and field degree, in the unit of the module docstring
-_WORD, _MUL, _STEP, _PIVOT = 5, 1, 4000, 5500
-_SHARE = 2              # the certificate's budget: the exhaustive cost / _SHARE
+_WORD, _MUL, _STEP, _PIVOT = 5, 4, 4000, 10000
+_SHARE = 12             # the certificate's budget: the exhaustive cost / _SHARE
 
 
 class CapExceededError(ValueError):
@@ -232,6 +241,12 @@ def _distances(lead, other):
     return np.bitwise_count(diff).sum(axis=0, dtype=np.uint32)
 
 
+def _halves(k):
+    """Per lead row j of the exhaustive search, the numbers of rows after it
+    whose spans are its two tables: the lead table's, then the other's."""
+    return [((k - 1 - j) // 2, k - 1 - j - (k - 1 - j) // 2) for j in range(k)]
+
+
 def _exhaustive(spec, rows, n, best):
     """min(best, d) over the (q^k - 1)/(q - 1) words g_j + sum_{i>j} m_i g_i
     of rows in echelon form.  For each j the rows after g_j are split in two
@@ -244,9 +259,8 @@ def _exhaustive(spec, rows, n, best):
     scalars = fqarray.digits(spec, np.arange(spec.order))[:, :, None]
     multiples = [fqarray.mul(spec, scalars, gens[:, i, None, :])
                  for i in range(1, len(rows))]
-    for j in range(len(rows)):
+    for j, (half, _) in enumerate(_halves(len(rows))):
         rest = multiples[j:]
-        half = len(rest) // 2
         lead = fqarray.add(spec, _span(spec, rest[:half], n), gens[:, j, None, :])
         lead = _planes(spec, fqarray.encode(spec, lead))
         other = _planes(spec, fqarray.encode(spec, _span(spec, rest[half:], n)))
@@ -275,9 +289,9 @@ class _InfoSet:
     one head of weight ceil(w/2) (t rows, coefficient 1 on the first, keyed
     by the last row) plus one tail of weight floor(w/2) (t rows, any nonzero
     coefficients, keyed by the first row counted from the last) whose rows
-    all come after the head's.  Level w compares each block of heads with
-    the tails after its first head, the rest masked, and never builds a
-    table of weight above ceil(w/2).
+    all come after the head's.  Level w compares the heads that end on each
+    row with the tails after that row, and never builds a table of weight
+    above ceil(w/2).
     """
 
     def __init__(self, spec, rows, rank):
@@ -308,15 +322,15 @@ class _InfoSet:
             self.tails = [[np.zeros((spec.deg, 1, n), np.int64), np.array([-1]), None]]
         head, last = self._table(self.heads, (w + 1) // 2, self.mults)
         tail, first = self._table(self.tails, w // 2, self.mults[:, ::-1])
-        after = np.searchsorted(first, k - 1 - last)  # tails after each head
-        lo = 0
-        while lo < len(last) and after[lo]:
-            m = int(after[lo])
-            hi = min(len(last), lo + max(1, _WORDS // tail[0, :, :m].size))
-            dist = _distances(head[:, :, lo:hi], tail[:, :, :m])
-            dist[np.arange(m) >= after[lo:hi, None]] = n
-            best = min(best, int(dist.min()))
-            lo = hi
+        ends = np.searchsorted(last, np.arange(k + 1))  # heads by last row
+        for row in range(k):
+            m = int(np.searchsorted(first, k - 1 - row))  # tails after row
+            if not m:
+                break
+            step = max(1, _WORDS // tail[0, :, :m].size)
+            for lo in range(ends[row], ends[row + 1], step):
+                hi = min(lo + step, ends[row + 1])
+                best = min(best, int(_distances(head[:, :, lo:hi], tail[:, :, :m]).min()))
         return best
 
 
@@ -325,6 +339,14 @@ class _Search(NamedTuple):
     sets: int           # information sets built, the rref's own included
     level: int          # last level finished on the first set
     certified: bool     # False: the meet-in-the-middle search gave d
+
+
+def _level_sizes(q, k, w):
+    """Level w >= 2 on a set of k rows: the words of the table it builds
+    first (heads of weight ceil(w/2) for odd w, else tails of weight w/2)
+    and the words of message weight w it compares."""
+    t = (w + 1) // 2
+    return comb(k, t) * (q - 1) ** (t - w % 2), comb(k, w) * (q - 1) ** (w - 1)
 
 
 class _Cost:
@@ -339,36 +361,34 @@ class _Cost:
         self.mul = _MUL * n * self.deg ** 2
         self.compare = _STEP * (2 * planes + 4)
 
+    def _pairs(self, pairs):
+        return pairs * self.pair + self.compare * -(-pairs * self.pair // _WORDS)
+
     def exhaustive(self):
-        """Its multiples, span tables and pairs."""
+        """Its multiples, span tables (with the smaller spans they are
+        summed from) and pairs."""
         q, k = self.q, self.k
         total = (k - 1) * (q * self.mul + _STEP * (self.deg + 3))
-        total += (q ** k - 1) // (q - 1) * self.pair
-        for j in range(k):
-            rest = k - 1 - j
-            for h in (rest // 2, rest - rest // 2):
-                total += q ** h * q // (q - 1) * self.word + _STEP * (2 * h + 8)
-            total += self.compare * -(-q ** rest * self.pair // _WORDS)
+        for a, b in _halves(k):
+            total += (q ** a + q ** b) * q // (q - 1) * self.word
+            total += self._pairs(q ** (a + b)) + _STEP * (2 * (a + b) + 16)
         return total
 
     def info_set(self):
-        """One elimination: k pivots, each a few array steps and a pass over
-        the k x n digit array."""
-        return self.k * (_PIVOT * (4 + self.deg) + 7 * self.k * self.n * self.deg)
+        """One elimination: k pivots, each a few array steps and a product
+        of the pivot row with the distinct coefficients of its column."""
+        return self.k * (_PIVOT * (4 + self.deg) + 5 * self.k * self.n * self.deg ** 2)
 
     def visit(self, w):
-        """Level w on one set: its pairs, the table it builds first, and the
-        rows' multiples at level 2."""
-        q, k = self.q, self.k
+        """Level w on one set: the table it builds first, its pairs (about
+        three times the exhaustive search's cost each, measured: smaller
+        blocks, one run per head row) and the rows' multiples at level 2."""
         if w == 1:
-            return _STEP
-        a, b = (w + 1) // 2, w // 2
-        words = comb(k, a) * (q - 1) ** (a - 1) if w % 2 else comb(k, b) * (q - 1) ** b
-        pairs = comb(k, w) * (q - 1) ** (w - 1)
-        total = words * self.word + _STEP * 12 + pairs * self.pair
-        total += self.compare * -(-pairs * self.pair // _WORDS)
+            return 5 * _STEP
+        words, pairs = _level_sizes(self.q, self.k, w)
+        total = words * self.word + 3 * self._pairs(pairs) + _STEP * 36
         if w == 2:
-            total += k * (q - 1) * self.mul + _STEP * (self.deg + 3)
+            total += self.k * (self.q - 1) * self.mul + _STEP * (self.deg + 3)
         return total
 
 
@@ -380,10 +400,11 @@ def _bound(k, levels, ranks):
 def _plan(cost, k, levels, ranks, best, budget):
     """(cost, set) of the steps left until the bound reaches best, if the
     sets after the built ones (levels) have the ranks given, and the set
-    that comes first; None past the budget.  A set of rank r < k adds to the
-    bound from level k - r on, so it is left out when the sets of full rank
-    alone reach best at a lower level.  Each step visits the next level of
-    the lowest set in use, and builds it first if it is new."""
+    that comes first; None when they cost more than budget.  A set of rank
+    r < k adds to the bound from level k - r on, so it is left out when the
+    sets of full rank alone reach best at a lower level.  Each step visits
+    the next level of the lowest set in use, and builds it first if it is
+    new."""
     full = ranks.count(k)
     use = [j for j, r in enumerate(ranks) if k - r < -(-best // full)]
     bound, total, built, first = _bound(k, levels, ranks), 0, len(levels), None
@@ -409,24 +430,25 @@ def _plan(cost, k, levels, ranks, best, budget):
 
 def _distance(spec, rows, pivots, n) -> _Search:
     """d of the span of rows (in echelon form, pivots their pivot columns):
-    a Zimmermann certificate while its cost stays under a share of the
-    meet-in-the-middle search's, else that search from the lightest word
-    seen."""
+    a Zimmermann certificate while the rest of it is planned to cost under
+    a share of the meet-in-the-middle search, else that search from the
+    lightest word seen, once the certificate's tables are freed."""
     k = len(rows)
     cost = _Cost(spec, k, n)
     budget = cost.exhaustive() // _SHARE
     sets = [_InfoSet(spec, rows, k)]
-    best, spent = sets[0].visit(1, n), 0
+    best = sets[0].visit(1, n)
     nonzero = sets[0].rows.any(axis=0)
     free, order = int(nonzero.sum()) - k, None
     while (_bound(k, [s.level for s in sets], [s.rank for s in sets]) < best
            and sets[0].level < k):
+        more = [k] * (free // k) + [free % k] * (free % k > 0)
         plan = _plan(cost, k, [s.level for s in sets], [s.rank for s in sets]
-                     + [k] * (free // k) + [free % k] * (free % k > 0),
-                     best, budget - spent)
+                     + more * (sets[-1].rank == k), best, budget)
         if plan is None:
-            return _Search(_exhaustive(spec, rows, n, best), len(sets),
-                           sets[0].level, False)
+            built, level = len(sets), sets[0].level
+            del sets
+            return _Search(_exhaustive(spec, rows, n, best), built, level, False)
         j = plan[1]
         if j == len(sets):
             if order is None:
@@ -441,9 +463,7 @@ def _distance(spec, rows, pivots, n) -> _Search:
             order = [c for c in order if c not in fresh]
             free -= len(fresh)
             sets.append(_InfoSet(spec, red, len(fresh)))
-            spent += cost.info_set()
         best = sets[j].visit(sets[j].level + 1, best)
-        spent += cost.visit(sets[j].level)
     return _Search(best, len(sets), sets[0].level, True)
 
 

@@ -292,22 +292,27 @@ def test_certificate_matches_exhaustive(case):
         assert d == _params(spec, _weights(spec, rows, n), n)[2]
 
 
-def _product_codes_f5():
-    """The verify-exhaustive shape over F_5: y^2 = x^3 + 1, the product
-    surface, a = 1, beta one degree-2 point (x of degree 2) plus one
-    degree-3 point."""
-    curve = curve_create(ELLIPTIC, (0, 0, 0, 0, 1), F5)
+def _product_codes(spec, coeffs, first):
+    """The verify-exhaustive shapes: the product surface over the curve with
+    these coefficients, a = 1, beta one degree-2 point (x of degree 2, from
+    index first on) plus one degree-3 point."""
+    curve = curve_create(ELLIPTIC, coeffs, spec)
     twos, threes = curve.closed_points(2), curve.closed_points(3)
-    for i in range(2, len(twos)):
+    for i in range(first, len(twos)):
         beta = DivisorOnCurve(curve, [(twos[i], 1), (threes[7 * i % len(threes)], 1)])
         yield build_code_decomposable(surface_trivial(curve), 1, beta)
 
 
-def test_search_counts_verify_exhaustive_shape():
-    # d = 5 is settled at level 1: three sets, 30 rows, bound 2 + 2 + 2
-    for code in _product_codes_f5():
+def test_search_counts_verify_exhaustive_shapes():
+    # over F_5 (y^2 = x^3 + 1), d = 5 is settled at level 1: three sets,
+    # 30 rows, bound 2 + 2 + 2; over F_4 (y^2 + xy = x^3 + 1) the certificate
+    # would cost more than its budget, and the exhaustive search runs
+    for code in _product_codes(F5, (0, 0, 0, 0, 1), 2):
         assert (code.n, code.k) == (36, 10)
         assert _search(F5, code.matrix) == (5, 3, 1, True)
+    for code in _product_codes(F4, (1, 0, 0, 0, 1), 0):
+        assert (code.n, code.k) == (40, 10)
+        assert _search(F4, code.matrix) == (12, 1, 1, False)
 
 
 def test_search_counts_random_high_rate_code():
@@ -323,6 +328,56 @@ def test_search_counts_prs_large_field():
     spec = field_create(3, 6)
     search = _search(spec, build_prs(spec, 1).matrix)
     assert search.d == 729 and not search.certified and search.sets <= 2
+
+
+@pytest.mark.parametrize("p, tails, search", [
+    # [I | B] over F_5, k = 10, n = 21, d = 4: the second information set
+    # has rank 7, so no further set is planned, and the levels the two sets
+    # would need cost more than the budget
+    (5, ["43411341330", "21411014140", "04403014013", "20330414433",
+         "14221441343", "24320111221", "00142440200", "32314341301",
+         "30343242021", "22411143144"], (4, 2, 1, False)),
+    # [I | B] over F_7, k = 8, n = 17, d = 4: the second set has rank 4; the
+    # certificate plans no third set and settles d at level 3 of the first
+    (7, ["225326314", "232231534", "456324546", "363024341", "223630410",
+         "000154003", "613013201", "210335565"], (4, 2, 3, True)),
+])
+def test_search_counts_after_a_partial_set(p, tails, search):
+    spec, k = field_create(p, 1), len(tails)
+    rows = [[int(i == j) for j in range(k)] + [int(c) for c in row]
+            for i, row in enumerate(tails)]
+    assert _search(spec, rows) == search
+    assert analysis._exhaustive(spec, rows, len(rows[0]), len(rows[0])) == search[0]
+
+
+@pytest.mark.parametrize("spec, k", [(F5, 6), (field_create(2, 1), 9),
+                                     (field_create(2, 2), 5)])
+def test_cost_counts_match_traced_searches(spec, k):
+    # the counts _Cost charges are the words each search encodes and the
+    # pairs it compares: exactly, but for the k heads that level 2 also
+    # encodes
+    q, n = spec.order, 3 * k
+    rng = random.Random(k)
+    red, _ = linalg.rref(spec, [[rng.randrange(q) for _ in range(n)] for _ in range(k)])
+    assert len(red) == k
+    words, pairs = [], []
+    planes, distances = analysis._planes, analysis._distances
+    with mock.patch.object(analysis, "_planes", lambda s, e: (
+            words.append(len(e)), planes(s, e))[1]), \
+         mock.patch.object(analysis, "_distances", lambda a, b: (
+            pairs.append(a.shape[2] * b.shape[2]), distances(a, b))[1]):
+        analysis._exhaustive(spec, red, n, n)
+        assert sum(words) == sum(q ** a + q ** b for a, b in analysis._halves(k))
+        assert sum(pairs) == sum(q ** (a + b) for a, b in analysis._halves(k))
+        info = analysis._InfoSet(spec, red, k)
+        info.visit(1, n)
+        for w in range(2, k + 1):
+            words.clear()
+            pairs.clear()
+            info.visit(w, n)
+            built, compared = analysis._level_sizes(q, k, w)
+            assert sum(words) == built + k * (w == 2)
+            assert sum(pairs) == compared
 
 
 def _macwilliams(dual_dist, q, n):

@@ -33,5 +33,7 @@ def test_bench_layers_on_its_smallest_inputs():
     assert (code.k, code.n, code.spec.order) == (10, 40, 4)
     assert bench.distance_s(code) > 0
     assert bench.DISTANCE_PRS == [(5, 2, 4)]
+    code = bench.p1_product_code(*bench.DISTANCE_P1[0])
+    assert (code.k, code.n, code.spec.order) == (8, 64, 7)
     small = bench.random_code(5, 1, 3, 8, 1)
     assert (small.k, small.n) == (3, 8) and bench.distance_s(small) > 0
