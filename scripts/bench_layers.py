@@ -32,11 +32,13 @@ prints one JSON object of wall-clock seconds, each from a single run:
     the work of `ruledcodes asymptotics` at the benchmark's settings;
   * distance.F_{q}.{k}x{n}: analysis.exact_params (rref and distance
     search) on the two product-surface codes of the verify-exhaustive
-    workload, [36, 10] over F_5 and [40, 10] over F_4, and on two codes
-    where the Zimmermann certificate does not pay: PRS(4) over F_25
-    ([26, 5, 22]), a random [60, 4] code over F_49, and the a = 1 code on
-    the product surface over P^1 over F_7 with beta one degree-3 point
-    ([64, 8, 35]), a code `build` serves that the exhaustive search settles.
+    workload, [36, 10] over F_5 and [40, 10] over F_4, and on codes where
+    the Zimmermann certificate does not pay: PRS(4) over F_25
+    ([26, 5, 22]), random [60, 4], [100, 16] and [200, 6] codes over F_49,
+    F_2 and F_9 (one, two and four 64-coordinate words per bit plane), and
+    the a = 1 code on the product surface over P^1 over F_7 with beta one
+    degree-3 point ([64, 8, 35]), a code `build` serves that the exhaustive
+    search settles.
 
 Each code lives on an elliptic curve with beta = b/2 times the degree-2
 point of index 1 and delta (or the elm center) the degree-2 point of
@@ -90,7 +92,7 @@ DISTANCE_PRODUCT = [(5, 1, (0, 0, 0, 0, 1), 2, 0),    # [36, 10, 5]
 # (p, m, a): PRS(a); (p, m, k, n, seed): k random rows of length n, drawn
 # row by row with random.Random(seed)
 DISTANCE_PRS = [(5, 2, 4)]
-DISTANCE_RANDOM = [(7, 2, 4, 60, 5)]
+DISTANCE_RANDOM = [(7, 2, 4, 60, 5), (2, 1, 16, 100, 5), (3, 2, 6, 200, 5)]
 # (p, m, a, d, i): the code of degree a on the product surface over P^1,
 # with beta the degree-d point of index i
 DISTANCE_P1 = [(7, 1, 1, 3, 1)]

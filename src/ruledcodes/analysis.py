@@ -34,8 +34,9 @@ so a certificate that gives up late has spent under a twelfth of the
 exhaustive search's cost.  Costs count eliminations, words built and pairs
 compared in one unit, one 64-coordinate bit-plane word of a compared pair.
 On 19 codes with q <= 729 and k <= 20, the benchmark's two verify codes
-among them, the exhaustive search took 0.6-1.5 ns per counted unit and the
-certificate 0.7-1.7 ns (one core, Python 3.11, numpy 2.4); there an array
+among them, the exhaustive search took 0.3-1.0 ns per counted unit and the
+certificate 0.5-2.5 ns, 2.6 on one whose certificate takes 0.05 ms (one
+core, Python 3.11, numpy 2.4, two runs in fresh processes); there an array
 step costs about 4,000 units and an rref pivot about 10,000 (4 + deg).  The
 exhaustive search runs on codes of small k and large d, such as the
 product codes over F_16 and F_49 with a <= 1, and on the benchmark's F_4
@@ -45,10 +46,14 @@ level 1 of three sets.
 The exhaustive search is a single-threaded projective meet-in-the-middle
 search: it visits one word per line of the code, (q^k - 1) / (q - 1) in
 all, by comparing blocks of rows of one small span table with a whole
-second one, both packed as bit planes of their encodings, by XOR and
-popcount, the same way for every q.  The certificate's levels compare their
-tables the same way.  The tables and the q scalar multiples of each row
-they are summed from are fqarray operations on whole arrays.
+second one, by XOR and popcount into buffers reused from block to block,
+the same way for every q.  The certificate's levels compare their tables
+the same way.  The q scalar multiples of the rows after the first are one
+fqarray product; the tables are summed from them digit by digit in the
+narrowest unsigned type that holds 2 (p - 1), and packed as
+deg * bits(p - 1) bit planes of those digits, which the costs count: for
+some odd-p extension fields more than the bits(q - 1) of an encoding (F_25
+6 against 5, F_125 9 against 7).
 """
 
 from __future__ import annotations
@@ -208,43 +213,84 @@ def singleton_check(n: int, k: int, d: int) -> bool:
 # exact parameters: a Zimmermann certificate, else a projective
 # meet-in-the-middle search
 
-def _span(spec, multiples, n):
-    """Every F_q-combination of some rows, one per table row, in digit form.
+def _add(spec, x, y):
+    """x + y for two narrow digit arrays (see _multiples), reduced mod p in
+    place: a sum
+    s < 2p is min(s, s - p), since s - p wraps round above s when s < p
+    (numpy's % is about 20 times slower on uint8)."""
+    out = np.add(x, y)
+    np.minimum(out, out - spec.p, out=out)
+    return out
 
-    multiples holds, per row, the digit form of its q scalar multiples.
+
+def _span(spec, multiples, start):
+    """start plus every F_q-combination of some rows, one per table row, in
+    narrow digit form; start is one word, (deg, 1, n).
+
+    multiples holds the rows' q scalar multiples, (deg, rows, q, n).
     """
-    table = np.zeros((spec.deg, 1, n), dtype=np.int64)
-    for mult in multiples:
-        table = fqarray.add(spec, table[:, :, None, :],
-                            mult[:, None, :, :]).reshape(spec.deg, -1, n)
+    table = start
+    for i in range(multiples.shape[1]):
+        table = _add(spec, table[:, :, None], multiples[:, i, None])
+        table = table.reshape(spec.deg, -1, start.shape[2])
     return table
 
 
-def _planes(spec, enc):
-    """Bit t < b = (q - 1).bit_length() of an (m, n) array of encodings, as
-    (b, ceil(n / 64), m) uint64 words of 64 coordinates, 0-padded."""
-    m, n = enc.shape
-    enc = enc.astype(np.uint32)  # q <= gf.DESK_CAP
-    out = np.zeros(((spec.order - 1).bit_length(), m, -(-n // 64) * 8), dtype=np.uint8)
-    for t, plane in enumerate(out):
-        bits = (enc >> t).astype(np.uint8) & 1
-        plane[:, :-(-n // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+def _planes(spec, words):
+    """Bit t < (p - 1).bit_length() of each digit of a (deg, m, n) digit
+    array, as (deg * bits, ceil(n / 64), m) uint64 words of 64 coordinates,
+    0-padded: two words differ on a coordinate iff some plane does."""
+    deg, m, n = words.shape
+    bits = 1 << np.arange((spec.p - 1).bit_length(), dtype=words.dtype)
+    packed = np.packbits(words[:, None] & bits[:, None, None], axis=-1,
+                         bitorder="little").reshape(-1, m, -(-n // 8))
+    out = np.zeros(packed.shape[:2] + (-(-n // 64) * 8,), dtype=np.uint8)
+    out[:, :, :packed.shape[2]] = packed
     return np.ascontiguousarray(out.view(np.uint64).transpose(0, 2, 1))
 
 
-def _distances(lead, other):
+def _scratch(size, w):
+    """Flat buffers for _distances of blocks of up to size word pairs times
+    w uint64 words per plane, allocated once per table pair: numpy's
+    temporaries of that size cost a fresh allocation on every array step."""
+    return (np.empty(size, np.uint64), np.empty(size, np.uint64),
+            np.empty(size, np.uint8), np.empty(size, np.min_scalar_type(64 * w)))
+
+
+def _distances(lead, other, scratch):
     """(m1, m2) distances between the words of two bit-plane arrays: the
-    popcount of the OR over planes of their XOR."""
-    diff = lead[0, :, :, None] ^ other[0, :, None]
+    popcount of the OR over planes of their XOR, its w words' counts added
+    in the narrowest unsigned type that holds 64 w.  Written into scratch
+    (from _scratch), and valid until its next use."""
+    _, w, m1 = lead.shape
+    size = w * m1 * other.shape[2]
+    diff, xor, count, wide = (buf[:size].reshape(w, m1, -1) for buf in scratch)
+    np.bitwise_xor(lead[0, :, :, None], other[0, :, None], out=diff)
     for x, y in zip(lead[1:], other[1:]):
-        diff |= x[:, :, None] ^ y[:, None]
-    return np.bitwise_count(diff).sum(axis=0, dtype=np.uint32)
+        np.bitwise_xor(x[:, :, None], y[:, None], out=xor)
+        diff |= xor
+    np.bitwise_count(diff, out=count)
+    total = count[0]
+    if wide.dtype != count.dtype:
+        total = wide[0]
+        total[...] = count[0]
+    for c in count[1:]:
+        total += c
+    return total
 
 
 def _halves(k):
     """Per lead row j of the exhaustive search, the numbers of rows after it
     whose spans are its two tables: the lead table's, then the other's."""
     return [((k - 1 - j) // 2, k - 1 - j - (k - 1 - j) // 2) for j in range(k)]
+
+
+def _multiples(spec, scalars, rows):
+    """Each scalar times each row, (deg, rows, scalars, n), in narrow digit
+    form: the narrowest unsigned type that holds 2 (p - 1)."""
+    prod = fqarray.mul(spec, fqarray.digits(spec, scalars)[:, None, :, None],
+                       fqarray.digits(spec, rows)[:, :, None])
+    return prod.astype(np.min_scalar_type(2 * (spec.p - 1)))
 
 
 def _exhaustive(spec, rows, n, best):
@@ -255,18 +301,17 @@ def _exhaustive(spec, rows, n, best):
     closed under negation, min over s in S of wt(w + s) is the least distance
     from w to S, taken for a block of words w and all of S in one array
     step."""
-    gens = fqarray.digits(spec, rows)
-    scalars = fqarray.digits(spec, np.arange(spec.order))[:, :, None]
-    multiples = [fqarray.mul(spec, scalars, gens[:, i, None, :])
-                 for i in range(1, len(rows))]
+    starts = _multiples(spec, [0, 1], rows)  # 0 g_j and g_j
+    multiples = _multiples(spec, np.arange(spec.order), np.asarray(rows)[1:])
     for j, (half, _) in enumerate(_halves(len(rows))):
-        rest = multiples[j:]
-        lead = fqarray.add(spec, _span(spec, rest[:half], n), gens[:, j, None, :])
-        lead = _planes(spec, fqarray.encode(spec, lead))
-        other = _planes(spec, fqarray.encode(spec, _span(spec, rest[half:], n)))
+        rest = multiples[:, j:]
+        lead = _planes(spec, _span(spec, rest[:, :half], starts[:, j, 1, None]))
+        other = _planes(spec, _span(spec, rest[:, half:], starts[:, j, 0, None]))
         step = max(1, _WORDS // other[0].size)
+        scratch = _scratch(other[0].size * min(step, lead.shape[2]), other.shape[1])
         for lo in range(0, lead.shape[2], step):
-            best = min(best, int(_distances(lead[:, :, lo:lo + step], other).min()))
+            block = lead[:, :, lo:lo + step]
+            best = min(best, int(_distances(block, other, scratch).min()))
     return best
 
 
@@ -277,7 +322,7 @@ def _grow(spec, words, key, mults):
     count = np.searchsorted(key, np.arange(k))
     row = np.repeat(np.arange(k), count)
     x = np.arange(count.sum()) - np.repeat(count.cumsum() - count, count)
-    out = fqarray.add(spec, words[:, x, None], mults[:, row])
+    out = _add(spec, words[:, x, None], mults[:, row])
     return out.reshape(spec.deg, -1, words.shape[2]), np.repeat(row, mults.shape[2])
 
 
@@ -305,7 +350,7 @@ class _InfoSet:
             words, key, _ = tables[-1]
             tables.append(list(_grow(self.spec, words, key, mults)) + [None])
         if tables[t][2] is None:
-            tables[t][2] = _planes(self.spec, fqarray.encode(self.spec, tables[t][0]))
+            tables[t][2] = _planes(self.spec, tables[t][0])
         return tables[t][2], tables[t][1]
 
     def visit(self, w, best):
@@ -315,14 +360,13 @@ class _InfoSet:
             return min(best, int(np.count_nonzero(self.rows, axis=1).min()))
         spec, (k, n) = self.spec, self.rows.shape
         if self.heads is None:
-            gens = fqarray.digits(spec, self.rows)
-            scalars = fqarray.digits(spec, np.arange(1, spec.order))
-            self.mults = fqarray.mul(spec, scalars[:, None, :, None], gens[:, :, None])
-            self.heads = [None, [gens, np.arange(k), None]]
-            self.tails = [[np.zeros((spec.deg, 1, n), np.int64), np.array([-1]), None]]
+            self.mults = _multiples(spec, np.arange(1, spec.order), self.rows)
+            self.heads = [None, [self.mults[:, :, 0], np.arange(k), None]]
+            self.tails = [[np.zeros((spec.deg, 1, n), self.mults.dtype), np.array([-1]), None]]
         head, last = self._table(self.heads, (w + 1) // 2, self.mults)
         tail, first = self._table(self.tails, w // 2, self.mults[:, ::-1])
         ends = np.searchsorted(last, np.arange(k + 1))  # heads by last row
+        scratch = _scratch(max(_WORDS, tail[0].size), tail.shape[1])
         for row in range(k):
             m = int(np.searchsorted(first, k - 1 - row))  # tails after row
             if not m:
@@ -330,7 +374,8 @@ class _InfoSet:
             step = max(1, _WORDS // tail[0, :, :m].size)
             for lo in range(ends[row], ends[row + 1], step):
                 hi = min(lo + step, ends[row + 1])
-                best = min(best, int(_distances(head[:, :, lo:hi], tail[:, :, :m]).min()))
+                block = _distances(head[:, :, lo:hi], tail[:, :, :m], scratch)
+                best = min(best, int(block.min()))
         return best
 
 
@@ -355,7 +400,7 @@ class _Cost:
 
     def __init__(self, spec, k, n):
         self.q, self.k, self.n, self.deg = spec.order, k, n, spec.deg
-        planes = (self.q - 1).bit_length()
+        planes = self.deg * (spec.p - 1).bit_length()
         self.pair = planes * -(-n // 64)
         self.word = _WORD * n * (self.deg + planes)
         self.mul = _MUL * n * self.deg ** 2

@@ -130,7 +130,11 @@ def build_code_decomposable(surface: RuledSurfaceModel, a: int,
     b = beta.degree()
     if not 0 <= b < len(rational):
         raise ValueError(f"deg(beta) = {b} must satisfy 0 <= b < N")
-    blocks = [rr_basis(curve, beta - i * surface.delta) for i in range(a + 1)]
+    divisors = [beta - i * surface.delta for i in range(a + 1)]
+    blocks = []
+    for i, divisor in enumerate(divisors):  # delta = 0 repeats beta
+        first = divisors.index(divisor)
+        blocks.append(blocks[first] if first < i else rr_basis(curve, divisor))
     if not any(blocks):
         raise ValueError("empty message space")
     block_index = [i for i, block in enumerate(blocks) for _ in block]

@@ -88,21 +88,6 @@ def solve(spec: FieldSpec, rows: list[list[int]], rhs: list[int]):
     return x
 
 
-def row_space_contains(spec: FieldSpec, outer: list[list[int]],
-                       inner: list[list[int]]) -> bool:
-    """True iff every row of inner lies in the row space of outer."""
-    if not inner:
-        return True
-    combined = [r[:] for r in outer] + [r[:] for r in inner]
-    return rank(spec, outer) == rank(spec, combined)
-
-
-def row_space_equal(spec: FieldSpec, a: list[list[int]], b: list[list[int]]) -> bool:
-    ra, _ = rref(spec, a)
-    rb, _ = rref(spec, b)
-    return ra == rb
-
-
 def mat_mul(spec: FieldSpec, a, b) -> np.ndarray:
     """a @ b as an int64 array of encodings; row t of b meets only the rows
     of a nonzero in column t."""

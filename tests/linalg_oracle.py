@@ -1,6 +1,9 @@
 """The list-based Gauss-Jordan elimination that linalg.rref replaced: one
 row operation at a time through the FieldSpec's scalar arithmetic.  It is
-the reference the numpy elimination is compared against."""
+the reference the numpy elimination is compared against.  The row-space
+comparisons the tests make of codes go through linalg itself."""
+
+from ruledcodes import linalg
 
 
 def rref(spec, rows):
@@ -27,3 +30,15 @@ def rref(spec, rows):
         if r == len(m):
             break
     return [row for row in m[:r]], pivots
+
+
+def row_space_contains(spec, outer, inner) -> bool:
+    """True iff every row of inner lies in the row space of outer."""
+    if not inner:
+        return True
+    combined = [r[:] for r in outer] + [r[:] for r in inner]
+    return linalg.rank(spec, outer) == linalg.rank(spec, combined)
+
+
+def row_space_equal(spec, a, b) -> bool:
+    return linalg.rref(spec, a)[0] == linalg.rref(spec, b)[0]

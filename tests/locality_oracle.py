@@ -6,6 +6,7 @@ sets are compared against them."""
 from ruledcodes import linalg
 from ruledcodes.codes import LinearCode, build_curve_code, build_prs
 from ruledcodes.locality import _fibers, restriction_section
+from linalg_oracle import row_space_contains, row_space_equal
 
 
 def restriction_fiber(code, p):
@@ -28,7 +29,7 @@ def restriction_fiber(code, p):
         assert rk <= a + 1, "fiber restriction rank exceeds a + 1"
         prs = build_prs(code.spec, a)
         sub.meta["equals_prs"] = (rk == a + 1
-                                  and linalg.row_space_equal(code.spec, rows,
+                                  and row_space_equal(code.spec, rows,
                                                              prs.matrix))
     return sub
 
@@ -41,4 +42,4 @@ def section_restriction_contained(code, section_spec) -> bool:
     if expected is None:
         raise ValueError("no expected base-curve divisor for this section")
     outer = build_curve_code(code.meta["curve"], expected)
-    return linalg.row_space_contains(code.spec, outer.matrix, sub.matrix)
+    return row_space_contains(code.spec, outer.matrix, sub.matrix)

@@ -20,7 +20,6 @@ import time
 
 import pytest
 
-from ruledcodes import linalg
 from ruledcodes.gf import field_create, extend
 from ruledcodes.curve import (curve_create, DivisorOnCurve,
                               divisor_class_sum, P1, ELLIPTIC)
@@ -35,6 +34,7 @@ from ruledcodes.codes import (build_prs, build_code_decomposable,
 from ruledcodes.analysis import (exact_params, griesmer_check, singleton_check)
 from ruledcodes.locality import recovery_sets, recover
 from locality_oracle import restriction_fiber
+from linalg_oracle import row_space_equal
 from ruledcodes.asymptotics import (envelope_coefficient, optimized_rate,
                                     dominance_report, figure_discrepancy)
 from ruledcodes.cli import main as cli_main
@@ -145,7 +145,7 @@ def test_criterion_4_product_kunneth():
         for b, beta in betas.items():
             dec = build_code_decomposable(triv, a, beta)
             prod = build_product_code(E5, a, beta)
-            assert linalg.row_space_equal(F5, dec.matrix, prod.matrix)
+            assert row_space_equal(F5, dec.matrix, prod.matrix)
             if 5 ** dec.k <= 10 ** 7:
                 n, k, d = exact_params(dec)
                 assert k == (a + 1) * (b + 1 - g)

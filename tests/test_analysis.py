@@ -2,6 +2,7 @@ import random
 from math import comb
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -362,10 +363,10 @@ def test_cost_counts_match_traced_searches(spec, k):
     assert len(red) == k
     words, pairs = [], []
     planes, distances = analysis._planes, analysis._distances
-    with mock.patch.object(analysis, "_planes", lambda s, e: (
-            words.append(len(e)), planes(s, e))[1]), \
-         mock.patch.object(analysis, "_distances", lambda a, b: (
-            pairs.append(a.shape[2] * b.shape[2]), distances(a, b))[1]):
+    with mock.patch.object(analysis, "_planes", lambda s, x: (
+            words.append(x.shape[1]), planes(s, x))[1]), \
+         mock.patch.object(analysis, "_distances", lambda a, b, scratch: (
+            pairs.append(a.shape[2] * b.shape[2]), distances(a, b, scratch))[1]):
         analysis._exhaustive(spec, red, n, n)
         assert sum(words) == sum(q ** a + q ** b for a, b in analysis._halves(k))
         assert sum(pairs) == sum(q ** (a + b) for a, b in analysis._halves(k))
@@ -378,6 +379,79 @@ def test_cost_counts_match_traced_searches(spec, k):
             built, compared = analysis._level_sizes(q, k, w)
             assert sum(words) == built + k * (w == 2)
             assert sum(pairs) == compared
+
+
+@pytest.mark.parametrize("n", [40, 100, 300])
+@pytest.mark.parametrize("spec", [field_create(2, 1), F4, field_create(3, 2),
+                                  field_create(131, 1)], ids=str)
+def test_distances_match_a_direct_count(spec, n):
+    # 1, 2 and 5 uint64 words per plane (sums in uint8, then uint16), in
+    # blocks of 5 lead words through one set of buffers, the last block of
+    # 2; with a pair at distance 0 and one at distance n
+    q = spec.order
+    rng = np.random.default_rng(q * n)
+    lead, other = rng.integers(0, q, (17, n)), rng.integers(0, q, (11, n))
+    other[0], other[1] = lead[3], (lead[16] + 1) % q
+    want = (lead[:, None] != other[None]).sum(axis=2)
+
+    def planes(words):
+        return analysis._planes(spec, analysis._multiples(spec, [1], words)[:, :, 0])
+    a, b = planes(lead), planes(other)
+    assert b.shape[1] == -(-n // 64)
+    scratch = analysis._scratch(5 * b[0].size, b.shape[1])
+    for lo in range(0, 17, 5):
+        got = analysis._distances(a[:, :, lo:lo + 5], b, scratch)
+        assert got.tolist() == want[lo:lo + 5].tolist()
+
+
+def test_distances_above_65535_coordinates():
+    # 1025 words per plane: a distance of 65600 or 65546 must not wrap round
+    # to 64 or 10 in a 16-bit sum, in the kernel or in either search
+    spec, n, m = field_create(2, 1), 65600, 65546
+    rows = [[1] * n, [1] * m + [0] * (n - m)]
+    planes = analysis._planes(spec, analysis._multiples(spec, [1], [[0] * n] + rows)[:, :, 0])
+    lead, other = planes[:, :, 1:], planes[:, :, ::2]
+    got = analysis._distances(lead, other, analysis._scratch(2 * other[0].size, 1025))
+    assert got.tolist() == [[n, n - m], [m, 0]]
+    assert analysis._exhaustive(spec, rows, n, n) == n - m
+    assert exact_params(_code(spec, rows, n)) == (n, 2, n - m)
+    info = analysis._InfoSet(spec, np.array(rows), 2)
+    assert info.visit(2, n) == n - m
+
+
+def _prime_field_words(p, rows):
+    """Every word of a 3-row code over F_p whose first nonzero coefficient
+    is 1, in integer arithmetic mod p: g_0 + c_1 g_1 + c_2 g_2 (c_1 major),
+    g_1 + c g_2 and g_2."""
+    g = np.array(rows)
+    c = np.stack(np.meshgrid(np.arange(p), np.arange(p), indexing="ij"), -1).reshape(-1, 2)
+    return [(g[0] + c @ g[1:]) % p, (g[1] + np.arange(p)[:, None] * g[2]) % p, g[2:]]
+
+
+@pytest.mark.parametrize("p", [127, 131])
+def test_exact_params_wide_prime_against_brute_force(p):
+    # 2 (p - 1) fits uint8 for p = 127, and needs uint16 for p = 131: the
+    # span table of the last two rows shifted by the first, both searches,
+    # and levels 1-3 of one information set, on [7, 3] codes with a zero
+    # column, against every word
+    spec = field_create(p, 1)
+    rng = random.Random(p)
+    for _ in range(3):
+        rows = [[rng.randrange(p) for _ in range(7)] for _ in range(3)]
+        rows[0][2] = rows[1][2] = rows[2][2] = 0
+        red, _ = linalg.rref(spec, rows)
+        assert len(red) == 3
+        words = _prime_field_words(p, red)
+        multiples = analysis._multiples(spec, np.arange(p), red)
+        span = analysis._span(spec, multiples[:, 1:], multiples[:, 0, 1, None])
+        assert span[0].tolist() == words[0].tolist()
+        d = min(int(np.count_nonzero(w, axis=1).min()) for w in words)
+        assert exact_params(_code(spec, rows, 7)) == (7, 3, d)
+        assert analysis._exhaustive(spec, red, 7, 7) == d
+        with mock.patch.object(analysis._Cost, "exhaustive", lambda self: 10 ** 30):
+            assert _search(spec, rows).d == d
+        info = analysis._InfoSet(spec, red, 3)
+        assert min(info.visit(w, 7) for w in (1, 2, 3)) == d
 
 
 def _macwilliams(dual_dist, q, n):

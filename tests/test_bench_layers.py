@@ -35,5 +35,8 @@ def test_bench_layers_on_its_smallest_inputs():
     assert bench.DISTANCE_PRS == [(5, 2, 4)]
     code = bench.p1_product_code(*bench.DISTANCE_P1[0])
     assert (code.k, code.n, code.spec.order) == (8, 64, 7)
+    shapes = [(c.spec.order, c.k, c.n)
+              for c in (bench.random_code(*config) for config in bench.DISTANCE_RANDOM)]
+    assert shapes == [(49, 4, 60), (2, 16, 100), (9, 6, 200)]
     small = bench.random_code(5, 1, 3, 8, 1)
     assert (small.k, small.n) == (3, 8) and bench.distance_s(small) > 0

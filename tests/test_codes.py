@@ -1,8 +1,9 @@
 import itertools
+from unittest import mock
 
 import pytest
 
-from ruledcodes import linalg
+from ruledcodes import codes, linalg
 from ruledcodes.gf import field_create, extend
 from ruledcodes.curve import curve_create, DivisorOnCurve, P1, ELLIPTIC
 from ruledcodes.surface import (surface_decomposable, surface_elm_product,
@@ -12,6 +13,7 @@ from ruledcodes.codes import (build_prs, build_curve_code,
                               build_product_code, build_unisecant,
                               write_matrix, write_points, read_matrix)
 from ruledcodes.analysis import exact_params
+from linalg_oracle import row_space_contains, row_space_equal
 
 F5 = field_create(5, 1)
 F4 = field_create(2, 2)
@@ -145,7 +147,26 @@ def test_decomposable_e0_equals_product_rowspace():
         beta = DivisorOnCurve(E5, [(E5.closed_points(b_pts)[0], 1)])
         dec = build_code_decomposable(triv, a, beta)
         prod = build_product_code(E5, a, beta)
-        assert linalg.row_space_equal(F5, dec.matrix, prod.matrix)
+        assert row_space_equal(F5, dec.matrix, prod.matrix)
+
+
+@pytest.mark.parametrize("curve", [E5, L5], ids=["elliptic", "P1"])
+def test_product_surface_build_computes_one_basis(curve):
+    # delta = 0, so L(beta - i delta) is L(beta) for every i: one rr_basis
+    # call, and the rows of a + 1 separately computed copies of it
+    a = 2
+    beta = DivisorOnCurve(curve, [(curve.closed_points(3)[0], 1)])
+    calls, rr_basis = [], codes.rr_basis
+    with mock.patch.object(codes, "rr_basis", lambda c, d: (
+            calls.append(d), rr_basis(c, d))[1]):
+        code = build_code_decomposable(surface_trivial(curve), a, beta)
+    assert calls == [beta]
+    values = [codes._values(rr_basis(curve, beta), curve.rational_points())
+              for _ in range(a + 1)]
+    zero = [0] * len(curve.rational_points())
+    coeffs = [[v for j, block in enumerate(values) for v in
+               (block if j == i else [zero] * len(block))] for i in range(a + 1)]
+    assert code.matrix == codes._section_rows(curve.spec, a, coeffs)
 
 
 def test_product_dimensions_multiply():
@@ -212,7 +233,7 @@ def test_elm_rows_lie_in_the_product_code(pm, coeffs, mult, a):
     elm = build_code_elm(surface_elm_product(curve, center, fc), a, beta)
     product = build_product_code(curve, a, beta)
     assert elm.k > 0 and linalg.rank(spec, elm.matrix) == elm.k
-    assert linalg.row_space_contains(spec, product.matrix, elm.matrix)
+    assert row_space_contains(spec, product.matrix, elm.matrix)
 
 
 def test_elm_rejects_center_in_support():
