@@ -284,17 +284,8 @@ class CurveFunction:
         assert curve.kind == ELLIPTIC
         return cls(curve, a, b, q)
 
-    @classmethod
-    def constant(cls, curve, c: int):
-        spec = curve.spec
-        return cls(curve, Poly.const(spec, c), Poly.zero(spec), Poly.one(spec))
-
     def is_zero(self):
         return self.num_a.is_zero() and self.num_b.is_zero()
-
-    def is_constant(self):
-        return (self.num_b.is_zero() and self.num_a.is_constant()
-                and self.den.is_constant())
 
     def key(self):
         return (self.num_a.coeffs, self.num_b.coeffs, self.den.coeffs)
@@ -305,56 +296,6 @@ class CurveFunction:
 
     def __hash__(self):
         return hash(self.key())
-
-    # -- arithmetic
-
-    def __add__(self, other):
-        self._check(other)
-        na = self.num_a * other.den + other.num_a * self.den
-        nb = self.num_b * other.den + other.num_b * self.den
-        return CurveFunction(self.curve, na, nb, self.den * other.den)
-
-    def __sub__(self, other):
-        return self + other.scale(self.curve.spec.neg_i(1))
-
-    def __mul__(self, other):
-        self._check(other)
-        curve = self.curve
-        if curve.kind == P1:
-            return CurveFunction(curve, self.num_a * other.num_a,
-                                 Poly.zero(curve.spec), self.den * other.den)
-        spec = curve.spec
-        a1, a2, a3, a4, a6 = curve.a
-        fx = Poly(spec, (a6, a4, a2, 1))            # x^3 + a2 x^2 + a4 x + a6
-        lin = Poly(spec, (a3, a1))                  # a1 x + a3
-        a = self.num_a * other.num_a + self.num_b * other.num_b * fx
-        b = (self.num_a * other.num_b + self.num_b * other.num_a
-             - self.num_b * other.num_b * lin)
-        return CurveFunction(curve, a, b, self.den * other.den)
-
-    def scale(self, c: int):
-        return CurveFunction(self.curve, self.num_a * c, self.num_b * c, self.den)
-
-    def inverse(self):
-        curve = self.curve
-        if self.is_zero():
-            raise ZeroDivisionError("inverting the zero function")
-        if curve.kind == P1:
-            return CurveFunction(curve, self.den, Poly.zero(curve.spec), self.num_a)
-        spec = curve.spec
-        a1, a2, a3, a4, a6 = curve.a
-        fx = Poly(spec, (a6, a4, a2, 1))
-        lin = Poly(spec, (a3, a1))
-        # (A + By)(A - B(a1 x + a3) - By) = A^2 - AB(a1x+a3) - B^2 f(x)
-        norm = (self.num_a * self.num_a - self.num_a * self.num_b * lin
-                - self.num_b * self.num_b * fx)
-        conj_a = self.num_a - self.num_b * lin
-        conj_b = -self.num_b
-        return CurveFunction(curve, self.den * conj_a, self.den * conj_b, norm)
-
-    def _check(self, other):
-        if self.curve != other.curve:
-            raise ValueError("functions on different curves")
 
     def __repr__(self):
         if self.curve.kind == P1:

@@ -11,10 +11,12 @@ from ruledcodes.curve import CurveModel, DivisorOnCurve
 from ruledcodes.rrspace import (CurveFunction, PoleError, effective_divisors,
                                 evaluate, order_at, rr_basis)
 
+from rrspace_oracle import add, constant, is_constant, scale
+
 
 def function_degree(f: CurveFunction, D: DivisorOnCurve) -> int:
     """Degree of f (= degree of its pole divisor), valid for f in L(D)."""
-    if f.is_constant():
+    if is_constant(f):
         return 0
     total = 0
     for pt in D.support():
@@ -29,7 +31,7 @@ def functions_up_to_degree(curve: CurveModel, dmax: int):
     spec = curve.spec
     result = {}
     for c in range(spec.order):
-        f = CurveFunction.constant(curve, c)
+        f = constant(curve, c)
         result[f.key()] = (f, 0)
     if dmax < 1:
         return result
@@ -47,9 +49,9 @@ def functions_up_to_degree(curve: CurveModel, dmax: int):
             f = None
             for lam, b in zip(digits, basis):
                 if lam:
-                    term = b.scale(lam)
-                    f = term if f is None else f + term
-            if f is None or f.is_constant():
+                    term = scale(b, lam)
+                    f = term if f is None else add(f, term)
+            if f is None or is_constant(f):
                 continue
             key = f.key()
             if key in result:

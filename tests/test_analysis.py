@@ -268,6 +268,29 @@ def _search(spec, rows):
     return analysis._distance(spec, red, pivots, len(rows[0]))
 
 
+def _level1(spec, rows, sets):
+    """(bound, lightest row) of level 1 on the first `sets` information
+    sets, each chosen greedily, by rank, from the columns in the
+    certificate's order that no earlier set holds."""
+    red, pivots = linalg.rref(spec, rows)
+    k, n = len(red), len(rows[0])
+    order = list(range(n))
+    random.Random(n).shuffle(order)
+    cols = [c for c in order if c not in pivots and any(r[c] for r in red)]
+    bound, best = 2, min(np.count_nonzero(red, axis=1))
+    for _ in range(sets - 1):
+        chosen = []
+        for c in cols:
+            if linalg.rank(spec, [[r[x] for x in chosen + [c]] for r in red]) > len(chosen):
+                chosen.append(c)
+        rest = sorted(set(range(n)).difference(cols))
+        visited, _ = linalg.rref(spec, [[r[c] for c in cols + rest] for r in red])
+        best = min(best, min(np.count_nonzero(visited, axis=1)))
+        cols = [c for c in cols if c not in chosen]
+        bound += max(0, 2 - (k - len(chosen)))
+    return bound, best
+
+
 @settings(max_examples=150, deadline=None)
 @given(_codes_with_repeats())
 @example((field_create(2, 1), [[0, 0, 0, 1, 1, 1], [0, 0, 1, 0, 0, 1]]))  # d = 2
@@ -276,8 +299,9 @@ def _search(spec, rows):
 # d = 2, and the second set has rank 2: counted as full rank, it would
 # stop the search at 3
 def test_certificate_matches_exhaustive(case):
-    # the certificate under its budget (exact_params), and with a budget no
-    # code reaches, against the meet-in-the-middle search run alone
+    # the search under its cost rule (exact_params), and with pivots at no
+    # cost, so that the certificate goes on while its sets can reach the
+    # lightest row, against the meet-in-the-middle search run alone
     spec, rows = case
     n = len(rows[0])
     red, _ = linalg.rref(spec, rows)
@@ -286,9 +310,12 @@ def test_certificate_matches_exhaustive(case):
         return
     d = analysis._exhaustive(spec, red, n, n)
     assert exact_params(_code(spec, rows, n)) == (n, len(red), d)
-    with mock.patch.object(analysis._Cost, "exhaustive", lambda self: 10 ** 30):
+    with mock.patch.object(analysis, "_PIVOT", 0):
         search = _search(spec, rows)
-    assert search.certified and search.d == d
+    assert search.d == d
+    bound, best = _level1(spec, rows, search.sets)
+    assert search.certified == (len(red) == 1 or bound >= best)
+    assert not search.certified or best == d
     if spec.order ** len(red) * n <= 20000:
         assert d == _params(spec, _weights(spec, rows, n), n)[2]
 
@@ -305,43 +332,62 @@ def _product_codes(spec, coeffs, first):
 
 
 def test_search_counts_verify_exhaustive_shapes():
-    # over F_5 (y^2 = x^3 + 1), d = 5 is settled at level 1: three sets,
-    # 30 rows, bound 2 + 2 + 2; over F_4 (y^2 + xy = x^3 + 1) the certificate
-    # would cost more than its budget, and the exhaustive search runs
+    # over F_5 (y^2 = x^3 + 1), d = 5 is settled by three sets, 30 rows,
+    # bound 2 + 2 + 2; over F_4 (y^2 + xy = x^3 + 1) the lightest row needs
+    # more full sets than the 30 free columns hold, and the exhaustive
+    # search runs
     for code in _product_codes(F5, (0, 0, 0, 0, 1), 2):
         assert (code.n, code.k) == (36, 10)
-        assert _search(F5, code.matrix) == (5, 3, 1, True)
+        assert _search(F5, code.matrix) == (5, 3, True)
     for code in _product_codes(F4, (1, 0, 0, 0, 1), 0):
         assert (code.n, code.k) == (40, 10)
-        assert _search(F4, code.matrix) == (12, 1, 1, False)
+        assert _search(F4, code.matrix) == (12, 1, False)
+
+
+def test_search_counts_one_row():
+    # k = 1: the row's multiples are every word, so its weight is d
+    assert _search(F5, [[0, 3, 1, 0, 2, 4, 1]]) == (5, 1, True)
 
 
 def test_search_counts_random_high_rate_code():
     # [12, 10] over F_5, d = 2: a weight-2 row of the rref meets the bound 2
     rng = random.Random(6)
     rows = [[rng.randrange(5) for _ in range(12)] for _ in range(10)]
-    assert _search(F5, rows) == (2, 1, 1, True)
+    assert _search(F5, rows) == (2, 1, True)
 
 
 def test_search_counts_prs_large_field():
-    # [730, 2, 729]: a certificate needs 365 sets at level 1, 364 eliminations
-    # where the exhaustive search compares 730 words, so it is not started
-    spec = field_create(3, 6)
-    search = _search(spec, build_prs(spec, 1).matrix)
-    assert search.d == 729 and not search.certified and search.sets <= 2
+    # [730, 2, 729]: 364 sets would reach the lightest row, and the 728 free
+    # columns hold them, but their 728 pivots cost more than the 730 words
+    # the exhaustive search compares, so no set is built
+    code = build_prs(field_create(3, 6), 1)
+    assert _search(code.spec, code.matrix) == (729, 1, False)
+
+
+def test_search_counts_small_k_product_code():
+    # [153, 2, 119], the a = 0 product code over the F_16 curve
+    # y^2 + y = x^3 with beta one degree-2 point: the 151 free columns hold
+    # the sets that would reach the lightest row, and only their cost keeps
+    # the search exhaustive
+    curve = curve_create(ELLIPTIC, (0, 0, 1, 0, 0), field_create(2, 4))
+    beta = DivisorOnCurve(curve, [(curve.closed_points(2)[1], 1)])
+    code = build_code_decomposable(surface_trivial(curve), 0, beta)
+    assert (code.n, code.k) == (153, 2)
+    assert _search(code.spec, code.matrix) == (119, 1, False)
+    with mock.patch.object(analysis, "_PIVOT", 0):
+        search = _search(code.spec, code.matrix)
+    assert search.d == 119 and search.certified
 
 
 @pytest.mark.parametrize("p, tails, search", [
-    # [I | B] over F_5, k = 10, n = 21, d = 4: the second information set
-    # has rank 7, so no further set is planned, and the levels the two sets
-    # would need cost more than the budget
+    # [I | B] over F_5, k = 10, n = 21, d = 4, and [I | B] over F_7, k = 8,
+    # n = 17, d = 4: floor(free / k) = 1 full set cannot reach the lightest
+    # row, so no set is built
     (5, ["43411341330", "21411014140", "04403014013", "20330414433",
          "14221441343", "24320111221", "00142440200", "32314341301",
-         "30343242021", "22411143144"], (4, 2, 1, False)),
-    # [I | B] over F_7, k = 8, n = 17, d = 4: the second set has rank 4; the
-    # certificate plans no third set and settles d at level 3 of the first
+         "30343242021", "22411143144"], (4, 1, False)),
     (7, ["225326314", "232231534", "456324546", "363024341", "223630410",
-         "000154003", "613013201", "210335565"], (4, 2, 3, True)),
+         "000154003", "613013201", "210335565"], (4, 1, False)),
 ])
 def test_search_counts_after_a_partial_set(p, tails, search):
     spec, k = field_create(p, 1), len(tails)
@@ -351,12 +397,32 @@ def test_search_counts_after_a_partial_set(p, tails, search):
     assert analysis._exhaustive(spec, rows, len(rows[0]), len(rows[0])) == search[0]
 
 
+@pytest.mark.parametrize("tails, search", [
+    # [I_3 | B]: the second set has rank 2 = k - 1, which adds 1, and the
+    # bound 3 meets the lightest row
+    (["1011", "1100", "0111"], (3, 2, True)),
+    # [I_4 | B], B the six columns of weight 2 twice: the second set has
+    # rank 3, which adds 1, and every word weighs 4 or more, so the bound 3
+    # cannot settle d = 4; the 9 free columns left would hold two more sets,
+    # but none follows a partial one, and the exhaustive search settles d
+    (["111000111000", "100110100110", "010101010101", "001011001011"],
+     (4, 2, False)),
+])
+def test_search_counts_partial_rank_set(tails, search):
+    # [I | B] over F_2, with pivots at no cost
+    spec = field_create(2, 1)
+    rows = [[int(i == j) for j in range(len(tails))] + [int(c) for c in row]
+            for i, row in enumerate(tails)]
+    with mock.patch.object(analysis, "_PIVOT", 0):
+        assert _search(spec, rows) == search
+
+
 @pytest.mark.parametrize("spec, k", [(F5, 6), (field_create(2, 1), 9),
                                      (field_create(2, 2), 5)])
 def test_cost_counts_match_traced_searches(spec, k):
-    # the counts _Cost charges are the words each search encodes and the
-    # pairs it compares: exactly, but for the k heads that level 2 also
-    # encodes
+    # the exhaustive search encodes its span tables once each and compares
+    # (q^k - 1)/(q - 1) pairs of deg * bits(p - 1) planes of ceil(n / 64)
+    # words, the count its cost is charged by
     q, n = spec.order, 3 * k
     rng = random.Random(k)
     red, _ = linalg.rref(spec, [[rng.randrange(q) for _ in range(n)] for _ in range(k)])
@@ -366,19 +432,13 @@ def test_cost_counts_match_traced_searches(spec, k):
     with mock.patch.object(analysis, "_planes", lambda s, x: (
             words.append(x.shape[1]), planes(s, x))[1]), \
          mock.patch.object(analysis, "_distances", lambda a, b, scratch: (
-            pairs.append(a.shape[2] * b.shape[2]), distances(a, b, scratch))[1]):
+            pairs.append(a.shape[2] * b.shape[2] * a.shape[0] * a.shape[1]),
+            distances(a, b, scratch))[1]):
         analysis._exhaustive(spec, red, n, n)
-        assert sum(words) == sum(q ** a + q ** b for a, b in analysis._halves(k))
-        assert sum(pairs) == sum(q ** (a + b) for a, b in analysis._halves(k))
-        info = analysis._InfoSet(spec, red, k)
-        info.visit(1, n)
-        for w in range(2, k + 1):
-            words.clear()
-            pairs.clear()
-            info.visit(w, n)
-            built, compared = analysis._level_sizes(q, k, w)
-            assert sum(words) == built + k * (w == 2)
-            assert sum(pairs) == compared
+    halves = [((k - 1 - j) // 2, k - 1 - j - (k - 1 - j) // 2) for j in range(k)]
+    assert sum(words) == sum(q ** a + q ** b for a, b in halves)
+    assert sum(pairs) == ((q ** k - 1) // (q - 1) * spec.deg
+                          * (spec.p - 1).bit_length() * -(-n // 64))
 
 
 @pytest.mark.parametrize("n", [40, 100, 300])
@@ -415,8 +475,8 @@ def test_distances_above_65535_coordinates():
     assert got.tolist() == [[n, n - m], [m, 0]]
     assert analysis._exhaustive(spec, rows, n, n) == n - m
     assert exact_params(_code(spec, rows, n)) == (n, 2, n - m)
-    info = analysis._InfoSet(spec, np.array(rows), 2)
-    assert info.visit(2, n) == n - m
+    with mock.patch.object(analysis, "_PIVOT", 0):
+        assert _search(spec, rows) == (n - m, 27, True)
 
 
 def _prime_field_words(p, rows):
@@ -431,9 +491,9 @@ def _prime_field_words(p, rows):
 @pytest.mark.parametrize("p", [127, 131])
 def test_exact_params_wide_prime_against_brute_force(p):
     # 2 (p - 1) fits uint8 for p = 127, and needs uint16 for p = 131: the
-    # span table of the last two rows shifted by the first, both searches,
-    # and levels 1-3 of one information set, on [7, 3] codes with a zero
-    # column, against every word
+    # span table of the last two rows shifted by the first, and the search
+    # under its cost rule, alone and with pivots at no cost, on [7, 3] codes
+    # with a zero column, against every word
     spec = field_create(p, 1)
     rng = random.Random(p)
     for _ in range(3):
@@ -448,10 +508,8 @@ def test_exact_params_wide_prime_against_brute_force(p):
         d = min(int(np.count_nonzero(w, axis=1).min()) for w in words)
         assert exact_params(_code(spec, rows, 7)) == (7, 3, d)
         assert analysis._exhaustive(spec, red, 7, 7) == d
-        with mock.patch.object(analysis._Cost, "exhaustive", lambda self: 10 ** 30):
+        with mock.patch.object(analysis, "_PIVOT", 0):
             assert _search(spec, rows).d == d
-        info = analysis._InfoSet(spec, red, 3)
-        assert min(info.visit(w, 7) for w in (1, 2, 3)) == d
 
 
 def _macwilliams(dual_dist, q, n):

@@ -17,6 +17,7 @@ from ruledcodes.rrspace import (rr_basis, order_at, taylor_coeffs, evaluate,
                                 _subfield_inverse)
 
 from function_enumeration import functions_up_to_degree, function_degree
+from rrspace_oracle import add, constant, inverse, is_constant, mul, scale
 
 F5 = field_create(5, 1)
 E5 = curve_create(ELLIPTIC, (0, 0, 0, 0, 1), F5)   # y^2 = x^3 + 1
@@ -63,30 +64,30 @@ def test_ord_x_y_at_origin():
 
 def test_ord_uniformizer_at_affine_point():
     p = next(p for p in E5.rational_points() if not p.is_infinity and p.y != 0)
-    f = fn_x(E5) + CurveFunction.constant(E5, F5.neg_i(p.x))
+    f = add(fn_x(E5), constant(E5, F5.neg_i(p.x)))
     assert order_at(f, p) == 1
     two_tors = next(p for p in E5.rational_points()
                     if not p.is_infinity and p.y == 0)
-    g = fn_x(E5) + CurveFunction.constant(E5, F5.neg_i(two_tors.x))
+    g = add(fn_x(E5), constant(E5, F5.neg_i(two_tors.x)))
     assert order_at(g, two_tors) == 2
 
 
 def test_zero_function_has_no_order():
     with pytest.raises(ValueError):
-        order_at(CurveFunction.constant(E5, 0), O5)
+        order_at(constant(E5, 0), O5)
 
 
 # -- Taylor expansions ------------------------------------------------------
 
 def test_taylor_constant():
     p = E5.rational_points()[0]
-    cs = taylor_coeffs(CurveFunction.constant(E5, 3), p, 4)
+    cs = taylor_coeffs(constant(E5, 3), p, 4)
     assert cs == [3, 0, 0, 0]
 
 
 def test_taylor_uniformizer():
     p = next(p for p in E5.rational_points() if not p.is_infinity and p.y != 0)
-    f = fn_x(E5) + CurveFunction.constant(E5, F5.neg_i(p.x))
+    f = add(fn_x(E5), constant(E5, F5.neg_i(p.x)))
     cs = taylor_coeffs(f, p, 3)
     assert cs == [0, 1, 0]
 
@@ -113,7 +114,7 @@ def test_taylor_products_multiply(seed_a, seed_b):
     p = next(p for p in E5.rational_points() if not p.is_infinity)
     tf = taylor_coeffs(f, p, k)
     tg = taylor_coeffs(g, p, k)
-    tfg = taylor_coeffs(f * g, p, k)
+    tfg = taylor_coeffs(mul(f, g), p, k)
     spec = p.ext_spec
     conv = [0] * k
     for i in range(k):
@@ -145,7 +146,7 @@ def test_value_at_infinity_matches_the_expansion(curve):
         for D in (DivisorOnCurve(curve, [(affine[0], 2), (inf, n_inf)]),
                   DivisorOnCurve(curve, [(quad, 1), (affine[-1], 1), (inf, n_inf)])):
             basis = rr_basis(curve, D)
-            for f in basis + [f.scale(2) for f in basis] + [CurveFunction.constant(curve, 0)]:
+            for f in basis + [scale(f, 2) for f in basis] + [constant(curve, 0)]:
                 try:
                     value = evaluate(f, inf)
                 except PoleError:
@@ -227,7 +228,7 @@ def valuation_samples(curve, seed):
         D = DivisorOnCurve(curve, [(p, rng.choice([-2, -1, 1, 2, 3]))
                                    for p in rng.sample(pts, 3)])
         if 1 <= D.degree() <= 7:
-            funcs += [f for f in rr_basis(curve, D) if not f.is_constant()]
+            funcs += [f for f in rr_basis(curve, D) if not is_constant(f)]
     return pts, funcs
 
 
@@ -239,8 +240,8 @@ def test_order_is_a_valuation(curve):
     for pt in pts:
         for f, g in pairs:
             o = order_at(f, pt)
-            assert order_at(f * g, pt) == o + order_at(g, pt), (f, g, pt)
-            assert order_at(f.inverse(), pt) == -o, (f, pt)
+            assert order_at(mul(f, g), pt) == o + order_at(g, pt), (f, g, pt)
+            assert order_at(inverse(f), pt) == -o, (f, pt)
             signs.add((o > 0) - (o < 0))
     assert signs == {-1, 0, 1}
 
@@ -257,11 +258,11 @@ def multiplicity(poly, m):
 
 def test_p1_order_counts_the_factor():
     pts, funcs = valuation_samples(L5, 11)
-    funcs += [f * g for f in funcs[:4] for g in funcs[:4]]
+    funcs += [mul(f, g) for f in funcs[:4] for g in funcs[:4]]
     seen = set()
     for pt in pts[1:]:
         m = x_min_poly(L5, pt)
-        for f in funcs + [f.inverse() for f in funcs]:
+        for f in funcs + [inverse(f) for f in funcs]:
             o = order_at(f, pt)
             assert o == multiplicity(f.num_a, m) - multiplicity(f.den, m), (f, pt)
             seen.add((o > 0) - (o < 0))
@@ -297,7 +298,7 @@ def test_elliptic_weierstrass_space():
     basis = rr_basis(E5, D)
     assert len(basis) == 3
     keys = {f.key() for f in basis}
-    assert CurveFunction.constant(E5, 1).key() in keys
+    assert constant(E5, 1).key() in keys
     assert fn_x(E5).key() in keys
     assert fn_y(E5).key() in keys
 
@@ -382,7 +383,7 @@ def test_rr_products_land_in_sum_space():
     Dsum = D1 + D2
     for f in b1[:3]:
         for g in b2[:3]:
-            prod = f * g
+            prod = mul(f, g)
             if prod.is_zero():
                 continue
             for pt in Dsum.support():
@@ -599,6 +600,6 @@ def test_effective_divisor_enumeration_counts():
 def test_function_degree_matches_pole_count():
     D = DivisorOnCurve(E5, [(E5.closed_points(2)[0], 1)])
     for f in rr_basis(E5, D):
-        if f.is_constant():
+        if is_constant(f):
             continue
         assert function_degree(f, D) == 2
