@@ -213,13 +213,12 @@ def fiber_ranks_s(code):
 def recover_write_s(code):
     """Seconds to write recovery.json the way cmd_recover does."""
     sets = locality.recovery_sets(code)
-    records = [rs.as_dict() for target in sorted(sets) for rs in sets[target]]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "recovery.json")
 
         def write():
             with open(path, "w") as fh:
-                fh.write(cli.recovery_json(records))
+                fh.write(cli.recovery_json(*sets))
         return _seconds(write)
 
 

@@ -21,6 +21,6 @@ from .codes import (LinearCode, build_prs, build_curve_code,
 from .analysis import (BoundReport, bound_elm_family, bound_decomposable_family,
                        bound_unisecant, section_count_profile, exact_params,
                        griesmer_check, singleton_check)
-from .locality import RecoverySet, restriction_section, recovery_sets, recover
+from .locality import RepairSets, restriction_section, recovery_sets, recover
 from .asymptotics import (FrontierPoint, envelope_product, ruled_limit_params,
                           optimized_rate, dominance_report)

@@ -8,10 +8,13 @@ configs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
+
+import numpy as np
 
 from .gf import (DESK_CAP, PRIME_CERT_BOUND, field_create, extend, prime_power,
                  within_desk_cap)
@@ -433,15 +436,20 @@ def _asymptotics(args, q: int, A: float) -> int:
     return 0
 
 
-def recovery_json(records) -> str:
-    """json.dumps(records, indent=2) + newline for {target, helpers,
-    coefficients} records of ints, by a fixed-schema formatter."""
-    def ints(values):
-        return "[\n      " + ",\n      ".join(map(str, values)) + "\n    ]" if values else "[]"
-    return "[\n" + ",\n".join(
-        f'  {{\n    "target": {r["target"]},\n    "helpers": {ints(r["helpers"])},'
-        f'\n    "coefficients": {ints(r["coefficients"])}\n  }}'
-        for r in records) + "\n]\n" if records else "[]\n"
+def recovery_json(helpers, coefficients) -> str:
+    """json.dumps(records, indent=2) + newline for the {target, helpers,
+    coefficients} records of recovery_sets' arrays, column t's sets in
+    order: one record template with %d fields, repeated and filled once."""
+    n, s, r = helpers.shape
+    if n * s == 0:
+        return "[]\n"
+    ints = "[\n      " + ",\n      ".join(["%d"] * r) + "\n    ]"
+    record = (f'  {{\n    "target": %d,\n    "helpers": {ints},'
+              f'\n    "coefficients": {ints}\n  }}')
+    fields = np.concatenate([np.repeat(np.arange(n), s)[:, None],
+                             helpers.reshape(-1, r), coefficients.reshape(-1, r)],
+                            axis=1)
+    return "[\n" + (",\n".join([record] * (n * s)) % tuple(fields.ravel().tolist())) + "\n]\n"
 
 
 def cmd_recover(args) -> int:
@@ -452,15 +460,11 @@ def cmd_recover(args) -> int:
     except ValueError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
-    records = []
-    for target in sorted(sets):
-        for rs in sets[target]:
-            records.append(rs.as_dict())
+    n, per, _ = sets.helpers.shape
     out = args.out or "recovery.json"
     with open(out, "w") as fh:
-        fh.write(recovery_json(records))
-    per = len(sets[0]) if sets else 0
-    print(f"wrote {len(records)} recovery sets ({per} per column) to {out}")
+        fh.write(recovery_json(*sets))
+    print(f"wrote {n * per} recovery sets ({per} per column) to {out}")
     q, a = code.spec.order, code.meta["a"]
     if q % (a + 1) != 0:
         print(f"note: availability is floor(q/(a+1)) = {q // (a + 1)} with "
@@ -477,7 +481,11 @@ def _parse_b_range(text: str):
         raise argparse.ArgumentTypeError("expected lo:hi:count")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  It binds no function:
+    main looks cmd_<command> up when it runs, so a replaced module attribute
+    (a tracer's wrapper, a test's spy) is the one called."""
     ap = argparse.ArgumentParser(
         prog="ruledcodes",
         description="evaluation codes on ruled surfaces: build, verify, "
@@ -487,18 +495,15 @@ def make_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build", help="build a code from a JSON config")
     b.add_argument("--config", required=True)
     b.add_argument("--out-dir", default=None)
-    b.set_defaults(fn=cmd_build)
 
     v = sub.add_parser("verify", help="exactly verify a generator matrix "
                                       "against its build report")
     v.add_argument("matrix")
     v.add_argument("--report", required=True)
     v.add_argument("--cap", type=int, default=EXACT_CAP_DEFAULT)
-    v.set_defaults(fn=cmd_verify)
 
     s = sub.add_parser("segre", help="certify Segre invariant bounds")
     s.add_argument("--config", required=True)
-    s.set_defaults(fn=cmd_segre)
 
     a = sub.add_parser("asymptotics", help="emit (delta, R) frontier CSVs")
     a.add_argument("--q", type=int, required=True)
@@ -508,12 +513,10 @@ def make_parser() -> argparse.ArgumentParser:
     a.add_argument("--optimized", action="store_true", default=True)
     a.add_argument("--no-optimized", dest="optimized", action="store_false")
     a.add_argument("--out-dir", default=".")
-    a.set_defaults(fn=cmd_asymptotics)
 
     r = sub.add_parser("recover", help="emit recovery sets for a built code")
     r.add_argument("--config", required=True)
     r.add_argument("--out", default=None)
-    r.set_defaults(fn=cmd_recover)
     return ap
 
 
@@ -521,7 +524,7 @@ def main(argv=None) -> int:
     ap = make_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

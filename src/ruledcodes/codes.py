@@ -64,7 +64,19 @@ class LinearCode:
         return self.meta["evaluation_injective"]
 
     def column_labels(self):
-        return [_column_label(c) for c in self.columns]
+        """One label per column: "base|u" for a surface point (base, u),
+        with its base point formatted once per run of its fiber's columns,
+        and _column_label of any other column."""
+        out, base = [], None
+        for col in self.columns:
+            if isinstance(col, tuple) and len(col) == 2 and isinstance(col[0], ClosedPoint):
+                if col[0] is not base:
+                    base = col[0]
+                    prefix = _column_label(base) + "|"
+                out.append(prefix + str(col[1]))
+            else:
+                out.append(_column_label(col))
+        return out
 
     def __repr__(self):
         fam = self.meta.get("family", "code")
@@ -72,10 +84,7 @@ class LinearCode:
 
 
 def _column_label(col) -> str:
-    if isinstance(col, tuple) and len(col) == 2 and isinstance(col[0], ClosedPoint):
-        p, u = col
-        base = "inf" if p.is_infinity else f"{p.x}.{p.y}"
-        return f"{base}|{u}"
+    """The label of a bare column: a base point or an integer."""
     if isinstance(col, ClosedPoint):
         return "inf" if col.is_infinity else f"{col.x}.{col.y}"
     return str(col)
@@ -332,16 +341,18 @@ def _check_disjoint(divisor: DivisorOnCurve, rational_points, name: str):
 # generator matrix wire format: "k n q" header then k rows of n integers
 
 def write_matrix(code: LinearCode, path):
+    """The header "k n q", then one line per row, in one write; each
+    distinct symbol is formatted once."""
+    symbol = {v: str(v) for v in set().union(*code.matrix)}.__getitem__
+    lines = [f"{code.k} {code.n} {code.spec.order}"]
+    lines += [" ".join(map(symbol, row)) for row in code.matrix]
     with open(path, "w") as fh:
-        fh.write(f"{code.k} {code.n} {code.spec.order}\n")
-        for row in code.matrix:
-            fh.write(" ".join(str(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_points(code: LinearCode, path):
     with open(path, "w") as fh:
-        for label in code.column_labels():
-            fh.write(label + "\n")
+        fh.write("".join([label + "\n" for label in code.column_labels()]))
 
 
 def read_matrix(path) -> LinearCode:

@@ -221,13 +221,14 @@ class FieldSpec:
         e %= self.order - 1
         if self._exp is not None:
             return self._exp[(self._log[a] * e) % (self.order - 1)]
-        result = 1
+        # Square-and-multiply on a's matrix over F_p.
+        result, mat = fqarray.digits(self, 1), fqarray.matrix(self, a)
         while e:
             if e & 1:
-                result = self.mul_i(result, a)
-            a = self.mul_i(a, a)
+                result = mat @ result % self.p
+            mat = mat @ mat % self.p
             e >>= 1
-        return result
+        return int(fqarray.encode(self, result))
 
     def frob_i(self, a: int) -> int:
         return self.pow_i(a, self.base_card)
@@ -252,25 +253,28 @@ class FieldSpec:
     # -- tables
 
     def _build_tables(self):
+        # The least g with g^((order - 1)/l) != 1 for every prime l dividing
+        # order - 1 generates the multiplicative group; pow_i takes its
+        # square-and-multiply path here, as the tables are not built yet.
         # Elements of F_p have orders dividing p - 1, so for deg > 1 no
         # generator is among them.
-        cands = range(1 if self.deg == 1 else self.p, self.order)
-        exp = next(e for e in map(self._cyclic_powers, cands) if e is not None)
+        n1 = self.order - 1
+        gen = next(g for g in range(1 if self.deg == 1 else self.p, self.order)
+                   if all(self.pow_i(g, n1 // ell) != 1
+                          for ell in _prime_factors(n1)))
+        exp = self._cyclic_powers(gen)
         log = np.zeros(self.order, dtype=np.int64)
-        log[exp] = np.arange(self.order - 1)
+        log[exp] = np.arange(n1)
         self._exp, self._log = exp.tolist(), log.tolist()
 
     def _cyclic_powers(self, gen: int):
-        """The encodings of gen^0 .. gen^(order - 2), or None if some gen^j
-        with 0 < j < order - 1 is 1, i.e. gen is not a generator.  The list
-        doubles in length: exp[L:2L] is gen^L times exp[0:L], and squaring
-        the matrix of gen^L gives that of gen^2L."""
+        """The encodings of gen^0 .. gen^(order - 2).  The list doubles in
+        length: exp[L:2L] is gen^L times exp[0:L], and squaring the matrix
+        of gen^L gives that of gen^2L."""
         n1 = self.order - 1
         exp, mat = fqarray.digits(self, [1]), fqarray.matrix(self, gen)
         while exp.shape[1] < n1:
             block = fqarray.linear(self, mat, exp)[:, :n1 - exp.shape[1]]
-            if (fqarray.encode(self, block) == 1).any():
-                return None
             exp = np.concatenate([exp, block], axis=1)
             mat = mat @ mat % self.p
         return fqarray.encode(self, exp)

@@ -22,7 +22,8 @@ def rref(spec: FieldSpec, rows: list[list[int]]):
     pivot row, with c_i = -m_ic / pivot for i != r and c_r = 1 / pivot - 1,
     which clears column c and scales the pivot row to 1.  The multiples of
     the pivot row are formed once per distinct c_i.  Entries are reduced
-    mod p when read; each step adds less than p to one.
+    mod p when read; each step adds less than p to one.  A run of columns
+    that are zero below the current row is skipped in windows that double.
     """
     if not rows:
         return [], []
@@ -35,7 +36,15 @@ def rref(spec: FieldSpec, rows: list[list[int]]):
         column = fqarray.encode(spec, m[:, :, c] % p).tolist()
         pivot = next((i for i in range(r, k) if column[i]), None)
         if pivot is None:
-            c += 1
+            # skip the run of columns zero below row r, in windows of 1, 2,
+            # 4, ... columns, so a run costs about its own length in work
+            c, w = c + 1, 1
+            while c < n:
+                nonzero = (m[:, r:, c:c + w] % p).any(axis=(0, 1))
+                if nonzero.any():
+                    c += int(nonzero.argmax())
+                    break
+                c, w = c + w, 2 * w
             continue
         if pivot != r:
             m[:, [r, pivot]] = m[:, [pivot, r]]

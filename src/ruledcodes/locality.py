@@ -9,31 +9,36 @@ floor(q/(a+1)) pairwise disjoint recovery sets per coordinate.  (The
 availability stated with a ceiling is not achievable with disjoint sets of
 exact size a+1 when a+1 does not divide q; reports surface the floor.)
 
-The recovery coefficients are closed-form projective Lagrange weights, which
-depend only on the fiber coordinates of the target and its helpers, so each
-is computed once and shared by every fiber; the columns are grouped by base
-point once per call.
+The sets and their closed-form projective Lagrange weights depend only on
+the fiber coordinates of a fiber, so they are built once per distinct
+coordinate tuple, as positions within the fiber, and mapped onto every
+fiber with that tuple by index arrays; a surface code has one such tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from . import linalg
 from .codes import LinearCode
 from .surface import INFTY
 
 
-@dataclass(frozen=True)
-class RecoverySet:
-    """Coefficients recovering one column from a+1 helpers in its fiber."""
-    target: int
-    helpers: tuple
-    coefficients: tuple
+class RepairSets(NamedTuple):
+    """The recovery sets of every column as two int64 arrays of shape
+    (n, s, r), s = floor(q/(a+1)) sets of r = a+1 helpers: helpers[t, j]
+    are the columns of column t's j-th set and coefficients[t, j] their
+    weights."""
+    helpers: np.ndarray
+    coefficients: np.ndarray
 
-    def as_dict(self):
-        return {"target": self.target, "helpers": list(self.helpers),
-                "coefficients": list(self.coefficients)}
+    def values(self):
+        """Column t's (s, r) helper array for each t, so that
+        sum(len(v) for v in sets.values()) counts the sets, as perfbench's
+        tracer does."""
+        return self.helpers
 
 
 def _fibers(code: LinearCode):
@@ -95,13 +100,13 @@ def restriction_section(code: LinearCode, section_spec) -> LinearCode:
     return LinearCode(code.spec, rows, [code.columns[i] for i in idx], meta)
 
 
-def recovery_sets(code: LinearCode):
+def recovery_sets(code: LinearCode) -> RepairSets:
     """floor(q/(a+1)) pairwise disjoint recovery sets for every column.
 
-    Requires every fiber restriction to have rank a+1 (checked).  The
-    coefficients are the projective Lagrange weights of _lagrange_weights,
-    computed once per target coordinate and helper chunk and shared by every
-    fiber.
+    Requires every fiber restriction to have rank a+1 and every fiber to
+    hold those sets (both checked).  Column t's helpers are the rest of its
+    fiber in canonical order, chunked; the coefficients are the projective
+    Lagrange weights of _lagrange_weights.
     """
     a = code.meta.get("a")
     if a is None:
@@ -111,6 +116,7 @@ def recovery_sets(code: LinearCode):
     r = a + 1
     if r > q:
         raise ValueError("locality a + 1 exceeds the q remaining fiber points")
+    s = q // r
 
     def canonical(i):   # affine encodings ascending, infinity last
         u = code.columns[i][1]
@@ -120,20 +126,35 @@ def recovery_sets(code: LinearCode):
         if rk != r:
             raise ValueError(f"fiber over {p!r} has rank {rk}, "
                              f"expected {r}; recovery sets unavailable")
-    fibers = {p: sorted(idx, key=canonical) for p, idx in _fibers(code).items()}
-    weights = {}
-    out = {}
-    for target_idx, (p, u_t) in enumerate(code.columns):
-        others = [i for i in fibers[p] if i != target_idx]
-        sets = []
-        for s in range(q // r):
-            chunk = tuple(others[s * r:(s + 1) * r])
-            us = tuple(code.columns[i][1] for i in chunk)
-            if (u_t, us) not in weights:
-                weights[u_t, us] = _lagrange_weights(spec, us, u_t)
-            sets.append(RecoverySet(target_idx, chunk, weights[u_t, us]))
-        out[target_idx] = sets
-    return out
+    fibers = _fibers(code)
+    if sum(map(len, fibers.values())) != code.n:
+        raise ValueError("some columns are not points of a fiber")
+    layouts = {}        # fiber coordinates in canonical order -> the fibers
+    for p, idx in fibers.items():
+        if len(idx) < s * r + 1:
+            raise ValueError(f"fiber over {p!r} has {len(idx)} points; "
+                             f"{s} disjoint sets of {r} helpers need {s * r + 1}")
+        idx.sort(key=canonical)
+        layouts.setdefault(tuple(code.columns[i][1] for i in idx), []).append(idx)
+    helpers = np.empty((code.n, s, r), dtype=np.int64)
+    coefficients = np.empty((code.n, s, r), dtype=np.int64)
+    for us, same in layouts.items():
+        pattern, weights = _fiber_pattern(spec, us, s, r)
+        cols = np.array(same, dtype=np.int64)
+        helpers[cols] = cols[:, pattern]
+        coefficients[cols] = weights
+    return RepairSets(helpers, coefficients)
+
+
+def _fiber_pattern(spec, us, s, r):
+    """(positions, weights), each of shape (len(us), s, r), for a fiber
+    whose points have the fiber coordinates us in canonical order: target t
+    takes the first s r of the other positions in order, in chunks of r."""
+    others = np.arange(s * r)
+    pattern = (others + (others >= np.arange(len(us))[:, None])).reshape(-1, s, r)
+    weights = [[_lagrange_weights(spec, [us[i] for i in chunk], u_t)
+                for chunk in sets] for u_t, sets in zip(us, pattern.tolist())]
+    return pattern, np.array(weights, dtype=np.int64)
 
 
 def _lagrange_weights(spec, helper_us, target_u):
@@ -162,12 +183,11 @@ def _lagrange_weights(spec, helper_us, target_u):
     return tuple(out)
 
 
-def recover(word, target: int, rset: RecoverySet, spec):
-    """The erased coordinate from its helpers (word entries: int or None)."""
-    if rset.target != target:
-        raise ValueError("recovery set is for a different target")
+def recover(word, helpers, coefficients, spec):
+    """The erased coordinate from one recovery set, the rows helpers[t, j]
+    and coefficients[t, j] of recovery_sets (word entries: int or None)."""
     acc = 0
-    for idx, c in zip(rset.helpers, rset.coefficients):
+    for idx, c in zip(helpers.tolist(), coefficients.tolist()):
         v = word[idx]
         if v is None:
             raise ValueError(f"helper position {idx} is erased")

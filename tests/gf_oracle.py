@@ -107,3 +107,28 @@ def mul_i(spec, a: int, b: int) -> int:
     prod = pmod(pmul(list(spec.decode(a)), list(spec.decode(b)), spec.p),
                 list(spec.modulus), spec.p)
     return spec.encode(prod + [0] * (spec.deg - len(prod)))
+
+
+def candidate_tables(spec):
+    """(exp, log) from the generator search that the prime-factor test
+    replaced: each candidate's powers by doubling, exp[L:2L] = gen^L
+    exp[0:L], until a power 0 < j < order - 1 equals 1 (the candidate is
+    no generator) or all order - 1 powers are found."""
+    import numpy as np
+    from ruledcodes import fqarray
+
+    n1 = spec.order - 1
+    for gen in range(1 if spec.deg == 1 else spec.p, spec.order):
+        exp, mat = fqarray.digits(spec, [1]), fqarray.matrix(spec, gen)
+        while exp.shape[1] < n1:
+            block = fqarray.linear(spec, mat, exp)[:, :n1 - exp.shape[1]]
+            if (fqarray.encode(spec, block) == 1).any():
+                break
+            exp = np.concatenate([exp, block], axis=1)
+            mat = mat @ mat % spec.p
+        else:
+            exp = fqarray.encode(spec, exp)
+            log = np.zeros(spec.order, dtype=np.int64)
+            log[exp] = np.arange(n1)
+            return exp.tolist(), log.tolist()
+    raise AssertionError("no generator found")  # unreachable

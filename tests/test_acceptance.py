@@ -223,24 +223,25 @@ def _locality_clauses(code, expected_nonzero_words):
         sub = restriction_fiber(code, p)
         assert sub.meta["rank"] == a + 1
         assert sub.meta["equals_prs"]
-    sets = recovery_sets(code)
-    for target, rsets in sets.items():
+    helpers, coefficients = recovery_sets(code)
+    assert len(helpers) == code.n
+    for rsets in helpers.tolist():
         assert len(rsets) == q // (a + 1)
         seen = set()
-        for rs in rsets:
-            assert len(rs.helpers) == a + 1
-            assert not (set(rs.helpers) & seen)
-            seen |= set(rs.helpers)
+        for hs in rsets:
+            assert len(hs) == a + 1
+            assert not (set(hs) & seen)
+            seen |= set(hs)
     rng = random.Random(42)
     positions = rng.sample(range(code.n), 5)
     count = 0
     for word in _all_codewords(code):
         count += 1
         for t in positions:
-            for rs in sets[t]:
+            for hs, cs in zip(helpers[t], coefficients[t]):
                 erased = list(word)
                 erased[t] = None
-                assert recover(erased, t, rs, code.spec) == word[t]
+                assert recover(erased, hs, cs, code.spec) == word[t]
     assert count == expected_nonzero_words
 
 

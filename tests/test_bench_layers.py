@@ -21,6 +21,8 @@ def test_bench_layers_on_its_smallest_inputs():
     for timer in (bench.rref_s, bench.section_rows_s, bench.recovery_sets_s,
                   bench.fiber_ranks_s, bench.recover_write_s):
         assert timer(code) > 0
+    helpers, coefficients = bench.locality.recovery_sets(code)
+    assert helpers.shape == coefficients.shape == (3000, 49 // 2, 2)
     seconds, elm = bench.build_elm_s(*bench.CODES["rref"][0])
     assert seconds > 0 and (elm.k, elm.n, elm.meta["family"]) == (6, 3000, "elm_surface")
     p, m, curves, d = bench.CLOSED_POINTS[0]

@@ -275,11 +275,28 @@ def test_recovery_json_matches_the_json_encoder():
     from ruledcodes.locality import recovery_sets
     demo = os.path.join(os.path.dirname(__file__), "..", "scripts", "configs",
                         "locality_demo.json")
-    sets = recovery_sets(_build_code(load_config(demo)))
-    records = [rs.as_dict() for target in sorted(sets) for rs in sets[target]]
+    helpers, coefficients = recovery_sets(_build_code(load_config(demo)))
+    n, s, _ = helpers.shape
+    records = [{"target": t, "helpers": helpers[t, j].tolist(),
+                "coefficients": coefficients[t, j].tolist()}
+               for t in range(n) for j in range(s)]
     assert records
-    for recs in (records, [], records[:1]):
-        assert recovery_json(recs) == json.dumps(recs, indent=2) + "\n"
+    for rows, sets, recs in ((n, s, records), (0, s, []), (1, 1, records[:1])):
+        assert recovery_json(helpers[:rows, :sets], coefficients[:rows, :sets]) \
+            == json.dumps(recs, indent=2) + "\n"
+
+
+def test_parser_is_built_once_and_commands_are_looked_up_per_call(tmp_path, monkeypatch):
+    # the cached parser binds no function: a cmd_* replaced after the first
+    # build (as perfbench's tracer and its tests do) is the one main calls
+    from ruledcodes import cli
+    cfg = write_config(tmp_path)
+    assert main(["segre", "--config", cfg]) == 0
+    assert cli.make_parser() is cli.make_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_segre", lambda args: seen.append(args.config) or 7)
+    assert main(["segre", "--config", cfg]) == 7
+    assert seen == [cfg]
 
 
 def test_recover_refuses_rank_deficient(tmp_path, capsys):

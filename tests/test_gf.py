@@ -346,6 +346,15 @@ def test_tables_equal_the_sequential_build(pm):
     assert (spec._exp, spec._log) == _sequential_tables(spec)
 
 
+def test_tables_equal_the_candidate_search_up_to_4096():
+    # every field of order <= 2^12: the generator from the prime-factor
+    # test is the one the candidate-by-candidate doubling search finds
+    fields = [prime_power(q) for q in range(2, 2 ** 12 + 1)]
+    for p, m in filter(None, fields):
+        spec = field_create(p, m)
+        assert (spec._exp, spec._log) == gf_oracle.candidate_tables(spec), (p, m)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([(2, 1), (3, 1), (2, 2), (7, 2), (2, 4), (3, 6), (5, 7),
                         (2, 16)]),
