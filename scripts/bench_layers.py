@@ -28,8 +28,8 @@ prints one JSON object of wall-clock seconds, each from a single run:
   * embedding.F_{q}.d{d}: the embedding of F_16 into a fresh F_{16^5}
     (the least root of F_16's modulus in F_{2^20});
   * asymptotics.q{q}.A{A}: one dominance_report(49, 6, 400) plus one
-    optimized_rate call per b of the 120-point ruled grid b = 0.3..0.98,
-    the work of `ruledcodes asymptotics` at the benchmark's settings;
+    optimized_rate call on the 120-point ruled grid b = 0.3..0.98, the
+    work of `ruledcodes asymptotics` at the benchmark's settings;
   * distance.F_{q}.{k}x{n}: analysis.exact_params (rref and distance
     search) on the two product-surface codes of the verify-exhaustive
     workload, [36, 10] over F_5 and [40, 10] over F_4, and on codes where
@@ -51,6 +51,8 @@ import random
 import sys
 import tempfile
 import time
+
+import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -134,16 +136,14 @@ def embedding_s(p, m, d):
 
 
 def asymptotics_s(q, A, samples, b_range):
-    """Seconds for dominance_report(q, A, samples) plus optimized_rate at
-    each b of the ruled grid b_range = (lo, hi, count), as the CLI builds
-    it."""
+    """Seconds for dominance_report(q, A, samples) plus optimized_rate on
+    the ruled grid b_range = (lo, hi, count), as the CLI builds it."""
     lo, hi, count = b_range
-    grid = [lo + (hi - lo) * i / max(count - 1, 1) for i in range(count)]
+    grid = lo + (hi - lo) * np.arange(count) / max(count - 1, 1)
 
     def run():
         dominance_report(q, A, samples)
-        for b in grid:
-            optimized_rate(q, A, b)
+        optimized_rate(q, A, grid)
     return _seconds(run)
 
 

@@ -19,8 +19,7 @@ from .codes import (LinearCode, build_prs, build_curve_code,
                     build_code_decomposable, build_code_elm,
                     build_product_code, build_unisecant)
 from .analysis import (BoundReport, bound_elm_family, bound_decomposable_family,
-                       bound_unisecant, section_count_profile, exact_params,
-                       griesmer_check, singleton_check)
+                       bound_unisecant, exact_params, griesmer_check,
+                       singleton_check)
 from .locality import RepairSets, restriction_section, recovery_sets, recover
-from .asymptotics import (FrontierPoint, envelope_product, ruled_limit_params,
-                          optimized_rate, dominance_report)
+from .asymptotics import envelope_product, optimized_rate, dominance_report

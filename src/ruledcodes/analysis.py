@@ -152,42 +152,6 @@ def bound_unisecant(q: int, N: int, g: int, degE: int, s_a: int,
                        {"positive_rhs": valid}, {"degL": degL, "s_a": s_a})
 
 
-def section_count_profile(family: str, params: dict):
-    """Per-t (or per-n) bounds on rational points of a global section.
-
-    family "elm_surface": #S(k) <= nN + (q+1-n)(b-dn) over 0 <= n <= m.
-    family "decomposable_surface": the two-case fiber-count inequality over 0 <= t <= b.
-    Returns (profile list, max); n_total - max equals the family d_lower.
-    """
-    q, N, g = params["q"], params["N"], params["g"]
-    a, b = params["a"], params["b"]
-    profile = []
-    if family == "elm_surface":
-        d = params["d"]
-        m = min(a, b // d)
-        for n in range(m + 1):
-            profile.append((n, n * N + (q + 1 - n) * (b - d * n)))
-    elif family == "decomposable_surface":
-        e = params["e"]
-        for t in range(b + 1):
-            if a != 0 and t > b - a * e:
-                val = q * t + N + ((b - t) // e) * (N - t)
-            else:
-                val = (q + 1 - a) * t + a * N
-            profile.append((t, val))
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    best = max(v for _, v in profile)
-    total = (q + 1) * N
-    if family == "elm_surface":
-        ref = bound_elm_family(q, N, g, params["d"], a, b)
-    else:
-        ref = bound_decomposable_family(q, N, g, params["e"], a, b)
-    assert best + ref.d_lower == total, (
-        "profile maximum is inconsistent with the distance record")
-    return profile, best
-
-
 def griesmer_check(n: int, k: int, d: int, q: int):
     """(n >= sum_{i<k} ceil(d/q^i), the sum)."""
     if k < 1:

@@ -31,7 +31,7 @@ from .analysis import (bound_elm_family, bound_decomposable_family, exact_params
                        EXACT_CAP_DEFAULT)
 from .locality import fiber_ranks, recovery_sets
 from .asymptotics import (envelope_product, optimized_rate, dominance_report,
-                          figure_discrepancy, write_frontier_csv)
+                          figure_discrepancy)
 
 
 class ConfigError(ValueError):
@@ -377,10 +377,14 @@ def cmd_segre(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"config.analysis.segre_dmax: {exc}")
     upper = segre_upper_bounds(g, N, q)
+    reason = "2g bound with point-count refinement"
+    if (upper - surface.deg_sheaf) % 2:
+        upper -= 1
+        reason += ", lowered by one since s_a = deg E (mod 2)"
     print(f"elm surface, center degree {surface.e}:")
     print(f"  s_a >= {lower}   (graph avoidance, d* = {dstar}, "
           f"functions of degree <= {dmax} enumerated)")
-    print(f"  s_a <= {upper}   (2g bound with point-count refinement)")
+    print(f"  s_a <= {upper}   ({reason})")
     if lower == upper:
         print(f"  certified: s_a = {lower}")
     return 0
@@ -403,37 +407,60 @@ def cmd_asymptotics(args) -> int:
 
 def _asymptotics(args, q: int, A: float) -> int:
     # compute everything first, so that a run that exits 2 writes no file
-    pts = envelope_product(q, A, args.samples)
+    t, env_delta, env_rate = envelope_product(q, A, args.samples)
     disc = figure_discrepancy(q, A)
-    if args.optimized:
-        lo, hi, count = args.b_range
-        grid = [lo + (hi - lo) * i / max(count - 1, 1) for i in range(count)]
-        ruled = [r.point for r in (optimized_rate(q, A, b) for b in grid)
-                 if r.valid]
-        rows, interval = dominance_report(q, A, args.samples)
+    lo, hi, count = args.b_range
+    b = lo + (hi - lo) * np.arange(count) / max(count - 1, 1)
+    opt = optimized_rate(q, A, b)
+    b, rate = b[opt.valid], opt.rate[opt.valid]
+    table, interval = dominance_report(q, A, args.samples)
+    csvs = {"product_envelope": frontier_csv("product_envelope", t, env_delta,
+                                             env_rate),
+            "ruled_optimized": frontier_csv("ruled_optimized", b, 1 - b, rate),
+            "dominance": dominance_csv(*table)}
     os.makedirs(args.out_dir, exist_ok=True)
-    write_frontier_csv(pts, os.path.join(args.out_dir, "product_envelope.csv"))
+    for name, text in csvs.items():
+        with open(os.path.join(args.out_dir, f"{name}.csv"), "w") as fh:
+            fh.write(text)
     if disc is not None:
         B, fig, mismatch = disc
         if mismatch:
             print(f"note: envelope coefficient from the formula is {B:.12g} "
                   f"but the figure for q={q} shows {fig:.12g}; emitting the "
                   "formula value")
-    if args.optimized:
-        write_frontier_csv(ruled, os.path.join(args.out_dir, "ruled_optimized.csv"))
-        with open(os.path.join(args.out_dir, "dominance.csv"), "w") as fh:
-            fh.write("delta,rate_product,rate_ruled\n")
-            for delta, rp, rr in rows:
-                fh.write(f"{delta:.12g},"
-                         f"{'' if rp is None else format(rp, '.12g')},"
-                         f"{'' if rr is None else format(rr, '.12g')}\n")
-        if interval:
-            print(f"ruled curve exceeds the product envelope for delta in "
-                  f"[{interval[0]:.6g}, {interval[1]:.6g}]")
-        else:
-            print("no dominance interval found")
+    if interval:
+        print(f"ruled curve exceeds the product envelope for delta in "
+              f"[{interval[0]:.6g}, {interval[1]:.6g}]")
+    else:
+        print("no dominance interval found")
     print(f"wrote CSV files to {args.out_dir}")
     return 0
+
+
+def frontier_csv(family: str, param, delta, rate) -> str:
+    """The CSV family,param,delta,rate of a frontier's arrays, param as
+    str(float) and the rest as %.12g: one row template, repeated and filled
+    once."""
+    fields = np.column_stack([param, delta, rate]).ravel().tolist()
+    return ("family,param,delta,rate\n"
+            + (f"{family},%s,%.12g,%.12g\n" * len(param)) % tuple(fields))
+
+
+# dominance rows by which rates they have: neither, ruled, product, both
+_DOMINANCE_ROWS = ("%.12g,,\n", "%.12g,,%.12g\n", "%.12g,%.12g,\n",
+                   "%.12g,%.12g,%.12g\n")
+
+
+def dominance_csv(delta, r_prod, r_ruled) -> str:
+    """The CSV delta,rate_product,rate_ruled of dominance_report's table,
+    an undefined (NaN) rate as an empty field: one template of the rows'
+    kinds, filled once."""
+    cells = np.column_stack([delta, r_prod, r_ruled])
+    have = ~np.isnan(cells)
+    kinds = (2 * have[:, 1] + have[:, 2]).tolist()
+    template = "".join([_DOMINANCE_ROWS[k] for k in kinds])
+    return ("delta,rate_product,rate_ruled\n"
+            + template % tuple(cells[have].tolist()))
 
 
 def recovery_json(helpers, coefficients) -> str:
@@ -510,8 +537,6 @@ def make_parser() -> argparse.ArgumentParser:
     a.add_argument("--A", type=float, required=True)
     a.add_argument("--samples", type=int, default=200)
     a.add_argument("--b-range", type=_parse_b_range, default=(0.3, 0.95, 66))
-    a.add_argument("--optimized", action="store_true", default=True)
-    a.add_argument("--no-optimized", dest="optimized", action="store_false")
     a.add_argument("--out-dir", default=".")
 
     r = sub.add_parser("recover", help="emit recovery sets for a built code")

@@ -51,9 +51,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.spec == other.spec
                 and self.coeffs == other.coeffs)

@@ -268,11 +268,11 @@ def test_criterion_9_asymptotics():
     assert abs(envelope_coefficient(16, 3) - 36 / 51) < 1e-12
     for q, A in ((16, 3), (49, 6)):
         for b in (0.5, 0.6, 0.7, 0.8):
-            r = optimized_rate(q, A, b)
+            r = optimized_rate(q, A, [b])
             a_num, rate_num = asymptotics_oracle.numeric_optimum(q, A, b)
-            assert abs(r.a0 - a_num) <= 1e-6
-            assert abs(r.rate - rate_num) <= 1e-6
-            assert r.valid
+            assert abs(r.a0[0] - a_num) <= 1e-6
+            assert abs(r.rate[0] - rate_num) <= 1e-6
+            assert r.valid[0]
         _, interval = dominance_report(q, A, 150)
         assert interval is not None and interval[0] < interval[1]
     disc = figure_discrepancy(49, 6.0)

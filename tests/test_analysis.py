@@ -12,9 +12,10 @@ from ruledcodes.codes import LinearCode, build_code_decomposable, build_prs
 from ruledcodes.curve import curve_create, DivisorOnCurve, ELLIPTIC
 from ruledcodes.surface import surface_trivial
 from ruledcodes.analysis import (bound_elm_family, bound_decomposable_family,
-                                 bound_unisecant, section_count_profile,
-                                 exact_params, griesmer_check, singleton_check,
-                                 CapExceededError)
+                                 bound_unisecant, exact_params, griesmer_check,
+                                 singleton_check, CapExceededError)
+
+from analysis_oracle import section_count_profile
 
 F5 = field_create(5, 1)
 F4 = field_create(2, 2)

@@ -173,6 +173,20 @@ def test_segre_certification(tmp_path, capsys):
     assert "certified: s_a = 2" in out
 
 
+def test_segre_upper_bound_takes_the_parity_of_deg_E(tmp_path, capsys):
+    # a degree-3 center: deg E = -3, so s_a is odd, and the 2g bound 2
+    # becomes 1, which the graph-avoidance bound meets
+    surface = {"variant": "elm",
+               "center": {"degree": 3, "base_index": 0, "fiber_index": 0}}
+    cfg = write_config(tmp_path, surface=surface)
+    assert main(["segre", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "s_a >= 1" in out
+    assert ("  s_a <= 1   (2g bound with point-count refinement, lowered by "
+            "one since s_a = deg E (mod 2))\n") in out
+    assert out.endswith("  certified: s_a = 1\n")
+
+
 @pytest.mark.parametrize("dmax, words", [(-7, "must be >= 0"),
                                          (10 ** 9, "above the cap 3000")])
 def test_segre_dmax_refused_exit2(tmp_path, capsys, dmax, words):
@@ -254,7 +268,7 @@ def test_asymptotics_out_of_domain_exit2(tmp_path, capsys, q, A, flag):
 def test_asymptotics_accepts_a_large_prime_q(tmp_path, capsys):
     # a prime near 2^61: the prime-power check must not trial-divide it
     rc = main(["asymptotics", "--q", str(2 ** 61 - 1), "--A", "3",
-               "--samples", "5", "--no-optimized", "--out-dir", str(tmp_path)])
+               "--samples", "5", "--out-dir", str(tmp_path)])
     assert rc == 0
 
 

@@ -4,10 +4,11 @@ The sha256 of every file `build` writes for the three configs in
 scripts/configs, of the `verify` stdout on the decomposable demo build, of
 the `segre` stdout on the elm demo, of `recovery.json` on the locality
 demo, of the `asymptotics` stdout and CSVs for q = 16, A = 3 and
-q = 49, A = 6 (the benchmark's frontier settings), and of `generator.txt`
-for three surface codes on the max curves over F_16 and F_49.  A refactor
-that changes any output byte fails here; a deliberate output change must
-re-record the digest.
+q = 49, A = 6 (the benchmark's frontier settings) and for two regimes where
+a0 often leaves [0, b], of the `asymptotics` stderr for two refused regimes,
+and of `generator.txt` for three surface codes on the max curves over F_16
+and F_49.  A refactor that changes any output byte fails here; a deliberate
+output change must re-record the digest.
 """
 
 import hashlib
@@ -44,6 +45,16 @@ GOLDEN = {
     "asymptotics_q49_A6/product_envelope.csv": "a2a3b799f4cac2abfa0d763e0edc5cac98261b2902e697e457af0ce771ee14ba",
     "asymptotics_q49_A6/ruled_optimized.csv": "178ac42d48ebad6c2b5840d7fd4367275548d7e836d253f08d6159da19f792ae",
     "asymptotics_q49_A6/dominance.csv": "718b6ae01ac5ef3148e5ec94b1250ab6a58153d1eed9e61fd68be3797bc21097",
+    "asymptotics_q4_A2.1/stdout": "f698ac2fbada305454fec1093f57912ca3537c22c77ee66ba766a01d5a8891ec",
+    "asymptotics_q4_A2.1/product_envelope.csv": "0d3b3d40bb36e921203a1052f99a22478ac22863fb449a9c6c62ae3ca4ccab26",
+    "asymptotics_q4_A2.1/ruled_optimized.csv": "25e12a07dc2d8c4ebe984611964e80761ec33cc7fcfe665c01a76f0519eb6fa1",
+    "asymptotics_q4_A2.1/dominance.csv": "27f1bf661d00560e7392f1b353a095e929edd45dfe57706d18fb8fa7cea7b7e2",
+    "asymptotics_q2_A3/stdout": "08bc03e884bf6bb1f05edd4766d3e61f0b0cf6f7d8ccb903f0f6d9ec8cd764ab",
+    "asymptotics_q2_A3/product_envelope.csv": "ee667765a551faf8bcdc3aaa47f05817bba49120992778a9d1e7faa9e261700e",
+    "asymptotics_q2_A3/ruled_optimized.csv": "bbcded3f3c112bfb6c3082e4a21376177045c3768e2b14a7180982b4548803d4",
+    "asymptotics_q2_A3/dominance.csv": "3119e92f831882e3b8850d2ee0d49aec911a6c86b0eb43d98e0c4a80a4bd73ca",
+    "asymptotics_q2_A10/stderr": "a1f77c6bd06700a3f200be148d6fa669e773af5dd22b91f0deea7e5b186d4dda",
+    "asymptotics_q49_A1.5/stderr": "0ccd879bb8abb8b95e4009a8ac1b98f8114ff28be2b7c9bd44bf8d0dcd1c6de4",
 }
 
 
@@ -93,16 +104,32 @@ def test_recovery_json_matches_golden(tmp_path, capsys):
     assert _sha(rec.read_bytes()) == GOLDEN["locality_demo/recovery.json"]
 
 
-@pytest.mark.parametrize("q, A", [(16, "3"), (49, "6")])
+def _asymptotics(q, A):
+    return main(["asymptotics", "--q", str(q), "--A", A, "--samples", "400",
+                 "--b-range", "0.3:0.98:120", "--out-dir", "asym"])
+
+
+# (4, 2.1) and (2, 3): a0 leaves [0, b] at 40 and 23 of the 120 grid
+# points, and some dominance rows have no ruled rate
+@pytest.mark.parametrize("q, A", [(16, "3"), (49, "6"), (4, "2.1"), (2, "3")])
 def test_asymptotics_outputs_match_golden(tmp_path, monkeypatch, capsys, q, A):
     monkeypatch.chdir(tmp_path)
-    assert main(["asymptotics", "--q", str(q), "--A", A, "--samples", "400",
-                 "--b-range", "0.3:0.98:120", "--out-dir", "asym"]) == 0
+    assert _asymptotics(q, A) == 0
     stdout = capsys.readouterr().out
     name = f"asymptotics_q{q}_A{A}"
     assert _sha(stdout.encode()) == GOLDEN[f"{name}/stdout"]
     for fname in ("product_envelope.csv", "ruled_optimized.csv", "dominance.csv"):
         assert _sha((tmp_path / "asym" / fname).read_bytes()) == GOLDEN[f"{name}/{fname}"], fname
+
+
+# (2, 10): the envelope's rate B = 1.2 exceeds 1; (49, 1.5): A <= 2
+@pytest.mark.parametrize("q, A", [(2, "10"), (49, "1.5")])
+def test_asymptotics_refusals_match_golden(tmp_path, monkeypatch, capsys, q, A):
+    monkeypatch.chdir(tmp_path)
+    assert _asymptotics(q, A) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not (tmp_path / "asym").exists()
+    assert _sha(err.encode()) == GOLDEN[f"asymptotics_q{q}_A{A}/stderr"], err
 
 
 # Paper-regime surface codes on the max curves: beta is b/2 times the

@@ -424,8 +424,10 @@ def scan_x_fiber(curve, m):
     fiber = []
     for dd in sorted({m.degree, 2 * m.degree}):
         ext = extend(curve.spec, dd)
+        # m over ext, embedded once rather than at every point
+        m_ext = Poly(ext, [ext.embed_i(curve.spec, c) for c in m.coeffs])
         for cp in curve.closed_points(dd):
-            if not cp.is_infinity and m.eval_i(cp.x, ext) == 0:
+            if not cp.is_infinity and m_ext.eval_i(cp.x) == 0:
                 e = 2 if curve.is_two_torsion(cp.x, cp.y, ext) else 1
                 fiber.append((cp, e))
     return fiber
