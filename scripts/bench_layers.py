@@ -52,10 +52,10 @@ import sys
 import tempfile
 import time
 
-import numpy as np
-
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+# ruledcodes before numpy: it loads numpy with one BLAS thread, so the
+# layer timers run in the same process state as the CLI
 from ruledcodes import analysis, cli, codes, linalg, locality  # noqa: E402
 from ruledcodes.asymptotics import dominance_report, optimized_rate  # noqa: E402
 from ruledcodes.curve import curve_create, DivisorOnCurve, ELLIPTIC, P1  # noqa: E402
@@ -63,6 +63,8 @@ from ruledcodes.gf import FieldSpec, extend, field_create  # noqa: E402
 from ruledcodes.rrspace import rr_basis  # noqa: E402
 from ruledcodes.surface import (surface_decomposable,  # noqa: E402
                                 surface_elm_product, surface_trivial)
+
+import numpy as np  # noqa: E402
 
 TABLE_FIELDS = [(2, 8), (7, 4), (2, 16)]
 

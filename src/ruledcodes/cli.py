@@ -503,9 +503,15 @@ def cmd_recover(args) -> int:
 def _parse_b_range(text: str):
     try:
         lo, hi, count = text.split(":")
-        return float(lo), float(hi), int(count)
+        lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise argparse.ArgumentTypeError("expected lo:hi:count")
+    if not (0 < lo < 1 and 0 < hi < 1):
+        raise argparse.ArgumentTypeError(
+            f"lo {lo:g} and hi {hi:g} must lie in (0, 1)")
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"count {count} must be at least 1")
+    return lo, hi, count
 
 
 @functools.cache

@@ -265,6 +265,23 @@ def test_asymptotics_out_of_domain_exit2(tmp_path, capsys, q, A, flag):
     assert rc == 2 and flag in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("b_range, message", [
+    ("0.3:0.98:0", "count 0 must be at least 1"),
+    ("0.9:1.2:7", "lo 0.9 and hi 1.2 must lie in (0, 1)"),
+    ("nan:0.5:5", "lo nan and hi 0.5 must lie in (0, 1)"),
+])
+def test_asymptotics_b_range_refused_where_parsed(tmp_path, capsys, b_range,
+                                                  message):
+    out = tmp_path / "asym"
+    with pytest.raises(SystemExit) as exc:
+        main(["asymptotics", "--q", "16", "--A", "3", "--samples", "5",
+              "--b-range", b_range, "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument --b-range: {message}" in err
+    assert not out.exists()
+
+
 def test_asymptotics_accepts_a_large_prime_q(tmp_path, capsys):
     # a prime near 2^61: the prime-power check must not trial-divide it
     rc = main(["asymptotics", "--q", str(2 ** 61 - 1), "--A", "3",
@@ -590,6 +607,72 @@ def test_python_dash_m_entry_point():
     assert proc.returncode == 0
     assert "usage: ruledcodes" in proc.stdout
     assert proc.stderr == ""
+
+
+_STARTUP_PROBE = """
+import json, os, sys
+def threads():
+    task = "/proc/self/task"
+    return len(os.listdir(task)) if os.path.isdir(task) else None
+before = dict(os.environ)
+if sys.argv[1] == "numpy-first":
+    import numpy
+threads_before = threads()
+import ruledcodes
+print(json.dumps({"environ_before": before, "environ": dict(os.environ),
+                  "threads_before": threads_before, "threads": threads()}))
+"""
+
+
+def _startup(mode="plain", **env):
+    """Import ruledcodes in a fresh interpreter, after numpy if mode is
+    "numpy-first", with no BLAS thread variable set but those in env; the
+    probe's report of os.environ and the thread count before and after."""
+    import subprocess
+    import sys
+
+    import ruledcodes
+
+    src = os.path.dirname(os.path.dirname(ruledcodes.__file__))
+    child_env = {k: v for k, v in os.environ.items()
+                 if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                              "OMP_NUM_THREADS")}
+    child_env["PYTHONPATH"] = os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])
+    child_env.update(env)
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, mode],
+                          capture_output=True, text=True, env=child_env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_leaves_the_environment_as_it_was():
+    report = _startup()
+    assert report["environ"] == report["environ_before"]
+    assert "OPENBLAS_NUM_THREADS" not in report["environ"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs Linux's /proc/self/task")
+def test_import_starts_no_blas_thread():
+    assert _startup()["threads"] == 1
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_import_honours_a_thread_count_the_caller_set(var):
+    report = _startup(**{var: "2"})
+    assert report["environ"] == report["environ_before"]
+    assert report["environ"][var] == "2"
+    # as many threads as numpy alone starts under the caller's setting
+    alone = _startup("numpy-first", **{var: "2"})["threads_before"]
+    assert report["threads"] == alone
+
+
+def test_import_after_numpy_touches_nothing():
+    report = _startup("numpy-first")
+    assert report["environ"] == report["environ_before"]
+    assert report["threads"] == report["threads_before"]
 
 
 _odd = st.sampled_from([None, "1", 1.5, [], {}, True, -1, 30, 10 ** 6, "cone"])
