@@ -13,7 +13,7 @@ prints one JSON object of wall-clock seconds, each from a single run:
   * rref.F_{q}.{k}x{n}: linalg.rref on the generators of the decomposable
     codes below (built first, untimed);
   * section_rows.F_49.{k}x3200: the a = 6, b = 24 code's rows from its
-    Riemann-Roch bases: codes._values at the rational base points, then
+    Riemann-Roch spaces: RRSpace.values at the rational base points, then
     codes._section_rows;
   * build_elm.F_49.{k}x3200: codes.build_code_elm for a = 6, b = 24, the
     center being the degree-2 point of index 0 with the first fiber
@@ -173,22 +173,17 @@ def rref_s(code):
 
 
 def section_rows_s(code):
-    """Seconds to evaluate a decomposable code's Riemann-Roch bases at the
+    """Seconds to evaluate a decomposable code's Riemann-Roch spaces at the
     rational base points and form its rows, as build_code_decomposable does
-    (the bases are built again first, untimed)."""
+    (the spaces are built again first, untimed)."""
     surface, a, beta = code.meta["surface"], code.meta["a"], code.meta["beta"]
     curve = surface.curve
-    functions = [f for i in range(a + 1)
-                 for f in rr_basis(curve, beta - i * surface.delta)]
+    spaces = [rr_basis(curve, beta - i * surface.delta) for i in range(a + 1)]
     rational = curve.rational_points()
 
     def run():
-        values = codes._values(functions, rational)
-        zero = [0] * len(rational)
-        coeffs = [[v if bi == i else zero
-                   for bi, v in zip(code.meta["block_index"], values)]
-                  for i in range(a + 1)]
-        return codes._section_rows(curve.spec, a, coeffs)
+        values = [space.values(rational) for space in spaces]
+        return codes._section_rows(curve.spec, a, codes._block_coeffs(values))
     return _seconds(run)
 
 

@@ -37,7 +37,7 @@ _load_numpy_with_one_blas_thread()
 
 from .gf import field_create, extend, FieldSpec
 from .curve import curve_create, CurveModel, ClosedPoint, DivisorOnCurve, P1, ELLIPTIC
-from .rrspace import rr_basis, order_at, taylor_coeffs, evaluate, CurveFunction
+from .rrspace import rr_basis, RRSpace, PoleError
 from .surface import (RuledSurfaceModel, NumClass, surface_decomposable,
                       surface_elm_product, surface_trivial, intersect,
                       canonical_class, euler_char, surface_rational_points,

@@ -119,7 +119,7 @@ def _build_curve(cfg: dict):
     raise ConfigError(f"config.curve.kind: unknown kind {kind!r}")
 
 
-def _resolve_point(curve, sel: dict, path: str) -> ClosedPoint:
+def _resolve_point(curve, sel: dict, path: str, index="index") -> ClosedPoint:
     if _opt(sel, "infinity", bool, path, False):
         return ClosedPoint(curve, 1, None, None)
     d = _need(sel, "degree", int, path)
@@ -130,10 +130,10 @@ def _resolve_point(curve, sel: dict, path: str) -> ClosedPoint:
         raise ConfigError(f"{path}: degree-{d} points need F_{{{spec.order}^{d}}}, "
                           f"above the desk-scale cap {DESK_CAP}")
     pts = curve.closed_points(d)
-    if "index" in sel:
-        idx = _need(sel, "index", int, path)
+    if index in sel:
+        idx = _need(sel, index, int, path)
         if not 0 <= idx < len(pts):
-            raise ConfigError(f"{path}.index: only {len(pts)} points of "
+            raise ConfigError(f"{path}.{index}: only {len(pts)} points of "
                               f"degree {d} exist")
         return pts[idx]
     x = _need(sel, "x", int, path)
@@ -171,9 +171,11 @@ def _build_surface(cfg: dict, curve):
     if variant == "elm":
         center = _need(sb, "center", dict, "config.surface")
         d = _need(center, "degree", int, "config.surface.center")
+        if d < 2:
+            raise ConfigError("config.surface.center.degree: must be >= 2")
         base = _resolve_point(
-            curve, {"degree": d, "index": center.get("base_index", 0)},
-            "config.surface.center")
+            curve, {"degree": d, "base_index": center.get("base_index", 0)},
+            "config.surface.center", index="base_index")
         ext = extend(curve.spec, d)
         if "fiber" in center:
             fc = _need(center, "fiber", int, "config.surface.center")

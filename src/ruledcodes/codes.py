@@ -16,6 +16,9 @@ point (p, u) and the top coefficient f_a(p) at (p, infinity), matching the
 projective Reed-Solomon convention on every fiber.  So both surface
 families share one evaluator, _section_rows: each row's values of
 (f_0, ..., f_a) at the N rational base points times the generator of PRS(a).
+Each distinct Riemann-Roch space is evaluated once, whole, at the N points
+(RRSpace.values); the elm conditions read its Taylor coefficients at the
+center (RRSpace.expansions).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .gf import DESK_CAP, FieldSpec, extend, field_create, prime_power
 from .curve import CurveModel, ClosedPoint, DivisorOnCurve
-from .rrspace import rr_basis, evaluate, taylor_coeffs, subfield_coords
+from .rrspace import rr_basis, subfield_coords
 from .surface import (RuledSurfaceModel, DECOMPOSABLE, ELM, INFTY,
                       surface_rational_points, segre_decomposable,
                       segre_dmax_default, segre_lower_bound_elm)
@@ -55,13 +58,6 @@ class LinearCode:
     @property
     def k(self) -> int:
         return len(self.matrix)
-
-    def evaluation_injective(self) -> bool:
-        """True iff the rows are independent, i.e. k equals the rank."""
-        if "evaluation_injective" not in self.meta:
-            self.meta["evaluation_injective"] = (
-                linalg.rank(self.spec, self.matrix) == self.k)
-        return self.meta["evaluation_injective"]
 
     def column_labels(self):
         """One label per column: "base|u" for a surface point (base, u),
@@ -115,10 +111,10 @@ def build_curve_code(curve: CurveModel, beta: DivisorOnCurve) -> LinearCode:
     b = beta.degree()
     if not 0 <= b < len(pts):
         raise ValueError(f"deg(beta) = {b} must satisfy 0 <= b < N = {len(pts)}")
-    basis = rr_basis(curve, beta)
-    if not basis:
+    space = rr_basis(curve, beta)
+    if not space:
         raise ValueError("empty message space L(beta)")
-    return LinearCode(curve.spec, _values(basis, pts), pts,
+    return LinearCode(curve.spec, space.values(pts).tolist(), pts,
                       {"family": "curve", "b": b, "N": len(pts),
                        "beta": beta, "curve": curve})
 
@@ -140,32 +136,32 @@ def build_code_decomposable(surface: RuledSurfaceModel, a: int,
     if not 0 <= b < len(rational):
         raise ValueError(f"deg(beta) = {b} must satisfy 0 <= b < N")
     divisors = [beta - i * surface.delta for i in range(a + 1)]
-    blocks = []
+    blocks, values = [], []
     for i, divisor in enumerate(divisors):  # delta = 0 repeats beta
         first = divisors.index(divisor)
         blocks.append(blocks[first] if first < i else rr_basis(curve, divisor))
+        values.append(values[first] if first < i else blocks[i].values(rational))
     if not any(blocks):
         raise ValueError("empty message space")
-    block_index = [i for i, block in enumerate(blocks) for _ in block]
-    values = _values([f for block in blocks for f in block], rational)
-    zero = [0] * len(rational)
-    coeffs = [[v if bi == i else zero for bi, v in zip(block_index, values)]
-              for i in range(a + 1)]
-    return LinearCode(curve.spec, _section_rows(curve.spec, a, coeffs), pts,
+    return LinearCode(curve.spec, _section_rows(curve.spec, a, _block_coeffs(values)), pts,
                       {"family": "decomposable_surface", "a": a, "b": b,
                        "e": surface.e, "N": len(rational),
                        "g": curve.genus, "surface": surface, "beta": beta,
-                       "curve": curve, "block_index": block_index,
-                       "block_dims": [len(bl) for bl in blocks]})
+                       "curve": curve, "block_dims": [len(bl) for bl in blocks]})
 
 
-def _values(functions, points):
-    """The value rows [f(p) for p in points], each distinct f evaluated once."""
-    rows = {}
-    for f in functions:
-        if f.key() not in rows:
-            rows[f.key()] = [evaluate(f, p) for p in points]
-    return [rows[f.key()] for f in functions]
+def _block_coeffs(values):
+    """The (a + 1) x k x N coefficients of a direct sum of a + 1 blocks,
+    values[i] holding block i's basis values at the N rational base
+    points: block i's rows follow block i - 1's, and each has its values
+    as g_i and 0 as every other g_i'."""
+    coeffs = np.zeros((len(values), sum(map(len, values)), values[0].shape[1]),
+                      dtype=np.int64)
+    start = 0
+    for i, vals in enumerate(values):
+        coeffs[i, start:start + len(vals)] = vals
+        start += len(vals)
+    return coeffs
 
 
 def _section_rows(spec: FieldSpec, a: int, coeffs):
@@ -204,16 +200,16 @@ def build_code_elm(surface: RuledSurfaceModel, a: int,
     b = beta.degree()
     if not 0 <= b < len(rational):
         raise ValueError(f"deg(beta) = {b} must satisfy 0 <= b < N")
-    basis = rr_basis(curve, beta)
-    if not basis:
+    space = rr_basis(curve, beta)
+    if not space:
         raise ValueError("empty message space L(beta)")
     d = center.degree
     ext = extend(spec, d)
     u0 = surface.fiber_coord
-    m = len(basis)
+    m = len(space)
 
     # the coefficient vector lists g_i's L(beta) coordinates, i = 0..a
-    taylors = [taylor_coeffs(f, center, a) for f in basis]
+    taylors = space.expansions(center, a).tolist()
     conditions = []
     for j in range(a):
         for kk in range(a - j):
@@ -228,7 +224,7 @@ def build_code_elm(surface: RuledSurfaceModel, a: int,
     # row r's g_i at the base points: its block-i coordinates times the
     # basis values, all blocks of all rows in one product
     blocks = [row[i * m:(i + 1) * m] for row in null for i in range(a + 1)]
-    values = linalg.mat_mul(spec, blocks, _values(basis, rational))
+    values = linalg.mat_mul(spec, blocks, space.values(rational))
     coeffs = [values[i::a + 1] for i in range(a + 1)]
     return LinearCode(spec, _section_rows(spec, a, coeffs),
                       surface_rational_points(surface),

@@ -25,9 +25,11 @@ import numpy as np
 _CHUNK = 1 << 14        # field elements per array step in digit form
 
 
-def chunks(n: int):
-    """(lo, hi) bounds of the chunks of range(n)."""
-    return [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+def chunks(n: int, width: int = 1):
+    """(lo, hi) bounds of the chunks of range(n), each index standing for
+    width elements."""
+    step = max(1, _CHUNK // max(width, 1))
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def _maps(spec):

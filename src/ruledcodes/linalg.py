@@ -98,12 +98,14 @@ def solve(spec: FieldSpec, rows: list[list[int]], rhs: list[int]):
 
 
 def mat_mul(spec: FieldSpec, a, b) -> np.ndarray:
-    """a @ b as an int64 array of encodings; row t of b meets only the rows
-    of a nonzero in column t."""
+    """a @ b as an int64 array of encodings, the inner axis taken in chunks
+    of about fqarray's chunk of products (one chunk for a small product);
+    rows lo..hi of b meet only the rows of a nonzero in those columns."""
     x = fqarray.digits(spec, a)
     y = fqarray.digits(spec, b)
     acc = np.zeros((spec.deg, x.shape[1], y.shape[2]), dtype=np.int64)
-    for t in range(y.shape[1]):
-        rows = np.flatnonzero(x[:, :, t].any(axis=0))
-        acc[:, rows] += fqarray.mul(spec, x[:, rows, t, None], y[:, None, t])
+    for lo, hi in fqarray.chunks(y.shape[1], x.shape[1] * y.shape[2]):
+        rows = np.flatnonzero(x[:, :, lo:hi].any(axis=(0, 2)))
+        acc[:, rows] += fqarray.mul(spec, x[:, rows, lo:hi, None],
+                                    y[:, None, lo:hi]).sum(axis=2)
     return fqarray.encode(spec, acc % spec.p)

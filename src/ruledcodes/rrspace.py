@@ -1,9 +1,16 @@
-"""Riemann-Roch spaces L(D) with explicit function bases.
+"""Riemann-Roch spaces L(D) with explicit bases.
 
-Functions are held in canonical form: num/den of coprime polynomials with a
-monic denominator on the projective line, and (A(x) + B(x)*y)/Q(x) with
-gcd(A, B, Q) = 1 and Q monic on an elliptic curve (y^2 reduced away through
-the curve equation, so this form is unique).
+rr_basis returns L(D) as an RRSpace: coefficient rows over the monomials
+x^i y^j (y^2 reduced away through the curve equation; j = 0 on the
+projective line), all divided by one monic polynomial u(x) whose zeros are
+known.  The space is read whole, never one function at a time:
+RRSpace.values at rational points evaluates the rows and u by Horner in x
+at all points at once and inverts u's values as one array (at other
+affine points it reads the expansion); RRSpace.expansions at an affine
+closed point is the monomials' series times the rows, divided by u's
+series, whose order there is known, so the precision needed is known in
+advance.  On the projective line the basis is forced * x^l / u, forced
+and u the negative and positive parts of D away from infinity.
 
 The elliptic basis algorithm multiplies L(D) into a pole-at-infinity-only
 space: an auxiliary function u, a product of minimal polynomials of the
@@ -21,9 +28,9 @@ monomial order of L(M'*O), which makes bases reproducible.
 Local expansions are LSeries, t^v times a Poly in the uniformizer t, so they
 use Poly's arithmetic.  A chart fixes one coordinate (x0 + t, y0 + t, or
 t = x/y at O) and finds the other as the Newton root of the curve equation.
-Orders at affine points are read from the expansion.  Values and orders at
-infinity need none: they follow from the pole orders there of numerator and
-denominator (see _poles_at_infinity).
+Values at infinity need no expansion: x^i y^j has a pole of order 2i + 3j
+at O (i at infinity on P^1), so the value of a function of L(D) there is
+its coefficient of x^deg(u) (see RRSpace.values).
 
 Each closed point P of the support needs only its own field F_{q^d},
 d = deg(P): the x-fiber through P is read off P and -P (see _x_fiber), so a
@@ -246,169 +253,6 @@ def _chart(curve: CurveModel, pt: ClosedPoint) -> _Chart:
 
 
 # ---------------------------------------------------------------------------
-
-class CurveFunction:
-    """Element of the function field in canonical form."""
-
-    __slots__ = ("curve", "num_a", "num_b", "den")
-
-    def __init__(self, curve: CurveModel, num_a: Poly, num_b: Poly, den: Poly):
-        self.curve = curve
-        spec = curve.spec
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        g = num_a.gcd(num_b).gcd(den) if not num_b.is_zero() else num_a.gcd(den)
-        if not g.is_zero() and g.degree > 0:
-            num_a = num_a // g
-            num_b = num_b // g
-            den = den // g
-        lead = den.coeffs[-1]
-        if lead != 1:
-            inv = spec.inv_i(lead)
-            num_a = num_a * inv
-            num_b = num_b * inv
-            den = den * inv
-        self.num_a = num_a
-        self.num_b = num_b
-        self.den = den
-
-    # -- constructors
-
-    @classmethod
-    def on_p1(cls, curve, num: Poly, den: Poly):
-        assert curve.kind == P1
-        return cls(curve, num, Poly.zero(curve.spec), den)
-
-    @classmethod
-    def on_elliptic(cls, curve, a: Poly, b: Poly, q: Poly):
-        assert curve.kind == ELLIPTIC
-        return cls(curve, a, b, q)
-
-    def is_zero(self):
-        return self.num_a.is_zero() and self.num_b.is_zero()
-
-    def key(self):
-        return (self.num_a.coeffs, self.num_b.coeffs, self.den.coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, CurveFunction) and self.curve == other.curve
-                and self.key() == other.key())
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        if self.curve.kind == P1:
-            return f"Fn({self.num_a!r}/{self.den!r})"
-        return f"Fn(({self.num_a!r} + ({self.num_b!r})*y)/{self.den!r})"
-
-
-# ---------------------------------------------------------------------------
-# valuations, evaluation, Taylor expansion
-
-def _num_zero_bound(f: CurveFunction) -> int:
-    """Upper bound for the zero order of the numerator A + B*y at any point."""
-    if f.curve.kind == P1:
-        return f.num_a.degree + 1
-    da = 2 * f.num_a.degree if not f.num_a.is_zero() else -1
-    db = 3 + 2 * f.num_b.degree if not f.num_b.is_zero() else -1
-    return max(da, db) + 1
-
-
-def _poles_at_infinity(f: CurveFunction) -> tuple[int, int]:
-    """Pole orders at infinity of the numerator and the denominator of f:
-    deg A and deg Q on P^1; at O, where x and y have poles of orders 2 and
-    3, max(2 deg A, 2 deg B + 3) and 2 deg Q.  The two terms at O differ in
-    parity, so they cannot cancel.  A zero numerator reads -1 or -2, below
-    every denominator."""
-    if f.curve.kind == P1:
-        return f.num_a.degree, f.den.degree
-    num = 2 * f.num_a.degree
-    if not f.num_b.is_zero():
-        num = max(num, 2 * f.num_b.degree + 3)
-    return num, 2 * f.den.degree
-
-
-def _numerator_series(f: CurveFunction, chart: _Chart, rel: int) -> LSeries:
-    xs, ys = chart.xy(rel)
-    ns = _poly_on_series(f.num_a, xs, chart.ext)
-    if not f.num_b.is_zero():
-        ns = ns + _poly_on_series(f.num_b, xs, chart.ext) * ys
-    return ns
-
-
-def order_at(f: CurveFunction, pt: ClosedPoint) -> int:
-    """Valuation of f at the closed point (same at every orbit member)."""
-    if f.is_zero():
-        raise ValueError("the zero function has no valuation")
-    if pt.is_infinity:
-        num, den = _poles_at_infinity(f)
-        return den - num
-    return _laurent(f, pt, 0).valuation()
-
-
-def taylor_coeffs(f: CurveFunction, pt: ClosedPoint, k: int):
-    """First k coefficients of f in the local uniformizer at pt.
-
-    Raises PoleError if f has a pole there.  Coefficients are encodings
-    in F_{q^d}, d = deg(pt).
-    """
-    if k <= 0:
-        return []
-    ls = _laurent(f, pt, k)
-    v = ls.valuation()
-    if v is not None and v < 0:
-        raise PoleError(f"{f!r} has a pole at {pt!r}")
-    return [ls._coeff_raw(i) for i in range(k)]
-
-
-def _laurent(f: CurveFunction, pt: ClosedPoint, abs_target: int) -> LSeries:
-    """Expansion of f at pt with absolute precision >= abs_target."""
-    chart = _chart(f.curve, pt)
-    if f.is_zero():
-        return LSeries(abs_target, Poly.zero(chart.ext), abs=abs_target)
-    bound = _num_zero_bound(f) + 2 * f.den.degree + 2
-    rel = max(8, abs_target + 4)
-    while True:
-        num = _numerator_series(f, chart, rel).normalized()
-        den = _poly_on_series(f.den, chart.xy(rel)[0], chart.ext).normalized()
-        if num.valuation() is not None and den.valuation() is not None:
-            quot = num * den.inverse()
-            if quot.abs >= abs_target:
-                return quot
-        elif rel > bound + abs_target + 8:
-            raise AssertionError("series did not stabilize within bounds")
-        rel *= 2
-
-
-def evaluate(f: CurveFunction, pt: ClosedPoint) -> int:
-    """Encoding of the value of f at the canonical representative, in F_{q^d}.
-
-    At infinity the value is read from the pole orders: x = 1/t on P^1, and
-    x and y lead with t^-2 and t^-3 at O in the uniformizer t = x/y.  When
-    numerator and denominator have the same pole order it is even, so it
-    comes from A, and the value is the ratio of the leading coefficients of
-    A and Q."""
-    curve = f.curve
-    if pt.is_infinity:
-        s = curve.spec
-        num, den = _poles_at_infinity(f)
-        if num > den:
-            raise PoleError(f"{f!r} has a pole at {pt!r}")
-        if num < den:
-            return 0
-        return s.mul_i(f.num_a.coeffs[-1], s.inv_i(f.den.coeffs[-1]))
-    ext = pt.ext_spec
-    dv = f.den.eval_i(pt.x, target=ext)
-    if dv != 0:
-        nv = f.num_a.eval_i(pt.x, target=ext)
-        if curve.kind == ELLIPTIC and not f.num_b.is_zero():
-            nv = ext.add_i(nv, ext.mul_i(f.num_b.eval_i(pt.x, target=ext), pt.y))
-        return ext.mul_i(nv, ext.inv_i(dv))
-    return taylor_coeffs(f, pt, 1)[0]
-
-
-# ---------------------------------------------------------------------------
 # minimal polynomial of an x-coordinate, and the fiber of the x-map over it
 
 def _coerce_down(spec: FieldSpec, big: FieldSpec, poly_big: Poly) -> Poly:
@@ -486,7 +330,101 @@ def _x_fiber(curve: CurveModel, pt: ClosedPoint):
 # ---------------------------------------------------------------------------
 # Riemann-Roch bases
 
-def rr_basis(curve: CurveModel, D: DivisorOnCurve):
+class RRSpace:
+    """L(D) as coefficient rows over one denominator: basis function r is
+    sum_m rows[r, m] x^i y^j / den, (i, j) = monomials[m], with den a monic
+    polynomial in x and zeros its orders at the affine closed points where
+    it vanishes.  The monomials run over the ambient space and then over
+    any x^i, i <= deg(den), that den needs beyond it (zero columns), so
+    den's coefficients are one more row over the same columns."""
+
+    __slots__ = ("curve", "monomials", "rows", "den", "zeros", "_coef")
+
+    def __init__(self, curve: CurveModel, monomials, rows, den: Poly, zeros):
+        monomials = monomials + [(i, 0) for i in range(den.degree + 1)
+                                 if (i, 0) not in monomials]
+        coef = np.zeros((len(rows) + 1, len(monomials)), dtype=np.int64)
+        for r, row in enumerate(rows):
+            coef[r, :len(row)] = row
+        coef[-1, [monomials.index((i, 0)) for i in range(den.degree + 1)]] = den.coeffs
+        self.curve, self.monomials, self.den, self.zeros = curve, monomials, den, zeros
+        self.rows, self._coef = coef[:-1], coef
+
+    def __len__(self):
+        return len(self.rows)
+
+    def values(self, points) -> np.ndarray:
+        """The values of the basis at closed points, a len(self) x
+        len(points) array of encodings (in F_{q^d} at a point of degree d).
+        At rational points the rows and den's row, as polynomials in x with
+        a part times y, go by Horner at all points at once and are divided
+        by den's values.  At O (infinity on P^1), where x^i y^j has a pole
+        of order 2i + 3j (i), a function's value is its coefficient of
+        x^deg(den), whose pole order is den's; PoleError if a monomial of
+        higher order has a nonzero one.  At a point of higher degree, and
+        where den vanishes, the value is read from the expansion."""
+        spec = self.curve.spec
+        out = np.zeros((len(self), len(points)), dtype=np.int64)
+        plain = [c for c, pt in enumerate(points)
+                 if not pt.is_infinity and pt.degree == 1 and pt not in self.zeros]
+        if plain:
+            # coef[:, j, r, i]: row r's coefficient of x^i y^j, den's last
+            coef = np.zeros((2, len(self) + 1, max(i for i, _ in self.monomials) + 1),
+                            dtype=np.int64)
+            for m, (i, j) in enumerate(self.monomials):
+                coef[j, :, i] = self._coef[:, m]
+            coef = fqarray.digits(spec, coef)
+            x = fqarray.digits(spec, [points[c].x for c in plain])[:, None, None]
+            acc = np.zeros(coef.shape[:3] + x.shape[-1:], dtype=np.int64)
+            for i in reversed(range(coef.shape[-1])):
+                acc = fqarray.add(spec, fqarray.mul(spec, acc, x), coef[..., i, None])
+            num = acc[:, 0]
+            if self.curve.kind == ELLIPTIC:
+                y = fqarray.digits(spec, [points[c].y for c in plain])
+                num = fqarray.add(spec, num, fqarray.mul(spec, acc[:, 1], y[:, None]))
+            inv = fqarray.inv(spec, num[:, -1])
+            out[:, plain] = fqarray.encode(spec, fqarray.mul(spec, num[:, :-1],
+                                                             inv[:, None]))
+        for c, pt in enumerate(points):
+            if pt.is_infinity:
+                order = np.array([2 * i + 3 * j for i, j in self.monomials])
+                if self.rows[:, order > 2 * self.den.degree].any():
+                    raise PoleError(f"L(D) has a pole at {pt!r}")
+                out[:, c] = self.rows[:, self.monomials.index((self.den.degree, 0))]
+            elif pt.degree > 1 or pt in self.zeros:
+                out[:, c] = self.expansions(pt, 1)[:, 0]
+        return out
+
+    def expansions(self, pt: ClosedPoint, k: int) -> np.ndarray:
+        """The first k Taylor coefficients of the basis at the affine closed
+        point pt, in its chart's uniformizer t: a len(self) x k array of
+        encodings in F_{q^d}, d = deg(pt).  With v the order of den at pt,
+        the monomials' series below t^(k + v), times the rows and den's
+        row, give the numerators and den's series t^v w; the numerators
+        over t^v are divided by the unit w.  PoleError if a function has a
+        pole at pt; ValueError at O (infinity on P^1)."""
+        if pt.is_infinity:
+            raise ValueError("expansions are taken at affine points only")
+        if k <= 0:
+            return np.zeros((len(self), 0), dtype=np.int64)
+        v, ext = self.zeros.get(pt, 0), pt.ext_spec
+        xs, ys = _chart(self.curve, pt).xy(k + v)
+        table = [[s._coeff_raw(n) for n in range(k + v)]
+                 for s in _monomial_series(self.monomials, xs, ys, k + v)]
+        coef = self._coef.tolist()
+        embed = {c: ext.embed_i(self.curve.spec, c) for c in set().union(*coef)}
+        sums = linalg.mat_mul(ext, [[embed[c] for c in row] for row in coef], table)
+        den = sums[-1].tolist()
+        if sums[:-1, :v].any():
+            raise PoleError(f"L(D) has a pole at {pt!r}")
+        assert not any(den[:v]) and den[v], "den's order at pt is not v"
+        inv = LSeries(0, Poly(ext, den[v:]), abs=k).inverse()
+        # coefficient n of the quotient is sum_i numerator_(v+i) inv_(n-i)
+        toeplitz = [[inv._coeff_raw(n - i) for n in range(k)] for i in range(k)]
+        return linalg.mat_mul(ext, sums[:-1, v:], toeplitz)
+
+
+def rr_basis(curve: CurveModel, D: DivisorOnCurve) -> RRSpace:
     """Echelonized basis of L(D) = {f : div(f) + D >= 0} over F_q."""
     if D.curve != curve:
         raise ValueError("divisor lives on a different curve")
@@ -498,11 +436,12 @@ def rr_basis(curve: CurveModel, D: DivisorOnCurve):
 
 
 def _rr_basis_p1(curve, D):
-    if D.degree() < 0:
-        return []
     spec = curve.spec
+    if D.degree() < 0:
+        return RRSpace(curve, [], [], Poly.one(spec), {})
     den = Poly.one(spec)
     forced = Poly.one(spec)
+    zeros = {}
     n_inf = 0
     for pt, n in D.items():
         if pt.is_infinity:
@@ -511,24 +450,21 @@ def _rr_basis_p1(curve, D):
         m = x_min_poly(curve, pt)
         if n > 0:
             den = den * m ** n
+            zeros[pt] = n
         else:
             forced = forced * m ** (-n)
-    top = den.degree + n_inf - forced.degree
-    basis = []
-    for l in range(top + 1):
-        basis.append(CurveFunction.on_p1(curve, forced.shift(l), den))
-    return basis
+    top = D.degree()
+    rows = [[0] * l + list(forced.coeffs) + [0] * (top - l) for l in range(top + 1)]
+    return RRSpace(curve, [(i, 0) for i in range(den.degree + n_inf + 1)], rows,
+                   den, zeros)
 
 
 def _rr_basis_elliptic(curve, D):
     spec = curve.spec
     deg_d = D.degree()
-    if deg_d < 0:
-        return []
-    if deg_d == 0:
-        # the degree-0 dichotomy is decided by the group law, not by rank
-        if divisor_class_sum(D) is not None:
-            return []
+    # the degree-0 dichotomy is decided by the group law, not by rank
+    if deg_d < 0 or (deg_d == 0 and divisor_class_sum(D) is not None):
+        return RRSpace(curve, [], [], Poly.one(spec), {})
     u = Poly.one(spec)
     zdiv: dict[ClosedPoint, int] = {}
     m_pole = 0
@@ -561,21 +497,12 @@ def _rr_basis_elliptic(curve, D):
                                     [[s._coeff_raw(k) for s in series]
                                      for k in range(r_q)]))
 
-    basis = []
-    for vec in linalg.nullspace(spec, rows, len(monomials)):
-        a_coeffs = {}
-        b_coeffs = {}
-        for lam, (i, j) in zip(vec, monomials):
-            if lam:
-                (b_coeffs if j else a_coeffs)[i] = lam
-        a = Poly(spec, [a_coeffs.get(i, 0) for i in range(m_amb + 1)])
-        b = Poly(spec, [b_coeffs.get(i, 0) for i in range(m_amb + 1)])
-        basis.append(CurveFunction.on_elliptic(curve, a, b, u))
-
+    space = RRSpace(curve, monomials, linalg.nullspace(spec, rows, len(monomials)),
+                    u, zdiv)
     expected = deg_d if deg_d >= 1 else 1
-    assert len(basis) == expected, (
-        f"dim L(D) = {len(basis)}, Riemann-Roch predicts {expected}")
-    return basis
+    assert len(space) == expected, (
+        f"dim L(D) = {len(space)}, Riemann-Roch predicts {expected}")
+    return space
 
 
 def _monomial_series(monomials, xs, ys, top):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from . import linalg
 from .gf import extend
 from .curve import CurveModel, ClosedPoint, DivisorOnCurve
-from .rrspace import evaluate, effective_divisors, rr_basis, subfield_coords
+from .rrspace import effective_divisors, rr_basis, subfield_coords
 
 DECOMPOSABLE = "decomposable"
 ELM = "elm"
@@ -268,8 +268,7 @@ def segre_lower_bound_elm(surface: RuledSurfaceModel, dmax: int):
 def _takes_value(curve, D, center, small, big, rhs) -> bool:
     """True iff some f in L(D) has f(center) in big = F_{q^d} with the
     coordinates rhs over small = F_q."""
-    rows = subfield_coords(small, big, [[evaluate(f, center)
-                                         for f in rr_basis(curve, D)]])
+    rows = subfield_coords(small, big, rr_basis(curve, D).expansions(center, 1).T)
     return linalg.solve(small, rows, rhs) is not None
 
 

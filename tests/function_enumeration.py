@@ -8,10 +8,10 @@ dmax, deduplicated through the canonical form.  It costs about
 """
 
 from ruledcodes.curve import CurveModel, DivisorOnCurve
-from ruledcodes.rrspace import (CurveFunction, PoleError, effective_divisors,
-                                evaluate, order_at, rr_basis)
+from ruledcodes.rrspace import PoleError, effective_divisors, rr_basis
 
-from rrspace_oracle import add, constant, is_constant, scale
+from rrspace_oracle import (CurveFunction, add, constant, evaluate, functions,
+                            is_constant, order_at, scale)
 
 
 def function_degree(f: CurveFunction, D: DivisorOnCurve) -> int:
@@ -36,7 +36,7 @@ def functions_up_to_degree(curve: CurveModel, dmax: int):
     if dmax < 1:
         return result
     for D in effective_divisors(curve, dmax):
-        basis = rr_basis(curve, D)
+        basis = functions(rr_basis(curve, D))
         if len(basis) <= 1:
             continue  # L(D) is just the constants
         k = len(basis)

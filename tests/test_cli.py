@@ -511,6 +511,39 @@ def test_elm_center_fiber_in_range_builds(tmp_path):
     build(tmp_path, surface=surface, analysis={"exact_cap": 1})
 
 
+def _refusal(tmp_path, capsys, command, surface):
+    """The exit code and stderr of build or segre on one surface."""
+    cfg = write_config(tmp_path, surface=surface)
+    rc = main([command, "--config", cfg, "--out-dir", str(tmp_path)]
+              if command == "build" else [command, "--config", cfg])
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build", "segre"])
+@pytest.mark.parametrize("base_index, message", [
+    ("x", "config.surface.center.base_index: expected an integer, got 'x'"),
+    (10 ** 6, "config.surface.center.base_index: only 15 points of degree 2 exist"),
+])
+def test_elm_center_base_index_refusal_names_the_key(tmp_path, capsys, command,
+                                                     base_index, message):
+    surface = {**ELM_CENTER, "center": {**ELM_CENTER["center"],
+                                        "base_index": base_index}}
+    rc, err = _refusal(tmp_path, capsys, command, surface)
+    assert rc == 2 and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["build", "segre"])
+@pytest.mark.parametrize("center", [{"degree": 1}, {"degree": 1, "fiber": 3},
+                                    {"degree": 1, "fiber_index": 0},
+                                    {"degree": 0}, {"degree": -1, "base_index": 0}])
+def test_elm_center_of_degree_below_two_names_the_degree(tmp_path, capsys, command,
+                                                         center):
+    rc, err = _refusal(tmp_path, capsys, command, {"variant": "elm", "center": center})
+    assert rc == 2 and "Traceback" not in err
+    assert "config.surface.center.degree: must be >= 2" in err
+    assert "fiber" not in err
+
+
 @pytest.mark.parametrize("pm, d", [((5, 1), 2), ((5, 1), 3), ((2, 4), 2),
                                    ((2, 4), 4), ((7, 2), 2)])
 def test_fiber_coords_are_the_orbit_scan(pm, d):

@@ -14,6 +14,7 @@ from ruledcodes.codes import (build_prs, build_curve_code,
                               write_matrix, write_points, read_matrix)
 from ruledcodes.analysis import exact_params
 from linalg_oracle import row_space_contains, row_space_equal
+from rrspace_oracle import evaluate, functions
 
 F5 = field_create(5, 1)
 F4 = field_create(2, 2)
@@ -125,7 +126,7 @@ def test_decomposable_demo_parameters():
     code = build_code_decomposable(surf, 1, beta3())
     assert (code.n, code.k) == (36, 4)
     assert code.meta["block_dims"] == [3, 1]  # dim L(beta) + dim L(beta - delta)
-    assert code.evaluation_injective()
+    assert linalg.rank(code.spec, code.matrix) == code.k
     n, k, d = exact_params(code)
     assert (n, k) == (36, 4)
     assert d >= 15
@@ -161,8 +162,8 @@ def test_product_surface_build_computes_one_basis(curve):
             calls.append(d), rr_basis(c, d))[1]):
         code = build_code_decomposable(surface_trivial(curve), a, beta)
     assert calls == [beta]
-    values = [codes._values(rr_basis(curve, beta), curve.rational_points())
-              for _ in range(a + 1)]
+    values = [[[evaluate(f, p) for p in curve.rational_points()]
+               for f in functions(rr_basis(curve, beta))] for _ in range(a + 1)]
     zero = [0] * len(curve.rational_points())
     coeffs = [[v for j, block in enumerate(values) for v in
                (block if j == i else [zero] * len(block))] for i in range(a + 1)]

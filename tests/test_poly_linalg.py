@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -130,17 +131,26 @@ def test_row_space_relations():
     assert row_space_equal(F5, a, [[0, 1, 1], [1, 0, 1]])
 
 
+def direct_product(spec, a, b):
+    return [[functools.reduce(spec.add_i, (spec.mul_i(x, row[j]) for x, row in zip(arow, b)), 0)
+             for j in range(len(b[0]))] for arow in a]
+
+
 def test_mat_mul_against_direct():
     rng = random.Random(5)
     a = [[rng.randrange(4) for _ in range(3)] for _ in range(2)]
     b = [[rng.randrange(4) for _ in range(5)] for _ in range(3)]
-    out = linalg.mat_mul(F4, a, b).tolist()
-    for i in range(2):
-        for j in range(5):
-            acc = 0
-            for t in range(3):
-                acc = F4.add_i(acc, F4.mul_i(a[i][t], b[t][j]))
-            assert out[i][j] == acc
+    assert linalg.mat_mul(F4, a, b).tolist() == direct_product(F4, a, b)
+
+
+def test_mat_mul_over_many_chunks():
+    # 20 x 40 outputs put 20 inner columns in each chunk of the product:
+    # 15 chunks, each skipping the rows of a that are zero on it
+    rng = random.Random(6)
+    a = [[rng.randrange(4) if rng.random() < 0.1 else 0 for _ in range(300)]
+         for _ in range(20)]
+    b = [[rng.randrange(4) for _ in range(40)] for _ in range(300)]
+    assert linalg.mat_mul(F4, a, b).tolist() == direct_product(F4, a, b)
 
 
 def test_mat_mul_skips_zero_blocks_exactly():

@@ -11,13 +11,14 @@ from ruledcodes.gf import field_create, extend
 from ruledcodes.curve import (curve_create, ClosedPoint, DivisorOnCurve,
                               divisor_class_sum, CurveModel, P1, ELLIPTIC)
 from ruledcodes.poly import Poly
-from ruledcodes.rrspace import (rr_basis, order_at, taylor_coeffs, evaluate,
-                                effective_divisors, CurveFunction, PoleError,
+from ruledcodes.rrspace import (rr_basis, effective_divisors, PoleError,
                                 x_min_poly, subfield_coords, LSeries, _chart,
                                 _subfield_inverse)
 
 from function_enumeration import functions_up_to_degree, function_degree
-from rrspace_oracle import add, constant, inverse, is_constant, mul, scale
+from rrspace_oracle import (CurveFunction, add, constant, evaluate, functions,
+                            inverse, is_constant, mul, order_at, scale,
+                            taylor_coeffs)
 
 F5 = field_create(5, 1)
 E5 = curve_create(ELLIPTIC, (0, 0, 0, 0, 1), F5)   # y^2 = x^3 + 1
@@ -145,7 +146,7 @@ def test_value_at_infinity_matches_the_expansion(curve):
     for n_inf in (-2, -1, 0, 1, 2, 3):
         for D in (DivisorOnCurve(curve, [(affine[0], 2), (inf, n_inf)]),
                   DivisorOnCurve(curve, [(quad, 1), (affine[-1], 1), (inf, n_inf)])):
-            basis = rr_basis(curve, D)
+            basis = functions(rr_basis(curve, D))
             for f in basis + [scale(f, 2) for f in basis] + [constant(curve, 0)]:
                 try:
                     value = evaluate(f, inf)
@@ -161,6 +162,121 @@ def test_value_at_infinity_matches_the_expansion(curve):
 
 E49 = curve_create(ELLIPTIC, (0, 0, 0, 1, 0), field_create(7, 2))
 E5_FULL = curve_create(ELLIPTIC, (1, 2, 3, 4, 1), F5)   # every a_i nonzero
+
+
+# -- RRSpace.values and RRSpace.expansions against the one-function oracle --
+
+# P^1, p = 2 with a1 != 0 and a1 = 0, F_49, and F_{5^7}, above the exp/log
+# table limit, where only rational points are within the field-size cap
+ORACLE_CURVES = {"P1-F5": (L5, 3), "F5": (E5, 3), "F4-a1": (E4, 3),
+                 "F16-a3": (E16, 3), "F49": (E49, 2),
+                 "F78125": (curve_create(ELLIPTIC, (0, 0, 0, 1, 1),
+                                         field_create(5, 7)), 1)}
+
+
+def oracle_draw(name, rng):
+    """A divisor D on the curve of ORACLE_CURVES[name] of degree 1..7, from
+    up to three points of degree 1..max plus a multiple of O (infinity on
+    P^1), its space, the points where the oracle evaluates it (a few
+    rational points, up to two of degree >= 2 from the pool, every point
+    where the space's denominator vanishes, and O last), and the affine
+    points where it expands it: some of the pool, and every point where
+    the denominator vanishes, such as -P for P in supp(D)."""
+    curve, dmax = ORACLE_CURVES[name]
+    inf = ClosedPoint(curve, 1, None, None)
+    rational = [p for p in curve.rational_points() if not p.is_infinity]
+    pool = rng.sample(rational, 4)
+    for d in range(2, dmax + 1):
+        pool += rng.sample(curve.closed_points(d), 3)
+    while True:
+        items = [(p, rng.choice([-2, -1, 1, 2, 3]))
+                 for p in rng.sample(pool, rng.randint(1, 3))]
+        n_inf = rng.choice([-2, -1, 0, 0, 1, 2])
+        D = DivisorOnCurve(curve, items + ([(inf, n_inf)] if n_inf else []))
+        if 1 <= D.degree() <= 7:
+            break
+    space = rr_basis(curve, D)
+    points = (rng.sample(rational, 3) + rng.sample(pool[4:], min(2, len(pool) - 4))
+              + list(space.zeros))
+    expand = rng.sample(pool, 3) + list(space.zeros)
+    return D, space, points + [inf], expand
+
+
+def oracle_or_pole(fn, *args):
+    try:
+        return fn(*args)
+    except PoleError:
+        return "pole"
+
+
+def check_values(name, rng):
+    """RRSpace.values against evaluate at the points where every function
+    is regular, and PoleError at each other point alone; the cases it met."""
+    D, space, points, _ = oracle_draw(name, rng)
+    funcs = functions(space)
+    want = {p: [oracle_or_pole(evaluate, f, p) for f in funcs] for p in points}
+    regular = [p for p in points if "pole" not in want[p]]
+    assert space.values(regular).T.tolist() == [want[p] for p in regular], (D, regular)
+    for p in points:
+        if p not in regular:
+            with pytest.raises(PoleError):
+                space.values([p])
+    seen = {name} | {f"value at degree {p.degree}" for p in regular if p.degree > 1}
+    if points[-1] not in regular and D.multiplicity(points[-1]) > 0:
+        seen.add("pole at O")
+    if any(p in space.zeros and D.multiplicity(p) == 0 for p in regular):
+        seen.add("value where den vanishes off supp(D)")
+    return seen
+
+
+def check_expansions(name, rng):
+    """RRSpace.expansions against taylor_coeffs, and refused at O; the
+    cases it met."""
+    D, space, points, expand = oracle_draw(name, rng)
+    with pytest.raises(ValueError):
+        space.expansions(points[-1], 1)
+    seen = {name}
+    for pt in expand:
+        k = rng.randint(1, 4)
+        want = [oracle_or_pole(taylor_coeffs, f, pt, k) for f in functions(space)]
+        want = "pole" if "pole" in want else want
+        got = oracle_or_pole(lambda: space.expansions(pt, k).tolist())
+        assert got == want, (D, pt, k)
+        seen.add(f"degree {pt.degree}")
+        if pt in space.zeros and D.multiplicity(pt) == 0:
+            seen.add("den vanishes off supp(D)")
+    return seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_CURVES)), st.integers(0, 2 ** 32))
+def test_values_match_the_oracle(name, seed):
+    check_values(name, random.Random(seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_CURVES)), st.integers(0, 2 ** 32))
+def test_expansions_match_the_oracle(name, seed):
+    check_expansions(name, random.Random(seed))
+
+
+def test_oracle_checks_meet_every_case():
+    seen = set()
+    for seed in range(4):
+        for name in ORACLE_CURVES:
+            seen |= check_values(name, random.Random(seed))
+            seen |= check_expansions(name, random.Random(seed))
+    assert seen == set(ORACLE_CURVES) | {
+        "pole at O", "degree 1", "degree 2", "degree 3",
+        "value at degree 2", "value at degree 3", "den vanishes off supp(D)",
+        "value where den vanishes off supp(D)"}
+
+
+def test_value_at_a_pole_of_o_raises():
+    space = rr_basis(E5, DivisorOnCurve(E5, [(O5, 3)]))
+    with pytest.raises(PoleError):
+        space.values([O5])
+    assert space.values(E5.rational_points()[:1]).shape == (3, 1)
 
 
 def chart_points(curve):
@@ -228,7 +344,7 @@ def valuation_samples(curve, seed):
         D = DivisorOnCurve(curve, [(p, rng.choice([-2, -1, 1, 2, 3]))
                                    for p in rng.sample(pts, 3)])
         if 1 <= D.degree() <= 7:
-            funcs += [f for f in rr_basis(curve, D) if not is_constant(f)]
+            funcs += [f for f in functions(rr_basis(curve, D)) if not is_constant(f)]
     return pts, funcs
 
 
@@ -276,7 +392,7 @@ def test_rr_basis_with_zeros_at_the_origin(curve, m_o):
     affine = [p for p in curve.rational_points() if not p.is_infinity]
     D = DivisorOnCurve(curve, [(curve.closed_points(2)[1], 2), (affine[0], 1),
                                (origin, m_o)])
-    basis = rr_basis(curve, D)
+    basis = functions(rr_basis(curve, D))
     assert len(basis) == D.degree() == 5 + m_o
     check_membership(curve, D, basis)
     # L(D - O) has codimension 1, so some f vanishes at O to order -m_o exactly
@@ -287,7 +403,7 @@ def test_rr_basis_with_zeros_at_the_origin(curve, m_o):
 
 def test_p1_polynomial_space():
     D = DivisorOnCurve(L5, [(INF5, 3)])
-    basis = rr_basis(L5, D)
+    basis = functions(rr_basis(L5, D))
     assert len(basis) == 4
     assert sorted(f.num_a.degree for f in basis) == [0, 1, 2, 3]
     check_membership(L5, D, basis)
@@ -295,7 +411,7 @@ def test_p1_polynomial_space():
 
 def test_elliptic_weierstrass_space():
     D = DivisorOnCurve(E5, [(O5, 3)])
-    basis = rr_basis(E5, D)
+    basis = functions(rr_basis(E5, D))
     assert len(basis) == 3
     keys = {f.key() for f in basis}
     assert constant(E5, 1).key() in keys
@@ -306,7 +422,7 @@ def test_elliptic_weierstrass_space():
 def test_elliptic_degree3_point():
     Q = E5.closed_points(3)[0]
     D = DivisorOnCurve(E5, [(Q, 1)])
-    basis = rr_basis(E5, D)
+    basis = functions(rr_basis(E5, D))
     assert len(basis) == 3  # deg D + 1 - g
     check_membership(E5, D, basis)
 
@@ -314,15 +430,15 @@ def test_elliptic_degree3_point():
 def test_negative_degree_empty():
     p = E5.rational_points()[0]
     D = DivisorOnCurve(E5, [(p, -1)])
-    assert rr_basis(E5, D) == []
+    assert functions(rr_basis(E5, D)) == []
 
 
 def test_p1_negative_degree_empty_without_powering():
     # deg D < 0 is decided before any point's polynomial is raised to |n|
     p, r = [pt for pt in L5.rational_points() if not pt.is_infinity][:2]
     start = time.perf_counter()
-    assert rr_basis(L5, DivisorOnCurve(L5, [(p, -10 ** 9)])) == []
-    assert rr_basis(L5, DivisorOnCurve(L5, [(p, 10 ** 9), (r, -10 ** 9 - 1)])) == []
+    assert functions(rr_basis(L5, DivisorOnCurve(L5, [(p, -10 ** 9)]))) == []
+    assert functions(rr_basis(L5, DivisorOnCurve(L5, [(p, 10 ** 9), (r, -10 ** 9 - 1)]))) == []
     assert time.perf_counter() - start < 1
 
 
@@ -332,13 +448,13 @@ def test_degree_zero_principal_dichotomy():
     minus = next(t for t in pts if t.x == p.x and t.y not in (None, p.y))
     # principal: div(x - x0)
     D = DivisorOnCurve(E5, [(p, 1), (minus, 1), (O5, -2)])
-    basis = rr_basis(E5, D)
+    basis = functions(rr_basis(E5, D))
     assert len(basis) == 1
     check_membership(E5, D, basis)
     # non-principal: P - O
     D2 = DivisorOnCurve(E5, [(p, 1), (O5, -1)])
     assert divisor_class_sum(D2) is not None
-    assert rr_basis(E5, D2) == []
+    assert functions(rr_basis(E5, D2)) == []
 
 
 def test_riemann_roch_dimensions_randomized():
@@ -360,7 +476,7 @@ def test_rr_membership_randomized():
     for curve in (E5, L5):
         for _ in range(8):
             D = random_divisor(curve, rng, min_deg=0, max_deg=7)
-            basis = rr_basis(curve, D)
+            basis = functions(rr_basis(curve, D))
             check_membership(curve, D, basis)
 
 
@@ -378,8 +494,8 @@ def test_rr_products_land_in_sum_space():
     rng = random.Random(5)
     D1 = random_divisor(E5, rng, min_deg=1, max_deg=4)
     D2 = random_divisor(E5, rng, min_deg=1, max_deg=4)
-    b1 = rr_basis(E5, D1)
-    b2 = rr_basis(E5, D2)
+    b1 = functions(rr_basis(E5, D1))
+    b2 = functions(rr_basis(E5, D2))
     Dsum = D1 + D2
     for f in b1[:3]:
         for g in b2[:3]:
@@ -395,7 +511,7 @@ def test_basis_linear_independence():
     # repeated canonical form would be a bug
     Q = E5.closed_points(2)[1]
     D = DivisorOnCurve(E5, [(Q, 2)])
-    basis = rr_basis(E5, D)
+    basis = functions(rr_basis(E5, D))
     assert len({f.key() for f in basis}) == len(basis)
 
 
@@ -473,7 +589,7 @@ def test_rr_basis_degree_four_point():
     curve = curve_create(ELLIPTIC, (0, 0, 0, 0, 1), field_create(5, 1))
     P = curve.closed_points(4)[0]
     D = DivisorOnCurve(curve, [(P, 1)])
-    basis = rr_basis(curve, D)
+    basis = functions(rr_basis(curve, D))
     assert len(basis) == 4
     check_membership(curve, D, basis)
     assert 8 not in curve._closed_cache
@@ -550,7 +666,7 @@ def test_rr_bases_with_zeros_at_origin_are_pinned():
             D = DivisorOnCurve(curve, [(curve.closed_points(2)[1], 2),
                                        (curve.closed_points(3)[0], 1),
                                        (affine, 1), (O, m_o)])
-            lines.append(repr([f.key() for f in rr_basis(curve, D)]))
+            lines.append(repr([f.key() for f in functions(rr_basis(curve, D))]))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == RR_ZEROS_AT_O_DIGEST
 
@@ -601,7 +717,7 @@ def test_effective_divisor_enumeration_counts():
 
 def test_function_degree_matches_pole_count():
     D = DivisorOnCurve(E5, [(E5.closed_points(2)[0], 1)])
-    for f in rr_basis(E5, D):
+    for f in functions(rr_basis(E5, D)):
         if is_constant(f):
             continue
         assert function_degree(f, D) == 2
