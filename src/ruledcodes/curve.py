@@ -21,8 +21,6 @@ They live and die with the curve.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import fqarray
@@ -325,8 +323,8 @@ class ClosedPoint:
     """A Galois orbit of geometric points, via its canonical representative.
 
     x is None for the point at infinity (degree 1).  Coordinates live in
-    extend(curve.spec, degree).  The stored representative is normalized to
-    the orbit element with the least (x, y) encoding pair.
+    extend(curve.spec, degree).  The stored representative is the orbit
+    element with the least (x, y) encoding pair.
     """
 
     __slots__ = ("curve", "degree", "x", "y")
@@ -442,22 +440,27 @@ class DivisorOnCurve:
 def divisor_class_sum(D: DivisorOnCurve):
     """Sum of a degree-0 divisor under the elliptic group law.
 
-    Returns the sum as a point over the lcm extension; None means the zero
-    class, i.e. D is principal.
+    Each closed point's orbit is summed in its own field F_{q^d}.  That sum
+    is fixed by Frobenius, so it is an F_q point; it is read back to F_q and
+    the points' sums are added there.  Returns the sum as an F_q point;
+    None means the zero class, i.e. D is principal.
     """
     curve = D.curve
     if curve.kind != ELLIPTIC:
         raise ValueError("class sum needs an elliptic curve")
     if D.degree() != 0:
         raise ValueError("class sum is defined for degree-0 divisors")
-    L = math.lcm(*(pt.degree for pt in D.coeffs))
-    ext = extend(curve.spec, L)
+    spec = curve.spec
     total = None
     for pt, n in D.items():
         if pt.is_infinity:
             continue  # O is the group identity
-        sub = extend(curve.spec, pt.degree)
-        for gx, gy in pt.orbit():
-            P = (ext.embed_i(sub, gx), ext.embed_i(sub, gy))
-            total = curve.ell_add(total, curve.ell_mul(n, P, ext), ext)
+        sub = extend(spec, pt.degree)
+        orbit_sum = None
+        for P in pt.orbit():
+            orbit_sum = curve._ell_add(orbit_sum, P, sub)
+        if orbit_sum is not None and sub is not spec:
+            back = {sub.embed_i(spec, c): c for c in range(spec.order)}
+            orbit_sum = (back[orbit_sum[0]], back[orbit_sum[1]])
+        total = curve._ell_add(total, curve.ell_mul(n, orbit_sum, spec), spec)
     return total

@@ -25,16 +25,20 @@ orders 2i + 3j at O, so D(O) is read into M' as D(infinity) is on P^1, and O
 imposes no condition.  The resulting nullspace is echelonized against the
 monomial order of L(M'*O), which makes bases reproducible.
 
-Local expansions are LSeries, t^v times a Poly in the uniformizer t, so they
-use Poly's arithmetic.  A chart fixes one coordinate (x0 + t, y0 + t, or
-t = x/y at O) and finds the other as the Newton root of the curve equation.
-Values at infinity need no expansion: x^i y^j has a pole of order 2i + 3j
-at O (i at infinity on P^1), so the value of a function of L(D) there is
-its coefficient of x^deg(u) (see RRSpace.values).
+Local expansions are taken at affine points only.  An expansion is a Poly
+in the uniformizer t, read modulo t^n, and the caller passes n: every order
+it meets there is known in advance, so nothing tracks a precision.  A chart
+fixes one coordinate (x = x0 + t, or y = y0 + t at a 2-torsion point) and
+finds the other as the Newton root of the curve equation.  Nothing expands
+at infinity: x^i y^j has a pole of order 2i + 3j at O (i at infinity on
+P^1), so O imposes no vanishing condition, and the value of a function of
+L(D) there is its coefficient of x^deg(u) (see RRSpace.values).
 
 Each closed point P of the support needs only its own field F_{q^d},
-d = deg(P): the x-fiber through P is read off P and -P (see _x_fiber), so a
-divisor is supported exactly when q^d <= gf.DESK_CAP for every point in it.
+d = deg(P): the x-fiber through P is read off P and -P (see _x_fiber), and
+the class of a degree-0 divisor is summed one point at a time in these
+fields (curve.divisor_class_sum), so a divisor is supported exactly when
+q^d <= gf.DESK_CAP for every point in it.
 
 effective_divisors lists the effective divisors of one degree; the
 graph-avoidance bound in surface asks one linear solve of each L(D).
@@ -60,129 +64,46 @@ class PoleError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# truncated Laurent series: t^v times a Poly in t
+# power series at an affine point: a Poly in the uniformizer t, read mod t^n
 
-def _head(poly: Poly, n: int) -> Poly:
-    """poly modulo t^n."""
-    return poly if len(poly.coeffs) <= n else Poly(poly.spec, poly.coeffs[:max(n, 0)])
-
-
-class LSeries:
-    """t^v * poly, known modulo t^abs (abs=None: exact)."""
-
-    __slots__ = ("v", "poly", "abs")
-
-    def __init__(self, v, poly: Poly, *, abs):
-        self.v = v
-        # terms from t^abs on are unknown, so they are dropped
-        self.poly = poly if abs is None else _head(poly, abs - v)
-        self.abs = abs
-
-    @property
-    def spec(self) -> FieldSpec:
-        return self.poly.spec
-
-    @classmethod
-    def const(cls, spec, c):
-        return cls(0, Poly.const(spec, c), abs=None)
-
-    def _coeff_raw(self, k):
-        i = k - self.v
-        cs = self.poly.coeffs
-        return cs[i] if 0 <= i < len(cs) else 0
-
-    def normalized(self) -> "LSeries":
-        cs = self.poly.coeffs
-        if not cs:      # zero to the full known precision
-            return LSeries(self.abs or 0, self.poly, abs=self.abs)
-        i = next(i for i, c in enumerate(cs) if c)
-        return LSeries(self.v + i, Poly(self.spec, cs[i:]), abs=self.abs) if i else self
-
-    def valuation(self):
-        """Exact valuation, or None when zero to the known precision."""
-        n = self.normalized()
-        return n.v if n.poly.coeffs else None
-
-    def __add__(self, other):
-        v = min(self.v, other.v)
-        return LSeries(v, self.poly.shift(self.v - v) + other.poly.shift(other.v - v),
-                       abs=_min_abs(self.abs, other.abs))
-
-    def __neg__(self):
-        return LSeries(self.v, -self.poly, abs=self.abs)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        v = self.v + other.v
-        abs_out = _min_abs(None if self.abs is None else self.abs + other.v,
-                           None if other.abs is None else other.abs + self.v)
-        if abs_out is None:
-            return LSeries(v, self.poly * other.poly, abs=None)
-        n = abs_out - v
-        return LSeries(v, _head(self.poly, n) * _head(other.poly, n), abs=abs_out)
-
-    def inverse(self) -> "LSeries":
-        n = self.normalized()
-        cs = n.poly.coeffs
-        if not cs:
-            raise ZeroDivisionError("inverting a series that is zero to precision")
-        s = self.spec
-        if n.abs is None and len(cs) == 1:
-            return LSeries(-n.v, Poly.const(s, s.inv_i(cs[0])), abs=None)
-        assert n.abs is not None, "cannot invert an exact multi-term series"
-        rel = n.abs - n.v
-        a0inv = s.inv_i(cs[0])
-        out = [a0inv] + [0] * (rel - 1)
-        for k in range(1, rel):
-            acc = 0
-            for i in range(1, min(k, len(cs) - 1) + 1):
-                if cs[i]:
-                    acc = s.add_i(acc, s.mul_i(cs[i], out[k - i]))
-            out[k] = s.neg_i(s.mul_i(a0inv, acc))
-        return LSeries(-n.v, Poly(s, out), abs=-n.v + rel)
-
-    def truncate(self, abs_prec) -> "LSeries":
-        if self.abs is not None and self.abs <= abs_prec:
-            return self
-        return LSeries(self.v, self.poly, abs=abs_prec)
-
-    def __repr__(self):
-        return f"LSeries(v={self.v}, cs={self.poly.coeffs}, abs={self.abs})"
+def _head(a: Poly, n: int) -> Poly:
+    """a modulo t^n."""
+    return a if len(a.coeffs) <= n else Poly(a.spec, a.coeffs[:n])
 
 
-def _min_abs(a, b):
-    """The precision of a sum: the smaller known one (None is exact)."""
-    return b if a is None else a if b is None else min(a, b)
+def _mul(a: Poly, b: Poly, n: int) -> Poly:
+    """a b modulo t^n."""
+    return _head(_head(a, n) * _head(b, n), n)
 
 
-def _poly_on_series(f: Poly, xs: LSeries, ext: FieldSpec) -> LSeries:
-    """Evaluate a polynomial (coeffs over f.spec) on a series over ext."""
-    acc = LSeries.const(ext, 0)
-    for c in reversed(f.coeffs):
-        acc = acc * xs + LSeries.const(ext, ext.embed_i(f.spec, c))
-    return acc
+def _inverse(a: Poly, n: int) -> Poly:
+    """1/a modulo t^n for a unit a."""
+    s, cs = a.spec, a.coeffs
+    a0inv = s.inv_i(cs[0])
+    out = [a0inv]
+    for k in range(1, n):
+        acc = 0
+        for i in range(1, min(k, len(cs) - 1) + 1):
+            if cs[i]:
+                acc = s.add_i(acc, s.mul_i(cs[i], out[k - i]))
+        out.append(s.neg_i(s.mul_i(a0inv, acc)))
+    return Poly(s, out)
 
 
-def _newton_root(cs, u0: int, prec: int) -> LSeries:
-    """The root u = u0 + O(t) of sum cs[i] u^i, known modulo t^prec.
-
-    cs are series known at least to t^prec.  Each step reads u, known
-    modulo t^n, as exact and returns u - F(u)/F'(u) modulo t^(2n); F'(u) is
-    a unit because the curve is nonsingular at the point."""
+def _newton_root(cs, u0: int, n: int) -> Poly:
+    """The root u = u0 + O(t) of sum cs[i] u^i modulo t^n.  Each step reads
+    u modulo t^m as exact and returns u - F(u)/F'(u) modulo t^(2m); F'(u)
+    is a unit because the curve is nonsingular at the point."""
     ext = cs[0].spec
-    u = LSeries(0, Poly.const(ext, u0), abs=1)
-    n = 1
-    while n < prec:
-        n = min(2 * n, prec)
-        un = LSeries(u.v, u.poly, abs=n)
+    u, m = Poly.const(ext, u0), 1
+    while m < n:
+        m = min(2 * m, n)
         # Horner for F and F' together
-        f, fp = cs[-1], LSeries.const(ext, 0)
+        f, fp = cs[-1], Poly.zero(ext)
         for c in reversed(cs[:-1]):
-            fp = fp * un + f
-            f = f * un + c
-        u = un - f * fp.inverse()
+            fp = _mul(fp, u, m) + f
+            f = _mul(f, u, m) + c
+        u = u - _mul(f, _inverse(fp, m), m)
     return u
 
 
@@ -190,59 +111,48 @@ def _newton_root(cs, u0: int, prec: int) -> LSeries:
 # local charts: series for the coordinate functions in the uniformizer
 
 class _Chart:
-    """Expansion of x and y at a closed point in its canonical uniformizer.
-
-    Uniformizers: x - x0 at affine non-2-torsion, y - y0 at affine
-    2-torsion, x/y at the origin of an elliptic curve, 1/x at infinity on
-    the projective line.  On an elliptic curve one coordinate is known and
-    the other is the Newton root of the curve equation (see _cubic).
-    """
+    """Expansion of x and y at an affine closed point in its uniformizer t:
+    x = x0 + t and y the Newton root of the curve equation in y, or at a
+    2-torsion point y = y0 + t and x the root of the equation in x.  On the
+    projective line x = x0 + t and there is no y."""
 
     def __init__(self, curve: CurveModel, pt: ClosedPoint):
-        self.curve = curve
-        self.pt = pt
-        self.ext = curve.spec if pt.is_infinity else pt.ext_spec
-        self._cache_rel, self._xs, self._ys = 0, None, None
-        if curve.kind == P1:
-            self.kind = "p1_inf" if pt.is_infinity else "p1_affine"
-        elif pt.is_infinity:
-            self.kind = "ell_O"
-        else:
-            tt = curve.is_two_torsion(pt.x, pt.y, self.ext)
-            self.kind = "ell_2tors" if tt else "ell_affine"
+        self.curve, self.pt, self.ext = curve, pt, pt.ext_spec
+        self.tors = (curve.kind == ELLIPTIC
+                     and curve.is_two_torsion(pt.x, pt.y, self.ext))
+        self._n, self._xy = 0, None
 
-    def xy(self, rel: int):
-        if rel <= self._cache_rel:
-            return self._xs, self._ys
-        ext, kind, pt = self.ext, self.kind, self.pt
-        if kind == "p1_inf":
-            xs, ys = LSeries(-1, Poly.one(ext), abs=rel - 1), None
-        elif kind == "ell_O":
-            # s = 1/y = t^3 + ...: 1/s to t^(rel-3) needs s to t^(rel+3)
-            t = LSeries(1, Poly.one(ext), abs=None)
-            ys = _newton_root(self._cubic(t), 0, rel + 3).inverse()
-            xs = t * ys
-        elif kind == "ell_2tors":
-            ys = LSeries(0, Poly(ext, (pt.y, 1)), abs=rel)
-            xs = _newton_root(self._cubic(ys), pt.x, rel)
-        else:
-            xs = LSeries(0, Poly(ext, (pt.x, 1)), abs=rel)
-            ys = None if kind == "p1_affine" else _newton_root(self._cubic(xs), pt.y, rel)
-        self._xs, self._ys, self._cache_rel = xs, ys, rel
-        return xs, ys
+    def xy(self, n: int):
+        """x and y modulo t^n, or to a higher precision an earlier call
+        asked for; y is None on P^1."""
+        if n > self._n:
+            pt, ext = self.pt, self.ext
+            if self.tors:
+                ys = Poly(ext, (pt.y, 1))
+                xs = _newton_root(self._cubic(ys), pt.x, n)
+            else:
+                xs = Poly(ext, (pt.x, 1))
+                ys = (None if self.curve.kind == P1
+                      else _newton_root(self._cubic(xs), pt.y, n))
+            self._n, self._xy = n, (xs, ys)
+        return self._xy
 
-    def _cubic(self, known: LSeries):
-        """y^2 + a1 xy + a3 y - x^3 - a2 x^2 - a4 x - a6 as a cubic in the
-        coordinate the chart solves for, its coefficients polynomials in the
-        known one: y in x at an affine point, x in y at a 2-torsion point,
-        and (divided by y^3) s = 1/y in t = x/y at O."""
-        spec = self.curve.spec
-        a1, a2, a3, a4, a6 = self.curve.a
-        n = spec.neg_i
-        cs = {"ell_affine": [(n(a6), n(a4), n(a2), n(1)), (a3, a1), (1,)],
-              "ell_2tors": [(n(a6), a3, 1), (n(a4), a1), (n(a2),), (n(1),)],
-              "ell_O": [(0, 0, 0, n(1)), (1, a1, n(a2)), (a3, n(a4)), (n(a6),)]}
-        return [_poly_on_series(Poly(spec, c), known, self.ext) for c in cs[self.kind]]
+    def _cubic(self, known: Poly):
+        """y^2 + a1 xy + a3 y - x^3 - a2 x^2 - a4 x - a6 as a polynomial in
+        the coordinate the chart solves for (y, or x at a 2-torsion point),
+        its coefficients polynomials in t through the known one."""
+        ext = self.ext
+        a1, a2, a3, a4, a6 = self.curve.coeffs_in(ext)
+        n = ext.neg_i
+        cs = ([(n(a6), n(a4), n(a2), n(1)), (a3, a1), (1,)],
+              [(n(a6), a3, 1), (n(a4), a1), (n(a2),), (n(1),)])[self.tors]
+        out = []
+        for c in cs:
+            acc = Poly.zero(ext)
+            for ci in reversed(c):
+                acc = acc * known + Poly.const(ext, ci)
+            out.append(acc)
+        return out
 
 
 def _chart(curve: CurveModel, pt: ClosedPoint) -> _Chart:
@@ -409,8 +319,7 @@ class RRSpace:
             return np.zeros((len(self), 0), dtype=np.int64)
         v, ext = self.zeros.get(pt, 0), pt.ext_spec
         xs, ys = _chart(self.curve, pt).xy(k + v)
-        table = [[s._coeff_raw(n) for n in range(k + v)]
-                 for s in _monomial_series(self.monomials, xs, ys, k + v)]
+        table = _monomial_series(self.monomials, xs, ys, k + v)
         coef = self._coef.tolist()
         embed = {c: ext.embed_i(self.curve.spec, c) for c in set().union(*coef)}
         sums = linalg.mat_mul(ext, [[embed[c] for c in row] for row in coef], table)
@@ -418,9 +327,9 @@ class RRSpace:
         if sums[:-1, :v].any():
             raise PoleError(f"L(D) has a pole at {pt!r}")
         assert not any(den[:v]) and den[v], "den's order at pt is not v"
-        inv = LSeries(0, Poly(ext, den[v:]), abs=k).inverse()
+        inv = _inverse(Poly(ext, den[v:]), k).coeffs + (0,) * k
         # coefficient n of the quotient is sum_i numerator_(v+i) inv_(n-i)
-        toeplitz = [[inv._coeff_raw(n - i) for n in range(k)] for i in range(k)]
+        toeplitz = [[inv[n - i] if n >= i else 0 for n in range(k)] for i in range(k)]
         return linalg.mat_mul(ext, sums[:-1, v:], toeplitz)
 
 
@@ -491,11 +400,9 @@ def _rr_basis_elliptic(curve, D):
         r_q = zdiv.get(qpt, 0) - D.multiplicity(qpt)
         if r_q <= 0 or qpt.is_infinity:
             continue
-        xs, ys = _chart(curve, qpt).xy(r_q + 4)
-        series = _monomial_series(monomials, xs, ys, r_q)
-        rows.extend(subfield_coords(spec, qpt.ext_spec,
-                                    [[s._coeff_raw(k) for s in series]
-                                     for k in range(r_q)]))
+        xs, ys = _chart(curve, qpt).xy(r_q)
+        table = _monomial_series(monomials, xs, ys, r_q)
+        rows.extend(subfield_coords(spec, qpt.ext_spec, list(zip(*table))))
 
     space = RRSpace(curve, monomials, linalg.nullspace(spec, rows, len(monomials)),
                     u, zdiv)
@@ -505,13 +412,14 @@ def _rr_basis_elliptic(curve, D):
     return space
 
 
-def _monomial_series(monomials, xs, ys, top):
-    """The series of x^i y^j for (i, j) in monomials at an affine point,
-    known below t^top."""
-    xpow = [LSeries.const(xs.spec, 1)]
+def _monomial_series(monomials, xs, ys, n):
+    """The first n Taylor coefficients of x^i y^j, (i, j) in monomials, at
+    an affine point: one list of n encodings per monomial."""
+    xpow = [Poly.one(xs.spec)]
     for _ in range(max(i for i, _ in monomials)):
-        xpow.append((xpow[-1] * xs).truncate(top))
-    return [(xpow[i] * ys).truncate(top) if j else xpow[i] for i, j in monomials]
+        xpow.append(_mul(xpow[-1], xs, n))
+    series = [_mul(xpow[i], ys, n) if j else xpow[i] for i, j in monomials]
+    return [list(s.coeffs[:n]) + [0] * (n - len(s.coeffs)) for s in series]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """The scalar closed-point enumeration that curve's array steps replaced:
 one quadratic solve per x (complete the square and Tonelli-Shanks for odd
 p, the trace and an Artin-Schreier root for p = 2) and one Frobenius orbit
-per point.  It is the reference the array enumeration is compared against."""
+per point.  It is the reference the array enumeration is compared against.
+It also keeps the class sum that adds every orbit in one common field."""
 
 import functools
+import math
 
 from ruledcodes.curve import P1, ClosedPoint
 from ruledcodes.gf import extend
@@ -157,3 +159,22 @@ def point_count(curve, d: int) -> int:
     """#C(F_{q^d}): the affine points over the degree-d extension, plus the
     point at infinity."""
     return len(curve.affine_points(extend(curve.spec, d))) + 1
+
+
+def divisor_class_sum(D):
+    """Sum of a degree-0 divisor under the elliptic group law, every point of
+    every orbit embedded into F_{q^L}, L the lcm of the degrees in D, and
+    added there.  Returns the sum as a point over F_{q^L}; None means the
+    zero class, i.e. D is principal."""
+    curve = D.curve
+    L = math.lcm(*(pt.degree for pt in D.coeffs))
+    ext = extend(curve.spec, L)
+    total = None
+    for pt, n in D.items():
+        if pt.is_infinity:
+            continue  # O is the group identity
+        sub = extend(curve.spec, pt.degree)
+        for gx, gy in pt.orbit():
+            P = (ext.embed_i(sub, gx), ext.embed_i(sub, gy))
+            total = curve.ell_add(total, curve.ell_mul(n, P, ext), ext)
+    return total

@@ -10,13 +10,214 @@ precision until the quotient is known.  It also has the function-field
 arithmetic the program never needs: sums, products, scalar multiples,
 inverses and constants, built through the canonical form of the
 constructor.  The tests use them to make functions whose orders, Taylor
-coefficients and values they can predict."""
+coefficients and values they can predict.
+
+Its series code is its own, so that it checks rrspace's expansions rather
+than repeating them: LSeries, truncated Laurent series that track their
+valuation and known precision, and charts at every closed point, O (t =
+x/y) and infinity on P^1 (t = 1/x) included, cached here by value.  From
+rrspace it takes only RRSpace and PoleError."""
 
 from __future__ import annotations
 
+import functools
+
 from ruledcodes.curve import CurveModel, ClosedPoint, P1, ELLIPTIC
+from ruledcodes.gf import FieldSpec
 from ruledcodes.poly import Poly
-from ruledcodes.rrspace import LSeries, PoleError, RRSpace, _chart, _poly_on_series
+from ruledcodes.rrspace import PoleError, RRSpace
+
+
+# ---------------------------------------------------------------------------
+# truncated Laurent series: t^v times a Poly in t
+
+def _head(poly: Poly, n: int) -> Poly:
+    """poly modulo t^n."""
+    return poly if len(poly.coeffs) <= n else Poly(poly.spec, poly.coeffs[:max(n, 0)])
+
+
+class LSeries:
+    """t^v * poly, known modulo t^abs (abs=None: exact)."""
+
+    __slots__ = ("v", "poly", "abs")
+
+    def __init__(self, v, poly: Poly, *, abs):
+        self.v = v
+        # terms from t^abs on are unknown, so they are dropped
+        self.poly = poly if abs is None else _head(poly, abs - v)
+        self.abs = abs
+
+    @property
+    def spec(self) -> FieldSpec:
+        return self.poly.spec
+
+    @classmethod
+    def const(cls, spec, c):
+        return cls(0, Poly.const(spec, c), abs=None)
+
+    def _coeff_raw(self, k):
+        i = k - self.v
+        cs = self.poly.coeffs
+        return cs[i] if 0 <= i < len(cs) else 0
+
+    def normalized(self) -> "LSeries":
+        cs = self.poly.coeffs
+        if not cs:      # zero to the full known precision
+            return LSeries(self.abs or 0, self.poly, abs=self.abs)
+        i = next(i for i, c in enumerate(cs) if c)
+        return LSeries(self.v + i, Poly(self.spec, cs[i:]), abs=self.abs) if i else self
+
+    def valuation(self):
+        """Exact valuation, or None when zero to the known precision."""
+        n = self.normalized()
+        return n.v if n.poly.coeffs else None
+
+    def __add__(self, other):
+        v = min(self.v, other.v)
+        return LSeries(v, self.poly.shift(self.v - v) + other.poly.shift(other.v - v),
+                       abs=_min_abs(self.abs, other.abs))
+
+    def __neg__(self):
+        return LSeries(self.v, -self.poly, abs=self.abs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        v = self.v + other.v
+        abs_out = _min_abs(None if self.abs is None else self.abs + other.v,
+                           None if other.abs is None else other.abs + self.v)
+        if abs_out is None:
+            return LSeries(v, self.poly * other.poly, abs=None)
+        n = abs_out - v
+        return LSeries(v, _head(self.poly, n) * _head(other.poly, n), abs=abs_out)
+
+    def inverse(self) -> "LSeries":
+        n = self.normalized()
+        cs = n.poly.coeffs
+        if not cs:
+            raise ZeroDivisionError("inverting a series that is zero to precision")
+        s = self.spec
+        if n.abs is None and len(cs) == 1:
+            return LSeries(-n.v, Poly.const(s, s.inv_i(cs[0])), abs=None)
+        assert n.abs is not None, "cannot invert an exact multi-term series"
+        rel = n.abs - n.v
+        a0inv = s.inv_i(cs[0])
+        out = [a0inv] + [0] * (rel - 1)
+        for k in range(1, rel):
+            acc = 0
+            for i in range(1, min(k, len(cs) - 1) + 1):
+                if cs[i]:
+                    acc = s.add_i(acc, s.mul_i(cs[i], out[k - i]))
+            out[k] = s.neg_i(s.mul_i(a0inv, acc))
+        return LSeries(-n.v, Poly(s, out), abs=-n.v + rel)
+
+    def truncate(self, abs_prec) -> "LSeries":
+        if self.abs is not None and self.abs <= abs_prec:
+            return self
+        return LSeries(self.v, self.poly, abs=abs_prec)
+
+    def __repr__(self):
+        return f"LSeries(v={self.v}, cs={self.poly.coeffs}, abs={self.abs})"
+
+
+def _min_abs(a, b):
+    """The precision of a sum: the smaller known one (None is exact)."""
+    return b if a is None else a if b is None else min(a, b)
+
+
+def _poly_on_series(f: Poly, xs: LSeries, ext: FieldSpec) -> LSeries:
+    """Evaluate a polynomial (coeffs over f.spec) on a series over ext."""
+    acc = LSeries.const(ext, 0)
+    for c in reversed(f.coeffs):
+        acc = acc * xs + LSeries.const(ext, ext.embed_i(f.spec, c))
+    return acc
+
+
+def _newton_root(cs, u0: int, prec: int) -> LSeries:
+    """The root u = u0 + O(t) of sum cs[i] u^i, known modulo t^prec.
+
+    cs are series known at least to t^prec.  Each step reads u, known
+    modulo t^n, as exact and returns u - F(u)/F'(u) modulo t^(2n); F'(u) is
+    a unit because the curve is nonsingular at the point."""
+    ext = cs[0].spec
+    u = LSeries(0, Poly.const(ext, u0), abs=1)
+    n = 1
+    while n < prec:
+        n = min(2 * n, prec)
+        un = LSeries(u.v, u.poly, abs=n)
+        # Horner for F and F' together
+        f, fp = cs[-1], LSeries.const(ext, 0)
+        for c in reversed(cs[:-1]):
+            fp = fp * un + f
+            f = f * un + c
+        u = un - f * fp.inverse()
+    return u
+
+
+# ---------------------------------------------------------------------------
+# local charts: series for the coordinate functions in the uniformizer
+
+class _Chart:
+    """Expansion of x and y at a closed point in its canonical uniformizer.
+
+    Uniformizers: x - x0 at affine non-2-torsion, y - y0 at affine
+    2-torsion, x/y at the origin of an elliptic curve, 1/x at infinity on
+    the projective line.  On an elliptic curve one coordinate is known and
+    the other is the Newton root of the curve equation (see _cubic).
+    """
+
+    def __init__(self, curve: CurveModel, pt: ClosedPoint):
+        self.curve = curve
+        self.pt = pt
+        self.ext = curve.spec if pt.is_infinity else pt.ext_spec
+        self._cache_rel, self._xs, self._ys = 0, None, None
+        if curve.kind == P1:
+            self.kind = "p1_inf" if pt.is_infinity else "p1_affine"
+        elif pt.is_infinity:
+            self.kind = "ell_O"
+        else:
+            tt = curve.is_two_torsion(pt.x, pt.y, self.ext)
+            self.kind = "ell_2tors" if tt else "ell_affine"
+
+    def xy(self, rel: int):
+        if rel <= self._cache_rel:
+            return self._xs, self._ys
+        ext, kind, pt = self.ext, self.kind, self.pt
+        if kind == "p1_inf":
+            xs, ys = LSeries(-1, Poly.one(ext), abs=rel - 1), None
+        elif kind == "ell_O":
+            # s = 1/y = t^3 + ...: 1/s to t^(rel-3) needs s to t^(rel+3)
+            t = LSeries(1, Poly.one(ext), abs=None)
+            ys = _newton_root(self._cubic(t), 0, rel + 3).inverse()
+            xs = t * ys
+        elif kind == "ell_2tors":
+            ys = LSeries(0, Poly(ext, (pt.y, 1)), abs=rel)
+            xs = _newton_root(self._cubic(ys), pt.x, rel)
+        else:
+            xs = LSeries(0, Poly(ext, (pt.x, 1)), abs=rel)
+            ys = None if kind == "p1_affine" else _newton_root(self._cubic(xs), pt.y, rel)
+        self._xs, self._ys, self._cache_rel = xs, ys, rel
+        return xs, ys
+
+    def _cubic(self, known: LSeries):
+        """y^2 + a1 xy + a3 y - x^3 - a2 x^2 - a4 x - a6 as a cubic in the
+        coordinate the chart solves for, its coefficients polynomials in the
+        known one: y in x at an affine point, x in y at a 2-torsion point,
+        and (divided by y^3) s = 1/y in t = x/y at O."""
+        spec = self.curve.spec
+        a1, a2, a3, a4, a6 = self.curve.a
+        n = spec.neg_i
+        cs = {"ell_affine": [(n(a6), n(a4), n(a2), n(1)), (a3, a1), (1,)],
+              "ell_2tors": [(n(a6), a3, 1), (n(a4), a1), (n(a2),), (n(1),)],
+              "ell_O": [(0, 0, 0, n(1)), (1, a1, n(a2)), (a3, n(a4)), (n(a6),)]}
+        return [_poly_on_series(Poly(spec, c), known, self.ext) for c in cs[self.kind]]
+
+
+@functools.cache
+def _chart(curve: CurveModel, pt: ClosedPoint) -> _Chart:
+    """The chart at pt, cached here by the values of curve and pt."""
+    return _Chart(curve, pt)
 
 
 class CurveFunction:

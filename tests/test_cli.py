@@ -491,6 +491,24 @@ def test_build_f49_decomposable(tmp_path):
     assert report["k"] == report["bound"]["k_lower"] == 6
 
 
+def test_build_needs_only_each_points_field_for_a_degree_0_space(tmp_path):
+    # a = 2 needs L(3 P2 - 2 P3) with P2, P3 of degrees 2 and 3 over F_16:
+    # its class is summed in F_{16^2} and F_{16^3}, not in F_{16^6}
+    cfg = write_config(
+        tmp_path,
+        field={"p": 2, "m": 4},
+        curve={"kind": "elliptic", "coefficients": [0, 0, 1, 0, 8]},
+        surface={"variant": "decomposable",
+                 "delta": [{"degree": 3, "index": 0}]},
+        code={"a": 2, "beta": [{"degree": 2, "index": 1, "multiplicity": 3}]},
+        analysis={"exact_cap": 1})
+    out = tmp_path / "out"
+    assert main(["build", "--config", cfg, "--out-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["n"] == 425
+    assert report["k"] == report["bound"]["k_lower"] == 9
+
+
 ELM_CENTER = {"variant": "elm", "center": {"degree": 2, "base_index": 0}}
 
 

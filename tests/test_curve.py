@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -253,6 +254,50 @@ def test_divisor_class_sum_nonprincipal(e5):
     O = ClosedPoint(e5, 1, None, None)
     D = DivisorOnCurve(e5, [(pts[0], 1), (O, -1)])
     assert divisor_class_sum(D) is not None
+
+
+# small fields where the lcm of degrees 1-3 keeps F_{q^lcm} small
+CLASS_SUM_CURVES = [(3, 1, (0, 0, 0, 2, 1)), (2, 2, (1, 0, 0, 0, 1)),
+                    (2, 2, (0, 0, 1, 0, 0)), (5, 1, (0, 0, 0, 0, 1)),
+                    (7, 1, (0, 0, 0, 1, 3))]
+
+
+def check_class_sum(pmc, rng):
+    """divisor_class_sum, which adds each orbit in its own field, against the
+    oracle's sum over the lcm extension, on a random degree-0 divisor from
+    up to three points of degree 1-3 and a multiple of O.  Returns whether
+    D is principal and whether its degrees have an lcm above the largest."""
+    p, m, coeffs = pmc
+    spec = field_create(p, m)
+    curve = curve_create(ELLIPTIC, coeffs, spec)
+    pool = [pt for d in (1, 2, 3) for pt in curve.closed_points(d)
+            if not pt.is_infinity]
+    D = DivisorOnCurve(curve, [(pt, rng.choice([-2, -1, 1, 2]))
+                               for pt in rng.sample(pool, rng.randint(1, 3))])
+    if D.degree():
+        D = D + DivisorOnCurve(curve, [(ClosedPoint(curve, 1, None, None), -D.degree())])
+    got, want = divisor_class_sum(D), curve_oracle.divisor_class_sum(D)
+    degrees = [pt.degree for pt in D.support()]
+    lcm = math.lcm(*degrees)
+    if want is None:
+        assert got is None, D
+    else:
+        ext = extend(spec, lcm)
+        assert tuple(ext.embed_i(spec, c) for c in got) == want, D
+    return want is None, lcm > max(degrees)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CLASS_SUM_CURVES), st.integers(0, 2 ** 32))
+def test_class_sum_matches_the_lcm_sum(pmc, seed):
+    check_class_sum(pmc, random.Random(seed))
+
+
+def test_class_sum_checks_meet_principal_and_mixed_degrees():
+    seen = {check_class_sum(pmc, random.Random(seed))
+            for pmc in CLASS_SUM_CURVES for seed in range(8)}
+    assert {principal for principal, _ in seen} == {False, True}
+    assert any(mixed for _, mixed in seen)
 
 
 # (p, m, coefficients): both a1 = 0 and a1 != 0 in characteristics 2 and 3

@@ -1,5 +1,7 @@
+import ast
 import gc
 import hashlib
+import pathlib
 import random
 import time
 
@@ -12,13 +14,14 @@ from ruledcodes.curve import (curve_create, ClosedPoint, DivisorOnCurve,
                               divisor_class_sum, CurveModel, P1, ELLIPTIC)
 from ruledcodes.poly import Poly
 from ruledcodes.rrspace import (rr_basis, effective_divisors, PoleError,
-                                x_min_poly, subfield_coords, LSeries, _chart,
-                                _subfield_inverse)
+                                x_min_poly, subfield_coords, _Chart, _chart,
+                                _head, _mul, _subfield_inverse)
 
+import rrspace_oracle
 from function_enumeration import functions_up_to_degree, function_degree
-from rrspace_oracle import (CurveFunction, add, constant, evaluate, functions,
-                            inverse, is_constant, mul, order_at, scale,
-                            taylor_coeffs)
+from rrspace_oracle import (CurveFunction, LSeries, add, constant, evaluate,
+                            functions, inverse, is_constant, mul, order_at,
+                            scale, taylor_coeffs)
 
 F5 = field_create(5, 1)
 E5 = curve_create(ELLIPTIC, (0, 0, 0, 0, 1), F5)   # y^2 = x^3 + 1
@@ -297,38 +300,94 @@ def test_charts_solve_the_curve_equation(curve, has_tors):
     kinds = set()
     for pt in chart_points(curve):
         rel = 9
-        xs, ys = _chart(curve, pt).xy(rel)
-        ext = xs.spec
-        a1, a2, a3, a4, a6 = (LSeries.const(ext, a) for a in curve.coeffs_in(ext))
-        residue = (ys * ys + a1 * xs * ys + a3 * ys
-                   - xs * xs * xs - a2 * xs * xs - a4 * xs - a6)
-        # x and y have poles of orders 2 and 3 at O, none elsewhere
-        top = rel - 6 if pt.is_infinity else rel
-        assert residue.valuation() is None and residue.abs >= top, pt
         if pt.is_infinity:
+            # no expansion at O in rrspace: the oracle's chart, t = x/y
+            xs, ys = rrspace_oracle._Chart(curve, pt).xy(rel)
+            a1, a2, a3, a4, a6 = (LSeries.const(curve.spec, a) for a in curve.a)
+            residue = (ys * ys + a1 * xs * ys + a3 * ys
+                       - xs * xs * xs - a2 * xs * xs - a4 * xs - a6)
+            # x and y have poles of orders 2 and 3 at O
+            assert residue.valuation() is None and residue.abs >= rel - 6, pt
             kinds.add("O")
             lead = [(s.valuation(), s.normalized().poly.coeffs[0]) for s in (xs, ys)]
             assert lead == [(-2, 1), (-3, 1)]
             assert (xs.abs, ys.abs) == (rel - 2, rel - 3)
             continue
+        xs, ys = _chart(curve, pt).xy(rel)
+        ext = pt.ext_spec
+        a1, a2, a3, a4, a6 = curve.coeffs_in(ext)
+        xx = _mul(xs, xs, rel)
+        residue = (_mul(ys, ys, rel) + _mul(xs, ys, rel) * a1 + ys * a3
+                   - _mul(xx, xs, rel) - xx * a2 - xs * a4 - Poly.const(ext, a6))
+        assert _head(residue, rel).is_zero(), pt
         tors = curve.is_two_torsion(pt.x, pt.y, ext)
         kinds.add((pt.degree, tors))
         known, other, other0 = (ys, xs, pt.x) if tors else (xs, ys, pt.y)
-        assert known.v == 0 and known.poly.coeffs == ((pt.y if tors else pt.x), 1)
-        assert other._coeff_raw(0) == other0 and (xs.abs, ys.abs) == (rel, rel)
+        assert known.coeffs == ((pt.y if tors else pt.x), 1)
+        assert (other.coeffs + (0,))[0] == other0
+        assert len(xs.coeffs) <= rel and len(ys.coeffs) <= rel
     assert kinds >= {"O", (1, False), (2, False)} | ({(1, True)} if has_tors else set())
 
 
 def test_p1_charts_are_x0_plus_t_and_one_over_t():
     line = curve_create(P1, None, F5)                        # no cached charts
     inf = ClosedPoint(line, 1, None, None)
-    for pt in [inf] + line.closed_points(1)[:2] + line.closed_points(2)[:1]:
+    xs, ys = rrspace_oracle._Chart(line, inf).xy(6)          # t = 1/x
+    assert ys is None and (xs.v, xs.poly.coeffs, xs.abs) == (-1, (1,), 5)
+    for pt in line.closed_points(1)[:2] + line.closed_points(2)[:1]:
         xs, ys = _chart(line, pt).xy(6)
-        assert ys is None
-        if pt.is_infinity:
-            assert (xs.v, xs.poly.coeffs, xs.abs) == (-1, (1,), 5)
-        else:
-            assert (xs.v, xs.poly.coeffs, xs.abs) == (0, (pt.x, 1), 6)
+        assert ys is None and xs.coeffs == (pt.x, 1)
+
+
+def padded(coeffs, n):
+    return list(coeffs[:n]) + [0] * (n - len(coeffs))
+
+
+def test_charts_match_the_oracle_coefficient_by_coefficient():
+    """rrspace's charts, asked afresh for each precision 1..12, against the
+    oracle's Laurent charts at affine points of degree 1-3: 2-torsion and
+    not, p = 2 with a1 != 0 (F_4) and a1 = 0 (F_16), F_49, and P^1."""
+    seen = set()
+    # x^3 + x + 1 is irreducible over F_5: 2-torsion points of degree 3
+    tors3 = curve_create(ELLIPTIC, (0, 0, 0, 1, 1), F5)
+    for name, curve in [("P1-F5", L5), ("F5", E5), ("F5-full", E5_FULL),
+                        ("F5-tors3", tors3), ("F4-a1", E4), ("F16-a3", E16),
+                        ("F49", E49)]:
+        for d in (1, 2, 3):
+            affine = [p for p in curve.closed_points(d) if not p.is_infinity]
+            tors = [p for p in affine if curve.kind == ELLIPTIC
+                    and curve.is_two_torsion(p.x, p.y, p.ext_spec)]
+            for pt in tors[:1] + [p for p in affine if p not in tors][:2]:
+                want = rrspace_oracle._Chart(curve, pt).xy(12)
+                for n in range(1, 13):
+                    got = _Chart(curve, pt).xy(n)
+                    for g, w in zip(got, want):
+                        if w is None:
+                            assert g is None
+                            continue
+                        assert w.v == 0 and w.abs == 12
+                        assert padded(g.coeffs, n) == [w._coeff_raw(i) for i in range(n)], \
+                            (name, pt, n)
+                        assert len(g.coeffs) <= max(n, 2)
+                seen.add((name, d, pt in tors))
+    assert {(d, t) for _, d, t in seen} == {(d, t) for d in (1, 2, 3) for t in (False, True)}
+    assert {name for name, _, _ in seen} == {"P1-F5", "F5", "F5-full", "F5-tors3",
+                                             "F4-a1", "F16-a3", "F49"}
+
+
+def test_the_oracle_imports_only_the_space_and_its_error_from_rrspace():
+    """The oracle checks rrspace only if it shares none of its code."""
+    source = pathlib.Path(rrspace_oracle.__file__).read_text()
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "ruledcodes.rrspace":
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module == "ruledcodes":
+            assert "rrspace" not in {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("ruledcodes.rrspace")
+                           for alias in node.names)
+    assert names == {"RRSpace", "PoleError"}
 
 
 def valuation_samples(curve, seed):
