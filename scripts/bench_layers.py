@@ -27,6 +27,11 @@ prints one JSON object of wall-clock seconds, each from a single run:
     curves, both F_49 curves at d = 2 and the F_16 one at d = 4 and 5;
   * embedding.F_{q}.d{d}: the embedding of F_16 into a fresh F_{16^5}
     (the least root of F_16's modulus in F_{2^20});
+  * segre.F_{q}.e{e}.dmax{dmax}: surface.segre_lower_bound_elm on a fresh
+    curve (the center and its fiber coordinate are found first, untimed):
+    the F_16 max curve with its degree-2 center of index 0 at dmax 2, and
+    E/F_5 (coefficients [0, 0, 0, 0, 1]) with its first degree-4 center at
+    dmax 3, each with the first fiber coordinate outside F_q (fiber_index 0);
   * asymptotics.q{q}.A{A}: one dominance_report(49, 6, 400) plus one
     optimized_rate call on the 120-point ruled grid b = 0.3..0.98, the
     work of `ruledcodes asymptotics` at the benchmark's settings;
@@ -61,8 +66,9 @@ from ruledcodes.asymptotics import dominance_report, optimized_rate  # noqa: E40
 from ruledcodes.curve import curve_create, DivisorOnCurve, ELLIPTIC, P1  # noqa: E402
 from ruledcodes.gf import FieldSpec, extend, field_create  # noqa: E402
 from ruledcodes.rrspace import rr_basis  # noqa: E402
-from ruledcodes.surface import (surface_decomposable,  # noqa: E402
-                                surface_elm_product, surface_trivial)
+from ruledcodes.surface import (segre_lower_bound_elm,  # noqa: E402
+                                surface_decomposable, surface_elm_product,
+                                surface_trivial)
 
 import numpy as np  # noqa: E402
 
@@ -101,6 +107,11 @@ DISTANCE_RANDOM = [(7, 2, 4, 60, 5), (2, 1, 16, 100, 5), (3, 2, 6, 200, 5)]
 # with beta the degree-d point of index i
 DISTANCE_P1 = [(7, 1, 1, 3, 1)]
 
+# (p, m, curve coefficients, center degree e, dmax): the Segre walk at the
+# first degree-e center with fiber_index 0
+SEGRE = [(2, 4, (0, 0, 1, 0, 8), 2, 2),
+         (5, 1, (0, 0, 0, 0, 1), 4, 3)]
+
 # (q, A, samples, (lo, hi, count)): the dominance table and the ruled grid
 # of `asymptotics --samples 400 --b-range 0.3:0.98:120`
 ASYMPTOTICS = [(49, 6.0, 400, (0.3, 0.98, 120))]
@@ -135,6 +146,16 @@ def embedding_s(p, m, d):
     modulus = extend(small, d).modulus
     big = FieldSpec(p, m * d, modulus, p ** m)
     return _seconds(big._embedding_powers, small)
+
+
+def segre_s(p, m, coeffs, e, dmax):
+    """Seconds for segre_lower_bound_elm to dmax on a fresh curve (its
+    degree-e points are enumerated first, untimed)."""
+    curve = curve_create(ELLIPTIC, coeffs, field_create(p, m))
+    point = curve.closed_points(e)[0]
+    fiber = cli._valid_fiber_coords(point.ext_spec, curve.spec)[0]
+    return _seconds(segre_lower_bound_elm, surface_elm_product(curve, point, fiber),
+                    dmax)
 
 
 def asymptotics_s(q, A, samples, b_range):
@@ -251,6 +272,8 @@ def main():
         out[f"closed_points.F_{p ** (m * d)}.d{d}"] = closed_points_s(p, m, curves, d)
     for p, m, d in EMBEDDINGS:
         out[f"embedding.F_{p ** m}.d{d}"] = embedding_s(p, m, d)
+    for p, m, coeffs, e, dmax in SEGRE:
+        out[f"segre.F_{p ** m}.e{e}.dmax{dmax}"] = segre_s(p, m, coeffs, e, dmax)
     for q, A, samples, b_range in ASYMPTOTICS:
         out[f"asymptotics.q{q}.A{A:g}"] = asymptotics_s(q, A, samples, b_range)
     for p, m, coeffs, a, b in CODES["rref"]:

@@ -17,7 +17,9 @@ values and bounds all live here.
 The graph-avoidance bound of an elm surface asks one linear question per
 effective divisor D: does some f in L(D) take the fiber value at the
 center?  Evaluation at the center is F_q-linear into F_{q^d}, so that is
-one linalg.solve over F_q; no function is enumerated.
+one linalg.solve over F_q; no function is enumerated.  On a curve of genus
+>= 1 the divisors of degree 1 are not asked: their L(D) holds only the
+constants, which never take the fiber value.
 """
 
 from __future__ import annotations
@@ -206,15 +208,24 @@ def segre_decomposable(surface: RuledSurfaceModel):
     return (-e, -e) if e > 0 else (0, 0)
 
 
+def _segre_first_degree(g: int) -> int:
+    """The least divisor degree the graph-avoidance walk asks: 1 on P^1.
+    On genus >= 1 a function of degree 1 would map the curve isomorphically
+    onto P^1, so L(D) holds only the constants at deg D = 1, and they never
+    take the fiber value."""
+    return 1 if g == 0 else 2
+
+
 def _segre_solve_count(q: int, g: int, h: int, dmax: int) -> int:
     """Most solves of a graph-avoidance walk to dmax: the number of
-    effective divisors of degree 1..dmax, by the closed form
-    #Eff_d = h (q^(d+1-g) - 1)/(q - 1), exact for d > 2g - 2.
+    effective divisors of degree 2..dmax on genus >= 1 (1..dmax on P^1),
+    by the closed form #Eff_d = h (q^(d+1-g) - 1)/(q - 1), exact for
+    d > 2g - 2.
 
     The sum stops once it passes SEGRE_SOLVE_CAP, so a huge dmax is cheap.
     """
     total = 0
-    for d in range(1, dmax + 1):
+    for d in range(_segre_first_degree(g), dmax + 1):
         total += h * (q ** (d + 1 - g) - 1) // (q - 1)
         if total > SEGRE_SOLVE_CAP:
             break
@@ -237,7 +248,9 @@ def segre_lower_bound_elm(surface: RuledSurfaceModel, dmax: int):
     function of degree d0 regular at p lies in L(its pole divisor), which
     has degree d0 and avoids p, and one regular at p in L(D) also lies in
     L(D - n*p), n the multiplicity of p in D, visited earlier.  Constants
-    never answer yes, because fc is not in F_q.
+    never answer yes, because fc is not in F_q.  So on a curve of genus
+    >= 1 the walk starts at d = 2: by Riemann-Roch l(D) = 1 when
+    deg D = 1, and L(D) holds only the constants.  On P^1, l(D) = 2 there.
     """
     if surface.variant != ELM:
         raise ValueError("graph-avoidance bound requires the elm variant")
@@ -255,7 +268,7 @@ def segre_lower_bound_elm(surface: RuledSurfaceModel, dmax: int):
     ext = center.ext_spec
     rhs = [r for r, in subfield_coords(spec, ext, [[surface.fiber_coord]])]
     dstar = dmax
-    for d in range(1, dmax + 1):
+    for d in range(_segre_first_degree(curve.genus), dmax + 1):
         if any(_takes_value(curve, D, center, spec, ext, rhs)
                for D in effective_divisors(curve, d)
                if D.multiplicity(center) == 0):

@@ -1,7 +1,8 @@
 """Bounded-degree function enumeration: the test oracle of the Segre bound.
 
-surface.segre_lower_bound_elm asks one linear solve per effective divisor.
-This module builds every function of degree <= dmax instead, as the
+surface.segre_lower_bound_elm asks one linear solve per effective divisor
+of degree 2..dmax on a curve of genus >= 1 (degree 1 gives only the
+constants there) and of degree 1..dmax on P^1.  This module builds every function of degree <= dmax instead, as the
 constants plus the union of L(D) over the effective divisors D of degree
 dmax, deduplicated through the canonical form.  It costs about
 #Eff_dmax * q^(dmax+1) function constructions, so keep dmax <= 2.

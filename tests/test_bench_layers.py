@@ -28,6 +28,9 @@ def test_bench_layers_on_its_smallest_inputs():
     p, m, curves, d = bench.CLOSED_POINTS[0]
     assert (p ** (m * d), d) == (2401, 2) and bench.closed_points_s(p, m, curves, d) > 0
     assert bench.EMBEDDINGS == [(2, 4, 5)] and bench.embedding_s(2, 2, 3) > 0
+    assert bench.SEGRE == [(2, 4, (0, 0, 1, 0, 8), 2, 2),
+                           (5, 1, (0, 0, 0, 0, 1), 4, 3)]
+    assert bench.segre_s(*bench.SEGRE[0]) > 0
     q, A, samples, b_range = bench.ASYMPTOTICS[0]
     assert (q, A, samples, b_range) == (49, 6.0, 400, (0.3, 0.98, 120))
     assert bench.asymptotics_s(16, 3.0, 20, (0.3, 0.98, 6)) > 0

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from ruledcodes.gf import field_create, extend
 from ruledcodes.curve import (curve_create, ClosedPoint, DivisorOnCurve, P1,
                               ELLIPTIC)
-from ruledcodes.rrspace import effective_divisors
+from ruledcodes import surface as surface_module
+from ruledcodes.rrspace import effective_divisors, rr_basis
 from ruledcodes.surface import (NumClass, surface_decomposable,
                                 surface_elm_product, surface_trivial,
                                 intersect, canonical_class, euler_char,
@@ -184,15 +185,19 @@ def _curve(p, m, coeffs):
 def test_segre_bound_matches_enumeration():
     # for each center, two fibers of each least degree 1, 2 and > 2 of a
     # function through them (as the enumerator finds it), at dmax 0, 1, 2.
-    # On P^1 the functions of degree 1 suffice: PGL_2(F_q) is transitive on
-    # the elements of degree 2 and of degree 3, so they block every center.
+    # On P^1 the functions of degree 1 suffice for centers of degree 2 and
+    # 3: PGL_2(F_q) is transitive on the elements of degree 2 and of degree
+    # 3, so they block every such center.  Over F_2 and F_3, degree-4
+    # centers too (there the walk starts below the center's degree), which
+    # on P^1 need the functions of degree 2.
     outcomes = set()
     for p, m, coeffs in SEGRE_GRID:
         curve = _curve(p, m, coeffs)
         spec = curve.spec
-        top = 1 if coeffs is None else 2
+        degrees = (2, 3, 4) if spec.order < 4 else (2, 3)
+        top = 2 if coeffs is not None or 4 in degrees else 1
         funcs = functions_up_to_degree(curve, top)
-        for d in (2, 3):
+        for d in degrees:
             ext = extend(spec, d)
             rational = {ext.embed_i(spec, c) for c in range(spec.order)}
             for center in curve.closed_points(d)[:2]:
@@ -221,6 +226,11 @@ def test_effective_divisor_closed_form(p, m, coeffs):
     q, g, h = curve.spec.order, curve.genus, curve.class_number()
     counts = [len(effective_divisors(curve, d)) for d in (1, 2, 3)]
     assert counts == [h * (q ** (d + 1 - g) - 1) // (q - 1) for d in (1, 2, 3)]
+    # the walk asks no divisor of degree 1 on genus 1: l(D) = 1 there
+    assert {len(rr_basis(curve, D)) for D in effective_divisors(curve, 1)} == {
+        2 - g}
+    if g:
+        counts[0] = 0
     assert [_segre_solve_count(q, g, h, d) for d in (0, 1, 2, 3)] == [
         0, counts[0], counts[0] + counts[1], sum(counts)]
 
@@ -251,8 +261,35 @@ def test_segre_refusal_accepts_what_the_enumerator_accepted():
                     solves = _segre_solve_count(q, g, h, dmax)
                     assert solves <= SEGRE_SOLVE_CAP, (q, g, h, dmax)
                     worst = max(worst, solves)
-    # E/F_2 with 5 points at dmax 8; the cap stays near it
-    assert worst == 2510 and SEGRE_SOLVE_CAP < 2 * worst
+    # E/F_2 with 5 points at dmax 8, sum of 5 (2^d - 1) over d = 2..8; the
+    # cap stays near it
+    assert worst == 2505 and SEGRE_SOLVE_CAP < 2 * worst
+
+
+def _asked_degrees(monkeypatch, surface, dmax):
+    """The degrees of the divisors whose L(D) the Segre walk builds."""
+    asked = []
+
+    def spy(curve, D):
+        asked.append(D.degree())
+        return rr_basis(curve, D)
+    monkeypatch.setattr(surface_module, "rr_basis", spy)
+    segre_lower_bound_elm(surface, dmax)
+    monkeypatch.undo()
+    return asked
+
+
+def test_segre_walk_skips_degree_one_on_genus_one(monkeypatch):
+    x = elm_surface()
+    asked = _asked_degrees(monkeypatch, x, 3)
+    assert asked and min(asked) == 2
+    assert _asked_degrees(monkeypatch, x, 1) == []
+    p1 = curve_create(P1, None, F5)
+    center = p1.closed_points(2)[0]
+    fc = next(e for e in range(25) if e not in
+              {center.ext_spec.embed_i(F5, v) for v in range(5)})
+    asked = _asked_degrees(monkeypatch, surface_elm_product(p1, center, fc), 1)
+    assert asked and set(asked) == {1}
 
 
 def test_segre_huge_dmax_refused_before_point_enumeration():
