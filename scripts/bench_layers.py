@@ -10,8 +10,17 @@ prints one JSON object of wall-clock seconds, each from a single run:
     L(beta - i delta) of each of those codes, on a fresh curve whose local
     charts are not cached yet (its degree-2 points are enumerated first,
     untimed);
+  * rr_basis.F_{q}.deg0: two degree-0 spaces on the F_49 max curve,
+    P2 - Q2 (principal: Q2 the first degree-2 point whose orbit adds up to
+    the same point as P2's, the degree-2 point of index 0) and
+    3 P2 - 2 P3 (not principal, P3 the degree-3 point of index 0), whose
+    dimension the rank of the vanishing conditions decides (the points are
+    found first, untimed);
   * rref.F_{q}.{k}x{n}: linalg.rref on the generators of the decomposable
     codes below (built first, untimed);
+  * exact_params_refused.F_{q}.{k}x{n}: analysis.exact_params on the
+    a = 6, b = 24 decomposable code, which it refuses (q^k is over the
+    exhaustive cap) after the rref that counts k;
   * section_rows.F_49.{k}x3200: the a = 6, b = 24 code's rows from its
     Riemann-Roch spaces: RRSpace.values at the rational base points, then
     codes._section_rows;
@@ -63,7 +72,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 # layer timers run in the same process state as the CLI
 from ruledcodes import analysis, cli, codes, linalg, locality  # noqa: E402
 from ruledcodes.asymptotics import dominance_report, optimized_rate  # noqa: E402
-from ruledcodes.curve import curve_create, DivisorOnCurve, ELLIPTIC, P1  # noqa: E402
+from ruledcodes.curve import (curve_create, divisor_class_sum,  # noqa: E402
+                              DivisorOnCurve, ELLIPTIC, P1)
 from ruledcodes.gf import FieldSpec, extend, field_create  # noqa: E402
 from ruledcodes.rrspace import rr_basis  # noqa: E402
 from ruledcodes.surface import (segre_lower_bound_elm,  # noqa: E402
@@ -79,6 +89,7 @@ CODES = {
     "rref": [(7, 2, (0, 0, 0, 1, 3), 1, 4),     # [3000, 6], the construct job
              (2, 4, (0, 0, 1, 0, 8), 5, 16),    # [425, 66]
              (7, 2, (0, 0, 0, 1, 0), 6, 24)],   # [3200, 126]
+    "exact_params_refused": [(7, 2, (0, 0, 0, 1, 0), 6, 24)],
     "section_rows": [(7, 2, (0, 0, 0, 1, 0), 6, 24)],
     "build_elm": [(7, 2, (0, 0, 0, 1, 0), 6, 24)],    # [3200, 126]
     "recovery_sets": [(7, 2, (0, 0, 0, 1, 0), 2, 8)],
@@ -90,6 +101,9 @@ CODES = {
 CLOSED_POINTS = [(7, 2, [(0, 0, 0, 1, 3), (0, 0, 0, 1, 0)], 2),
                  (2, 4, [(0, 0, 1, 0, 8)], 4),
                  (2, 4, [(0, 0, 1, 0, 8)], 5)]
+
+# (p, m, curve coefficients): the curve of the degree-0 spaces
+DEGREE_ZERO = [(7, 2, (0, 0, 0, 1, 0))]
 
 # (p, m, d): F_{p^m} embedded into F_{p^(m d)}
 EMBEDDINGS = [(2, 4, 5)]
@@ -189,6 +203,36 @@ def rr_basis_s(p, m, coeffs, a, b):
     return _seconds(lambda: [rr_basis(curve, beta - i * delta) for i in range(a + 1)])
 
 
+def degree_zero_timing(p, m, coeffs):
+    """("rr_basis.F_{q}.deg0", seconds) for the principal P2 - Q2 and the
+    non-principal 3 P2 - 2 P3 on a fresh curve."""
+    curve = curve_create(ELLIPTIC, coeffs, field_create(p, m))
+    quads, P3 = curve.closed_points(2), curve.closed_points(3)[0]
+    P2 = quads[0]
+    Q2 = next(Q for Q in quads[1:] if divisor_class_sum(
+        DivisorOnCurve(curve, [(P2, 1), (Q, -1)])) is None)
+    divisors = [DivisorOnCurve(curve, [(P2, 1), (Q2, -1)]),
+                DivisorOnCurve(curve, [(P2, 3), (P3, -2)])]
+    t0 = time.perf_counter()
+    dims = [len(rr_basis(curve, D)) for D in divisors]
+    seconds = time.perf_counter() - t0
+    assert dims == [1, 0], dims
+    return f"rr_basis.F_{p ** m}.deg0", seconds
+
+
+def exact_params_refused_timing(code):
+    """("exact_params_refused.F_{q}.{k}x{n}", seconds) for the exact_params
+    call that refuses code's search."""
+    t0 = time.perf_counter()
+    try:
+        analysis.exact_params(code)
+    except analysis.CapExceededError:
+        seconds = time.perf_counter() - t0
+    else:
+        raise AssertionError("exact_params searched a code it should refuse")
+    return f"exact_params_refused.F_{code.spec.order}.{code.k}x{code.n}", seconds
+
+
 def rref_s(code):
     return _seconds(linalg.rref, code.spec, code.matrix)
 
@@ -278,12 +322,15 @@ def main():
         out[f"asymptotics.q{q}.A{A:g}"] = asymptotics_s(q, A, samples, b_range)
     for p, m, coeffs, a, b in CODES["rref"]:
         out[f"rr_basis.F_{p ** m}.a{a}b{b}"] = rr_basis_s(p, m, coeffs, a, b)
+    out.update(degree_zero_timing(*config) for config in DEGREE_ZERO)
     for layer, timer in (("rref", rref_s), ("section_rows", section_rows_s),
                          ("recovery_sets", recovery_sets_s),
                          ("fiber_ranks", fiber_ranks_s)):
         for config in CODES[layer]:
             code = decomposable_code(*config)
             out[f"{layer}.F_{code.spec.order}.{code.k}x{code.n}"] = timer(code)
+    out.update(exact_params_refused_timing(decomposable_code(*config))
+               for config in CODES["exact_params_refused"])
     for config in CODES["build_elm"]:
         seconds, code = build_elm_s(*config)
         out[f"build_elm.F_{code.spec.order}.{code.k}x{code.n}"] = seconds

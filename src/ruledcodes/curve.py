@@ -33,9 +33,12 @@ class CurveModel:
     """A projective line or a nonsingular long-Weierstrass elliptic curve.
 
     Elliptic:  y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6  over spec.
+
+    pole_orders holds the orders of the poles of x and y at infinity, their
+    only pole: (1,) on P^1, which has no y, and (2, 3) on an elliptic curve.
     """
 
-    __slots__ = ("kind", "spec", "a", "genus", "_coeff_cache",
+    __slots__ = ("kind", "spec", "a", "genus", "pole_orders", "_coeff_cache",
                  "_closed_cache", "_rational", "_charts")
 
     def __init__(self, kind: str, spec: FieldSpec, coefficients=None):
@@ -53,11 +56,13 @@ class CurveModel:
         if kind == P1:
             self.a = ()
             self.genus = 0
+            self.pole_orders = (1,)
         else:
             if coefficients is None or len(coefficients) != 5:
                 raise ValueError("elliptic curve needs coefficients (a1,a2,a3,a4,a6)")
             self.a = tuple(c % spec.order for c in coefficients)
             self.genus = 1
+            self.pole_orders = (2, 3)
             if self.discriminant() == 0:
                 raise ValueError("singular Weierstrass equation (zero discriminant)")
 

@@ -9,36 +9,40 @@ at all points at once and inverts u's values as one array (at other
 affine points it reads the expansion); RRSpace.expansions at an affine
 closed point is the monomials' series times the rows, divided by u's
 series, whose order there is known, so the precision needed is known in
-advance.  On the projective line the basis is forced * x^l / u, forced
-and u the negative and positive parts of D away from infinity.
+advance.
 
-The elliptic basis algorithm multiplies L(D) into a pole-at-infinity-only
-space: an auxiliary function u, a product of minimal polynomials of the
-x-coordinates of the positive support, has an explicitly known divisor, so
-u * L(D) is the subspace of L(M'*O) cut out by vanishing conditions at known
-affine closed points.  Vanishing to order n at a degree-d point contributes
-n*d linear conditions over F_q: the n x M coefficient matrix of the
-order-n truncated expansions of the M monomials (computed in F_{q^d} with a
-local chart) goes through subfield_coords, the one map from F_{q^d} to
-F_q-coordinates, in one call.  The monomials x^i y^j have the distinct pole
-orders 2i + 3j at O, so D(O) is read into M' as D(infinity) is on P^1, and O
-imposes no condition.  The resulting nullspace is echelonized against the
-monomial order of L(M'*O), which makes bases reproducible.
+One algorithm builds every basis, on P^1 and on an elliptic curve alike:
+it multiplies L(D) into a pole-at-infinity-only space.  An auxiliary
+function u, a product of minimal polynomials of the x-coordinates of the
+positive support, has an explicitly known divisor (its zeros the x-fibers,
+see _x_fiber), so u * L(D) is the subspace of L(M'*infinity) cut out by
+vanishing conditions at known affine closed points.  Vanishing to order n
+at a degree-d point contributes n*d linear conditions over F_q: the n x M
+coefficient matrix of the order-n truncated expansions of the M monomials
+(computed in F_{q^d} with a local chart) goes through subfield_coords, the
+one map from F_{q^d} to F_q-coordinates, in one call.  x and y have poles
+of orders a and b at infinity and no other (curve.pole_orders), so the
+monomials x^i y^j, j < a, have the distinct pole orders a i + b j: P^1 is
+the instance a = 1 (the monomials x^i, and a point's x-fiber is the point
+itself), the elliptic curve the instance (a, b) = (2, 3).  So D(infinity)
+is read into M', and infinity imposes no condition.  The resulting
+nullspace is echelonized against the monomial order of L(M'*infinity),
+which makes bases reproducible, and its rank decides degree 0: l(D) is 1
+for a principal D and 0 otherwise.
 
 Local expansions are taken at affine points only.  An expansion is a Poly
 in the uniformizer t, read modulo t^n, and the caller passes n: every order
 it meets there is known in advance, so nothing tracks a precision.  A chart
 fixes one coordinate (x = x0 + t, or y = y0 + t at a 2-torsion point) and
 finds the other as the Newton root of the curve equation.  Nothing expands
-at infinity: x^i y^j has a pole of order 2i + 3j at O (i at infinity on
-P^1), so O imposes no vanishing condition, and the value of a function of
-L(D) there is its coefficient of x^deg(u) (see RRSpace.values).
+at infinity: x^i y^j has a pole there of the order curve.pole_orders
+gives, so infinity imposes no vanishing condition, and the value of a
+function of L(D) there is its coefficient of x^deg(u) (see RRSpace.values).
 
 Each closed point P of the support needs only its own field F_{q^d},
-d = deg(P): the x-fiber through P is read off P and -P (see _x_fiber), and
-the class of a degree-0 divisor is summed one point at a time in these
-fields (curve.divisor_class_sum), so a divisor is supported exactly when
-q^d <= gf.DESK_CAP for every point in it.
+d = deg(P): the x-fiber through P is read off P, and -P on an elliptic
+curve (see _x_fiber), and its conditions are taken in that field, so a
+divisor is supported exactly when q^d <= gf.DESK_CAP for every point in it.
 
 effective_divisors lists the effective divisors of one degree; the
 graph-avoidance bound in surface asks one linear solve of each L(D).
@@ -54,8 +58,7 @@ import numpy as np
 
 from .gf import FieldSpec, field_create
 from .poly import Poly
-from .curve import (CurveModel, ClosedPoint, DivisorOnCurve, P1, ELLIPTIC,
-                    divisor_class_sum)
+from .curve import CurveModel, ClosedPoint, DivisorOnCurve, P1, ELLIPTIC
 from . import fqarray, linalg
 
 
@@ -218,22 +221,25 @@ def x_min_poly(curve: CurveModel, pt: ClosedPoint) -> Poly:
 
 def _x_fiber(curve: CurveModel, pt: ClosedPoint):
     """(min poly m of x(pt), [(closed point Q over a root of m, e_Q)]) with
-    div(m(x)) = sum e_Q * Q - 2*deg(m)*O on an elliptic curve.
+    div(m(x)) = sum e_Q * Q - a*deg(m)*infinity, a the pole order of x.
 
-    The geometric points above the conjugates of x(pt) are the conjugates of
-    pt and of -pt, all defined over the field of pt.  So the fiber is pt with
-    e = 2 when pt is 2-torsion, pt alone when -pt is a conjugate of pt
+    On P^1 the fiber is pt itself.  On an elliptic curve the geometric
+    points above the conjugates of x(pt) are the conjugates of pt and of
+    -pt, all defined over the field of pt.  So the fiber is pt with e = 2
+    when pt is 2-torsion, pt alone when -pt is a conjugate of pt
     (deg x(pt) = deg(pt) / 2), and pt and -pt otherwise.
     """
     m = x_min_poly(curve, pt)
     ext = pt.ext_spec
-    if curve.is_two_torsion(pt.x, pt.y, ext):
+    if curve.kind == P1:
+        fiber = [(pt, 1)]
+    elif curve.is_two_torsion(pt.x, pt.y, ext):
         fiber = [(pt, 2)]
     else:
         neg = ClosedPoint(curve, pt.degree, *curve.ell_neg((pt.x, pt.y), ext))
         fiber = [(pt, 1)] if neg == pt else [(pt, 1), (neg, 1)]
-    total = sum(e * cp.degree for cp, e in fiber)
-    assert total == 2 * m.degree, f"x-fiber degree {total} != {2 * m.degree}"
+    total, want = sum(e * cp.degree for cp, e in fiber), _pole_order(curve, m.degree, 0)
+    assert total == want, f"x-fiber degree {total} != {want}"
     return m, fiber
 
 
@@ -268,11 +274,12 @@ class RRSpace:
         len(points) array of encodings (in F_{q^d} at a point of degree d).
         At rational points the rows and den's row, as polynomials in x with
         a part times y, go by Horner at all points at once and are divided
-        by den's values.  At O (infinity on P^1), where x^i y^j has a pole
-        of order 2i + 3j (i), a function's value is its coefficient of
-        x^deg(den), whose pole order is den's; PoleError if a monomial of
-        higher order has a nonzero one.  At a point of higher degree, and
-        where den vanishes, the value is read from the expansion."""
+        by den's values.  At infinity (O on an elliptic curve), where
+        x^i y^j has a pole of the order the curve's pole_orders give, a
+        function's value is its coefficient of x^deg(den), whose pole order
+        is den's; PoleError if a monomial of higher order has a nonzero
+        one.  At a point of higher degree, and where den vanishes, the
+        value is read from the expansion."""
         spec = self.curve.spec
         out = np.zeros((len(self), len(points)), dtype=np.int64)
         plain = [c for c, pt in enumerate(points)
@@ -297,8 +304,9 @@ class RRSpace:
                                                              inv[:, None]))
         for c, pt in enumerate(points):
             if pt.is_infinity:
-                order = np.array([2 * i + 3 * j for i, j in self.monomials])
-                if self.rows[:, order > 2 * self.den.degree].any():
+                curve = self.curve
+                order = np.array([_pole_order(curve, i, j) for i, j in self.monomials])
+                if self.rows[:, order > _pole_order(curve, self.den.degree, 0)].any():
                     raise PoleError(f"L(D) has a pole at {pt!r}")
                 out[:, c] = self.rows[:, self.monomials.index((self.den.degree, 0))]
             elif pt.degree > 1 or pt in self.zeros:
@@ -334,45 +342,15 @@ class RRSpace:
 
 
 def rr_basis(curve: CurveModel, D: DivisorOnCurve) -> RRSpace:
-    """Echelonized basis of L(D) = {f : div(f) + D >= 0} over F_q."""
+    """Echelonized basis of L(D) = {f : div(f) + D >= 0} over F_q, on P^1
+    and on an elliptic curve alike (see the module docstring): monomials of
+    bounded pole order, the poles of x and y at infinity read from
+    curve.pole_orders, cut down by vanishing conditions at affine points."""
     if D.curve != curve:
         raise ValueError("divisor lives on a different curve")
-    if curve.kind == P1:
-        return _rr_basis_p1(curve, D)
-    if curve.kind == ELLIPTIC:
-        return _rr_basis_elliptic(curve, D)
-    raise ValueError("unsupported genus")
-
-
-def _rr_basis_p1(curve, D):
-    spec = curve.spec
-    if D.degree() < 0:
-        return RRSpace(curve, [], [], Poly.one(spec), {})
-    den = Poly.one(spec)
-    forced = Poly.one(spec)
-    zeros = {}
-    n_inf = 0
-    for pt, n in D.items():
-        if pt.is_infinity:
-            n_inf = n
-            continue
-        m = x_min_poly(curve, pt)
-        if n > 0:
-            den = den * m ** n
-            zeros[pt] = n
-        else:
-            forced = forced * m ** (-n)
-    top = D.degree()
-    rows = [[0] * l + list(forced.coeffs) + [0] * (top - l) for l in range(top + 1)]
-    return RRSpace(curve, [(i, 0) for i in range(den.degree + n_inf + 1)], rows,
-                   den, zeros)
-
-
-def _rr_basis_elliptic(curve, D):
     spec = curve.spec
     deg_d = D.degree()
-    # the degree-0 dichotomy is decided by the group law, not by rank
-    if deg_d < 0 or (deg_d == 0 and divisor_class_sum(D) is not None):
+    if deg_d < 0:
         return RRSpace(curve, [], [], Poly.one(spec), {})
     u = Poly.one(spec)
     zdiv: dict[ClosedPoint, int] = {}
@@ -383,16 +361,16 @@ def _rr_basis_elliptic(curve, D):
         m, fiber = _x_fiber(curve, pt)
         c = -(-n // fiber[0][1])        # pt's ramification, 2 at 2-torsion
         u = u * m ** c
-        m_pole += 2 * c * m.degree
+        m_pole += _pole_order(curve, c * m.degree, 0)
         for cp, e in fiber:
             zdiv[cp] = zdiv.get(cp, 0) + c * e
-    # x^i y^j has a pole of order 2i + 3j at O and no other, so D(O) only
-    # moves the bound of the ambient space, as on P^1
+    # x^i y^j has a pole at infinity and no other, so D(infinity) only moves
+    # the bound of the ambient space
     m_amb = m_pole + D.multiplicity(ClosedPoint(curve, 1, None, None))
 
-    monomials = [(i, j) for j in (0, 1) for i in range(m_amb + 1)
-                 if 2 * i + 3 * j <= m_amb]
-    monomials.sort(key=lambda ij: (2 * ij[0] + 3 * ij[1], ij[1]))
+    monomials = [(i, j) for j in range(curve.pole_orders[0]) for i in range(m_amb + 1)
+                 if _pole_order(curve, i, j) <= m_amb]
+    monomials.sort(key=lambda ij: (_pole_order(curve, *ij), ij[1]))
 
     # u f vanishes to order r_Q = div(u)(Q) - D(Q) at each affine point Q
     rows = []
@@ -404,12 +382,20 @@ def _rr_basis_elliptic(curve, D):
         table = _monomial_series(monomials, xs, ys, r_q)
         rows.extend(subfield_coords(spec, qpt.ext_spec, list(zip(*table))))
 
+    # the rank decides degree 0 too: l(D) is 1 or 0 as D is principal or not
     space = RRSpace(curve, monomials, linalg.nullspace(spec, rows, len(monomials)),
                     u, zdiv)
-    expected = deg_d if deg_d >= 1 else 1
-    assert len(space) == expected, (
-        f"dim L(D) = {len(space)}, Riemann-Roch predicts {expected}")
+    g = curve.genus
+    assert (len(space) == deg_d + 1 - g if deg_d >= 2 * g - 1 else len(space) <= 1), (
+        f"dim L(D) = {len(space)} at degree {deg_d}, genus {g}")
     return space
+
+
+def _pole_order(curve: CurveModel, i: int, j: int) -> int:
+    """The order of the pole of x^i y^j at infinity (j = 0 on P^1, which
+    has no y)."""
+    orders = curve.pole_orders
+    return orders[0] * i + (orders[1] * j if j else 0)
 
 
 def _monomial_series(monomials, xs, ys, n):

@@ -16,7 +16,11 @@ Its series code is its own, so that it checks rrspace's expansions rather
 than repeating them: LSeries, truncated Laurent series that track their
 valuation and known precision, and charts at every closed point, O (t =
 x/y) and infinity on P^1 (t = 1/x) included, cached here by value.  From
-rrspace it takes only RRSpace and PoleError."""
+rrspace it takes only RRSpace and PoleError.
+
+p1_basis is the closed form of L(D) on the projective line, forced * x^l / u
+with forced and u the negative and positive parts of D away from infinity,
+that rr_basis's pole-order method must reproduce there."""
 
 from __future__ import annotations
 
@@ -449,3 +453,42 @@ def inverse(f: CurveFunction) -> CurveFunction:
     norm = f.num_a * f.num_a - f.num_a * f.num_b * lin - f.num_b * f.num_b * fx
     return CurveFunction(curve, f.den * (f.num_a - f.num_b * lin),
                          f.den * -f.num_b, norm)
+
+
+# ---------------------------------------------------------------------------
+# L(D) on P^1 in closed form
+
+def _min_poly(curve: CurveModel, pt: ClosedPoint) -> Poly:
+    """Minimal polynomial over F_q of the x-coordinate of an affine point:
+    the product of X - x over the orbit of x, read back from F_{q^d}."""
+    spec, ext = curve.spec, pt.ext_spec
+    prod = Poly.from_roots(ext, sorted({x for x, _ in pt.orbit()}))
+    back = {ext.embed_i(spec, c): c for c in range(spec.order)}
+    return Poly(spec, [back[c] for c in prod.coeffs])
+
+
+def p1_basis(curve: CurveModel, D) -> RRSpace:
+    """L(D) on P^1: the rows forced * x^l, l = 0..deg D, over u, where u and
+    forced are the products of the minimal polynomials of the affine points
+    of D with positive and negative multiplicity, each to that power."""
+    spec = curve.spec
+    if D.degree() < 0:
+        return RRSpace(curve, [], [], Poly.one(spec), {})
+    den = Poly.one(spec)
+    forced = Poly.one(spec)
+    zeros = {}
+    n_inf = 0
+    for pt, n in D.items():
+        if pt.is_infinity:
+            n_inf = n
+            continue
+        m = _min_poly(curve, pt)
+        if n > 0:
+            den = den * m ** n
+            zeros[pt] = n
+        else:
+            forced = forced * m ** (-n)
+    top = D.degree()
+    rows = [[0] * l + list(forced.coeffs) + [0] * (top - l) for l in range(top + 1)]
+    return RRSpace(curve, [(i, 0) for i in range(den.degree + n_inf + 1)], rows,
+                   den, zeros)

@@ -21,6 +21,11 @@ def test_bench_layers_on_its_smallest_inputs():
     for timer in (bench.rref_s, bench.section_rows_s, bench.recovery_sets_s,
                   bench.fiber_ranks_s, bench.recover_write_s):
         assert timer(code) > 0
+    key, seconds = bench.exact_params_refused_timing(code)
+    assert key == "exact_params_refused.F_49.6x3000" and seconds > 0
+    assert bench.CODES["exact_params_refused"] == [(7, 2, (0, 0, 0, 1, 0), 6, 24)]
+    key, seconds = bench.degree_zero_timing(*bench.DEGREE_ZERO[0])
+    assert key == "rr_basis.F_49.deg0" and seconds > 0
     helpers, coefficients = bench.locality.recovery_sets(code)
     assert helpers.shape == coefficients.shape == (3000, 49 // 2, 2)
     seconds, elm = bench.build_elm_s(*bench.CODES["rref"][0])

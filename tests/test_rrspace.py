@@ -1,6 +1,7 @@
 import ast
 import gc
 import hashlib
+import math
 import pathlib
 import random
 import time
@@ -8,15 +9,16 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ruledcodes import fqarray
+from ruledcodes import fqarray, linalg
 from ruledcodes.gf import field_create, extend
 from ruledcodes.curve import (curve_create, ClosedPoint, DivisorOnCurve,
-                              divisor_class_sum, CurveModel, P1, ELLIPTIC)
+                              CurveModel, P1, ELLIPTIC)
 from ruledcodes.poly import Poly
 from ruledcodes.rrspace import (rr_basis, effective_divisors, PoleError,
                                 x_min_poly, subfield_coords, _Chart, _chart,
                                 _head, _mul, _subfield_inverse)
 
+import curve_oracle
 import rrspace_oracle
 from function_enumeration import functions_up_to_degree, function_degree
 from rrspace_oracle import (CurveFunction, LSeries, add, constant, evaluate,
@@ -501,19 +503,90 @@ def test_p1_negative_degree_empty_without_powering():
     assert time.perf_counter() - start < 1
 
 
-def test_degree_zero_principal_dichotomy():
-    pts = E5.rational_points()
-    p = next(p for p in pts if not p.is_infinity and p.y != 0)
-    minus = next(t for t in pts if t.x == p.x and t.y not in (None, p.y))
-    # principal: div(x - x0)
-    D = DivisorOnCurve(E5, [(p, 1), (minus, 1), (O5, -2)])
-    basis = functions(rr_basis(E5, D))
-    assert len(basis) == 1
-    check_membership(E5, D, basis)
-    # non-principal: P - O
-    D2 = DivisorOnCurve(E5, [(p, 1), (O5, -1)])
-    assert divisor_class_sum(D2) is not None
-    assert functions(rr_basis(E5, D2)) == []
+# name: (p, m, coefficients, point degrees): the degrees are those whose
+# mixes curve_oracle.divisor_class_sum can add within the field-size cap
+DEGREE_ZERO_CURVES = {"F3": (3, 1, (0, 1, 0, 0, 1), (1, 2, 3)),
+                      "F4-a1": (2, 2, (1, 0, 0, 0, 1), (1, 2, 3)),
+                      "F5": (5, 1, (0, 0, 0, 0, 1), (1, 2, 3)),
+                      "F7": (7, 1, (0, 0, 0, 0, 3), (1, 2, 3)),
+                      "F16": (2, 4, (0, 0, 1, 0, 8), (1, 2))}
+
+
+def principal_degree_zero(curve, pts):
+    """sum pts - R - (deg - 1) O, R the rational point that the orbits of
+    pts add up to, found by the oracle's group law."""
+    O = ClosedPoint(curve, 1, None, None)
+    deg = sum(p.degree for p in pts)
+    total = curve_oracle.divisor_class_sum(
+        DivisorOnCurve(curve, [(p, 1) for p in pts] + [(O, -deg)]))
+    R = O
+    if total is not None:
+        ext = extend(curve.spec, math.lcm(*(p.degree for p in pts)))
+        R = next(r for r in curve.rational_points() if not r.is_infinity
+                 and (ext.embed_i(curve.spec, r.x), ext.embed_i(curve.spec, r.y)) == total)
+    return DivisorOnCurve(curve, [(p, 1) for p in pts] + [(R, -1), (O, 1 - deg)])
+
+
+@pytest.mark.parametrize("name", sorted(DEGREE_ZERO_CURVES))
+def test_degree_zero_principal_dichotomy(name):
+    """The rank of the vanishing conditions decides degree 0 as the group
+    law does: l(D) = 1 exactly when D is principal."""
+    p, m, coeffs, degrees = DEGREE_ZERO_CURVES[name]
+    curve = curve_create(ELLIPTIC, coeffs, field_create(p, m))
+    O = ClosedPoint(curve, 1, None, None)
+    rng = random.Random(f"degree zero {name}")
+    pools = {d: [pt for pt in curve.closed_points(d) if not pt.is_infinity]
+             for d in degrees}
+    P, Q = rng.sample(pools[1], 2)
+    minus = ClosedPoint(curve, 1, *curve.ell_neg((P.x, P.y), curve.spec))
+    # div(x - x0), then P + Q - R - O with R = P + Q, then mixed degrees;
+    # P - O is not principal
+    divisors = [DivisorOnCurve(curve, [(P, 1), (minus, 1), (O, -2)]),
+                principal_degree_zero(curve, [P, Q]),
+                DivisorOnCurve(curve, [(P, 1), (O, -1)])]
+    divisors += [principal_degree_zero(curve, [rng.choice(pools[d]) for d in ds])
+                 for ds in ((2,), degrees[1:], degrees)]
+    for _ in range(12):
+        support = [rng.choice(pools[rng.choice(degrees)]) for _ in range(rng.randint(1, 3))]
+        D = DivisorOnCurve(curve, [(pt, rng.choice([-2, -1, 1, 2])) for pt in support])
+        divisors.append(D - DivisorOnCurve(curve, [(O, D.degree())]))
+    kinds = set()
+    for D in divisors:
+        assert D.degree() == 0
+        principal = curve_oracle.divisor_class_sum(D) is None
+        space = rr_basis(curve, D)
+        assert len(space) == principal, D
+        check_membership(curve, D, functions(space))
+        kinds.add(principal)
+    assert kinds == {True, False}
+
+
+P1_CURVES = {name: curve_create(P1, None, field_create(p, m))
+             for name, (p, m) in {"F5": (5, 1), "F7": (7, 1), "F8": (2, 3),
+                                  "F9": (3, 2)}.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(P1_CURVES)), data=st.data())
+def test_p1_spaces_match_the_closed_form(name, data):
+    """On P^1 the pole-order method spans the closed form's space: the same
+    rows when D has no negative affine part (no conditions, so the
+    nullspace is the identity), else the same rref."""
+    curve = P1_CURVES[name]
+    pts = curve.closed_points(1) + curve.closed_points(2) + curve.closed_points(3)
+    support = data.draw(st.lists(st.sampled_from(pts), min_size=1, max_size=4,
+                                 unique_by=ClosedPoint.sort_key))
+    mults = data.draw(st.lists(st.integers(-3, 3).filter(bool), min_size=len(support),
+                               max_size=len(support)))
+    D = DivisorOnCurve(curve, list(zip(support, mults)))
+    space, closed = rr_basis(curve, D), rrspace_oracle.p1_basis(curve, D)
+    assert len(space) == max(D.degree() + 1, 0)
+    assert (space.monomials, space.den, space.zeros) == \
+        (closed.monomials, closed.den, closed.zeros)
+    rows, closed_rows = space.rows.tolist(), closed.rows.tolist()
+    if all(n > 0 or pt.is_infinity for pt, n in D.items()):
+        assert rows == closed_rows
+    assert linalg.rref(curve.spec, rows) == linalg.rref(curve.spec, closed_rows)
 
 
 def test_riemann_roch_dimensions_randomized():
