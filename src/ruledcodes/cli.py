@@ -218,10 +218,13 @@ def _build_code(cfg: dict):
                           "u^0, ..., u^a stay independent on every fiber")
     beta = _resolve_divisor(curve, _need(code_block, "beta", list, "config.code"),
                             "config.code.beta")
+    tensor = _opt(code_block, "tensor", bool, "config.code", False)
+    if tensor and cfg["surface"]["variant"] != "product":
+        raise ConfigError('config.code.tensor: needs config.surface.variant "product"')
     try:
         if surface.variant == ELM:
             code = build_code_elm(surface, a, beta)
-        elif _opt(code_block, "tensor", bool, "config.code", False):
+        elif tensor:
             code = build_product_code(curve, a, beta)
             code.meta["surface"] = surface
         else:

@@ -1,5 +1,6 @@
 """Curve models over finite fields: the projective line and nonsingular
-Weierstrass elliptic curves, with closed-point enumeration, divisors, the
+Weierstrass elliptic curves, each written once as its equation F(x, y) = 0
+(CurveModel.equation), with closed-point enumeration, divisors, the
 chord-tangent group law, and class numbers.
 
 Geometric points are coordinate pairs encoded as integers in an extension
@@ -25,21 +26,24 @@ import numpy as np
 
 from . import fqarray
 from .gf import FieldSpec, extend
+from .poly import Poly
 
 P1 = "p1"
 ELLIPTIC = "elliptic"
 
 class CurveModel:
-    """A projective line or a nonsingular long-Weierstrass elliptic curve.
-
-    Elliptic:  y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6  over spec.
+    """A projective line or a nonsingular long-Weierstrass elliptic curve,
+    the zeros of F(x, y) = sum_j c_j(x) y^j, monic in y.  equation holds
+    the coefficients of c_0, c_1, .. over spec, lowest first, and every
+    evaluation of F reads it: F = y on P^1, whose points are the (x, 0), and
+    y^2 + (a1 x + a3) y - (x^3 + a2 x^2 + a4 x + a6) on an elliptic curve.
 
     pole_orders holds the orders of the poles of x and y at infinity, their
     only pole: (1,) on P^1, which has no y, and (2, 3) on an elliptic curve.
     """
 
-    __slots__ = ("kind", "spec", "a", "genus", "pole_orders", "_coeff_cache",
-                 "_closed_cache", "_rational", "_charts")
+    __slots__ = ("kind", "spec", "a", "genus", "pole_orders", "equation",
+                 "_coeff_cache", "_closed_cache", "_rational", "_charts")
 
     def __init__(self, kind: str, spec: FieldSpec, coefficients=None):
         if kind not in (P1, ELLIPTIC):
@@ -57,12 +61,15 @@ class CurveModel:
             self.a = ()
             self.genus = 0
             self.pole_orders = (1,)
+            self.equation = ((0,), (1,))
         else:
             if coefficients is None or len(coefficients) != 5:
                 raise ValueError("elliptic curve needs coefficients (a1,a2,a3,a4,a6)")
             self.a = tuple(c % spec.order for c in coefficients)
             self.genus = 1
             self.pole_orders = (2, 3)
+            a1, a2, a3, a4, a6 = self.a
+            self.equation = (tuple(map(spec.neg_i, (a6, a4, a2, 1))), (a3, a1), (1,))
             if self.discriminant() == 0:
                 raise ValueError("singular Weierstrass equation (zero discriminant)")
 
@@ -86,37 +93,48 @@ class CurveModel:
                    (-1, a4, a4))
         return terms((-1, b2, b2, b8), (-8, b4, b4, b4), (-27, b6, b6), (9, b2, b4, b6))
 
-    # -- coefficients embedded in an extension
+    # -- coefficients embedded in an extension, and the equation over it
 
     def coeffs_in(self, ext: FieldSpec):
+        """a, embedded in ext."""
+        return tuple(ext.embed_i(self.spec, c) for c in self.a)
+
+    def equation_in(self, ext: FieldSpec):
+        """equation, its coefficients embedded in ext."""
         key = (ext.deg, ext.base_card)
         if key not in self._coeff_cache:
-            self._coeff_cache[key] = tuple(ext.embed_i(self.spec, c) for c in self.a)
+            self._coeff_cache[key] = tuple(tuple(ext.embed_i(self.spec, c) for c in cs)
+                                           for cs in self.equation)
         return self._coeff_cache[key]
 
+    def equation_at(self, x: int, ext: FieldSpec) -> Poly:
+        """F(x, Y) over ext, a polynomial in Y."""
+        return Poly(ext, [Poly(ext, cs).eval_i(x) for cs in self.equation_in(ext)])
+
     def is_on_curve(self, x: int, y: int, ext: FieldSpec) -> bool:
-        """Whether (x, y) over ext lies on the curve; a point of P^1 is (x, 0)."""
-        if self.kind == P1:
-            return y == 0
-        a1, a2, a3, a4, a6 = self.coeffs_in(ext)
-        lhs = ext.add_i(ext.mul_i(y, y),
-                        ext.add_i(ext.mul_i(a1, ext.mul_i(x, y)), ext.mul_i(a3, y)))
-        x2 = ext.mul_i(x, x)
-        rhs = ext.add_i(ext.mul_i(x2, x),
-                        ext.add_i(ext.mul_i(a2, x2),
-                                  ext.add_i(ext.mul_i(a4, x), a6)))
-        return lhs == rhs
+        """Whether F(x, y) = 0 over ext; a point of P^1 is (x, 0)."""
+        return self.equation_at(x, ext).eval_i(y) == 0
+
+    def is_two_torsion(self, x: int, y: int, ext: FieldSpec) -> bool:
+        """Whether dF/dy is 0 at the point P = (x, y) of the curve, where x - x(P)
+        is then no uniformizer: P = -P on an elliptic curve, never on P^1."""
+        cs = self.equation_at(x, ext).coeffs
+        dy = [ext.mul_i(j % ext.p, cs[j]) for j in range(1, len(cs))]
+        return Poly(ext, dy).eval_i(y) == 0
 
     def _sides(self, ext: FieldSpec, x: np.ndarray):
         """(b, f) in digit form for the digit array x of an elliptic curve:
-        b = a1 x + a3 and f = x^3 + a2 x^2 + a4 x + a6, so that (x, y) is
-        on the curve iff y^2 + b y = f."""
-        a1, a2, a3, a4, a6 = self.coeffs_in(ext)
-        const = fqarray.digits(ext, [a2, a3, a4, a6])[:, :, None]
-        f = fqarray.mul(ext, fqarray.add(ext, x, const[:, 0]), x)
-        f = fqarray.mul(ext, fqarray.add(ext, f, const[:, 2]), x)
-        f = fqarray.add(ext, f, const[:, 3])
-        return fqarray.add(ext, fqarray.scale(ext, a1, x), const[:, 1]), f
+        b = c_1(x) and f = -c_0(x), so that (x, y) is on the curve iff
+        y^2 + b y = f.  Horner starts at the leading term: f is monic."""
+        c0, c1, _ = self.equation_in(ext)
+        out = []
+        for cs in (c1, [ext.neg_i(c) for c in c0]):
+            const = fqarray.digits(ext, cs)[:, :, None]
+            acc = x if cs[-1] == 1 else fqarray.scale(ext, cs[-1], x)
+            for i in reversed(range(1, len(cs) - 1)):
+                acc = fqarray.mul(ext, fqarray.add(ext, acc, const[:, i]), x)
+            out.append(fqarray.add(ext, acc, const[:, 0]))
+        return out
 
     # -- point enumeration
 
@@ -267,11 +285,6 @@ class CurveModel:
             Q = self._ell_add(Q, Q, ext)
             n >>= 1
         return R
-
-    def is_two_torsion(self, x: int, y: int, ext: FieldSpec) -> bool:
-        a1, _, a3, _, _ = self.coeffs_in(ext)
-        return ext.add_i(ext.mul_i(2 % ext.p, y),
-                         ext.add_i(ext.mul_i(a1, x), a3)) == 0
 
     def __eq__(self, other):
         return (isinstance(other, CurveModel) and self.kind == other.kind

@@ -1,8 +1,7 @@
 """Riemann-Roch spaces L(D) with explicit bases.
 
 rr_basis returns L(D) as an RRSpace: coefficient rows over the monomials
-x^i y^j (y^2 reduced away through the curve equation; j = 0 on the
-projective line), all divided by one monic polynomial u(x) whose zeros are
+x^i y^j, j < a, all divided by one monic polynomial u(x) whose zeros are
 known.  The space is read whole, never one function at a time:
 RRSpace.values at rational points evaluates the rows and u by Horner in x
 at all points at once and inverts u's values as one array (at other
@@ -11,8 +10,11 @@ closed point is the monomials' series times the rows, divided by u's
 series, whose order there is known, so the precision needed is known in
 advance.
 
-One algorithm builds every basis, on P^1 and on an elliptic curve alike:
-it multiplies L(D) into a pole-at-infinity-only space.  An auxiliary
+Nothing here asks which curve it works on.  A curve is its equation
+F(x, y) = 0 (curve.equation; F = y on P^1) and the orders a and b of the
+poles of x and y at infinity, their only pole (curve.pole_orders; a = 1 on
+P^1, (a, b) = (2, 3) on an elliptic curve).  One algorithm builds every
+basis: it multiplies L(D) into a pole-at-infinity-only space.  An auxiliary
 function u, a product of minimal polynomials of the x-coordinates of the
 positive support, has an explicitly known divisor (its zeros the x-fibers,
 see _x_fiber), so u * L(D) is the subspace of L(M'*infinity) cut out by
@@ -20,29 +22,25 @@ vanishing conditions at known affine closed points.  Vanishing to order n
 at a degree-d point contributes n*d linear conditions over F_q: the n x M
 coefficient matrix of the order-n truncated expansions of the M monomials
 (computed in F_{q^d} with a local chart) goes through subfield_coords, the
-one map from F_{q^d} to F_q-coordinates, in one call.  x and y have poles
-of orders a and b at infinity and no other (curve.pole_orders), so the
-monomials x^i y^j, j < a, have the distinct pole orders a i + b j: P^1 is
-the instance a = 1 (the monomials x^i, and a point's x-fiber is the point
-itself), the elliptic curve the instance (a, b) = (2, 3).  So D(infinity)
-is read into M', and infinity imposes no condition.  The resulting
-nullspace is echelonized against the monomial order of L(M'*infinity),
-which makes bases reproducible, and its rank decides degree 0: l(D) is 1
-for a principal D and 0 otherwise.
+one map from F_{q^d} to F_q-coordinates, in one call.  The monomials
+x^i y^j, j < a, have the distinct pole orders a i + b j, so D(infinity) is
+read into M', and infinity imposes no condition.  The resulting nullspace
+is echelonized against the monomial order of L(M'*infinity), which makes
+bases reproducible, and its rank decides degree 0: l(D) is 1 for a
+principal D and 0 otherwise.
 
 Local expansions are taken at affine points only.  An expansion is a Poly
 in the uniformizer t, read modulo t^n, and the caller passes n: every order
 it meets there is known in advance, so nothing tracks a precision.  A chart
-fixes one coordinate (x = x0 + t, or y = y0 + t at a 2-torsion point) and
-finds the other as the Newton root of the curve equation.  Nothing expands
-at infinity: x^i y^j has a pole there of the order curve.pole_orders
-gives, so infinity imposes no vanishing condition, and the value of a
-function of L(D) there is its coefficient of x^deg(u) (see RRSpace.values).
+fixes one coordinate (x = x0 + t, or y = y0 + t where dF/dy vanishes) and
+finds the other as the Newton root of F.  Nothing expands at infinity: the
+value of a function of L(D) there is its coefficient of x^deg(u) (see
+RRSpace.values).
 
 Each closed point P of the support needs only its own field F_{q^d},
-d = deg(P): the x-fiber through P is read off P, and -P on an elliptic
-curve (see _x_fiber), and its conditions are taken in that field, so a
-divisor is supported exactly when q^d <= gf.DESK_CAP for every point in it.
+d = deg(P): the x-fiber through P is read off F(x(P), Y) (see _x_fiber),
+and its conditions are taken in that field, so a divisor is supported
+exactly when q^d <= gf.DESK_CAP for every point in it.
 
 effective_divisors lists the effective divisors of one degree; the
 graph-avoidance bound in surface asks one linear solve of each L(D).
@@ -58,7 +56,7 @@ import numpy as np
 
 from .gf import FieldSpec, field_create
 from .poly import Poly
-from .curve import CurveModel, ClosedPoint, DivisorOnCurve, P1, ELLIPTIC
+from .curve import CurveModel, ClosedPoint, DivisorOnCurve
 from . import fqarray, linalg
 
 
@@ -115,47 +113,35 @@ def _newton_root(cs, u0: int, n: int) -> Poly:
 
 class _Chart:
     """Expansion of x and y at an affine closed point in its uniformizer t:
-    x = x0 + t and y the Newton root of the curve equation in y, or at a
-    2-torsion point y = y0 + t and x the root of the equation in x.  On the
-    projective line x = x0 + t and there is no y."""
+    one coordinate is known, x = x0 + t, or y = y0 + t where dF/dy vanishes
+    and x - x0 is no uniformizer (curve.is_two_torsion), and the other is
+    the Newton root of F with the known one substituted.  On the projective
+    line F = y, so y is the zero series."""
 
     def __init__(self, curve: CurveModel, pt: ClosedPoint):
         self.curve, self.pt, self.ext = curve, pt, pt.ext_spec
-        self.tors = (curve.kind == ELLIPTIC
-                     and curve.is_two_torsion(pt.x, pt.y, self.ext))
+        self.tors = curve.is_two_torsion(pt.x, pt.y, self.ext)
         self._n, self._xy = 0, None
 
     def xy(self, n: int):
         """x and y modulo t^n, or to a higher precision an earlier call
-        asked for; y is None on P^1."""
+        asked for."""
         if n > self._n:
             pt, ext = self.pt, self.ext
-            if self.tors:
-                ys = Poly(ext, (pt.y, 1))
-                xs = _newton_root(self._cubic(ys), pt.x, n)
-            else:
-                xs = Poly(ext, (pt.x, 1))
-                ys = (None if self.curve.kind == P1
-                      else _newton_root(self._cubic(xs), pt.y, n))
-            self._n, self._xy = n, (xs, ys)
+            cs = self.curve.equation_in(ext)    # cs[j][i]: F's coefficient of x^i y^j
+            if self.tors:                       # F's coefficients in x
+                cs = [[c[i] if i < len(c) else 0 for c in cs]
+                      for i in range(max(map(len, cs)))]
+            known, root = (pt.y, pt.x) if self.tors else (pt.x, pt.y)
+            known, coeffs = Poly(ext, (known, 1)), []
+            for c in cs:
+                acc = Poly.zero(ext)
+                for ci in reversed(c):
+                    acc = acc * known + Poly.const(ext, ci)
+                coeffs.append(acc)
+            xy = known, _newton_root(coeffs, root, n)
+            self._n, self._xy = n, xy[::-1] if self.tors else xy
         return self._xy
-
-    def _cubic(self, known: Poly):
-        """y^2 + a1 xy + a3 y - x^3 - a2 x^2 - a4 x - a6 as a polynomial in
-        the coordinate the chart solves for (y, or x at a 2-torsion point),
-        its coefficients polynomials in t through the known one."""
-        ext = self.ext
-        a1, a2, a3, a4, a6 = self.curve.coeffs_in(ext)
-        n = ext.neg_i
-        cs = ([(n(a6), n(a4), n(a2), n(1)), (a3, a1), (1,)],
-              [(n(a6), a3, 1), (n(a4), a1), (n(a2),), (n(1),)])[self.tors]
-        out = []
-        for c in cs:
-            acc = Poly.zero(ext)
-            for ci in reversed(c):
-                acc = acc * known + Poly.const(ext, ci)
-            out.append(acc)
-        return out
 
 
 def _chart(curve: CurveModel, pt: ClosedPoint) -> _Chart:
@@ -223,21 +209,21 @@ def _x_fiber(curve: CurveModel, pt: ClosedPoint):
     """(min poly m of x(pt), [(closed point Q over a root of m, e_Q)]) with
     div(m(x)) = sum e_Q * Q - a*deg(m)*infinity, a the pole order of x.
 
-    On P^1 the fiber is pt itself.  On an elliptic curve the geometric
-    points above the conjugates of x(pt) are the conjugates of pt and of
-    -pt, all defined over the field of pt.  So the fiber is pt with e = 2
-    when pt is 2-torsion, pt alone when -pt is a conjugate of pt
-    (deg x(pt) = deg(pt) / 2), and pt and -pt otherwise.
+    Over x0 = x(pt), the other points have as y the roots of F(x0, Y) /
+    (Y - y(pt)), all in the field of pt: none on P^1 (F = y), and one, y1,
+    on an elliptic curve, where (x0, y1) = -pt.  So the fiber is pt with
+    e = 2 when y1 = y(pt), a double root; pt alone when (x0, y1) is a
+    conjugate of pt (deg x(pt) = deg(pt) / 2); pt and (x0, y1) otherwise.
     """
-    m = x_min_poly(curve, pt)
-    ext = pt.ext_spec
-    if curve.kind == P1:
-        fiber = [(pt, 1)]
-    elif curve.is_two_torsion(pt.x, pt.y, ext):
-        fiber = [(pt, 2)]
-    else:
-        neg = ClosedPoint(curve, pt.degree, *curve.ell_neg((pt.x, pt.y), ext))
-        fiber = [(pt, 1)] if neg == pt else [(pt, 1), (neg, 1)]
+    m, ext, fiber = x_min_poly(curve, pt), pt.ext_spec, [(pt, 1)]
+    quot = curve.equation_at(pt.x, ext) // Poly(ext, (ext.neg_i(pt.y), 1))
+    assert quot.degree <= 1, "x-fiber with more than two points over x(pt)"
+    if quot.degree == 1:
+        y1 = ext.neg_i(quot.coeffs[0])
+        if y1 == pt.y:
+            fiber = [(pt, 2)]
+        elif (other := ClosedPoint(curve, pt.degree, pt.x, y1)) != pt:
+            fiber.append((other, 1))
     total, want = sum(e * cp.degree for cp, e in fiber), _pole_order(curve, m.degree, 0)
     assert total == want, f"x-fiber degree {total} != {want}"
     return m, fiber
@@ -295,10 +281,8 @@ class RRSpace:
             acc = np.zeros(coef.shape[:3] + x.shape[-1:], dtype=np.int64)
             for i in reversed(range(coef.shape[-1])):
                 acc = fqarray.add(spec, fqarray.mul(spec, acc, x), coef[..., i, None])
-            num = acc[:, 0]
-            if self.curve.kind == ELLIPTIC:
-                y = fqarray.digits(spec, [points[c].y for c in plain])
-                num = fqarray.add(spec, num, fqarray.mul(spec, acc[:, 1], y[:, None]))
+            y = fqarray.digits(spec, [points[c].y for c in plain])
+            num = fqarray.add(spec, acc[:, 0], fqarray.mul(spec, acc[:, 1], y[:, None]))
             inv = fqarray.inv(spec, num[:, -1])
             out[:, plain] = fqarray.encode(spec, fqarray.mul(spec, num[:, :-1],
                                                              inv[:, None]))
@@ -342,10 +326,9 @@ class RRSpace:
 
 
 def rr_basis(curve: CurveModel, D: DivisorOnCurve) -> RRSpace:
-    """Echelonized basis of L(D) = {f : div(f) + D >= 0} over F_q, on P^1
-    and on an elliptic curve alike (see the module docstring): monomials of
-    bounded pole order, the poles of x and y at infinity read from
-    curve.pole_orders, cut down by vanishing conditions at affine points."""
+    """Echelonized basis of L(D) = {f : div(f) + D >= 0} over F_q by the one
+    algorithm of the module docstring: monomials of bounded pole order at
+    infinity, cut down by vanishing conditions at affine points."""
     if D.curve != curve:
         raise ValueError("divisor lives on a different curve")
     spec = curve.spec
@@ -394,8 +377,7 @@ def rr_basis(curve: CurveModel, D: DivisorOnCurve) -> RRSpace:
 def _pole_order(curve: CurveModel, i: int, j: int) -> int:
     """The order of the pole of x^i y^j at infinity (j = 0 on P^1, which
     has no y)."""
-    orders = curve.pole_orders
-    return orders[0] * i + (orders[1] * j if j else 0)
+    return sum(o * e for o, e in zip(curve.pole_orders, (i, j)))
 
 
 def _monomial_series(monomials, xs, ys, n):

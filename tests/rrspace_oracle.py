@@ -16,7 +16,10 @@ Its series code is its own, so that it checks rrspace's expansions rather
 than repeating them: LSeries, truncated Laurent series that track their
 valuation and known precision, and charts at every closed point, O (t =
 x/y) and infinity on P^1 (t = 1/x) included, cached here by value.  From
-rrspace it takes only RRSpace and PoleError.
+rrspace it takes only RRSpace and PoleError.  Its charts, and the tests,
+tell 2-torsion points by two_torsion, from the Weierstrass coefficients,
+not by curve.is_two_torsion, which reads the curve's equation as rrspace
+does.
 
 p1_basis is the closed form of L(D) on the projective line, forced * x^l / u
 with forced and u the negative and positive parts of D away from infinity,
@@ -162,6 +165,21 @@ def _newton_root(cs, u0: int, prec: int) -> LSeries:
 # ---------------------------------------------------------------------------
 # local charts: series for the coordinate functions in the uniformizer
 
+def two_torsion(curve: CurveModel, x: int, y: int, ext: FieldSpec) -> bool:
+    """Whether (x, y) over ext is a 2-torsion point, 2y + a1 x + a3 = 0, from
+    curve.a rather than from curve.equation; never on P^1."""
+    if curve.kind == P1:
+        return False
+    a1, a3 = _a1_a3(curve, ext)
+    return ext.add_i(ext.mul_i(2 % ext.p, y), ext.add_i(ext.mul_i(a1, x), a3)) == 0
+
+
+@functools.cache
+def _a1_a3(curve: CurveModel, ext: FieldSpec):
+    """a1 and a3 embedded in ext, cached here by the values of curve and ext."""
+    return ext.embed_i(curve.spec, curve.a[0]), ext.embed_i(curve.spec, curve.a[2])
+
+
 class _Chart:
     """Expansion of x and y at a closed point in its canonical uniformizer.
 
@@ -181,7 +199,7 @@ class _Chart:
         elif pt.is_infinity:
             self.kind = "ell_O"
         else:
-            tt = curve.is_two_torsion(pt.x, pt.y, self.ext)
+            tt = two_torsion(curve, pt.x, pt.y, self.ext)
             self.kind = "ell_2tors" if tt else "ell_affine"
 
     def xy(self, rel: int):

@@ -95,8 +95,8 @@ def test_verify_pass(tmp_path, capsys):
 
 
 def test_build_tensor_writes_the_product_code(tmp_path, capsys):
-    out = build(tmp_path, code={"a": 1, "beta": [{"degree": 3, "index": 0}],
-                                "tensor": True})
+    out = build(tmp_path, surface={"variant": "product"},
+                code={"a": 1, "beta": [{"degree": 3, "index": 0}], "tensor": True})
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["family"] == "product"
     assert (report["k_exact"], report["d_exact"]) == (6, 15)
@@ -616,6 +616,21 @@ def test_non_boolean_flags_and_boolean_coefficients_exit2(tmp_path, capsys, wher
     assert main(["build", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert where in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("surface", [
+    {"variant": "decomposable", "delta": [{"degree": 2, "index": 0}]},
+    {"variant": "elm", "center": {"degree": 2, "base_index": 0, "fiber_index": 0}},
+], ids=["decomposable", "elm"])
+def test_tensor_off_the_product_surface_exit2(tmp_path, capsys, surface):
+    # the product code ignores delta and the elm center, so tensor on any
+    # other surface would build a code the config does not describe
+    code = {"a": 1, "beta": [{"degree": 3, "index": 0}], "tensor": True}
+    cfg = write_config(tmp_path, surface=surface, code=code)
+    assert main(["build", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert 'config.code.tensor: needs config.surface.variant "product"' in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["build", "recover", "segre"])

@@ -331,6 +331,38 @@ def test_points_match_the_scalar_oracle(p, m, coeffs, kind):
         assert curve.closed_points(d) == oracle
 
 
+# (p, m, coefficients, whether a 2-torsion point lies over F_q or F_q^2);
+# coefficients None is P^1
+PREDICATE_CURVES = [(5, 1, None, False), (2, 2, (1, 0, 0, 0, 1), True),
+                    (5, 1, (0, 0, 0, 0, 1), True), (2, 4, (0, 0, 1, 0, 8), False),
+                    (7, 2, (0, 0, 0, 1, 0), True)]
+
+
+@pytest.mark.parametrize("p, m, coeffs, has_tors", PREDICATE_CURVES,
+                         ids=["P1-F5", "F4-a1", "F5", "F16-max", "F49-max"])
+def test_equation_predicates_match_the_weierstrass_form(p, m, coeffs, has_tors):
+    """is_on_curve and is_two_torsion read curve.equation.  Over F_q,
+    is_on_curve holds at exactly the points of the scalar enumerator, which
+    writes the Weierstrass form itself.  At those points and at sampled
+    points of degree 2, is_two_torsion holds exactly where the group law
+    has P = -P, and never on P^1."""
+    spec = field_create(p, m)
+    curve = curve_create(P1 if coeffs is None else ELLIPTIC, coeffs, spec)
+    points = curve_oracle.affine_points(curve, spec)
+    assert [(x, y) for x in range(spec.order) for y in range(spec.order)
+            if curve.is_on_curve(x, y, spec)] == points
+    ext = extend(spec, 2)
+    pool = curve.closed_points(2)
+    sample = random.Random(p ** m).sample(pool, min(20, len(pool)))
+    seen = set()
+    for f, P in [(spec, P) for P in points] + [(ext, (pt.x, pt.y)) for pt in sample]:
+        assert curve.is_on_curve(*P, f)
+        tors = curve.is_two_torsion(*P, f)
+        assert tors == (curve.kind == ELLIPTIC and curve.ell_neg(P, f) == P), P
+        seen.add(tors)
+    assert seen == ({False, True} if has_tors else {False})
+
+
 def _mobius(n):
     out, f = 1, 2
     while f * f <= n:
