@@ -4,7 +4,9 @@
 
     python3 scripts/bench_layers.py
 
-prints one JSON object of wall-clock seconds, each from a single run:
+prints one JSON object of wall-clock seconds.  Each is the median over up
+to REPEATS runs, each on fresh objects, stopping once the key's runs have
+used BUDGET_S (so a key that takes a second or more is run once):
   * table_build.F_{q}: the exp/log tables of F_256, F_2401 and F_{2^16};
   * rr_basis.F_{q}.a{a}b{b}: the a + 1 Riemann-Roch bases
     L(beta - i delta) of each of those codes, on a fresh curve whose local
@@ -62,6 +64,7 @@ index 0.
 import json
 import os
 import random
+import statistics
 import sys
 import tempfile
 import time
@@ -130,6 +133,18 @@ SEGRE = [(2, 4, (0, 0, 1, 0, 8), 2, 2),
 # of `asymptotics --samples 400 --b-range 0.3:0.98:120`
 ASYMPTOTICS = [(49, 6.0, 400, (0.3, 0.98, 120))]
 
+REPEATS = 5         # timed runs per key at most,
+BUDGET_S = 1.0      # stopping once a key's runs have taken this long
+
+
+def _median(run, *done):
+    """The median seconds of run() over up to REPEATS runs, stopping once
+    they have taken BUDGET_S; done holds the seconds of runs already made."""
+    times = list(done)
+    while len(times) < REPEATS and sum(times) < BUDGET_S:
+        times.append(run())
+    return statistics.median(times)
+
 
 def _seconds(fn, *args):
     t0 = time.perf_counter()
@@ -141,7 +156,7 @@ def table_build_s(p, m):
     """Seconds to build the exp/log tables of F_{p^m} (a fresh FieldSpec;
     the modulus search is not timed)."""
     modulus = field_create(p, m).modulus
-    return _seconds(FieldSpec, p, m, modulus, p ** m)
+    return _seconds(FieldSpec, p, m, modulus)
 
 
 def closed_points_s(p, m, curves, d):
@@ -158,7 +173,7 @@ def embedding_s(p, m, d):
     the spec cache has not seen (the modulus search is not timed)."""
     small = field_create(p, m)
     modulus = extend(small, d).modulus
-    big = FieldSpec(p, m * d, modulus, p ** m)
+    big = FieldSpec(p, m * d, modulus)
     return _seconds(big._embedding_powers, small)
 
 
@@ -311,37 +326,50 @@ def distance_s(code):
 
 
 def main():
-    out = {f"table_build.F_{p ** m}": table_build_s(p, m) for p, m in TABLE_FIELDS}
+    out = {f"table_build.F_{p ** m}": _median(lambda: table_build_s(p, m))
+           for p, m in TABLE_FIELDS}
     for p, m, curves, d in CLOSED_POINTS:
-        out[f"closed_points.F_{p ** (m * d)}.d{d}"] = closed_points_s(p, m, curves, d)
+        out[f"closed_points.F_{p ** (m * d)}.d{d}"] = _median(
+            lambda: closed_points_s(p, m, curves, d))
     for p, m, d in EMBEDDINGS:
-        out[f"embedding.F_{p ** m}.d{d}"] = embedding_s(p, m, d)
+        out[f"embedding.F_{p ** m}.d{d}"] = _median(lambda: embedding_s(p, m, d))
     for p, m, coeffs, e, dmax in SEGRE:
-        out[f"segre.F_{p ** m}.e{e}.dmax{dmax}"] = segre_s(p, m, coeffs, e, dmax)
+        out[f"segre.F_{p ** m}.e{e}.dmax{dmax}"] = _median(
+            lambda: segre_s(p, m, coeffs, e, dmax))
     for q, A, samples, b_range in ASYMPTOTICS:
-        out[f"asymptotics.q{q}.A{A:g}"] = asymptotics_s(q, A, samples, b_range)
+        out[f"asymptotics.q{q}.A{A:g}"] = _median(
+            lambda: asymptotics_s(q, A, samples, b_range))
     for p, m, coeffs, a, b in CODES["rref"]:
-        out[f"rr_basis.F_{p ** m}.a{a}b{b}"] = rr_basis_s(p, m, coeffs, a, b)
-    out.update(degree_zero_timing(*config) for config in DEGREE_ZERO)
+        out[f"rr_basis.F_{p ** m}.a{a}b{b}"] = _median(
+            lambda: rr_basis_s(p, m, coeffs, a, b))
+    for config in DEGREE_ZERO:
+        key, seconds = degree_zero_timing(*config)
+        out[key] = _median(lambda: degree_zero_timing(*config)[1], seconds)
     for layer, timer in (("rref", rref_s), ("section_rows", section_rows_s),
                          ("recovery_sets", recovery_sets_s),
                          ("fiber_ranks", fiber_ranks_s)):
         for config in CODES[layer]:
             code = decomposable_code(*config)
-            out[f"{layer}.F_{code.spec.order}.{code.k}x{code.n}"] = timer(code)
-    out.update(exact_params_refused_timing(decomposable_code(*config))
-               for config in CODES["exact_params_refused"])
+            out[f"{layer}.F_{code.spec.order}.{code.k}x{code.n}"] = _median(
+                lambda: timer(code))
+    for config in CODES["exact_params_refused"]:
+        code = decomposable_code(*config)
+        key, seconds = exact_params_refused_timing(code)
+        out[key] = _median(lambda: exact_params_refused_timing(code)[1], seconds)
     for config in CODES["build_elm"]:
         seconds, code = build_elm_s(*config)
-        out[f"build_elm.F_{code.spec.order}.{code.k}x{code.n}"] = seconds
+        out[f"build_elm.F_{code.spec.order}.{code.k}x{code.n}"] = _median(
+            lambda: build_elm_s(*config)[0], seconds)
     for config in CODES["recover_write"]:
         code = decomposable_code(*config)
-        out[f"recover_write.F_{code.spec.order}.{code.n}"] = recover_write_s(code)
+        out[f"recover_write.F_{code.spec.order}.{code.n}"] = _median(
+            lambda: recover_write_s(code))
     for code in ([product_code(*c) for c in DISTANCE_PRODUCT]
                  + [codes.build_prs(field_create(p, m), a) for p, m, a in DISTANCE_PRS]
                  + [random_code(*c) for c in DISTANCE_RANDOM]
                  + [p1_product_code(*c) for c in DISTANCE_P1]):
-        out[f"distance.F_{code.spec.order}.{code.k}x{code.n}"] = distance_s(code)
+        out[f"distance.F_{code.spec.order}.{code.k}x{code.n}"] = _median(
+            lambda: distance_s(code))
     print(json.dumps({k: round(v, 4) for k, v in out.items()}, indent=1))
 
 

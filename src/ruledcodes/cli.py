@@ -179,7 +179,7 @@ def _build_surface(cfg: dict, curve):
         ext = extend(curve.spec, d)
         if "fiber" in center:
             fc = _need(center, "fiber", int, "config.surface.center")
-            if not (0 <= fc < ext.order and ext.frob_i(fc) != fc):
+            if not (0 <= fc < ext.order and ext.pow_i(fc, curve.spec.order) != fc):
                 raise ConfigError(
                     f"config.surface.center.fiber: {fc} must encode an element "
                     f"of F_{{{curve.spec.order}^{d}}} (0..{ext.order - 1}) "
@@ -505,6 +505,19 @@ def cmd_recover(args) -> int:
     return 0
 
 
+GRID_MAX = 10 ** 6      # largest --samples, --b-range count; the figures use 400
+
+
+def _parse_samples(text: str) -> int:
+    try:
+        samples = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if samples > GRID_MAX:
+        raise argparse.ArgumentTypeError(f"{samples} must be at most {GRID_MAX}")
+    return samples
+
+
 def _parse_b_range(text: str):
     try:
         lo, hi, count = text.split(":")
@@ -516,6 +529,8 @@ def _parse_b_range(text: str):
             f"lo {lo:g} and hi {hi:g} must lie in (0, 1)")
     if count < 1:
         raise argparse.ArgumentTypeError(f"count {count} must be at least 1")
+    if count > GRID_MAX:
+        raise argparse.ArgumentTypeError(f"count {count} must be at most {GRID_MAX}")
     return lo, hi, count
 
 
@@ -546,7 +561,7 @@ def make_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("asymptotics", help="emit (delta, R) frontier CSVs")
     a.add_argument("--q", type=int, required=True)
     a.add_argument("--A", type=float, required=True)
-    a.add_argument("--samples", type=int, default=200)
+    a.add_argument("--samples", type=_parse_samples, default=200)
     a.add_argument("--b-range", type=_parse_b_range, default=(0.3, 0.95, 66))
     a.add_argument("--out-dir", default=".")
 

@@ -11,9 +11,10 @@ Closed points are enumerated in fqarray steps over chunks of the field:
 the y-coordinates over every x come from one join of per-x keys against a
 table of preimages over the field, and orbits from the F_p-linear map
 x -> x^q as one matrix applied to the digits of all points at once.
-Enumeration builds its ClosedPoints straight from these arrays, since they
-already hold on-curve orbit minima; the ClosedPoint constructor validates
-a point that comes from anywhere else.
+Enumeration builds its ClosedPoints straight from these arrays, which hold
+on-curve orbit minima, as rrspace's x-fibers do from a root of F (both by
+ClosedPoint._known); the constructor validates a point from anywhere else.
+The curve's field may be any FieldSpec, one built by extend included.
 
 A CurveModel owns its caches: embedded coefficients, point counts, closed
 points by degree, and the local charts that rrspace expands functions in.
@@ -48,9 +49,6 @@ class CurveModel:
     def __init__(self, kind: str, spec: FieldSpec, coefficients=None):
         if kind not in (P1, ELLIPTIC):
             raise ValueError(f"unknown curve kind {kind!r}")
-        if spec.base_card != spec.order:
-            raise ValueError("curve base field must be a ground field "
-                             "(build it with field_create, not extend)")
         self.kind = kind
         self.spec = spec
         self._coeff_cache = {}
@@ -101,15 +99,20 @@ class CurveModel:
 
     def equation_in(self, ext: FieldSpec):
         """equation, its coefficients embedded in ext."""
-        key = (ext.deg, ext.base_card)
-        if key not in self._coeff_cache:
-            self._coeff_cache[key] = tuple(tuple(ext.embed_i(self.spec, c) for c in cs)
-                                           for cs in self.equation)
-        return self._coeff_cache[key]
+        if ext.deg not in self._coeff_cache:
+            self._coeff_cache[ext.deg] = tuple(tuple(ext.embed_i(self.spec, c) for c in cs)
+                                               for cs in self.equation)
+        return self._coeff_cache[ext.deg]
 
     def equation_at(self, x: int, ext: FieldSpec) -> Poly:
-        """F(x, Y) over ext, a polynomial in Y."""
-        return Poly(ext, [Poly(ext, cs).eval_i(x) for cs in self.equation_in(ext)])
+        """F(x, Y) over ext, a polynomial in Y: each c_j(x) by Horner."""
+        add, mul, out = ext.add_i, ext.mul_i, []
+        for cs in self.equation_in(ext):
+            acc = 0
+            for c in reversed(cs):
+                acc = add(mul(acc, x), c)
+            out.append(acc)
+        return Poly(ext, out)
 
     def is_on_curve(self, x: int, y: int, ext: FieldSpec) -> bool:
         """Whether F(x, y) = 0 over ext; a point of P^1 is (x, 0)."""
@@ -190,7 +193,7 @@ class CurveModel:
     def rational_points(self):
         """Degree-1 closed points, affine sorted by encoding, infinity last."""
         if self._rational is None:
-            pts = _enumerated(self, 1, self.affine_points(self.spec))
+            pts = [ClosedPoint._known(self, 1, x, y) for x, y in self.affine_points(self.spec)]
             pts.append(ClosedPoint(self, 1, None, None))
             q, g, n = self.spec.order, self.genus, len(pts)
             assert (n - q - 1) ** 2 <= 4 * g * g * q, "Hasse-Weil bound violated"
@@ -206,8 +209,9 @@ class CurveModel:
         else:
             ext = extend(self.spec, d)
             xs, ys = np.array(self.affine_points(ext), dtype=np.int64).reshape(-1, 2).T
-            keep = _orbit_minima(ext, d, xs, ys)
-            out = _enumerated(self, d, zip(xs[keep].tolist(), ys[keep].tolist()))
+            keep = _orbit_minima(ext, self.spec.order, d, xs, ys)
+            out = [ClosedPoint._known(self, d, x, y)
+                   for x, y in zip(xs[keep].tolist(), ys[keep].tolist())]
         self._closed_cache[d] = out
         return list(out)
 
@@ -303,15 +307,17 @@ def curve_create(kind: str, coefficients, spec: FieldSpec) -> CurveModel:
     return CurveModel(kind, spec, coefficients)
 
 
-def _orbit_minima(ext: FieldSpec, d: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def _orbit_minima(ext: FieldSpec, q: int, d: int, xs: np.ndarray,
+                  ys: np.ndarray) -> np.ndarray:
     """Whether each point (xs[i], ys[i]) of ext = F_{q^d} has a key
-    x * order + y below that of each of its images under Frobenius
-    x -> x^q, x^(q^2), .., x^(q^(d-1)): that is, whether its orbit has size
-    d and the point is the orbit's least member.  Frobenius is F_p-linear:
-    its matrix, with the digits of (z^i)^q as column i, is applied to the
-    digits of the points still below all their images so far."""
+    x * order + y below that of each of its images under the Frobenius
+    x -> x^q of the curve's field F_q, and its powers x -> x^(q^2), ..,
+    x^(q^(d-1)): that is, whether its orbit has size d and the point is the
+    orbit's least member.  Frobenius is F_p-linear: its matrix, with the
+    digits of (z^i)^q as column i, is applied to the digits of the points
+    still below all their images so far."""
     order, out = ext.order, np.zeros(len(xs), dtype=bool)
-    frob = fqarray.digits(ext, [ext.frob_i(ext.p ** i) for i in range(ext.deg)])
+    frob = fqarray.digits(ext, [ext.pow_i(ext.p ** i, q) for i in range(ext.deg)])
     for lo, hi in fqarray.chunks(len(xs)):
         at = np.arange(lo, hi)
         start = xs[at] * order + ys[at]
@@ -325,23 +331,12 @@ def _orbit_minima(ext: FieldSpec, d: int, xs: np.ndarray, ys: np.ndarray) -> np.
     return out
 
 
-def _enumerated(curve: CurveModel, degree: int, pairs):
-    """ClosedPoints for (x, y) pairs that enumeration has already shown to
-    lie on the curve and to be the least members of orbits of size degree,
-    so ClosedPoint's checks are not run again."""
-    out = []
-    for x, y in pairs:
-        pt = ClosedPoint.__new__(ClosedPoint)
-        pt.curve, pt.degree, pt.x, pt.y = curve, degree, x, y
-        out.append(pt)
-    return out
-
-
 class ClosedPoint:
     """A Galois orbit of geometric points, via its canonical representative.
 
     x is None for the point at infinity (degree 1).  Coordinates live in
-    extend(curve.spec, degree).  The stored representative is the orbit
+    extend(curve.spec, degree), and the orbit is under x -> x^q, q the
+    order of the curve's field.  The stored representative is the orbit
     element with the least (x, y) encoding pair.
     """
 
@@ -357,12 +352,21 @@ class ClosedPoint:
                 raise ValueError("the point at infinity has degree 1")
             return
         ext = extend(curve.spec, degree)
-        orbit = ext.orbit((x, y))
+        orbit = ext.orbit((x, y), curve.spec.order)
         if len(orbit) != degree:
             raise ValueError(f"orbit size {len(orbit)} != declared degree {degree}")
         if not curve.is_on_curve(x, y, ext):
             raise ValueError("coordinates do not satisfy the curve equation")
         self.x, self.y = min(orbit)
+
+    @classmethod
+    def _known(cls, curve: CurveModel, degree: int, x: int, y: int) -> "ClosedPoint":
+        """The closed point with least member (x, y), a point of the curve
+        whose orbit has size degree, as its caller has shown: the
+        constructor's checks are not run again."""
+        pt = cls.__new__(cls)
+        pt.curve, pt.degree, pt.x, pt.y = curve, degree, x, y
+        return pt
 
     @property
     def is_infinity(self) -> bool:
@@ -375,7 +379,7 @@ class ClosedPoint:
     def orbit(self):
         if self.is_infinity:
             return [(None, None)]
-        return self.ext_spec.orbit((self.x, self.y))
+        return self.ext_spec.orbit((self.x, self.y), self.curve.spec.order)
 
     def sort_key(self):
         return (self.degree, 1 if self.is_infinity else 0,

@@ -10,13 +10,13 @@ The modulus is found by Rabin's test on Poly over F_p.  Up to _TABLE_MAX
 elements, products go through exp/log tables; above it, through fqarray's
 multiplication matrix of one factor applied to the digits of the other.
 
-An extension F_{q^d} of a field F_q is just another absolute field of degree
-deg(F_q) * d over F_p, together with a cached embedding computed once by
-finding the least root of the small modulus inside the big field, one
-fqarray Horner step per chunk of encodings.  The Frobenius of a field is
-x -> x^q where q is the cardinality of the field it was extended from (for a
-field built directly by field_create, its own cardinality, so Frobenius is
-the identity there).
+A field is its modulus: there is one FieldSpec per order p^m, whichever
+tower reaches it.  The extension F_{q^d} of a field F_q is the absolute
+field of degree deg(F_q) * d over F_p, together with a cached embedding
+computed once by finding the least root of the small modulus inside the big
+field, one fqarray Horner step per chunk of encodings.  A Frobenius orbit is
+relative to a subfield F_q, and its caller names q: FieldSpec.orbit(t, q)
+follows x -> x^q.
 """
 
 from __future__ import annotations
@@ -120,24 +120,22 @@ def _least_irreducible(p: int, n: int) -> list[int]:
 class FieldSpec:
     """An absolute finite field F_p[z]/(modulus) of a given degree over F_p.
 
-    base_card is the cardinality q of the tower base: frobenius acts as
-    x -> x^q.  Do not call the constructor directly; use field_create and
-    extend, which cache specs so equal fields are identical objects.
+    Do not call the constructor directly; use field_create and extend, which
+    cache one spec per order, so equal fields are identical objects and
+    equality is identity.
     """
 
-    __slots__ = ("p", "deg", "modulus", "base_card", "order", "_exp", "_log",
+    __slots__ = ("p", "deg", "modulus", "order", "_exp", "_log",
                  "_embeddings", "_coords", "_fq_maps")
 
-    def __init__(self, p: int, deg: int, modulus: tuple[int, ...],
-                 base_card: int):
+    def __init__(self, p: int, deg: int, modulus: tuple[int, ...]):
         self.p = p
         self.deg = deg
         self.modulus = modulus          # full coefficient tuple, monic
-        self.base_card = base_card
         self.order = p ** deg
         self._exp = None
         self._log = None
-        self._embeddings = {}
+        self._embeddings = {}           # by the order of the embedded field
         self._coords = {}               # inverse basis matrices, see rrspace
         self._fq_maps = None            # fqarray's digit powers and reduction maps
         if self.order <= _TABLE_MAX:
@@ -230,24 +228,26 @@ class FieldSpec:
             e >>= 1
         return int(fqarray.encode(self, result))
 
-    def frob_i(self, a: int) -> int:
-        return self.pow_i(a, self.base_card)
+    def orbit(self, t: tuple, q: int) -> list[tuple]:
+        """Orbit of the coordinate tuple t under the Frobenius x -> x^q of
+        the subfield F_q, starting at t.
 
-    def orbit(self, t: tuple) -> list[tuple]:
-        """Frobenius orbit of the coordinate tuple t, starting at t.
-
-        Raises ValueError if an encoding in t is outside 0..order-1: Frobenius
-        maps it into the field, so the orbit would never return to t.
+        Raises ValueError if an encoding in t is outside 0..order-1, where
+        the orbit would never return to t, or if q is not the order of a
+        subfield, where x -> x^q is no Frobenius over F_q.
         """
         if min(t) < 0 or max(t) >= self.order:
             raise ValueError(f"{t} holds an encoding outside 0..{self.order - 1} "
                              f"of {self!r}")
-        frob = self.frob_i
+        # q = p^k with k | deg iff q divides order and q - 1 divides order - 1
+        if q < 2 or self.order % q or (self.order - 1) % (q - 1):
+            raise ValueError(f"{q} is not the order of a subfield of {self!r}")
+        pow_i, qs = self.pow_i, (q,) * len(t)
         out = [t]
-        nxt = tuple(map(frob, t))
+        nxt = tuple(map(pow_i, t, qs))
         while nxt != t:
             out.append(nxt)
-            nxt = tuple(map(frob, nxt))
+            nxt = tuple(map(pow_i, nxt, qs))
         return out
 
     # -- tables
@@ -282,25 +282,19 @@ class FieldSpec:
     # -- embeddings
 
     def _embedding_powers(self, small: "FieldSpec") -> list[int]:
-        key = (small.p, small.deg, small.modulus)
-        if key in self._embeddings:
-            return self._embeddings[key]
-        if small.p != self.p or self.deg % small.deg != 0:
-            raise ValueError(f"{small} does not embed into {self}")
-        if small.deg == self.deg:
-            if small.modulus != self.modulus:
-                raise ValueError("distinct specs of the same degree")
-            pows = [self.encode((0,) * i + (1,) + (0,) * (self.deg - i - 1))
-                    for i in range(small.deg)]
-            self._embeddings[key] = pows
-            return pows
-        pows = [1]
-        if small.deg > 1:
-            root = self._least_root(small.modulus)
-            for _ in range(small.deg - 1):
-                pows.append(self.mul_i(pows[-1], root))
-        self._embeddings[key] = pows
-        return pows
+        """The images here of small's basis 1, z, .., z^(deg(small) - 1):
+        the powers of the least root of small's modulus, or of z itself when
+        small is this field (the one spec of its order)."""
+        if small.order not in self._embeddings:
+            if small.p != self.p or self.deg % small.deg != 0:
+                raise ValueError(f"{small} does not embed into {self}")
+            pows = [1]
+            if small.deg > 1:
+                root = self.p if small.deg == self.deg else self._least_root(small.modulus)
+                for _ in range(small.deg - 1):
+                    pows.append(self.mul_i(pows[-1], root))
+            self._embeddings[small.order] = pows
+        return self._embeddings[small.order]
 
     def _least_root(self, mod: tuple[int, ...]) -> int:
         """The least root in this field of a monic polynomial over F_p, by
@@ -327,16 +321,6 @@ class FieldSpec:
             if d:
                 out = self.add_i(out, self.mul_i(d, r))
         return out
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, FieldSpec)
-                                 and self.p == other.p
-                                 and self.deg == other.deg
-                                 and self.modulus == other.modulus
-                                 and self.base_card == other.base_card)
-
-    def __hash__(self):
-        return hash((self.p, self.deg, self.modulus, self.base_card))
 
 
 def prime_power(q: int) -> tuple[int, int] | None:
@@ -374,31 +358,20 @@ def field_create(p: int, m: int) -> FieldSpec:
         raise ValueError(f"field order {p}^{m} exceeds desk-scale cap {DESK_CAP}")
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    key = ("create", p, m)
+    key = (p, m)
     if key not in _SPEC_CACHE:
-        modulus = tuple(_least_irreducible(p, m))
-        _SPEC_CACHE[key] = FieldSpec(p, m, modulus, p ** m)
+        _SPEC_CACHE[key] = FieldSpec(p, m, tuple(_least_irreducible(p, m)))
     return _SPEC_CACHE[key]
 
 
 def extend(spec: FieldSpec, d: int) -> FieldSpec:
-    """The extension F_{q^d} of spec = F_q, with Frobenius x -> x^q.
-
-    The declared Frobenius exponent is the cardinality of the field being
-    extended, so orbits partition F_{q^d} into closed points over F_q.
-    The embedding of spec is computed eagerly and cached; use embed_i.
+    """The extension F_{q^d} of spec = F_q: the field field_create(p,
+    deg(spec) * d), whichever tower reaches it, with the embedding of spec
+    computed and cached (use embed_i).  Its orbits over F_q are
+    orbit(t, spec.order).  field_create refuses d < 1 and the cap.
     """
-    if d < 1:
-        raise ValueError("extension degree must be >= 1")
-    if d == 1:
-        return spec
+    # the cache first: ClosedPoint.ext_spec calls this on every access
     n = spec.deg * d
-    if not within_desk_cap(spec.p, n):
-        raise ValueError(f"field order {spec.p}^{n} exceeds desk-scale cap {DESK_CAP}")
-    key = ("extend", spec.p, n, spec.order)
-    if key not in _SPEC_CACHE:
-        modulus = tuple(_least_irreducible(spec.p, n))
-        _SPEC_CACHE[key] = FieldSpec(spec.p, n, modulus, spec.order)
-    big = _SPEC_CACHE[key]
+    big = _SPEC_CACHE.get((spec.p, n)) or field_create(spec.p, n)
     big._embedding_powers(spec)  # force and cache the embedding now
     return big

@@ -170,12 +170,11 @@ def subfield_coords(small: FieldSpec, big: FieldSpec, values) -> list[list[int]]
     big the map is the identity and the rows come back as they are."""
     if not len(values):
         return []
-    key = (small.p, small.deg, small.modulus)
-    if key == (big.p, big.deg, big.modulus):
+    if small.order == big.order:
         return [list(row) for row in values]
-    if key not in big._coords:
-        big._coords[key] = _subfield_inverse(small, big)
-    sol = fqarray.linear(big, big._coords[key], fqarray.digits(big, values))
+    if small.order not in big._coords:
+        big._coords[small.order] = _subfield_inverse(small, big)
+    sol = fqarray.linear(big, big._coords[small.order], fqarray.digits(big, values))
     d, k, ncols = big.deg // small.deg, *sol.shape[1:]
     sol = sol.reshape(d, small.deg, k, ncols).swapaxes(0, 1)
     return fqarray.encode(small, sol).reshape(d * k, ncols).tolist()
@@ -201,7 +200,7 @@ def x_min_poly(curve: CurveModel, pt: ClosedPoint) -> Poly:
     """Minimal polynomial over F_q of the x-coordinate of pt."""
     assert not pt.is_infinity
     ext = pt.ext_spec
-    prod = Poly.from_roots(ext, [x for (x,) in ext.orbit((pt.x,))])
+    prod = Poly.from_roots(ext, [x for (x,) in ext.orbit((pt.x,), curve.spec.order)])
     return _coerce_down(curve.spec, ext, prod)
 
 
@@ -214,16 +213,22 @@ def _x_fiber(curve: CurveModel, pt: ClosedPoint):
     on an elliptic curve, where (x0, y1) = -pt.  So the fiber is pt with
     e = 2 when y1 = y(pt), a double root; pt alone when (x0, y1) is a
     conjugate of pt (deg x(pt) = deg(pt) / 2); pt and (x0, y1) otherwise.
+    The quotient is one synthetic-division pass, F being monic in Y.  As
+    y(pt) + y1 = -c_1(x0), (x0, y1) generates the field of pt, so its orbit
+    has size deg(pt), and its least member is a closed point.
     """
     m, ext, fiber = x_min_poly(curve, pt), pt.ext_spec, [(pt, 1)]
-    quot = curve.equation_at(pt.x, ext) // Poly(ext, (ext.neg_i(pt.y), 1))
-    assert quot.degree <= 1, "x-fiber with more than two points over x(pt)"
-    if quot.degree == 1:
-        y1 = ext.neg_i(quot.coeffs[0])
+    fs = curve.equation_at(pt.x, ext).coeffs
+    quot = [1]                          # descending: q_(j-1) = f_j + y(pt) q_j
+    for f in reversed(fs[1:-1]):
+        quot.append(ext.add_i(f, ext.mul_i(pt.y, quot[-1])))
+    assert len(quot) <= 2, "x-fiber with more than two points over x(pt)"
+    if len(quot) == 2:
+        y1 = ext.neg_i(quot[1])
         if y1 == pt.y:
             fiber = [(pt, 2)]
-        elif (other := ClosedPoint(curve, pt.degree, pt.x, y1)) != pt:
-            fiber.append((other, 1))
+        elif (least := min(ext.orbit((pt.x, y1), curve.spec.order))) != (pt.x, pt.y):
+            fiber.append((ClosedPoint._known(curve, pt.degree, *least), 1))
     total, want = sum(e * cp.degree for cp, e in fiber), _pole_order(curve, m.degree, 0)
     assert total == want, f"x-fiber degree {total} != {want}"
     return m, fiber

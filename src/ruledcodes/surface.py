@@ -86,7 +86,7 @@ class RuledSurfaceModel:
                 raise ValueError("the center must have degree >= 2")
             ext = extend(curve.spec, d)
             # every orbit size divides d: only an element of F_q is refused
-            if len(ext.orbit((fiber_coord,))) < 2:
+            if len(ext.orbit((fiber_coord,), curve.spec.order)) < 2:
                 raise ValueError("fiber coordinate of the center is rational; "
                                  "its image on P^1 must have degree >= 2")
         else:

@@ -148,7 +148,7 @@ def closed_points(curve, d):
     for x, y in affine_points(curve, ext):
         if (x, y) in seen:
             continue
-        orbit = ext.orbit((x, y))
+        orbit = ext.orbit((x, y), curve.spec.order)
         seen.update(orbit)
         if len(orbit) == d:
             out.append(ClosedPoint(curve, d, x, y))

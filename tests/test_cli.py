@@ -269,6 +269,7 @@ def test_asymptotics_out_of_domain_exit2(tmp_path, capsys, q, A, flag):
     ("0.3:0.98:0", "count 0 must be at least 1"),
     ("0.9:1.2:7", "lo 0.9 and hi 1.2 must lie in (0, 1)"),
     ("nan:0.5:5", "lo nan and hi 0.5 must lie in (0, 1)"),
+    ("0.3:0.9:10000000000000", "count 10000000000000 must be at most 1000000"),
 ])
 def test_asymptotics_b_range_refused_where_parsed(tmp_path, capsys, b_range,
                                                   message):
@@ -279,6 +280,30 @@ def test_asymptotics_b_range_refused_where_parsed(tmp_path, capsys, b_range,
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert f"argument --b-range: {message}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples, message", [
+    ("10000000000000", "10000000000000 must be at most 1000000"),
+    ("1000001", "1000001 must be at most 1000000"),
+    ("ten", "invalid int value: 'ten'"),
+])
+def test_asymptotics_samples_refused_where_parsed(tmp_path, capsys, monkeypatch,
+                                                  samples, message):
+    # refused by the parser, before the command allocates any grid
+    from ruledcodes import cli
+
+    def allocates(args):
+        raise AssertionError("cmd_asymptotics ran")
+
+    monkeypatch.setattr(cli, "cmd_asymptotics", allocates)
+    out = tmp_path / "asym"
+    with pytest.raises(SystemExit) as exc:
+        main(["asymptotics", "--q", "16", "--A", "3", "--samples", samples,
+              "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument --samples: {message}" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -572,7 +597,8 @@ def test_fiber_coords_are_the_orbit_scan(pm, d):
     spec = field_create(*pm)
     ext = extend(spec, d)
     scan = [e for e in range(ext.order)
-            if len(ext.orbit((e,))) >= 2 and d % len(ext.orbit((e,))) == 0]
+            if len(ext.orbit((e,), spec.order)) >= 2
+            and d % len(ext.orbit((e,), spec.order)) == 0]
     assert _valid_fiber_coords(ext, spec) == scan
 
 

@@ -41,16 +41,20 @@ def test_singular_curve_rejected():
         curve_create(ELLIPTIC, (0, 0, 0, 0, 0), F5)  # y^2 = x^3
 
 
-def test_curve_requires_ground_field():
-    # a spec built by extend() declares Frobenius over its subfield, which
-    # would make closed-point orbits relative to the wrong base
-    f25_as_extension = extend(F5, 2)
-    with pytest.raises(ValueError):
-        curve_create(P1, None, f25_as_extension)
-    # the same field built as a ground field is fine
-    f25 = field_create(5, 2)
-    p = curve_create(P1, None, f25)
-    assert len(p.rational_points()) == 26
+def test_curve_over_a_tower_is_the_curve_over_its_field():
+    # F_16 reached as F_4 extended by 2 is the field field_create builds, so
+    # a curve over it is that curve, with the same closed points
+    tower = extend(field_create(2, 2), 2)
+    assert tower is field_create(2, 4)
+    for kind, coeffs in ((P1, None), (ELLIPTIC, (0, 0, 1, 0, 8))):
+        over_tower = curve_create(kind, coeffs, tower)
+        direct = curve_create(kind, coeffs, field_create(2, 4))
+        assert over_tower == direct
+        for d in (1, 2):
+            assert over_tower.closed_points(d) == direct.closed_points(d)
+        # orbits of x -> x^16, not of the x -> x^4 of the field below
+        assert {len(pt.orbit()) for pt in over_tower.closed_points(2)} == {2}
+    assert len(over_tower.rational_points()) == 25      # the F_16 max curve
 
 
 def test_rational_points_x3_plus_1(e5):
@@ -402,7 +406,7 @@ def test_closed_point_constructor_checks_its_input(e5):
     assert [ClosedPoint(e5, 2, pt.x, pt.y) for pt in pts] == pts
     ext = extend(F5, 2)
     off = next(y for y in range(ext.order) if not e5.is_on_curve(pts[0].x, y, ext)
-               and len(ext.orbit((pts[0].x, y))) == 2)
+               and len(ext.orbit((pts[0].x, y), 5)) == 2)
     with pytest.raises(ValueError, match="curve equation"):
         ClosedPoint(e5, 2, pts[0].x, off)
     rational = e5.rational_points()[0]             # a degree-1 orbit in F_25

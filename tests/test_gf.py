@@ -110,7 +110,7 @@ def test_field_axioms(pm, a, b, c):
 def test_frobenius_fixed_field_size():
     f5 = field_create(5, 1)
     f25 = extend(f5, 2)
-    fixed = [e for e in range(25) if f25.frob_i(e) == e]
+    fixed = [e for e in range(25) if f25.pow_i(e, 5) == e]
     assert len(fixed) == 5
     # the fixed field is exactly the embedded image
     image = sorted(f25.embed_i(f5, e) for e in range(5))
@@ -123,7 +123,7 @@ def test_frobenius_iterated_identity():
     for e in (1, 7, 44, 124):
         x = e
         for _ in range(3):
-            x = f125.frob_i(x)
+            x = f125.pow_i(x, 5)
         assert x == e
 
 
@@ -157,8 +157,8 @@ def test_embed_commutes_with_frobenius():
     f5 = field_create(5, 1)
     f25 = extend(f5, 2)
     for e in range(5):
-        lhs = f25.frob_i(f25.embed_i(f5, e))
-        rhs = f25.embed_i(f5, f5.frob_i(e))
+        lhs = f25.pow_i(f25.embed_i(f5, e), 5)
+        rhs = f25.embed_i(f5, f5.pow_i(e, 5))
         assert lhs == rhs
 
 
@@ -166,17 +166,17 @@ def test_frobenius_orbits():
     f5 = field_create(5, 1)
     f25 = extend(f5, 2)
     emb = f25.embed_i(f5, 3)
-    assert len(f25.orbit((emb,))) == 1
+    assert len(f25.orbit((emb,), 5)) == 1
     nonsub = next(e for e in range(25)
                   if e not in {f25.embed_i(f5, v) for v in range(5)})
-    assert len(f25.orbit((nonsub,))) == 2
+    assert len(f25.orbit((nonsub,), 5)) == 2
     f4 = field_create(2, 2)
     f64 = extend(f4, 3)
-    gen = next(e for e in range(2, 64) if len(f64.orbit((e,))) == 3)
-    assert f64.orbit((gen,))[0] == (gen,)
+    gen = next(e for e in range(2, 64) if len(f64.orbit((e,), 4)) == 3)
+    assert f64.orbit((gen,), 4)[0] == (gen,)
     # the tuple orbit is the joint orbit of all coordinates
-    assert f64.orbit((1,)) == [(1,)]
-    assert f64.orbit((gen, 1)) == [(v, 1) for (v,) in f64.orbit((gen,))]
+    assert f64.orbit((1,), 4) == [(1,)]
+    assert f64.orbit((gen, 1), 4) == [(v, 1) for (v,) in f64.orbit((gen,), 4)]
 
 
 def test_orbit_refuses_encodings_outside_the_field():
@@ -191,14 +191,53 @@ def test_orbit_refuses_encodings_outside_the_field():
     try:
         f5 = field_create(5, 1)
         # tables (F_5, F_25, F_16) and the table-free F_{5^7}
-        for spec in (f5, extend(f5, 2), field_create(2, 4), extend(f5, 7)):
+        for spec, q in ((f5, 5), (extend(f5, 2), 5), (field_create(2, 4), 16),
+                        (extend(f5, 7), 5)):
             for t in ((-1,), (spec.order,), (1, -1), (spec.order + 3, 0)):
                 with pytest.raises(ValueError, match="outside"):
-                    spec.orbit(t)
-            assert spec.orbit((spec.order - 1,))[0] == (spec.order - 1,)
+                    spec.orbit(t, q)
+            assert spec.orbit((spec.order - 1,), q)[0] == (spec.order - 1,)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_extend_is_field_create(p):
+    # one object per field, whichever tower reaches it, with a ring
+    # homomorphism from the field it was extended from
+    rng = random.Random(p)
+    towers = [(m, d) for m in range(1, 13) for d in range(1, 13) if p ** (m * d) <= 4096]
+    assert towers
+    for m, d in towers:
+        small = field_create(p, m)
+        big = extend(small, d)
+        assert big is field_create(p, m * d)
+        emb = [big.embed_i(small, a) for a in range(small.order)]
+        assert emb[0] == 0 and emb[1] == 1 and len(set(emb)) == small.order
+        sample = range(small.order) if small.order <= 16 else rng.sample(range(small.order), 16)
+        for a in sample:
+            for b in sample:
+                assert big.add_i(emb[a], emb[b]) == emb[small.add_i(a, b)]
+                assert big.mul_i(emb[a], emb[b]) == emb[small.mul_i(a, b)]
+
+
+@pytest.mark.parametrize("p, n", [(2, 6), (3, 4)])
+def test_orbit_over_every_subfield(p, n):
+    # F_64 and F_81: under x -> x^q of a subfield F_q, orbit sizes divide
+    # [F : F_q] and the fixed points are the embedded image of F_q; a q that
+    # is no subfield order is refused
+    big = field_create(p, n)
+    for k in (k for k in range(1, n + 1) if n % k == 0):
+        q, sub = p ** k, field_create(p, k)
+        sizes = {e: len(big.orbit((e,), q)) for e in range(big.order)}
+        assert all((n // k) % size == 0 for size in sizes.values())
+        fixed = {e for e, size in sizes.items() if size == 1}
+        assert fixed == {big.embed_i(sub, c) for c in range(q)}
+    refused = [0, 1, 6, big.order * p] + [p ** k for k in range(1, 2 * n) if n % k]
+    for q in refused:
+        with pytest.raises(ValueError, match="subfield"):
+            big.orbit((1,), q)
 
 
 def test_element_text_encoding_roundtrip():
@@ -232,7 +271,8 @@ def test_tower_of_extensions():
     f25 = extend(f5, 2)
     f625 = extend(f25, 2)
     assert f625.order == 625
-    assert f625.base_card == 25  # Frobenius of the second step is x -> x^25
+    # Frobenius of the second step is x -> x^25: its orbits have size 1 or 2
+    assert {len(f625.orbit((e,), 25)) for e in range(625)} == {1, 2}
     # composed embeddings form a ring homomorphism F_5 -> F_625
     for a in range(5):
         for b in range(5):
@@ -242,7 +282,7 @@ def test_tower_of_extensions():
             assert f625.mul_i(step, stepb) == ab
     # orbits under x -> x^25 divide the relative degree 2
     for e in (3, 77, 311):
-        assert len(f625.orbit((e,))) in (1, 2)
+        assert len(f625.orbit((e,), 25)) in (1, 2)
 
 
 def test_is_prime():

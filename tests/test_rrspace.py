@@ -409,6 +409,26 @@ def test_rrspace_reads_the_curve_only_through_its_equation():
     assert not attrs & {"kind", "a", "coeffs_in", "ell_neg", "_ell_add"}
 
 
+def test_a_field_is_its_modulus_in_every_src_module():
+    """No src/ module reads a field's tower base (base_card) or a Frobenius
+    fixed on the field (frob_i), and only gf builds a FieldSpec: every other
+    module takes its fields from field_create and extend, one per order."""
+    import ruledcodes
+
+    builders = set()
+    for path in sorted(pathlib.Path(ruledcodes.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else
+                    node.name if isinstance(node, ast.FunctionDef) else
+                    node.arg if isinstance(node, ast.arg) else None)
+            assert name not in ("base_card", "frob_i"), (path.name, name)
+            if isinstance(node, ast.Call) and "FieldSpec" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                builders.add(path.name)
+    assert builders == {"gf.py"}
+
+
 def valuation_samples(curve, seed):
     """O and points of degree 1-3, and the nonconstant functions of the
     bases of random divisors supported on them."""
