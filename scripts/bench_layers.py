@@ -22,7 +22,10 @@ used BUDGET_S (so a key that takes a second or more is run once):
     codes below (built first, untimed);
   * exact_params_refused.F_{q}.{k}x{n}: analysis.exact_params on the
     a = 6, b = 24 decomposable code, which it refuses (q^k is over the
-    exhaustive cap) after the rref that counts k;
+    exhaustive cap) after the rank of a minor proves k;
+  * build.F_49.{variant}.{k}x{n}: cli.main(["build", ...]) in process at
+    exact_cap 1, for the a = 6, b = 24 decomposable and elm codes (the
+    center with fiber_index 0), each on the fresh curve its config makes;
   * section_rows.F_49.{k}x3200: the a = 6, b = 24 code's rows from its
     Riemann-Roch spaces: RRSpace.values at the rational base points, then
     codes._section_rows;
@@ -61,6 +64,8 @@ point of index 1 and delta (or the elm center) the degree-2 point of
 index 0.
 """
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -99,6 +104,10 @@ CODES = {
     "fiber_ranks": [(7, 2, (0, 0, 0, 1, 0), 2, 8)],
     "recover_write": [(7, 2, (0, 0, 0, 1, 0), 2, 8)],
 }
+
+# (p, m, curve coefficients, surface variant, a, b): whole builds
+BUILDS = [(7, 2, (0, 0, 0, 1, 0), "decomposable", 6, 24),    # [3200, 126]
+          (7, 2, (0, 0, 0, 1, 0), "elm", 6, 24)]             # [3200, 126]
 
 # (p, m, curve coefficients, degree d)
 CLOSED_POINTS = [(7, 2, [(0, 0, 0, 1, 3), (0, 0, 0, 1, 0)], 2),
@@ -248,6 +257,37 @@ def exact_params_refused_timing(code):
     return f"exact_params_refused.F_{code.spec.order}.{code.k}x{code.n}", seconds
 
 
+def build_config(p, m, coeffs, variant, a, b):
+    """The `build` config of a code, at exact_cap 1."""
+    surface = ({"variant": "elm", "center": {"degree": 2, "base_index": 0,
+                                             "fiber_index": 0}}
+               if variant == "elm" else
+               {"variant": variant, "delta": [{"degree": 2, "index": 0}]})
+    return {"field": {"p": p, "m": m},
+            "curve": {"kind": "elliptic", "coefficients": list(coeffs)},
+            "surface": surface,
+            "code": {"a": a, "beta": [{"degree": 2, "index": 1,
+                                       "multiplicity": b // 2}]},
+            "analysis": {"exact_cap": 1}}
+
+
+def build_timing(p, m, coeffs, variant, a, b):
+    """("build.F_{q}.{variant}.{k}x{n}", seconds) for one in-process
+    `build` of the code, its stdout discarded."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(build_config(p, m, coeffs, variant, a, b), fh)
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["build", "--config", path, "--out-dir", tmp])
+        seconds = time.perf_counter() - t0
+        assert rc == 0, rc
+        with open(os.path.join(tmp, "report.json")) as fh:
+            report = json.load(fh)
+    return f"build.F_{p ** m}.{variant}.{report['k']}x{report['n']}", seconds
+
+
 def rref_s(code):
     return _seconds(linalg.rref, code.spec, code.matrix)
 
@@ -356,6 +396,9 @@ def main():
         code = decomposable_code(*config)
         key, seconds = exact_params_refused_timing(code)
         out[key] = _median(lambda: exact_params_refused_timing(code)[1], seconds)
+    for config in BUILDS:
+        key, seconds = build_timing(*config)
+        out[key] = _median(lambda: build_timing(*config)[1], seconds)
     for config in CODES["build_elm"]:
         seconds, code = build_elm_s(*config)
         out[f"build_elm.F_{code.spec.order}.{code.k}x{code.n}"] = _median(

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -62,6 +63,12 @@ if TYPE_CHECKING:
     from .codes import LinearCode
 
 EXACT_CAP_DEFAULT = 10 ** 7
+# the largest cap the CLI accepts: the exhaustive search's largest span
+# table holds q^ceil((k - 1) / 2) <= sqrt(cap) words of n digits, and its
+# bit planes take deg * bits(p - 1) bytes per digit while packed; at 10^10
+# that is 10^5 words (2^16 at q = 2, k = 33: 0.2 GB at n = 3200), where
+# 10^41 asked for tens of GiB on the [3200, 18] code over F_49
+EXACT_CAP_MAX = 10 ** 10
 _WORDS = 1 << 15        # word pairs times uint64 words per plane, per array step
 # an information set's cost per pivot (its rref, with its rows reordered
 # and weighed) in words of the exhaustive search's compared bit planes,
@@ -69,6 +76,11 @@ _WORDS = 1 << 15        # word pairs times uint64 words per plane, per array ste
 # to 36,000 on the F_5, F_7, F_9 and F_25 distance codes of
 # scripts/bench_layers.py, 15,000 on its F_4 and F_49 ones
 _PIVOT = 30000
+# columns beyond the row count in the minor that proves a refused code's
+# rank: k random independent rows have a short k x (k + 8) minor with
+# probability about q^-8 / (q - 1), 1/256 at q = 2; a short minor costs one
+# extra rref of the full matrix
+_MINOR_SPARE = 8
 
 
 class CapExceededError(ValueError):
@@ -305,20 +317,36 @@ def _distance(spec, rows, pivots, n) -> _Search:
     return _Search(best, sets, True)
 
 
+def _minor_proves_rank(spec, matrix, n) -> bool:
+    """Whether the minor of matrix on len(matrix) + _MINOR_SPARE evenly
+    spaced columns has a pivot in every row, which proves the rows
+    independent: a minor's rank is at most the matrix's, which is at most
+    its row count.  False when that minor would hold every column."""
+    width = len(matrix) + _MINOR_SPARE
+    if width >= n:
+        return False
+    columns = itemgetter(*[i * n // width for i in range(width)])
+    return linalg.rank(spec, [columns(row) for row in matrix]) == len(matrix)
+
+
 def exact_params(code: LinearCode, cap: int = EXACT_CAP_DEFAULT):
     """(n, k, exact minimum distance).
 
     k is the recomputed rank.  Raises CapExceededError when q^k > cap, before
-    any search.  d is settled by level 1 of a Zimmermann certificate, whose
-    information sets are built while the full-rank sets still needed fit in
-    the free columns and their pivots, at _PIVOT compared plane words each,
-    cost less than the exhaustive search; else by that search from the
-    lightest row seen (see the module docstring).
+    any search.  When q to the row count is over the cap, a minor that
+    proves the rows independent (_minor_proves_rank) gives k, and the full
+    rref runs only if it does not; the search needs the rref's rows.
+    d is settled by level 1 of a Zimmermann certificate, whose information
+    sets are built while the full-rank sets still needed fit in the free
+    columns and their pivots, at _PIVOT compared plane words each, cost less
+    than the exhaustive search; else by that search from the lightest row
+    seen (see the module docstring).
     """
-    spec = code.spec
-    rows, pivots = linalg.rref(spec, code.matrix)
-    k = len(rows)
-    n = code.n
+    spec, n = code.spec, code.n
+    k = len(code.matrix)
+    if spec.order ** k <= cap or not _minor_proves_rank(spec, code.matrix, n):
+        rows, pivots = linalg.rref(spec, code.matrix)
+        k = len(rows)
     if k == 0:
         return n, 0, 0
     total = spec.order ** k

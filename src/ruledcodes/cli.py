@@ -28,7 +28,7 @@ from .codes import (build_code_decomposable, build_code_elm,
                     read_matrix)
 from .analysis import (bound_elm_family, bound_decomposable_family, exact_params,
                        griesmer_check, singleton_check, CapExceededError,
-                       EXACT_CAP_DEFAULT)
+                       EXACT_CAP_DEFAULT, EXACT_CAP_MAX)
 from .locality import fiber_ranks, recovery_sets
 from .asymptotics import (envelope_product, optimized_rate, dominance_report,
                           figure_discrepancy)
@@ -272,6 +272,8 @@ def cmd_build(args) -> int:
     analysis_block = _opt(cfg, "analysis", dict, "config", {})
     cap = _opt(analysis_block, "exact_cap", int, "config.analysis",
                EXACT_CAP_DEFAULT)
+    if not 1 <= cap <= EXACT_CAP_MAX:
+        raise ConfigError(f"config.analysis.exact_cap: {_cap_range(cap)}")
     locality = _opt(analysis_block, "locality", bool, "config.analysis", False)
     bound = _bound_for(code)
     report = {
@@ -505,6 +507,20 @@ def cmd_recover(args) -> int:
     return 0
 
 
+def _cap_range(cap: int) -> str:
+    return f"{cap} must be in 1..{EXACT_CAP_MAX}"
+
+
+def _parse_cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if not 1 <= cap <= EXACT_CAP_MAX:
+        raise argparse.ArgumentTypeError(_cap_range(cap))
+    return cap
+
+
 GRID_MAX = 10 ** 6      # largest --samples, --b-range count; the figures use 400
 
 
@@ -553,7 +569,7 @@ def make_parser() -> argparse.ArgumentParser:
                                       "against its build report")
     v.add_argument("matrix")
     v.add_argument("--report", required=True)
-    v.add_argument("--cap", type=int, default=EXACT_CAP_DEFAULT)
+    v.add_argument("--cap", type=_parse_cap, default=EXACT_CAP_DEFAULT)
 
     s = sub.add_parser("segre", help="certify Segre invariant bounds")
     s.add_argument("--config", required=True)

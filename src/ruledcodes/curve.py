@@ -142,7 +142,8 @@ class CurveModel:
     # -- point enumeration
 
     def affine_points(self, ext: FieldSpec):
-        """All affine geometric points with coordinates in ext, sorted.
+        """All affine geometric points with coordinates in ext, sorted, as
+        two int64 arrays: their x and their y encodings.
 
         The roots y of y^2 + b y = f over every x come from one join of the
         per-x keys against a table of a quadratic map over the field: for
@@ -151,7 +152,7 @@ class CurveModel:
         (fqarray.inv), and at the one x with b = 0, y = f^(order/2)."""
         order, p = ext.order, ext.p
         if self.kind == P1:
-            return [(x, 0) for x in range(order)]
+            return np.arange(order), np.zeros(order, dtype=np.int64)
         a1, _, a3, _, _ = self.coeffs_in(ext)
         # root[t]: one preimage of t under y -> y (y + shift), i.e. y'^2,
         # y^2 + a3 y or z^2 + z, or -1; the other one is -shift - root[t]
@@ -188,12 +189,14 @@ class CurveModel:
                     found[x] = True, False
             xs.append(np.repeat(np.arange(lo, hi), 2).reshape(-1, 2)[found])
             ys.append(pair[found])
-        return list(zip(np.concatenate(xs).tolist(), np.concatenate(ys).tolist()))
+        return np.concatenate(xs), np.concatenate(ys)
 
     def rational_points(self):
         """Degree-1 closed points, affine sorted by encoding, infinity last."""
         if self._rational is None:
-            pts = [ClosedPoint._known(self, 1, x, y) for x, y in self.affine_points(self.spec)]
+            xs, ys = self.affine_points(self.spec)
+            pts = [ClosedPoint._known(self, 1, x, y)
+                   for x, y in zip(xs.tolist(), ys.tolist())]
             pts.append(ClosedPoint(self, 1, None, None))
             q, g, n = self.spec.order, self.genus, len(pts)
             assert (n - q - 1) ** 2 <= 4 * g * g * q, "Hasse-Weil bound violated"
@@ -208,7 +211,7 @@ class CurveModel:
             out = self.rational_points()
         else:
             ext = extend(self.spec, d)
-            xs, ys = np.array(self.affine_points(ext), dtype=np.int64).reshape(-1, 2).T
+            xs, ys = self.affine_points(ext)
             keep = _orbit_minima(ext, self.spec.order, d, xs, ys)
             out = [ClosedPoint._known(self, d, x, y)
                    for x, y in zip(xs[keep].tolist(), ys[keep].tolist())]

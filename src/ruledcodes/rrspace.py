@@ -155,9 +155,19 @@ def _chart(curve: CurveModel, pt: ClosedPoint) -> _Chart:
 # minimal polynomial of an x-coordinate, and the fiber of the x-map over it
 
 def _coerce_down(spec: FieldSpec, big: FieldSpec, poly_big: Poly) -> Poly:
-    coords = subfield_coords(spec, big, [poly_big.coeffs])
-    assert not any(map(any, coords[1:])), "coefficient not in the base field"
-    return Poly(spec, coords[0])
+    """poly_big over spec, in which its coefficients lie: each one's digits
+    times subfield_coords' matrix (_subfield_inverse), in scalar steps since
+    a minimal polynomial has few coefficients; its coordinates on z, ..,
+    z^(d-1) must be 0."""
+    if spec.order == big.order:
+        return Poly(spec, poly_big.coeffs)
+    inverse, p, out = _subfield_inverse(spec, big).tolist(), spec.p, []
+    for c in poly_big.coeffs:
+        digits = big.decode(c)
+        coords = [sum(m * x for m, x in zip(row, digits)) % p for row in inverse]
+        assert not any(coords[spec.deg:]), "coefficient not in the base field"
+        out.append(spec.encode(coords[:spec.deg]))
+    return Poly(spec, out)
 
 
 def subfield_coords(small: FieldSpec, big: FieldSpec, values) -> list[list[int]]:
@@ -165,16 +175,14 @@ def subfield_coords(small: FieldSpec, big: FieldSpec, values) -> list[list[int]]
     over small = F_q: row t*k + r holds coordinate t of row r, with respect
     to the basis 1, z, ..., z^(d-1) of big over small (z the class of the
     absolute generator).  One F_p-linear map takes the digits of every value
-    to its coordinates in the basis e_i z^j, e_i the basis of small over F_p;
-    its matrix is cached on big, keyed like its embeddings.  When small is
-    big the map is the identity and the rows come back as they are."""
+    to its coordinates in the basis e_i z^j, e_i the basis of small over F_p
+    (_subfield_inverse).  When small is big the map is the identity and the
+    rows come back as they are."""
     if not len(values):
         return []
     if small.order == big.order:
         return [list(row) for row in values]
-    if small.order not in big._coords:
-        big._coords[small.order] = _subfield_inverse(small, big)
-    sol = fqarray.linear(big, big._coords[small.order], fqarray.digits(big, values))
+    sol = fqarray.linear(big, _subfield_inverse(small, big), fqarray.digits(big, values))
     d, k, ncols = big.deg // small.deg, *sol.shape[1:]
     sol = sol.reshape(d, small.deg, k, ncols).swapaxes(0, 1)
     return fqarray.encode(small, sol).reshape(d * k, ncols).tolist()
@@ -182,7 +190,10 @@ def subfield_coords(small: FieldSpec, big: FieldSpec, values) -> list[list[int]]
 
 def _subfield_inverse(small: FieldSpec, big: FieldSpec):
     """The inverse over F_p of the matrix whose column j*deg(small) + i holds
-    the digits of e_i z^j in big."""
+    the digits of e_i z^j in big: digits to coordinates.  Cached on big,
+    keyed like its embeddings."""
+    if small.order in big._coords:
+        return big._coords[small.order]
     n, p = big.deg, big.p
     z = p if n > 1 else 0   # encoding of the generator z of big
     cols = [big.decode(big.mul_i(big.embed_i(small, small.encode([0] * i + [1])),
@@ -193,7 +204,8 @@ def _subfield_inverse(small: FieldSpec, big: FieldSpec):
            for r in range(n)]
     red, pivots = linalg.rref(field_create(p, 1), aug)
     assert pivots == list(range(n)), "basis matrix is singular"
-    return np.array([row[n:] for row in red], dtype=np.int64)
+    big._coords[small.order] = np.array([row[n:] for row in red], dtype=np.int64)
+    return big._coords[small.order]
 
 
 def x_min_poly(curve: CurveModel, pt: ClosedPoint) -> Poly:

@@ -158,7 +158,7 @@ def closed_points(curve, d):
 def point_count(curve, d: int) -> int:
     """#C(F_{q^d}): the affine points over the degree-d extension, plus the
     point at infinity."""
-    return len(curve.affine_points(extend(curve.spec, d))) + 1
+    return len(curve.affine_points(extend(curve.spec, d))[0]) + 1
 
 
 def divisor_class_sum(D):

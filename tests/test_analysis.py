@@ -225,6 +225,88 @@ def test_exact_params_matches_brute_force(case):
         spec, _weights(spec, rows, n), n)
 
 
+def _refusal(q, k, cap):
+    return (f"q^k = {q ** k} exceeds the exhaustive cap {cap}; rerun with a "
+            "higher cap or fall back to a sampled probabilistic lower bound")
+
+
+@st.composite
+def _minor_cases(draw):
+    """1 to 6 rows of 1 to 30 columns over a field of order <= 9, shaped to
+    reach every outcome of the refusal's minor (its k + 8 evenly spaced
+    columns): random rows, a zero row, a repeated row (times a scalar),
+    n < k + 8 (the minor is the whole matrix), and full rank that the
+    minor misses (its columns zeroed, an identity in the others)."""
+    spec = draw(st.sampled_from(SMALL_FIELDS))
+    q = spec.order
+    k = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["random", "zero row", "repeated row",
+                                  "short minor"]))
+    n = draw(st.integers(2 * k + 8, 30) if shape == "short minor"
+             else st.integers(1, 30))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+    if shape == "zero row":
+        rows[i] = [0] * n
+    elif shape == "repeated row":
+        c = draw(st.integers(1, q - 1))
+        rows[i] = [spec.mul_i(c, v) for v in rows[j]]
+    elif shape == "short minor":
+        minor = {t * n // (k + 8) for t in range(k + 8)}
+        rest = [c for c in range(n) if c not in minor]
+        for r, row in enumerate(rows):
+            for c in minor:
+                row[c] = 0
+            for t in range(k):
+                row[rest[t]] = 1 if t == r else 0
+    return spec, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_minor_cases())
+@example((F5, [[1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1, 2, 3]] * 2))
+@example((F4, [[0] * 12]))
+def test_refusal_from_a_minor_matches_the_full_rank(case):
+    """Whatever path the refusal takes to k, exact_params refuses exactly
+    when q^rank > cap, with the text that rank gives, and at q^rank
+    returns what it returns when the cap admits every row."""
+    spec, rows = case
+    q, n = spec.order, len(rows[0])
+    code = _code(spec, rows, n)
+    k = linalg.rank(spec, rows)
+    if k == 0:          # the zero code has nothing to search at any cap
+        assert exact_params(code, cap=0) == exact_params(code, cap=1) == (n, 0, 0)
+        return
+    for cap in {1, q ** k - 1} - {0}:
+        with pytest.raises(CapExceededError) as exc:
+            exact_params(code, cap=cap)
+        assert str(exc.value) == _refusal(q, k, cap)
+    if k < len(rows):   # q^k is under the cap, q^(rows) over it
+        assert exact_params(code, cap=q ** k) == exact_params(
+            code, cap=q ** len(rows))
+    else:
+        assert exact_params(code, cap=q ** k)[:2] == (n, k)
+
+
+def test_refusal_reads_only_the_minor():
+    """A full-rank [200, 12] code over F_5 is refused after one rref, of
+    its 12 + 8 evenly spaced columns; a minor that misses its rank falls
+    back to the rref of all 200 columns."""
+    rng = random.Random(3)
+    rows = [[rng.randrange(5) for _ in range(200)] for _ in range(12)]
+    with mock.patch.object(linalg, "rref", wraps=linalg.rref) as spy:
+        with pytest.raises(CapExceededError, match="q\\^k = 244140625 "):
+            exact_params(_code(F5, rows, 200), cap=1)
+    assert [len(call.args[1][0]) for call in spy.call_args_list] == [20]
+    minor = [t * 200 // 20 for t in range(20)]
+    short = [[0 if c in minor else v for c, v in enumerate(row)] for row in rows]
+    with mock.patch.object(linalg, "rref", wraps=linalg.rref) as spy:
+        with pytest.raises(CapExceededError, match="q\\^k = 244140625 "):
+            exact_params(_code(F5, short, 200), cap=1)
+    assert [len(call.args[1][0]) for call in spy.call_args_list] == [20, 200]
+
+
 @pytest.mark.parametrize("n", [63, 64, 65, 129])
 @pytest.mark.parametrize("spec", [s for s in SMALL_FIELDS if s.order != 7], ids=str)
 def test_exact_params_word_boundary(spec, n):

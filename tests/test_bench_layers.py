@@ -28,6 +28,10 @@ def test_bench_layers_on_its_smallest_inputs():
     assert key == "rr_basis.F_49.deg0" and seconds > 0
     helpers, coefficients = bench.locality.recovery_sets(code)
     assert helpers.shape == coefficients.shape == (3000, 49 // 2, 2)
+    builds = [bench.build_timing(*config) for config in bench.BUILDS]
+    assert [key for key, _ in builds] == ["build.F_49.decomposable.126x3200",
+                                          "build.F_49.elm.126x3200"]
+    assert all(seconds > 0 for _, seconds in builds)
     seconds, elm = bench.build_elm_s(*bench.CODES["rref"][0])
     assert seconds > 0 and (elm.k, elm.n, elm.meta["family"]) == (6, 3000, "elm_surface")
     p, m, curves, d = bench.CLOSED_POINTS[0]

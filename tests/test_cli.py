@@ -307,6 +307,45 @@ def test_asymptotics_samples_refused_where_parsed(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cap, message", [
+    (10 ** 41, "100000000000000000000000000000000000000000 must be in 1..10000000000"),
+    (10 ** 10 + 1, "10000000001 must be in 1..10000000000"),
+    (0, "0 must be in 1..10000000000"),
+    (-5, "-5 must be in 1..10000000000"),
+])
+def test_exact_cap_refused_where_parsed(tmp_path, capsys, monkeypatch, cap,
+                                        message):
+    # refused before any search: at a cap of 10^41 the search of the
+    # [3200, 18] code over F_49 asks numpy for tens of GiB
+    from ruledcodes import cli
+
+    def searches(code, cap):
+        raise AssertionError("exact_params ran")
+
+    out = build(tmp_path, analysis={"exact_cap": 1})
+    monkeypatch.setattr(cli, "exact_params", searches)
+    capsys.readouterr()
+    cfg = write_config(tmp_path, "big.json", analysis={"exact_cap": cap})
+    assert main(["build", "--config", cfg, "--out-dir", str(tmp_path / "b")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: config.analysis.exact_cap: {message}\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", os.path.join(out, "generator.txt"),
+              "--report", os.path.join(out, "report.json"), "--cap", str(cap)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument --cap: {message}" in err and "Traceback" not in err
+
+
+def test_exact_cap_bounds_accepted(tmp_path, capsys):
+    out = build(tmp_path, analysis={"exact_cap": 10 ** 10})
+    for cap in ("1", "10000000000"):
+        rc = main(["verify", os.path.join(out, "generator.txt"),
+                   "--report", os.path.join(out, "report.json"), "--cap", cap])
+        assert rc == (2 if cap == "1" else 0)
+    assert "exceeds the exhaustive cap 1;" in capsys.readouterr().err
+
+
 def test_asymptotics_accepts_a_large_prime_q(tmp_path, capsys):
     # a prime near 2^61: the prime-power check must not trial-divide it
     rc = main(["asymptotics", "--q", str(2 ** 61 - 1), "--A", "3",

@@ -189,7 +189,7 @@ def test_group_law_beyond_f5(pm, coeffs):
     # over F_q and F_{q^2}: #E annihilates every point, and the law is associative
     for d in (1, 2):
         ext = extend(spec, d)
-        pts = curve.affine_points(ext)
+        pts = list(zip(*(c.tolist() for c in curve.affine_points(ext))))
         N = curve_oracle.point_count(curve, d)
         for P in rng.sample(pts, min(len(pts), 60)):
             assert curve.ell_mul(N, P, ext) is None
@@ -328,7 +328,8 @@ def test_points_match_the_scalar_oracle(p, m, coeffs, kind):
         if spec.order ** d > 4096:
             break
         ext = extend(spec, d)
-        assert curve.affine_points(ext) == curve_oracle.affine_points(curve, ext)
+        xs, ys = curve.affine_points(ext)
+        assert list(zip(xs.tolist(), ys.tolist())) == curve_oracle.affine_points(curve, ext)
         oracle = curve_oracle.closed_points(curve, d)
         if d == 1:
             oracle.append(ClosedPoint(curve, 1, None, None))

@@ -6,7 +6,8 @@ the `segre` stdout on the elm demo, of `recovery.json` on the locality
 demo, of the `asymptotics` stdout and CSVs for q = 16, A = 3 and
 q = 49, A = 6 (the benchmark's frontier settings) and for two regimes where
 a0 often leaves [0, b], of the `asymptotics` stderr for two refused regimes,
-and of `generator.txt` for three surface codes on the max curves over F_16
+and of `generator.txt`, `report.json` and the refused `verify` stderr for
+the six surface codes of the paper's regimes on the max curves over F_16
 and F_49.  A refactor that changes any output byte fails here; a deliberate
 output change must re-record the digest.
 """
@@ -135,22 +136,44 @@ def test_asymptotics_refusals_match_golden(tmp_path, monkeypatch, capsys, q, A):
 # Paper-regime surface codes on the max curves: beta is b/2 times the
 # degree-2 point of index 1; an elm center is the degree-2 point of index 0
 # with fiber_index 0, and delta is that point for the decomposable code.
-REGIME_GENERATORS = [
+# Each build runs at exact_cap 1, so report.json carries the refusal, and
+# `verify` at its default cap refuses the generator with the same text.
+# (generator.txt, report.json, verify stderr) digests per config
+REGIME_BUILDS = [
     ((2, 4), [0, 0, 1, 0, 8], "elm", 3, 12,
-     "89dcfab3cfbc558626984fdf02f17878a90dd5e0d6ad2bc98fbe730750a45ec7"),
+     ("89dcfab3cfbc558626984fdf02f17878a90dd5e0d6ad2bc98fbe730750a45ec7",
+      "ccf079e60306de209b3825788ddeb7be5fe64d7be19a7e568adafe792d2ebeee",
+      "a2f6584248ec13da1e3fe011b2fd4676f3edb74b2e7865b45859ea93c1d366ee")),
     ((2, 4), [0, 0, 1, 0, 8], "decomposable", 5, 16,
-     "6122ccd66902e6b0c7ec1ab2a0470fb6dcc07c35891e4e9c6bc6cd77622b8643"),
+     ("6122ccd66902e6b0c7ec1ab2a0470fb6dcc07c35891e4e9c6bc6cd77622b8643",
+      "451c64ae158070cc6dc01938cdedc80826ec6b969c05e0f557eee3cf313f9a37",
+      "da45a0572c762e087896cdf5f97ffa6f10eabae8a42ac603b7077287449e4f99")),
     ((7, 2), [0, 0, 0, 1, 0], "elm", 3, 12,
-     "7ba525e61657d7370d0c13544462ef78b3b88b9a0508e2c0252d02a90bae8a70"),
+     ("7ba525e61657d7370d0c13544462ef78b3b88b9a0508e2c0252d02a90bae8a70",
+      "6fd455211bbf2449a4e6d2e45bd7287ed4faafb2b9c9a8cc7b51a6f020c2c9f5",
+      "c48cf1af7394e8cd172cf1d6a65590744cd51481fde92ea0b056aa4b967545d6")),
+    ((7, 2), [0, 0, 0, 1, 0], "decomposable", 2, 8,
+     ("fcb35e68fad36ff139da12ec084d505cea9d4d09b1d91dc0588497e99fafd127",
+      "c0a880bfdd947f6812c3c0d322af418a8e162b77be4771298e5c6b3d52e94331",
+      "4ad9171391e9085e283dd5145b2cd2f1a842e90f21a40077ada37f8b1e83e435")),
+    ((7, 2), [0, 0, 0, 1, 0], "decomposable", 6, 24,
+     ("aa8c6d3f4e2e419c7fd17387ef41a3be77b314e6ed68e3d92ebfe34dd287c0da",
+      "943c0fb77e08694beac09927d2c218e0a2b40c5c972526b85bbbbe401500454a",
+      "ed73961e18a93c2bfbcc56eb90d4f0e8d73f845aab41d47f48bd96a6514b492b")),
+    ((7, 2), [0, 0, 0, 1, 0], "elm", 6, 24,
+     ("875cfe8d70b504387fa68e3a06984ffaa93c7f94807e379e8a05547798282c80",
+      "3e718409571956e2cc6ba89e660736edde0dc9de5ddeac38721764b1d01ad37a",
+      "ed73961e18a93c2bfbcc56eb90d4f0e8d73f845aab41d47f48bd96a6514b492b")),
 ]
 
 
-@pytest.mark.parametrize("pm, coefficients, variant, a, b, digest",
-                         REGIME_GENERATORS,
+@pytest.mark.parametrize("pm, coefficients, variant, a, b, digests",
+                         REGIME_BUILDS,
                          ids=["F16-elm-a3b12", "F16-decomposable-a5b16",
-                              "F49-elm-a3b12"])
+                              "F49-elm-a3b12", "F49-decomposable-a2b8",
+                              "F49-decomposable-a6b24", "F49-elm-a6b24"])
 def test_regime_generator_matches_golden(tmp_path, capsys, pm, coefficients,
-                                         variant, a, b, digest):
+                                         variant, a, b, digests):
     point = {"degree": 2, "index": 0}
     surface = ({"variant": "elm", "center": {"degree": 2, "base_index": 0,
                                              "fiber_index": 0}}
@@ -166,4 +189,11 @@ def test_regime_generator_matches_golden(tmp_path, capsys, pm, coefficients,
         "analysis": {"exact_cap": 1}}))
     out = tmp_path / "out"
     assert main(["build", "--config", str(cfg), "--out-dir", str(out)]) == 0
-    assert _sha((out / "generator.txt").read_bytes()) == digest
+    capsys.readouterr()
+    assert main(["verify", str(out / "generator.txt"),
+                 "--report", str(out / "report.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (_sha((out / "generator.txt").read_bytes()),
+            _sha((out / "report.json").read_bytes()),
+            _sha(captured.err.encode())) == digests

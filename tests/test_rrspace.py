@@ -16,7 +16,7 @@ from ruledcodes.curve import (curve_create, ClosedPoint, DivisorOnCurve,
 from ruledcodes.poly import Poly
 from ruledcodes.rrspace import (rr_basis, effective_divisors, PoleError,
                                 x_min_poly, subfield_coords, _Chart, _chart,
-                                _head, _mul, _subfield_inverse)
+                                _coerce_down, _head, _mul, _subfield_inverse)
 
 import curve_oracle
 import rrspace_oracle
@@ -773,6 +773,23 @@ def test_x_min_poly():
     m = x_min_poly(E5, Q)
     assert m.degree == 2
     assert m.eval_i(Q.x, target=Q.ext_spec) == 0
+
+
+@pytest.mark.parametrize("pm, d", [((5, 1), 2), ((2, 2), 3), ((7, 2), 2),
+                                   ((2, 4), 1)])
+def test_coerce_down_reads_the_subfield_back(pm, d):
+    """The scalar read-back of a polynomial's coefficients agrees with
+    subfield_coords on every element of the embedded subfield, and refuses
+    a coefficient outside it."""
+    small = field_create(*pm)
+    big = extend(small, d)
+    embedded = [big.embed_i(small, c) for c in range(small.order)]
+    assert _coerce_down(small, big, Poly(big, embedded)).coeffs == tuple(range(small.order))
+    assert [list(range(small.order))] == subfield_coords(small, big, [embedded])[:1]
+    outside = [e for e in range(big.order) if e not in embedded]
+    for e in outside[:5]:
+        with pytest.raises(AssertionError, match="not in the base field"):
+            _coerce_down(small, big, Poly(big, [1, e]))
 
 
 @pytest.mark.parametrize("pm, d", [((5, 1), 2), ((5, 1), 3), ((2, 1), 4),
