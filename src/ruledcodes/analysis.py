@@ -45,7 +45,8 @@ first are one fqarray product; the tables are summed from them digit by
 digit in the narrowest unsigned type that holds 2 (p - 1), and packed as
 deg * bits(p - 1) bit planes of those digits: for some odd-p extension
 fields more than the bits(q - 1) of an encoding (F_25 6 against 5, F_125 9
-against 7).
+against 7).  A search whose tables would take more than _TABLE_BYTES is
+refused with CapExceededError, like one whose q^k is over the cap.
 """
 
 from __future__ import annotations
@@ -64,11 +65,14 @@ if TYPE_CHECKING:
 
 EXACT_CAP_DEFAULT = 10 ** 7
 # the largest cap the CLI accepts: the exhaustive search's largest span
-# table holds q^ceil((k - 1) / 2) <= sqrt(cap) words of n digits, and its
-# bit planes take deg * bits(p - 1) bytes per digit while packed; at 10^10
-# that is 10^5 words (2^16 at q = 2, k = 33: 0.2 GB at n = 3200), where
-# 10^41 asked for tens of GiB on the [3200, 18] code over F_49
+# table holds q^ceil((k - 1) / 2) <= sqrt(cap) words, 10^5 at 10^10, where
+# 10^41 asked for tens of GiB on the [3200, 18] code over F_49; the table's
+# bytes also grow with n, and _exhaustive checks them against _TABLE_BYTES
 EXACT_CAP_MAX = 10 ** 10
+# the most memory the exhaustive search may ask for its rows' multiples and
+# its largest span table (_table_bytes); a code over it is refused with
+# CapExceededError
+_TABLE_BYTES = 1 << 30
 _WORDS = 1 << 15        # word pairs times uint64 words per plane, per array step
 # an information set's cost per pivot (its rref, with its rows reordered
 # and weighed) in words of the exhaustive search's compared bit planes,
@@ -84,7 +88,8 @@ _MINOR_SPARE = 8
 
 
 class CapExceededError(ValueError):
-    """The exact distance search was refused because q^k exceeds the cap."""
+    """The exact distance search was refused because q^k exceeds the cap,
+    or its tables the memory budget _TABLE_BYTES."""
 
 
 @dataclass
@@ -256,6 +261,18 @@ def _multiples(spec, scalars, rows):
     return prod.astype(np.min_scalar_type(2 * (spec.p - 1)))
 
 
+def _table_bytes(spec, k, n):
+    """Bytes _exhaustive holds at once for k rows of length n, about: the q
+    multiples of k - 1 rows, 3 deg int64 words a coordinate while
+    fqarray.mul makes them, and its largest span table, q^ceil((k - 1) / 2)
+    words of n narrow digits, twice while _add sums the last rows in and
+    once more per bit plane while _planes packs it."""
+    digit = np.min_scalar_type(2 * (spec.p - 1)).itemsize
+    planes = (spec.p - 1).bit_length()
+    return spec.deg * n * (24 * (k - 1) * spec.order
+                           + digit * spec.order ** (k // 2) * (2 + planes))
+
+
 def _exhaustive(spec, rows, n, best):
     """min(best, d) over the (q^k - 1)/(q - 1) words g_j + sum_{i>j} m_i g_i
     of rows in echelon form.  For each j the rows after g_j are split in two
@@ -263,7 +280,14 @@ def _exhaustive(spec, rows, n, best):
     by g_j, is the smaller table.  Since the span S of the second half is
     closed under negation, min over s in S of wt(w + s) is the least distance
     from w to S, taken for a block of words w and all of S in one array
-    step."""
+    step.  Raises CapExceededError when the tables would take more than
+    _TABLE_BYTES."""
+    need = _table_bytes(spec, len(rows), n)
+    if need > _TABLE_BYTES:
+        raise CapExceededError(
+            f"the exhaustive search needs about {need} bytes for its span "
+            f"tables of length n = {n}, over its budget of {_TABLE_BYTES}; "
+            "fall back to a sampled probabilistic lower bound")
     starts = _multiples(spec, [0, 1], rows)  # 0 g_j and g_j
     multiples = _multiples(spec, np.arange(spec.order), np.asarray(rows)[1:])
     for j in range(len(rows)):

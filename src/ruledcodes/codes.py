@@ -34,7 +34,7 @@ from .surface import (RuledSurfaceModel, DECOMPOSABLE, ELM, INFTY,
                       surface_rational_points, segre_decomposable,
                       segre_dmax_default, segre_lower_bound_elm)
 from .analysis import bound_unisecant
-from . import fqarray, linalg
+from . import linalg
 
 
 class LinearCode:
@@ -166,20 +166,12 @@ def _block_coeffs(values):
 
 def _section_rows(spec: FieldSpec, a: int, coeffs):
     """The rows of the sections sum_i g_i u^i, coeffs[i] holding each row's
-    g_i at the N rational base points, read base major and fiber minor like
-    surface_rational_points: for each i, the rows whose g_i is not 0 get
-    the outer products of their g_i with row i of PRS(a)'s generator, in
-    one fqarray product (a decomposable code's row has one nonzero g_i)."""
-    coeffs = np.asarray(coeffs, dtype=np.int64)
-    prs = fqarray.digits(spec, build_prs(spec, a).matrix)
-    _, k, N = coeffs.shape
-    acc = np.zeros((spec.deg, k, N, prs.shape[2]), dtype=np.int64)
-    for i, g in enumerate(coeffs):
-        rows = np.flatnonzero(g.any(axis=1))
-        acc[:, rows] += fqarray.mul(spec, fqarray.digits(spec, g[rows])[..., None],
-                                    prs[:, i, None, None])
-    acc %= spec.p
-    return fqarray.encode(spec, acc).reshape(k, -1).tolist()
+    g_i at the N rational base points: the (k N) x (a + 1) values times
+    PRS(a)'s generator, read base major and fiber minor like
+    surface_rational_points."""
+    values = np.asarray(coeffs, dtype=np.int64).transpose(1, 2, 0)
+    table = linalg.mat_mul(spec, values.reshape(-1, a + 1), build_prs(spec, a).matrix)
+    return table.reshape(len(values), -1).tolist()
 
 
 def build_code_elm(surface: RuledSurfaceModel, a: int,

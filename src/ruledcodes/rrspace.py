@@ -155,19 +155,9 @@ def _chart(curve: CurveModel, pt: ClosedPoint) -> _Chart:
 # minimal polynomial of an x-coordinate, and the fiber of the x-map over it
 
 def _coerce_down(spec: FieldSpec, big: FieldSpec, poly_big: Poly) -> Poly:
-    """poly_big over spec, in which its coefficients lie: each one's digits
-    times subfield_coords' matrix (_subfield_inverse), in scalar steps since
-    a minimal polynomial has few coefficients; its coordinates on z, ..,
-    z^(d-1) must be 0."""
-    if spec.order == big.order:
-        return Poly(spec, poly_big.coeffs)
-    inverse, p, out = _subfield_inverse(spec, big).tolist(), spec.p, []
-    for c in poly_big.coeffs:
-        digits = big.decode(c)
-        coords = [sum(m * x for m, x in zip(row, digits)) % p for row in inverse]
-        assert not any(coords[spec.deg:]), "coefficient not in the base field"
-        out.append(spec.encode(coords[:spec.deg]))
-    return Poly(spec, out)
+    coords = subfield_coords(spec, big, [poly_big.coeffs])
+    assert not any(map(any, coords[1:])), "coefficient not in the base field"
+    return Poly(spec, coords[0])
 
 
 def subfield_coords(small: FieldSpec, big: FieldSpec, values) -> list[list[int]]:

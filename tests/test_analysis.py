@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import comb
 from unittest import mock
 
@@ -305,6 +306,42 @@ def test_refusal_reads_only_the_minor():
         with pytest.raises(CapExceededError, match="q\\^k = 244140625 "):
             exact_params(_code(F5, short, 200), cap=1)
     assert [len(call.args[1][0]) for call in spy.call_args_list] == [20, 200]
+
+
+@pytest.mark.parametrize("spec, k, n", [
+    (field_create(2, 1), 20, 2000), (field_create(3, 1), 12, 2000),
+    (F4, 10, 3000), (field_create(7, 2), 4, 1000), (field_create(2, 8), 2, 1000),
+    (field_create(131, 1), 2, 3000)], ids=str)
+def test_table_bytes_bound_the_search(spec, k, n):
+    # tracemalloc sees numpy's allocations: the peak of an exhaustive search
+    # of a random [n, k] code (5-21 MB) stays within its _table_bytes; the
+    # search's own buffers, under 1 MB, are not counted there
+    rng = random.Random(k)
+    rows = [[rng.randrange(spec.order) for _ in range(n)] for _ in range(k)]
+    red, _ = linalg.rref(spec, rows)
+    tracemalloc.start()
+    try:
+        analysis._exhaustive(spec, red, n, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= analysis._table_bytes(spec, len(red), n)
+
+
+def test_exhaustive_refused_over_its_table_budget():
+    # the F_4 [40, 10] code goes to the exhaustive search, which runs at a
+    # budget of exactly its _table_bytes and is refused one byte below
+    code = next(_product_codes(F4, (1, 0, 0, 0, 1), 0))
+    need = analysis._table_bytes(F4, 10, 40)
+    with mock.patch.object(analysis, "_TABLE_BYTES", need):
+        assert exact_params(code) == (40, 10, 12)
+    with mock.patch.object(analysis, "_TABLE_BYTES", need - 1):
+        with pytest.raises(CapExceededError) as exc:
+            exact_params(code)
+    assert str(exc.value) == (
+        f"the exhaustive search needs about {need} bytes for its span tables "
+        f"of length n = 40, over its budget of {need - 1}; fall back to a "
+        "sampled probabilistic lower bound")
 
 
 @pytest.mark.parametrize("n", [63, 64, 65, 129])

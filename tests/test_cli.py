@@ -346,6 +346,24 @@ def test_exact_cap_bounds_accepted(tmp_path, capsys):
     assert "exceeds the exhaustive cap 1;" in capsys.readouterr().err
 
 
+def test_search_over_its_table_budget_refused(tmp_path, capsys, monkeypatch):
+    # a cap the CLI accepts can still ask for span tables of more bytes than
+    # the search's budget (they grow with n): build records the refusal,
+    # verify exits 2 with it
+    from ruledcodes import analysis
+    monkeypatch.setattr(analysis, "_TABLE_BYTES", 1000)
+    out = build(tmp_path)
+    report = json.loads(open(os.path.join(out, "report.json")).read())
+    message = ("the exhaustive search needs about 17460 bytes for its span "
+               "tables of length n = 36, over its budget of 1000; fall back "
+               "to a sampled probabilistic lower bound")
+    assert report["exact_skipped"] == message and "d_exact" not in report
+    capsys.readouterr()
+    assert main(["verify", os.path.join(out, "generator.txt"),
+                 "--report", os.path.join(out, "report.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_asymptotics_accepts_a_large_prime_q(tmp_path, capsys):
     # a prime near 2^61: the prime-power check must not trial-divide it
     rc = main(["asymptotics", "--q", str(2 ** 61 - 1), "--A", "3",

@@ -778,14 +778,12 @@ def test_x_min_poly():
 @pytest.mark.parametrize("pm, d", [((5, 1), 2), ((2, 2), 3), ((7, 2), 2),
                                    ((2, 4), 1)])
 def test_coerce_down_reads_the_subfield_back(pm, d):
-    """The scalar read-back of a polynomial's coefficients agrees with
-    subfield_coords on every element of the embedded subfield, and refuses
-    a coefficient outside it."""
+    """A polynomial's coefficients are read back to the subfield for every
+    element embedded from it, and a coefficient outside it is refused."""
     small = field_create(*pm)
     big = extend(small, d)
     embedded = [big.embed_i(small, c) for c in range(small.order)]
     assert _coerce_down(small, big, Poly(big, embedded)).coeffs == tuple(range(small.order))
-    assert [list(range(small.order))] == subfield_coords(small, big, [embedded])[:1]
     outside = [e for e in range(big.order) if e not in embedded]
     for e in outside[:5]:
         with pytest.raises(AssertionError, match="not in the base field"):
