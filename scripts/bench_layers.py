@@ -2,11 +2,17 @@
 """Layer timings in the paper's regimes, which the end-to-end benchmark
 (perfbench/) runs too briefly to gate.
 
-    python3 scripts/bench_layers.py
+    python3 scripts/bench_layers.py [SECTION]
 
 prints one JSON object of wall-clock seconds.  Each is the median over up
 to REPEATS runs, each on fresh objects, stopping once the key's runs have
-used BUDGET_S (so a key that takes a second or more is run once):
+used BUDGET_S (so a key that takes a second or more is run once).  Each
+section of keys (one kind of timer, a name of SECTIONS) runs in its own
+fresh interpreter, so no key reads caches or a heap that another section
+left; SECTION runs one section in this process.  A "fresh curve" is a
+CurveModel built by its constructor, whose caches are empty (curve_create
+would return the process's one curve, cached points and spaces included);
+the in-process CLI keys start from an empty curve table.  The keys:
   * table_build.F_{q}: the exp/log tables of F_256, F_2401 and F_{2^16};
   * rr_basis.F_{q}.a{a}b{b}: the a + 1 Riemann-Roch bases
     L(beta - i delta) of each of those codes, on a fresh curve whose local
@@ -26,6 +32,11 @@ used BUDGET_S (so a key that takes a second or more is run once):
   * build.F_49.{variant}.{k}x{n}: cli.main(["build", ...]) in process at
     exact_cap 1, for the a = 6, b = 24 decomposable and elm codes (the
     center with fiber_index 0), each on the fresh curve its config makes;
+  * sequence.F_16.build_recover: cli.main(["build", ...]) and then
+    cli.main(["recover", ...]) in process on one config, the construct
+    workload's dec16 shape (the F_16 curve [0, 0, 1, 0, 0], a = 1, beta
+    twice the degree-2 point of index 1, delta the one of index 0): recover
+    reads the curve's points and spaces that build cached;
   * section_rows.F_49.{k}x3200: the a = 6, b = 24 code's rows from its
     Riemann-Roch spaces: RRSpace.values at the rational base points, then
     codes._section_rows;
@@ -70,6 +81,7 @@ import json
 import os
 import random
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -79,8 +91,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 # ruledcodes before numpy: it loads numpy with one BLAS thread, so the
 # layer timers run in the same process state as the CLI
 from ruledcodes import analysis, cli, codes, linalg, locality  # noqa: E402
+from ruledcodes import curve as curve_module  # noqa: E402
 from ruledcodes.asymptotics import dominance_report, optimized_rate  # noqa: E402
-from ruledcodes.curve import (curve_create, divisor_class_sum,  # noqa: E402
+from ruledcodes.curve import (CurveModel, divisor_class_sum,  # noqa: E402
                               DivisorOnCurve, ELLIPTIC, P1)
 from ruledcodes.gf import FieldSpec, extend, field_create  # noqa: E402
 from ruledcodes.rrspace import rr_basis  # noqa: E402
@@ -108,6 +121,9 @@ CODES = {
 # (p, m, curve coefficients, surface variant, a, b): whole builds
 BUILDS = [(7, 2, (0, 0, 0, 1, 0), "decomposable", 6, 24),    # [3200, 126]
           (7, 2, (0, 0, 0, 1, 0), "elm", 6, 24)]             # [3200, 126]
+
+# (p, m, curve coefficients, a, b): an in-process build, then recover
+SEQUENCES = [(2, 4, (0, 0, 1, 0, 0), 1, 4)]       # [153, 6], construct's dec16
 
 # (p, m, curve coefficients, degree d)
 CLOSED_POINTS = [(7, 2, [(0, 0, 0, 1, 3), (0, 0, 0, 1, 0)], 2),
@@ -161,6 +177,12 @@ def _seconds(fn, *args):
     return time.perf_counter() - t0
 
 
+def fresh_curve(p, m, coeffs):
+    """A new CurveModel over F_{p^m}, P^1 for coeffs None, with empty caches."""
+    spec = field_create(p, m)
+    return CurveModel(P1, spec) if coeffs is None else CurveModel(ELLIPTIC, spec, coeffs)
+
+
 def table_build_s(p, m):
     """Seconds to build the exp/log tables of F_{p^m} (a fresh FieldSpec;
     the modulus search is not timed)."""
@@ -173,7 +195,7 @@ def closed_points_s(p, m, curves, d):
     F_{p^m}, on fresh curve objects (the extension is built first)."""
     spec = field_create(p, m)
     extend(spec, d)
-    fresh = [curve_create(ELLIPTIC, coeffs, spec) for coeffs in curves]
+    fresh = [fresh_curve(p, m, coeffs) for coeffs in curves]
     return sum(_seconds(curve.closed_points, d) for curve in fresh)
 
 
@@ -189,7 +211,7 @@ def embedding_s(p, m, d):
 def segre_s(p, m, coeffs, e, dmax):
     """Seconds for segre_lower_bound_elm to dmax on a fresh curve (its
     degree-e points are enumerated first, untimed)."""
-    curve = curve_create(ELLIPTIC, coeffs, field_create(p, m))
+    curve = fresh_curve(p, m, coeffs)
     point = curve.closed_points(e)[0]
     fiber = cli._valid_fiber_coords(point.ext_spec, curve.spec)[0]
     return _seconds(segre_lower_bound_elm, surface_elm_product(curve, point, fiber),
@@ -210,7 +232,7 @@ def asymptotics_s(q, A, samples, b_range):
 
 def _code_divisors(p, m, coeffs, b):
     """A fresh curve, delta and beta of a code."""
-    curve = curve_create(ELLIPTIC, coeffs, field_create(p, m))
+    curve = fresh_curve(p, m, coeffs)
     points = curve.closed_points(2)
     return (curve, DivisorOnCurve(curve, [(points[0], 1)]),
             DivisorOnCurve(curve, [(points[1], b // 2)]))
@@ -230,7 +252,7 @@ def rr_basis_s(p, m, coeffs, a, b):
 def degree_zero_timing(p, m, coeffs):
     """("rr_basis.F_{q}.deg0", seconds) for the principal P2 - Q2 and the
     non-principal 3 P2 - 2 P3 on a fresh curve."""
-    curve = curve_create(ELLIPTIC, coeffs, field_create(p, m))
+    curve = fresh_curve(p, m, coeffs)
     quads, P3 = curve.closed_points(2), curve.closed_points(3)[0]
     P2 = quads[0]
     Q2 = next(Q for Q in quads[1:] if divisor_class_sum(
@@ -271,21 +293,47 @@ def build_config(p, m, coeffs, variant, a, b):
             "analysis": {"exact_cap": 1}}
 
 
+def _write_config(tmp, config):
+    path = os.path.join(tmp, "cfg.json")
+    with open(path, "w") as fh:
+        json.dump(config, fh)
+    return path
+
+
+def _cli_seconds(*argvs):
+    """Seconds for cli.main on each argv in turn, in process, from an empty
+    curve table (so the first job builds its curve, as in a fresh
+    interpreter); stdout is discarded."""
+    curve_module._CURVES.clear()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        rcs = [cli.main(argv) for argv in argvs]
+    seconds = time.perf_counter() - t0
+    assert rcs == [0] * len(argvs), rcs
+    return seconds
+
+
 def build_timing(p, m, coeffs, variant, a, b):
     """("build.F_{q}.{variant}.{k}x{n}", seconds) for one in-process
-    `build` of the code, its stdout discarded."""
+    `build` of the code on a fresh curve."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "cfg.json")
-        with open(path, "w") as fh:
-            json.dump(build_config(p, m, coeffs, variant, a, b), fh)
-        t0 = time.perf_counter()
-        with contextlib.redirect_stdout(io.StringIO()):
-            rc = cli.main(["build", "--config", path, "--out-dir", tmp])
-        seconds = time.perf_counter() - t0
-        assert rc == 0, rc
+        path = _write_config(tmp, build_config(p, m, coeffs, variant, a, b))
+        seconds = _cli_seconds(["build", "--config", path, "--out-dir", tmp])
         with open(os.path.join(tmp, "report.json")) as fh:
             report = json.load(fh)
     return f"build.F_{p ** m}.{variant}.{report['k']}x{report['n']}", seconds
+
+
+def sequence_timing(p, m, coeffs, a, b):
+    """("sequence.F_{q}.build_recover", seconds) for an in-process `build`
+    and then `recover` of one decomposable config, the build on a fresh
+    curve."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_config(tmp, build_config(p, m, coeffs, "decomposable", a, b))
+        seconds = _cli_seconds(["build", "--config", path, "--out-dir", tmp],
+                               ["recover", "--config", path,
+                                "--out", os.path.join(tmp, "recovery.json")])
+    return f"sequence.F_{p ** m}.build_recover", seconds
 
 
 def rref_s(code):
@@ -342,14 +390,14 @@ def recover_write_s(code):
 def product_code(p, m, coeffs, i2, i3):
     """The a = 1 code on the product surface over a fresh curve, with beta
     the degree-2 point of index i2 plus the degree-3 point of index i3."""
-    curve = curve_create(ELLIPTIC, coeffs, field_create(p, m))
+    curve = fresh_curve(p, m, coeffs)
     beta = DivisorOnCurve(curve, [(curve.closed_points(2)[i2], 1),
                                   (curve.closed_points(3)[i3], 1)])
     return codes.build_code_decomposable(surface_trivial(curve), 1, beta)
 
 
 def p1_product_code(p, m, a, d, i):
-    curve = curve_create(P1, None, field_create(p, m))
+    curve = fresh_curve(p, m, None)
     beta = DivisorOnCurve(curve, [(curve.closed_points(d)[i], 1)])
     return codes.build_code_decomposable(surface_trivial(curve), a, beta)
 
@@ -365,56 +413,125 @@ def distance_s(code):
     return _seconds(analysis.exact_params, code)
 
 
-def main():
-    out = {f"table_build.F_{p ** m}": _median(lambda: table_build_s(p, m))
-           for p, m in TABLE_FIELDS}
+def _table_build():
+    for p, m in TABLE_FIELDS:
+        yield f"table_build.F_{p ** m}", _median(lambda: table_build_s(p, m))
+
+
+def _closed_points():
     for p, m, curves, d in CLOSED_POINTS:
-        out[f"closed_points.F_{p ** (m * d)}.d{d}"] = _median(
-            lambda: closed_points_s(p, m, curves, d))
+        yield (f"closed_points.F_{p ** (m * d)}.d{d}",
+               _median(lambda: closed_points_s(p, m, curves, d)))
+
+
+def _embedding():
     for p, m, d in EMBEDDINGS:
-        out[f"embedding.F_{p ** m}.d{d}"] = _median(lambda: embedding_s(p, m, d))
+        yield f"embedding.F_{p ** m}.d{d}", _median(lambda: embedding_s(p, m, d))
+
+
+def _segre():
     for p, m, coeffs, e, dmax in SEGRE:
-        out[f"segre.F_{p ** m}.e{e}.dmax{dmax}"] = _median(
-            lambda: segre_s(p, m, coeffs, e, dmax))
+        yield (f"segre.F_{p ** m}.e{e}.dmax{dmax}",
+               _median(lambda: segre_s(p, m, coeffs, e, dmax)))
+
+
+def _asymptotics():
     for q, A, samples, b_range in ASYMPTOTICS:
-        out[f"asymptotics.q{q}.A{A:g}"] = _median(
-            lambda: asymptotics_s(q, A, samples, b_range))
+        yield (f"asymptotics.q{q}.A{A:g}",
+               _median(lambda: asymptotics_s(q, A, samples, b_range)))
+
+
+def _rr_basis():
     for p, m, coeffs, a, b in CODES["rref"]:
-        out[f"rr_basis.F_{p ** m}.a{a}b{b}"] = _median(
-            lambda: rr_basis_s(p, m, coeffs, a, b))
+        yield (f"rr_basis.F_{p ** m}.a{a}b{b}",
+               _median(lambda: rr_basis_s(p, m, coeffs, a, b)))
     for config in DEGREE_ZERO:
         key, seconds = degree_zero_timing(*config)
-        out[key] = _median(lambda: degree_zero_timing(*config)[1], seconds)
-    for layer, timer in (("rref", rref_s), ("section_rows", section_rows_s),
-                         ("recovery_sets", recovery_sets_s),
-                         ("fiber_ranks", fiber_ranks_s)):
+        yield key, _median(lambda: degree_zero_timing(*config)[1], seconds)
+
+
+def _layer(layer, timer):
+    """The keys of a timer of built decomposable codes."""
+    def section():
         for config in CODES[layer]:
             code = decomposable_code(*config)
-            out[f"{layer}.F_{code.spec.order}.{code.k}x{code.n}"] = _median(
-                lambda: timer(code))
+            yield (f"{layer}.F_{code.spec.order}.{code.k}x{code.n}",
+                   _median(lambda: timer(code)))
+    return section
+
+
+def _exact_params_refused():
     for config in CODES["exact_params_refused"]:
         code = decomposable_code(*config)
         key, seconds = exact_params_refused_timing(code)
-        out[key] = _median(lambda: exact_params_refused_timing(code)[1], seconds)
-    for config in BUILDS:
-        key, seconds = build_timing(*config)
-        out[key] = _median(lambda: build_timing(*config)[1], seconds)
+        yield key, _median(lambda: exact_params_refused_timing(code)[1], seconds)
+
+
+def _timed(timing, configs):
+    """The keys of a timing function that returns (key, seconds)."""
+    def section():
+        for config in configs:
+            key, seconds = timing(*config)
+            yield key, _median(lambda: timing(*config)[1], seconds)
+    return section
+
+
+def _build_elm():
     for config in CODES["build_elm"]:
         seconds, code = build_elm_s(*config)
-        out[f"build_elm.F_{code.spec.order}.{code.k}x{code.n}"] = _median(
-            lambda: build_elm_s(*config)[0], seconds)
+        yield (f"build_elm.F_{code.spec.order}.{code.k}x{code.n}",
+               _median(lambda: build_elm_s(*config)[0], seconds))
+
+
+def _recover_write():
     for config in CODES["recover_write"]:
         code = decomposable_code(*config)
-        out[f"recover_write.F_{code.spec.order}.{code.n}"] = _median(
-            lambda: recover_write_s(code))
+        yield (f"recover_write.F_{code.spec.order}.{code.n}",
+               _median(lambda: recover_write_s(code)))
+
+
+def _distance():
     for code in ([product_code(*c) for c in DISTANCE_PRODUCT]
                  + [codes.build_prs(field_create(p, m), a) for p, m, a in DISTANCE_PRS]
                  + [random_code(*c) for c in DISTANCE_RANDOM]
                  + [p1_product_code(*c) for c in DISTANCE_P1]):
-        out[f"distance.F_{code.spec.order}.{code.k}x{code.n}"] = _median(
-            lambda: distance_s(code))
+        yield (f"distance.F_{code.spec.order}.{code.k}x{code.n}",
+               _median(lambda: distance_s(code)))
+
+
+# each yields (key, median seconds); main runs each in a fresh interpreter
+SECTIONS = {
+    "table_build": _table_build,
+    "closed_points": _closed_points,
+    "embedding": _embedding,
+    "segre": _segre,
+    "asymptotics": _asymptotics,
+    "rr_basis": _rr_basis,
+    "rref": _layer("rref", rref_s),
+    "section_rows": _layer("section_rows", section_rows_s),
+    "recovery_sets": _layer("recovery_sets", recovery_sets_s),
+    "fiber_ranks": _layer("fiber_ranks", fiber_ranks_s),
+    "exact_params_refused": _exact_params_refused,
+    "build": _timed(build_timing, BUILDS),
+    "sequence": _timed(sequence_timing, SEQUENCES),
+    "build_elm": _build_elm,
+    "recover_write": _recover_write,
+    "distance": _distance,
+}
+
+
+def main(argv):
+    if argv:
+        (name,) = argv
+        print(json.dumps(dict(SECTIONS[name]())))
+        return
+    out = {}
+    for name in SECTIONS:
+        run = subprocess.run([sys.executable, __file__, name], stdout=subprocess.PIPE,
+                             text=True, check=True)
+        out.update(json.loads(run.stdout))
     print(json.dumps({k: round(v, 4) for k, v in out.items()}, indent=1))
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -112,6 +112,10 @@ def _build_curve(cfg: dict):
         if len(coeffs) != 5 or not all(type(c) is int for c in coeffs):
             raise ConfigError("config.curve.coefficients: expected 5 integers "
                               "(a1, a2, a3, a4, a6)")
+        for i, c in enumerate(coeffs):
+            if not 0 <= c < spec.order:
+                raise ConfigError(f"config.curve.coefficients[{i}]: {c} is not an "
+                                  f"encoding 0..{spec.order - 1} of F_{spec.order}")
         try:
             return curve_create(ELLIPTIC, coeffs, spec)
         except ValueError as exc:

@@ -135,12 +135,10 @@ def build_code_decomposable(surface: RuledSurfaceModel, a: int,
     b = beta.degree()
     if not 0 <= b < len(rational):
         raise ValueError(f"deg(beta) = {b} must satisfy 0 <= b < N")
-    divisors = [beta - i * surface.delta for i in range(a + 1)]
-    blocks, values = [], []
-    for i, divisor in enumerate(divisors):  # delta = 0 repeats beta
-        first = divisors.index(divisor)
-        blocks.append(blocks[first] if first < i else rr_basis(curve, divisor))
-        values.append(values[first] if first < i else blocks[i].values(rational))
+    blocks = [rr_basis(curve, beta - i * surface.delta) for i in range(a + 1)]
+    values = []
+    for i, block in enumerate(blocks):  # delta = 0 repeats beta's one space
+        values.append(values[0] if i and block is blocks[0] else block.values(rational))
     if not any(blocks):
         raise ValueError("empty message space")
     return LinearCode(curve.spec, _section_rows(curve.spec, a, _block_coeffs(values)), pts,

@@ -17,8 +17,12 @@ ClosedPoint._known); the constructor validates a point from anywhere else.
 The curve's field may be any FieldSpec, one built by extend included.
 
 A CurveModel owns its caches: embedded coefficients, point counts, closed
-points by degree, and the local charts that rrspace expands functions in.
-They live and die with the curve.
+points by degree, the local charts that rrspace expands functions in, and
+the Riemann-Roch spaces rrspace builds.  They live and die with the curve.
+curve_create returns one CurveModel per (kind, field, coefficients) in a
+process, the way gf.field_create returns one FieldSpec per field, so every
+job on a curve reads what an earlier job on it computed; the constructor
+gives a fresh curve with empty caches.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ class CurveModel:
     """
 
     __slots__ = ("kind", "spec", "a", "genus", "pole_orders", "equation",
-                 "_coeff_cache", "_closed_cache", "_rational", "_charts")
+                 "_coeff_cache", "_closed_cache", "_rational", "_charts", "_spaces")
 
     def __init__(self, kind: str, spec: FieldSpec, coefficients=None):
         if kind not in (P1, ELLIPTIC):
@@ -55,15 +59,14 @@ class CurveModel:
         self._closed_cache = {}
         self._rational = None
         self._charts = {}       # local charts by point, see rrspace._chart
+        self._spaces = {}       # L(D) by divisor, see rrspace.rr_basis
         if kind == P1:
             self.a = ()
             self.genus = 0
             self.pole_orders = (1,)
             self.equation = ((0,), (1,))
         else:
-            if coefficients is None or len(coefficients) != 5:
-                raise ValueError("elliptic curve needs coefficients (a1,a2,a3,a4,a6)")
-            self.a = tuple(c % spec.order for c in coefficients)
+            self.a = _encodings(spec, coefficients)
             self.genus = 1
             self.pole_orders = (2, 3)
             a1, a2, a3, a4, a6 = self.a
@@ -306,8 +309,31 @@ class CurveModel:
         return f"E{self.a}({self.spec!r})"
 
 
+def _encodings(spec: FieldSpec, coefficients) -> tuple[int, ...]:
+    """(a1, a2, a3, a4, a6) as a tuple of encodings over spec; ValueError
+    unless there are five, each an integer in 0..order-1."""
+    if coefficients is None or len(coefficients) != 5:
+        raise ValueError("elliptic curve needs coefficients (a1,a2,a3,a4,a6)")
+    for i, c in enumerate(coefficients):
+        if not (isinstance(c, (int, np.integer)) and 0 <= c < spec.order):
+            raise ValueError(f"coefficients[{i}] = {c!r} is not an encoding "
+                             f"0..{spec.order - 1} of {spec!r}")
+    return tuple(map(int, coefficients))
+
+
+_CURVES: dict = {}
+
+
 def curve_create(kind: str, coefficients, spec: FieldSpec) -> CurveModel:
-    return CurveModel(kind, spec, coefficients)
+    """The one CurveModel of this kind over spec with these coefficients
+    (ignored on P^1) in the process, built on first request.  Raises
+    ValueError as the constructor does: an unknown kind, a coefficient
+    outside 0..order-1, a singular equation."""
+    key = (kind, spec.p, spec.deg,
+           _encodings(spec, coefficients) if kind == ELLIPTIC else ())
+    if key not in _CURVES:
+        _CURVES[key] = CurveModel(kind, spec, coefficients)
+    return _CURVES[key]
 
 
 def _orbit_minima(ext: FieldSpec, q: int, d: int, xs: np.ndarray,

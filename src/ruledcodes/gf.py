@@ -6,9 +6,13 @@ coefficient-encoding order), so serialized data is reproducible across runs.
 Elements are encoded as integers in [0, p^deg) via sum(c_i * p^i) over the
 coefficient vector.  This encoding is the one element representation: every
 module computes on it, and it is the wire format of all exports.
-The modulus is found by Rabin's test on Poly over F_p.  Up to _TABLE_MAX
-elements, products go through exp/log tables; above it, through fqarray's
-multiplication matrix of one factor applied to the digits of the other.
+The modulus is found by Rabin's test on Poly over F_p, except for the
+fields F_{p^m}, m >= 2, of characteristic 2, 3, 5 and 7 up to DESK_CAP,
+whose moduli (and the generators their exp/log tables start from) are read
+from _KNOWN.  Up
+to _TABLE_MAX elements, products go through exp/log tables; above it,
+through fqarray's multiplication matrix of one factor applied to the
+digits of the other.
 
 A field is its modulus: there is one FieldSpec per order p^m, whichever
 tower reaches it.  The extension F_{q^d} of a field F_q is the absolute
@@ -115,6 +119,20 @@ def _least_irreducible(p: int, n: int) -> list[int]:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+# For p = 2, 3, 5, 7 and m = 2, 3, .. up to DESK_CAP, "low:gen" per m: the
+# least modulus of F_{p^m} as its low coefficients' encoding sum c_i p^i,
+# and the generator the exp/log tables start from (0 above _TABLE_MAX,
+# where none are built).  They are what _least_irreducible and
+# FieldSpec._least_generator return, as test_gf checks; strings, because a
+# literal of tuples costs every process ten times as much to compile.
+_KNOWN = {
+    2: "3:2 3:2 3:2 5:2 3:2 3:2 27:3 3:7 9:2 5:2 9:3 27:2 33:7 3:2 43:3 9:0 9:0 39:0 9:0",
+    3: "1:4 7:3 5:3 7:3 5:3 11:5 11:38 64:3 19:34 11:0 11:0",
+    5: "2:6 6:9 2:6 21:10 7:5 6:0 2:0",
+    7: "1:9 2:22 8:12 10:9 2:0 43:0",
+}
+
+
 # ---------------------------------------------------------------------------
 
 class FieldSpec:
@@ -122,13 +140,14 @@ class FieldSpec:
 
     Do not call the constructor directly; use field_create and extend, which
     cache one spec per order, so equal fields are identical objects and
-    equality is identity.
+    equality is identity.  gen, when nonzero, is the generator
+    _least_generator would find, and the exp/log tables start from it.
     """
 
     __slots__ = ("p", "deg", "modulus", "order", "_exp", "_log",
                  "_embeddings", "_coords", "_fq_maps")
 
-    def __init__(self, p: int, deg: int, modulus: tuple[int, ...]):
+    def __init__(self, p: int, deg: int, modulus: tuple[int, ...], gen: int = 0):
         self.p = p
         self.deg = deg
         self.modulus = modulus          # full coefficient tuple, monic
@@ -139,7 +158,7 @@ class FieldSpec:
         self._coords = {}               # inverse basis matrices, see rrspace
         self._fq_maps = None            # fqarray's digit powers and reduction maps
         if self.order <= _TABLE_MAX:
-            self._build_tables()
+            self._build_tables(gen or self._least_generator())
 
     # -- representation helpers
 
@@ -252,16 +271,19 @@ class FieldSpec:
 
     # -- tables
 
-    def _build_tables(self):
-        # The least g with g^((order - 1)/l) != 1 for every prime l dividing
-        # order - 1 generates the multiplicative group; pow_i takes its
-        # square-and-multiply path here, as the tables are not built yet.
-        # Elements of F_p have orders dividing p - 1, so for deg > 1 no
-        # generator is among them.
+    def _least_generator(self) -> int:
+        """The least g with g^((order - 1)/l) != 1 for every prime l
+        dividing order - 1, which generates the multiplicative group; pow_i
+        takes its square-and-multiply path here, as the tables are not
+        built yet.  Elements of F_p have orders dividing p - 1, so for
+        deg > 1 no generator is among them."""
         n1 = self.order - 1
-        gen = next(g for g in range(1 if self.deg == 1 else self.p, self.order)
-                   if all(self.pow_i(g, n1 // ell) != 1
-                          for ell in _prime_factors(n1)))
+        return next(g for g in range(1 if self.deg == 1 else self.p, self.order)
+                    if all(self.pow_i(g, n1 // ell) != 1
+                           for ell in _prime_factors(n1)))
+
+    def _build_tables(self, gen: int):
+        n1 = self.order - 1
         exp = self._cyclic_powers(gen)
         log = np.zeros(self.order, dtype=np.int64)
         log[exp] = np.arange(n1)
@@ -360,7 +382,13 @@ def field_create(p: int, m: int) -> FieldSpec:
         raise ValueError(f"p = {p} is not prime")
     key = (p, m)
     if key not in _SPEC_CACHE:
-        _SPEC_CACHE[key] = FieldSpec(p, m, tuple(_least_irreducible(p, m)))
+        known = _KNOWN.get(p, "").split()
+        if 2 <= m < len(known) + 2:
+            low, gen = map(int, known[m - 2].split(":"))
+            modulus = tuple(low // p ** i % p for i in range(m)) + (1,)
+        else:
+            modulus, gen = tuple(_least_irreducible(p, m)), 0
+        _SPEC_CACHE[key] = FieldSpec(p, m, modulus, gen)
     return _SPEC_CACHE[key]
 
 

@@ -45,9 +45,11 @@ exactly when q^d <= gf.DESK_CAP for every point in it.
 effective_divisors lists the effective divisors of one degree; the
 graph-avoidance bound in surface asks one linear solve of each L(D).
 
-Nothing here is cached at module level: local charts are cached on their
-CurveModel, and the inverse basis matrices of subfield_coords on the big
-FieldSpec, so both are freed with their owner.
+Nothing here is cached at module level: local charts and the spaces
+rr_basis returns are cached on their CurveModel (an RRSpace is never
+changed once built, so every caller asking for one L(D) shares it), and
+the inverse basis matrices of subfield_coords on the big FieldSpec, so all
+are freed with their owner.
 """
 
 from __future__ import annotations
@@ -335,9 +337,18 @@ class RRSpace:
 def rr_basis(curve: CurveModel, D: DivisorOnCurve) -> RRSpace:
     """Echelonized basis of L(D) = {f : div(f) + D >= 0} over F_q by the one
     algorithm of the module docstring: monomials of bounded pole order at
-    infinity, cut down by vanishing conditions at affine points."""
+    infinity, cut down by vanishing conditions at affine points.  Built
+    once per divisor of the curve, keyed like _chart by the points'
+    (degree, x, y), with their multiplicities."""
     if D.curve != curve:
         raise ValueError("divisor lives on a different curve")
+    key = tuple((pt.degree, pt.x, pt.y, n) for pt, n in D.items())
+    if key not in curve._spaces:
+        curve._spaces[key] = _rr_space(curve, D)
+    return curve._spaces[key]
+
+
+def _rr_space(curve: CurveModel, D: DivisorOnCurve) -> RRSpace:
     spec = curve.spec
     deg_d = D.degree()
     if deg_d < 0:

@@ -32,6 +32,9 @@ def test_bench_layers_on_its_smallest_inputs():
     assert [key for key, _ in builds] == ["build.F_49.decomposable.126x3200",
                                           "build.F_49.elm.126x3200"]
     assert all(seconds > 0 for _, seconds in builds)
+    assert bench.SEQUENCES == [(2, 4, (0, 0, 1, 0, 0), 1, 4)]
+    (key, seconds), = bench.SECTIONS["sequence"]()
+    assert key == "sequence.F_16.build_recover" and seconds > 0
     seconds, elm = bench.build_elm_s(*bench.CODES["rref"][0])
     assert seconds > 0 and (elm.k, elm.n, elm.meta["family"]) == (6, 3000, "elm_surface")
     p, m, curves, d = bench.CLOSED_POINTS[0]

@@ -701,6 +701,21 @@ def test_non_boolean_flags_and_boolean_coefficients_exit2(tmp_path, capsys, wher
     assert where in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("coefficients, where", [([0, 0, 0, -1, 0], "[3]: -1"),
+                                                 ([49, 0, 0, 1, 0], "[0]: 49")])
+def test_coefficient_outside_the_encodings_exit2(tmp_path, capsys, coefficients, where):
+    # -1 meant as y^2 = x^3 - x over F_49 was read as 48 = 6z + 6, a curve
+    # with 36 points instead of 64, and built
+    cfg = write_config(tmp_path, field={"p": 7, "m": 2},
+                       curve={"kind": "elliptic", "coefficients": coefficients})
+    out = tmp_path / "out"
+    assert main(["build", "--config", cfg, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert (f"config.curve.coefficients{where} is not an encoding 0..48 of F_49"
+            in err) and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("surface", [
     {"variant": "decomposable", "delta": [{"degree": 2, "index": 0}]},
     {"variant": "elm", "center": {"degree": 2, "base_index": 0, "fiber_index": 0}},
@@ -870,7 +885,7 @@ def _config(draw):
     else:
         coeffs = draw(st.sampled_from(_CURVES[p, m]))
         if draw(_rarely(8)):
-            coeffs = draw(st.lists(_mostly(st.integers(0, 4)), min_size=4,
+            coeffs = draw(st.lists(_mostly(st.integers(-1, 5)), min_size=4,
                                    max_size=6))
         cfg["curve"] = {"kind": "elliptic", "coefficients": coeffs}
     center = {"degree": draw(_mostly(st.sampled_from([2, 2, 3, 1])))}

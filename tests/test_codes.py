@@ -3,9 +3,9 @@ from unittest import mock
 
 import pytest
 
-from ruledcodes import codes, linalg
+from ruledcodes import codes, linalg, rrspace
 from ruledcodes.gf import field_create, extend
-from ruledcodes.curve import curve_create, DivisorOnCurve, P1, ELLIPTIC
+from ruledcodes.curve import curve_create, CurveModel, DivisorOnCurve, P1, ELLIPTIC
 from ruledcodes.surface import (surface_decomposable, surface_elm_product,
                                 surface_trivial)
 from ruledcodes.codes import (build_prs, build_curve_code,
@@ -153,17 +153,19 @@ def test_decomposable_e0_equals_product_rowspace():
 
 @pytest.mark.parametrize("curve", [E5, L5], ids=["elliptic", "P1"])
 def test_product_surface_build_computes_one_basis(curve):
-    # delta = 0, so L(beta - i delta) is L(beta) for every i: one rr_basis
-    # call, and the rows of a + 1 separately computed copies of it
+    # delta = 0, so L(beta - i delta) is L(beta) for every i: one basis
+    # computed on a fresh curve, and the rows of a + 1 separately computed
+    # copies of it
     a = 2
+    curve = CurveModel(curve.kind, curve.spec, curve.a)     # no cached spaces
     beta = DivisorOnCurve(curve, [(curve.closed_points(3)[0], 1)])
-    calls, rr_basis = [], codes.rr_basis
-    with mock.patch.object(codes, "rr_basis", lambda c, d: (
-            calls.append(d), rr_basis(c, d))[1]):
+    calls, build = [], rrspace._rr_space
+    with mock.patch.object(rrspace, "_rr_space", lambda c, d: (
+            calls.append(d), build(c, d))[1]):
         code = build_code_decomposable(surface_trivial(curve), a, beta)
     assert calls == [beta]
     values = [[[evaluate(f, p) for p in curve.rational_points()]
-               for f in functions(rr_basis(curve, beta))] for _ in range(a + 1)]
+               for f in functions(codes.rr_basis(curve, beta))] for _ in range(a + 1)]
     zero = [0] * len(curve.rational_points())
     coeffs = [[v for j, block in enumerate(values) for v in
                (block if j == i else [zero] * len(block))] for i in range(a + 1)]

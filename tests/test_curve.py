@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import curve_oracle
 from ruledcodes.gf import field_create, extend
-from ruledcodes.curve import (curve_create, ClosedPoint,
+from ruledcodes import curve as curve_module
+from ruledcodes.curve import (curve_create, ClosedPoint, CurveModel,
                               DivisorOnCurve, divisor_class_sum, P1, ELLIPTIC)
 
 
@@ -39,6 +40,43 @@ def test_elliptic_nonsingular(e5):
 def test_singular_curve_rejected():
     with pytest.raises(ValueError):
         curve_create(ELLIPTIC, (0, 0, 0, 0, 0), F5)  # y^2 = x^3
+
+
+def test_curve_create_returns_one_curve_per_kind_field_and_coefficients(monkeypatch):
+    monkeypatch.setattr(curve_module, "_CURVES", {})
+    f49 = field_create(7, 2)
+    e = curve_create(ELLIPTIC, [0, 0, 0, 1, 0], f49)
+    assert curve_create(ELLIPTIC, (0, 0, 0, 1, 0), f49) is e
+    assert curve_create(ELLIPTIC, (0, 0, 0, 1, 0), extend(field_create(7, 1), 2)) is e
+    line = curve_create(P1, None, f49)
+    assert curve_create(P1, None, f49) is line
+    others = [line, curve_create(ELLIPTIC, (0, 0, 0, 1, 1), f49),
+              curve_create(ELLIPTIC, (0, 0, 0, 1, 0), field_create(7, 1)),
+              curve_create(P1, None, field_create(7, 1))]
+    assert len({id(c) for c in [e, *others]}) == 5
+    # what one caller computes on the curve, the next one reads
+    e.closed_points(2)
+    assert 2 in curve_create(ELLIPTIC, (0, 0, 0, 1, 0), f49)._closed_cache
+    # the constructor still gives a fresh curve, equal and with empty caches
+    fresh = CurveModel(ELLIPTIC, f49, (0, 0, 0, 1, 0))
+    assert fresh is not e and fresh == e and not fresh._closed_cache
+    assert len(curve_module._CURVES) == 5
+
+
+@pytest.mark.parametrize("coefficients, i", [((0, 0, 0, -1, 0), 3),
+                                             ((0, 0, 0, 1, 49), 4),
+                                             ((0.0, 0, 0, 1, 0), 0)])
+def test_coefficients_outside_the_encodings_refused(coefficients, i):
+    # over F_49, -1 is the element 6, not the encoding 48 = 6z + 6 that
+    # reducing mod 49 gave: y^2 = x^3 - x has 64 points, y^2 = x^3 + 48x 36
+    f49 = field_create(7, 2)
+    with pytest.raises(ValueError, match=rf"coefficients\[{i}\] = .* is not an "
+                       r"encoding 0\.\.48 of GF\(7\^2\)"):
+        curve_create(ELLIPTIC, coefficients, f49)
+    with pytest.raises(ValueError, match=rf"coefficients\[{i}\]"):
+        CurveModel(ELLIPTIC, f49, coefficients)
+    assert len(curve_create(ELLIPTIC, (0, 0, 0, 6, 0), f49).rational_points()) == 64
+    assert len(curve_create(ELLIPTIC, (0, 0, 0, 48, 0), f49).rational_points()) == 36
 
 
 def test_curve_over_a_tower_is_the_curve_over_its_field():

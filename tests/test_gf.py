@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 import gf_oracle
 from curve_oracle import nonresidue, solve_quadratic, sqrt_i
-from ruledcodes import fqarray
-from ruledcodes.gf import (DESK_CAP, PRIME_CERT_BOUND, field_create, extend,
-                           is_prime, prime_power, _is_irreducible,
-                           _least_irreducible)
+from ruledcodes import fqarray, gf
+from ruledcodes.gf import (DESK_CAP, PRIME_CERT_BOUND, FieldSpec, field_create,
+                           extend, is_prime, prime_power, within_desk_cap,
+                           _is_irreducible, _least_irreducible, _TABLE_MAX)
 from ruledcodes.poly import Poly
 
 
@@ -428,6 +428,42 @@ def test_least_irreducible_matches_the_list_oracle():
     assert len(fields) == 414
     for p, n in fields:
         assert _least_irreducible(p, n) == gf_oracle.least_irreducible(p, n), (p, n)
+
+
+def test_known_fields_are_the_searched_ones():
+    # every field p^m, m >= 2, up to the cap for p = 2, 3, 5, 7: the table's
+    # modulus is the one Rabin's search finds, and its generator is the one
+    # the tables of a spec built without it start from (0 without tables)
+    assert sorted(gf._KNOWN) == [2, 3, 5, 7]
+    for p, known in gf._KNOWN.items():
+        known = [tuple(map(int, entry.split(":"))) for entry in known.split()]
+        assert within_desk_cap(p, len(known) + 1)
+        assert not within_desk_cap(p, len(known) + 2)
+        for m, (low, gen) in enumerate(known, start=2):
+            modulus = tuple(_least_irreducible(p, m))
+            assert sum(c * p ** i for i, c in enumerate(modulus[:-1])) == low, (p, m)
+            assert field_create(p, m).modulus == modulus
+            if p ** m <= _TABLE_MAX:
+                assert FieldSpec(p, m, modulus)._exp[1] == gen, (p, m)
+            else:
+                assert gen == 0 and field_create(p, m)._exp is None
+
+
+def test_fields_outside_the_table_are_searched(monkeypatch):
+    searched = []
+
+    def spy(p, n):
+        searched.append((p, n))
+        return _least_irreducible(p, n)
+    monkeypatch.setattr(gf, "_SPEC_CACHE", {})
+    monkeypatch.setattr(gf, "_least_irreducible", spy)
+    f121 = field_create(11, 2)
+    assert f121.modulus == tuple(gf_oracle.least_irreducible(11, 2))
+    assert (11, 2) in searched
+    del searched[:]
+    for p, m in ((2, 4), (7, 2), (3, 12), (2, 20)):
+        assert field_create(p, m).modulus == tuple(_least_irreducible(p, m))
+    assert all(n == 1 for _, n in searched)
 
 
 @pytest.mark.parametrize("p, degrees", [(2, range(2, 9)), (3, range(2, 6)),

@@ -3,7 +3,8 @@
 The sha256 of every file `build` writes for the three configs in
 scripts/configs, of the `verify` stdout on the decomposable demo build, of
 the `segre` stdout on the elm demo, of `recovery.json` on the locality
-demo, of the `asymptotics` stdout and CSVs for q = 16, A = 3 and
+demo (also when one process builds and recovers the demos in turn), of
+the `asymptotics` stdout and CSVs for q = 16, A = 3 and
 q = 49, A = 6 (the benchmark's frontier settings) and for two regimes where
 a0 often leaves [0, b], of the `asymptotics` stderr for two refused regimes,
 and of `generator.txt`, `report.json` and the refused `verify` stderr for
@@ -18,6 +19,7 @@ import os
 
 import pytest
 
+from ruledcodes import curve as curve_module
 from ruledcodes.cli import main
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "scripts", "configs")
@@ -103,6 +105,29 @@ def test_recovery_json_matches_golden(tmp_path, capsys):
     assert main(["recover", "--config", _config("locality_demo"),
                  "--out", str(rec)]) == 0
     assert _sha(rec.read_bytes()) == GOLDEN["locality_demo/recovery.json"]
+
+
+def test_one_curve_serves_a_job_sequence(tmp_path, monkeypatch, capsys):
+    # dec, elm, recover and dec again in one process, from no curve: all
+    # four jobs run on the demos' one E/F_5, each reading what the earlier
+    # ones cached on it, and every file keeps its golden bytes
+    monkeypatch.setattr(curve_module, "_CURVES", {})
+    jobs = [("build", "decomposable_demo"), ("build", "elm_demo"),
+            ("recover", "locality_demo"), ("build", "decomposable_demo")]
+    for i, (command, name) in enumerate(jobs):
+        out = tmp_path / str(i)
+        if command == "build":
+            assert main(["build", "--config", _config(name), "--out-dir", str(out)]) == 0
+            files = BUILD_FILES
+        else:
+            out.mkdir()
+            assert main(["recover", "--config", _config(name),
+                         "--out", str(out / "recovery.json")]) == 0
+            files = ("recovery.json",)
+        for fname in files:
+            assert _sha((out / fname).read_bytes()) == GOLDEN[f"{name}/{fname}"], (i, fname)
+    (curve,) = curve_module._CURVES.values()
+    assert curve._spaces and 2 in curve._closed_cache and 3 in curve._closed_cache
 
 
 def _asymptotics(q, A):

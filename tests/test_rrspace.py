@@ -298,7 +298,7 @@ def chart_points(curve):
                                              (E49, True), (E5_FULL, True)],
                          ids=["F5", "F4-a1", "F16", "F49", "F5-full"])
 def test_charts_solve_the_curve_equation(curve, has_tors):
-    curve = curve_create(ELLIPTIC, curve.a, curve.spec)   # no cached charts
+    curve = CurveModel(ELLIPTIC, curve.spec, curve.a)     # no cached charts
     kinds = set()
     for pt in chart_points(curve):
         rel = 9
@@ -332,7 +332,7 @@ def test_charts_solve_the_curve_equation(curve, has_tors):
 
 
 def test_p1_charts_are_x0_plus_t_and_one_over_t():
-    line = curve_create(P1, None, F5)                        # no cached charts
+    line = CurveModel(P1, F5)                                # no cached charts
     inf = ClosedPoint(line, 1, None, None)
     xs, ys = rrspace_oracle._Chart(line, inf).xy(6)          # t = 1/x
     assert ys is None and (xs.v, xs.poly.coeffs, xs.abs) == (-1, (1,), 5)
@@ -751,14 +751,14 @@ def test_x_fiber_matches_scan(pm, coeffs, dmax, shapes):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_rr_basis_needs_only_the_points_field(d):
-    curve = curve_create(ELLIPTIC, (0, 0, 0, 0, 1), field_create(5, 1))
+    curve = CurveModel(ELLIPTIC, field_create(5, 1), (0, 0, 0, 0, 1))
     P = curve.closed_points(d)[-1]
     assert len(rr_basis(curve, DivisorOnCurve(curve, [(P, 2)]))) == 2 * d
     assert 2 * d not in curve._closed_cache
 
 
 def test_rr_basis_degree_four_point():
-    curve = curve_create(ELLIPTIC, (0, 0, 0, 0, 1), field_create(5, 1))
+    curve = CurveModel(ELLIPTIC, field_create(5, 1), (0, 0, 0, 0, 1))
     P = curve.closed_points(4)[0]
     D = DivisorOnCurve(curve, [(P, 1)])
     basis = functions(rr_basis(curve, D))
@@ -858,13 +858,29 @@ def test_rr_bases_with_zeros_at_origin_are_pinned():
     assert digest == RR_ZEROS_AT_O_DIGEST
 
 
+def test_equal_divisors_share_one_space():
+    curve = CurveModel(ELLIPTIC, F5, (0, 0, 0, 0, 1))          # no cached spaces
+    P, Q = curve.closed_points(2)[0], curve.closed_points(3)[0]
+    O = ClosedPoint(curve, 1, None, None)
+    D = DivisorOnCurve(curve, [(P, 2), (Q, -1), (O, 1)])
+    space = rr_basis(curve, D)
+    # built separately, in another order, from points found again
+    again = DivisorOnCurve(curve, [(ClosedPoint(curve, 1, None, None), 1),
+                                   (ClosedPoint(curve, 3, Q.x, Q.y), -1),
+                                   (curve.closed_points(2)[0], 1)])
+    assert rr_basis(curve, again + DivisorOnCurve(curve, [(P, 1)])) is space
+    assert rr_basis(curve, D + DivisorOnCurve(curve, [(O, 1)])) is not space
+    assert rr_basis(CurveModel(ELLIPTIC, F5, (0, 0, 0, 0, 1)), D) is not space
+    assert len(curve._spaces) == 2
+
+
 def test_rr_basis_does_not_keep_its_curve_alive():
     def live_curves():
         return sum(isinstance(o, CurveModel) for o in gc.get_objects())
 
     gc.collect()
     before = live_curves()
-    curve = curve_create(ELLIPTIC, (0, 0, 0, 0, 1), field_create(5, 1))
+    curve = CurveModel(ELLIPTIC, field_create(5, 1), (0, 0, 0, 0, 1))
     P = curve.closed_points(3)[0]     # expansions at -P need a local chart
     assert len(rr_basis(curve, DivisorOnCurve(curve, [(P, 1)]))) == 3
     del curve, P

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ruledcodes.gf import field_create, extend
-from ruledcodes.curve import (curve_create, ClosedPoint, DivisorOnCurve, P1,
-                              ELLIPTIC)
+from ruledcodes.curve import (curve_create, ClosedPoint, CurveModel,
+                              DivisorOnCurve, P1, ELLIPTIC)
 from ruledcodes import surface as surface_module
 from ruledcodes.rrspace import effective_divisors, rr_basis
 from ruledcodes.surface import (NumClass, surface_decomposable,
@@ -293,7 +293,7 @@ def test_segre_walk_skips_degree_one_on_genus_one(monkeypatch):
 
 
 def test_segre_huge_dmax_refused_before_point_enumeration():
-    curve = curve_create(ELLIPTIC, (0, 0, 0, 0, 1), F5)
+    curve = CurveModel(ELLIPTIC, F5, (0, 0, 0, 0, 1))     # no cached points
     d2 = E5.closed_points(2)[0]
     surface = surface_elm_product(curve, ClosedPoint(curve, 2, d2.x, d2.y),
                                   elm_surface().fiber_coord)
