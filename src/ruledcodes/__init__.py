@@ -44,8 +44,7 @@ from .surface import (RuledSurfaceModel, NumClass, surface_decomposable,
                       elm_class_map, segre_decomposable, segre_lower_bound_elm,
                       segre_upper_bounds)
 from .codes import (LinearCode, build_prs, build_curve_code,
-                    build_code_decomposable, build_code_elm,
-                    build_product_code, build_unisecant)
+                    build_code_decomposable, build_code_elm, build_unisecant)
 from .analysis import (BoundReport, bound_elm_family, bound_decomposable_family,
                        bound_unisecant, exact_params, griesmer_check,
                        singleton_check)

@@ -23,9 +23,8 @@ from .surface import (NumClass, surface_decomposable, surface_elm_product,
                       surface_trivial, segre_decomposable,
                       segre_lower_bound_elm, segre_upper_bounds,
                       segre_dmax_default, DECOMPOSABLE, ELM)
-from .codes import (build_code_decomposable, build_code_elm,
-                    build_product_code, write_matrix, write_points,
-                    read_matrix)
+from .codes import (build_code_decomposable, build_code_elm, write_matrix,
+                    write_points, read_matrix)
 from .analysis import (bound_elm_family, bound_decomposable_family, exact_params,
                        griesmer_check, singleton_check, CapExceededError,
                        EXACT_CAP_DEFAULT, EXACT_CAP_MAX)
@@ -228,13 +227,12 @@ def _build_code(cfg: dict):
     try:
         if surface.variant == ELM:
             code = build_code_elm(surface, a, beta)
-        elif tensor:
-            code = build_product_code(curve, a, beta)
-            code.meta["surface"] = surface
         else:
             code = build_code_decomposable(surface, a, beta)
     except ValueError as exc:
         raise ConfigError(f"config.code: {exc}")
+    if tensor:  # C x P^1's decomposable code is PRS(a) (x) C_curve(beta)
+        code.meta["family"] = "product"
     return code
 
 

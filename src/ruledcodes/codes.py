@@ -3,20 +3,20 @@
 Families:
   * projective (doubly extended) Reed-Solomon PRS(a) on P^1(F_q);
   * AG codes on the base curve, L(beta) evaluated at rational points;
-  * decomposable-surface codes: sections of a*S + pi^*(beta) on
-    P(O (+) O(-delta)), message space the direct sum of L(beta - i*delta);
-  * elm-surface codes: sections with a multiplicity-a condition at the
-    center, cut out by Hasse-derivative conditions on L(beta)^(a+1);
-  * product codes PRS(a) (x) C_curve(beta) on C x P^1, an independent
-    oracle for both surface families;
+  * surface codes: sections sum_{i=0..a} g_i u^i, g_i in L(beta_i), of
+    a*S + pi^*(beta), three families built by one _section_code: on
+    P(O (+) O(-delta)) beta_i = beta - i*delta; the product PRS(a) (x)
+    C_curve(beta) is that code on C x P^1 (delta = 0), with its Kunneth
+    oracle in tests/product_oracle.py; elm takes beta_i = beta, cut by
+    Hasse-derivative conditions for multiplicity a at the center;
   * unisecant codes (a = 1) with their dimension/distance records.
 
 A section (f_0, ..., f_a) takes the value sum_i f_i(p) u^i at the surface
 point (p, u) and the top coefficient f_a(p) at (p, infinity), matching the
-projective Reed-Solomon convention on every fiber.  So both surface
-families share one evaluator, _section_rows: each row's values of
-(f_0, ..., f_a) at the N rational base points times the generator of PRS(a).
-Each distinct Riemann-Roch space is evaluated once, whole, at the N points
+projective Reed-Solomon convention on every fiber.  So the builder ends in
+one evaluator, _section_rows: each row's values of (f_0, ..., f_a) at the
+N rational base points times the generator of PRS(a).  Each distinct
+Riemann-Roch space is evaluated once, whole, at the N points
 (RRSpace.values); the elm conditions read its Taylor coefficients at the
 center (RRSpace.expansions).
 """
@@ -122,30 +122,103 @@ def build_curve_code(curve: CurveModel, beta: DivisorOnCurve) -> LinearCode:
 def build_code_decomposable(surface: RuledSurfaceModel, a: int,
                             beta: DivisorOnCurve) -> LinearCode:
     """Sections of a*S + pi^*(beta) on a decomposable surface, evaluated at
-    all (q+1)N rational points; message space (+)_{i=0..a} L(beta - i*delta)."""
+    all (q+1)N rational points; message space (+)_{i=0..a} L(beta - i*delta).
+    On surface_trivial (delta = 0) this is PRS(a) (x) C_curve(beta)."""
     if surface.variant != DECOMPOSABLE:
         raise ValueError("decomposable builder on a non-decomposable surface")
+    delta = surface.delta
+    return _section_code(
+        surface, a, beta, [beta - i * delta for i in range(a + 1)],
+        lambda rational: _check_disjoint(delta, rational, "delta"),
+        {"family": "decomposable_surface", "e": surface.e})
+
+
+def build_code_elm(surface: RuledSurfaceModel, a: int,
+                   beta: DivisorOnCurve) -> LinearCode:
+    """Sections of a(C0 - E) + pi^*(beta) on an elm surface: the sections
+    sum_i g_i u^i, g_i in L(beta), cut by _hasse_conditions at the center."""
+    if surface.variant != ELM:
+        raise ValueError("elm builder on a non-elm surface")
+    center = surface.base_point
+
+    def check_center(rational):
+        if beta.multiplicity(center) != 0:
+            raise ValueError("supp(beta) must avoid the center of the transform")
+    return _section_code(
+        surface, a, beta, [beta] * (a + 1), check_center,
+        {"family": "elm_surface", "d": center.degree},
+        lambda space: _hasse_conditions(surface, a, space))
+
+
+def _hasse_conditions(surface: RuledSurfaceModel, a: int, space):
+    """The F_q rows, on the g_i's coordinates in the L(beta) basis space
+    (i = 0..a), saying that the local expansion sum_{j,kk} t^j w^kk of
+    sum_i g_i u^i at the center vanishes for j + kk <= a - 1 (t the
+    uniformizer at the base point, w = u - fiber coordinate).  The
+    coefficient of t^j w^kk is sum_i C(i, kk) u0^(i - kk) T_j(g_i), T_j the
+    j-th Taylor coefficient; each gives deg(center) F_q-linear conditions."""
+    spec = surface.curve.spec
+    center = surface.base_point
+    ext = extend(spec, center.degree)
+    u0 = surface.fiber_coord
+    taylors = space.expansions(center, a).tolist()
+    conditions = []
+    for j in range(a):
+        for kk in range(a - j):
+            hasse = [ext.mul_i(comb(i, kk) % spec.p, ext.pow_i(u0, i - kk))
+                     if i >= kk else 0 for i in range(a + 1)]
+            conditions.append([ext.mul_i(h, t[j]) for h in hasse for t in taylors])
+    return subfield_coords(spec, ext, conditions)
+
+
+def _section_code(surface: RuledSurfaceModel, a: int, beta: DivisorOnCurve,
+                  betas, check, meta, conditions=None) -> LinearCode:
+    """The code of the sections sum_{i=0..a} g_i u^i, g_i in L(betas[i]),
+    of a*S + pi^*(beta) at surface_rational_points, with the caller's
+    family fields meta.  Refusals, in order: a < 0, supp(beta) meeting a
+    rational base point, check(rational base points), deg(beta) outside
+    0..N-1, an empty message space.  Without conditions the message space
+    is the direct sum of the L(betas[i]).  With conditions every betas[i]
+    must be one divisor (elm's [beta] * (a + 1)), whose space is asked for
+    once; conditions(space) gives F_q rows on the g_i's coordinates in its
+    basis, and each row of their null space is applied at the base points.
+    Each distinct space is evaluated once at the N rational base points."""
     if a < 0:
         raise ValueError("a must be >= 0")
-    curve = surface.curve
-    pts = surface_rational_points(surface)
+    curve, spec = surface.curve, surface.curve.spec
     rational = curve.rational_points()
     _check_disjoint(beta, rational, "beta")
-    _check_disjoint(surface.delta, rational, "delta")
+    check(rational)
     b = beta.degree()
     if not 0 <= b < len(rational):
         raise ValueError(f"deg(beta) = {b} must satisfy 0 <= b < N")
-    blocks = [rr_basis(curve, beta - i * surface.delta) for i in range(a + 1)]
-    values = []
-    for i, block in enumerate(blocks):  # delta = 0 repeats beta's one space
-        values.append(values[0] if i and block is blocks[0] else block.values(rational))
-    if not any(blocks):
-        raise ValueError("empty message space")
-    return LinearCode(curve.spec, _section_rows(curve.spec, a, _block_coeffs(values)), pts,
-                      {"family": "decomposable_surface", "a": a, "b": b,
-                       "e": surface.e, "N": len(rational),
-                       "g": curve.genus, "surface": surface, "beta": beta,
-                       "curve": curve, "block_dims": [len(bl) for bl in blocks]})
+    spaces = [rr_basis(curve, d) for d in (betas[:1] if conditions else betas)]
+    if not any(spaces):
+        raise ValueError("empty message space" + (" L(beta)" if conditions else ""))
+    meta = {**meta, "a": a, "b": b, "N": len(rational), "g": curve.genus,
+            "surface": surface, "beta": beta, "curve": curve}
+    if conditions is None:
+        values = []
+        for space in spaces:  # delta = 0 repeats beta's one space
+            values.append(values[0] if values and space is spaces[0]
+                          else space.values(rational))
+        coeffs = _block_coeffs(values)
+        meta["block_dims"] = [len(space) for space in spaces]
+    else:
+        space, m = spaces[0], len(spaces[0])
+        cond_rows = conditions(space)
+        null = linalg.nullspace(spec, cond_rows, (a + 1) * m)
+        if not null:
+            raise ValueError("empty message space after multiplicity conditions")
+        # row r's g_i at the base points: its block-i coordinates times the
+        # basis values, all blocks of all rows in one product
+        blocks = [row[i * m:(i + 1) * m] for row in null for i in range(a + 1)]
+        values = linalg.mat_mul(spec, blocks, space.values(rational))
+        coeffs = [values[i::a + 1] for i in range(a + 1)]
+        meta["condition_rank"] = (a + 1) * m - len(null)
+        meta["condition_count"] = len(cond_rows)
+    return LinearCode(spec, _section_rows(spec, a, coeffs),
+                      surface_rational_points(surface), meta)
 
 
 def _block_coeffs(values):
@@ -170,91 +243,6 @@ def _section_rows(spec: FieldSpec, a: int, coeffs):
     values = np.asarray(coeffs, dtype=np.int64).transpose(1, 2, 0)
     table = linalg.mat_mul(spec, values.reshape(-1, a + 1), build_prs(spec, a).matrix)
     return table.reshape(len(values), -1).tolist()
-
-
-def build_code_elm(surface: RuledSurfaceModel, a: int,
-                   beta: DivisorOnCurve) -> LinearCode:
-    """Sections of a(C0 - E) + pi^*(beta) on an elm surface.
-
-    The sections sum_i g_i u^i, g_i in L(beta), whose local expansion
-    sum_{j,kk} t^j w^kk at the center vanishes for j + kk <= a - 1 (t the
-    uniformizer at the base point, w = u - fiber coordinate).  The
-    coefficient of t^j w^kk is sum_i C(i, kk) u0^(i - kk) T_j(g_i), T_j the
-    j-th Taylor coefficient; each is flattened into deg(center) F_q-linear
-    conditions on the coefficients of the g_i in the L(beta) basis, and
-    each row of their null space is applied at the rational base points.
-    """
-    if surface.variant != ELM:
-        raise ValueError("elm builder on a non-elm surface")
-    if a < 0:
-        raise ValueError("a must be >= 0")
-    curve = surface.curve
-    spec = curve.spec
-    rational = curve.rational_points()
-    _check_disjoint(beta, rational, "beta")
-    center = surface.base_point
-    if beta.multiplicity(center) != 0:
-        raise ValueError("supp(beta) must avoid the center of the transform")
-    b = beta.degree()
-    if not 0 <= b < len(rational):
-        raise ValueError(f"deg(beta) = {b} must satisfy 0 <= b < N")
-    space = rr_basis(curve, beta)
-    if not space:
-        raise ValueError("empty message space L(beta)")
-    d = center.degree
-    ext = extend(spec, d)
-    u0 = surface.fiber_coord
-    m = len(space)
-
-    # the coefficient vector lists g_i's L(beta) coordinates, i = 0..a
-    taylors = space.expansions(center, a).tolist()
-    conditions = []
-    for j in range(a):
-        for kk in range(a - j):
-            hasse = [ext.mul_i(comb(i, kk) % spec.p, ext.pow_i(u0, i - kk))
-                     if i >= kk else 0 for i in range(a + 1)]
-            conditions.append([ext.mul_i(h, t[j]) for h in hasse for t in taylors])
-    cond_rows = subfield_coords(spec, ext, conditions)
-    null = linalg.nullspace(spec, cond_rows, (a + 1) * m)
-    if not null:
-        raise ValueError("empty message space after multiplicity conditions")
-
-    # row r's g_i at the base points: its block-i coordinates times the
-    # basis values, all blocks of all rows in one product
-    blocks = [row[i * m:(i + 1) * m] for row in null for i in range(a + 1)]
-    values = linalg.mat_mul(spec, blocks, space.values(rational))
-    coeffs = [values[i::a + 1] for i in range(a + 1)]
-    return LinearCode(spec, _section_rows(spec, a, coeffs),
-                      surface_rational_points(surface),
-                      {"family": "elm_surface", "a": a, "b": b, "d": d,
-                       "N": len(rational), "g": curve.genus,
-                       "surface": surface, "beta": beta, "curve": curve,
-                       "condition_rank": (a + 1) * m - len(null),
-                       "condition_count": len(cond_rows)})
-
-
-def build_product_code(curve: CurveModel, a: int,
-                       beta: DivisorOnCurve) -> LinearCode:
-    """Tensor product PRS(a) (x) C_curve(beta) on the trivial surface,
-    columns ordered like surface_rational_points (base major, fiber minor)."""
-    spec = curve.spec
-    prs = build_prs(spec, a)
-    cc = build_curve_code(curve, beta)
-    rational = curve.rational_points()
-    fibers = list(range(spec.order)) + [INFTY]
-    pts = [(p, u) for p in rational for u in fibers]
-    matrix = []
-    for i in range(prs.k):
-        for j in range(cc.k):
-            row = []
-            for pi, p in enumerate(rational):
-                for ui in range(len(fibers)):
-                    row.append(spec.mul_i(cc.matrix[j][pi], prs.matrix[i][ui]))
-            matrix.append(row)
-    return LinearCode(spec, matrix, pts,
-                      {"family": "product", "a": a, "b": beta.degree(),
-                       "N": len(rational), "g": curve.genus, "beta": beta,
-                       "curve": curve})
 
 
 def build_unisecant(surface: RuledSurfaceModel, degL: int,

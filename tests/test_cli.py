@@ -99,6 +99,7 @@ def test_build_tensor_writes_the_product_code(tmp_path, capsys):
                 code={"a": 1, "beta": [{"degree": 3, "index": 0}], "tensor": True})
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["family"] == "product"
+    assert report["params"]["e"] == 0    # C x P^1, delta = 0
     assert (report["k_exact"], report["d_exact"]) == (6, 15)
     rc = main(["verify", os.path.join(out, "generator.txt"),
                "--report", os.path.join(out, "report.json")])

@@ -10,10 +10,11 @@ from ruledcodes.surface import (surface_decomposable, surface_elm_product,
                                 surface_trivial)
 from ruledcodes.codes import (build_prs, build_curve_code,
                               build_code_decomposable, build_code_elm,
-                              build_product_code, build_unisecant,
-                              write_matrix, write_points, read_matrix)
+                              build_unisecant, write_matrix, write_points,
+                              read_matrix)
 from ruledcodes.analysis import exact_params
-from linalg_oracle import row_space_contains, row_space_equal
+from linalg_oracle import row_space_contains
+from product_oracle import build_product_code
 from rrspace_oracle import evaluate, functions
 
 F5 = field_create(5, 1)
@@ -142,13 +143,29 @@ def test_decomposable_a0_is_fiberwise_constant():
             assert len(set(fiber_vals)) == 1
 
 
-def test_decomposable_e0_equals_product_rowspace():
-    triv = surface_trivial(E5)
-    for a, b_pts in [(0, 2), (1, 2), (2, 3)]:
-        beta = DivisorOnCurve(E5, [(E5.closed_points(b_pts)[0], 1)])
-        dec = build_code_decomposable(triv, a, beta)
-        prod = build_product_code(E5, a, beta)
-        assert row_space_equal(F5, dec.matrix, prod.matrix)
+# (field, curve coefficients, a, beta as (degree, index, multiplicity) of
+# one closed point); the F_16 and F_49 curves are the max curves of the
+# regime builds, with codes [425, 48] and [3200, 168]
+PRODUCT_CASES = [((5, 1), (0, 0, 0, 0, 1), 0, (2, 0, 1)),
+                 ((5, 1), (0, 0, 0, 0, 1), 1, (2, 0, 1)),
+                 ((5, 1), (0, 0, 0, 0, 1), 2, (3, 0, 1)),
+                 ((2, 4), (0, 0, 1, 0, 8), 3, (2, 1, 6)),
+                 ((7, 2), (0, 0, 0, 1, 0), 6, (2, 1, 12))]
+
+
+@pytest.mark.parametrize("pm, coeffs, a, point", PRODUCT_CASES,
+                         ids=["F5-a0b2", "F5-a1b2", "F5-a2b3", "F16-a3b12",
+                              "F49-a6b24"])
+def test_decomposable_e0_equals_product_oracle(pm, coeffs, a, point):
+    # the same rows in the same order, over the same columns: a builder that
+    # reorders either fails here
+    curve = curve_create(ELLIPTIC, coeffs, field_create(*pm))
+    degree, index, mult = point
+    beta = DivisorOnCurve(curve, [(curve.closed_points(degree)[index], mult)])
+    dec = build_code_decomposable(surface_trivial(curve), a, beta)
+    prod = build_product_code(curve, a, beta)
+    assert dec.columns == prod.columns
+    assert dec.matrix == prod.matrix
 
 
 @pytest.mark.parametrize("curve", [E5, L5], ids=["elliptic", "P1"])
@@ -243,6 +260,71 @@ def test_elm_rejects_center_in_support():
     surf = elm_surface()
     with pytest.raises(ValueError):
         build_code_elm(surf, 1, DivisorOnCurve(E5, [(surf.base_point, 1)]))
+
+
+# -- refusals -----------------------------------------------------------------
+
+def _divisor(*items):
+    return DivisorOnCurve(E5, list(items))
+
+
+RATIONAL = E5.rational_points()[0]           # Pt(d1,0,1)
+CENTER, D2, D2B = E5.closed_points(2)[:3]    # elm_surface()'s center is CENTER
+BETA6 = _divisor(*[(p, 1) for p in E5.closed_points(3)[:2]])   # deg 6 = N
+
+
+def _rational_delta_surface():
+    return surface_decomposable(E5, _divisor((RATIONAL, 1)))
+
+
+# `build` prints each text after "config error: config.code: "; where two
+# checks fail at once, the first-named one wins
+REFUSALS = [
+    pytest.param(lambda: build_code_decomposable(elm_surface(), -1, beta3()),
+                 "decomposable builder on a non-decomposable surface",
+                 id="decomposable-variant"),
+    pytest.param(lambda: build_code_decomposable(_rational_delta_surface(), -1,
+                                                 _divisor((RATIONAL, 1))),
+                 "a must be >= 0", id="decomposable-a-before-supports"),
+    pytest.param(lambda: build_code_decomposable(_rational_delta_surface(), 1,
+                                                 _divisor((RATIONAL, 1))),
+                 "supp(beta) meets the rational point Pt(d1,0,1)",
+                 id="decomposable-beta-before-delta"),
+    pytest.param(lambda: build_code_decomposable(_rational_delta_surface(), 1, BETA6),
+                 "supp(delta) meets the rational point Pt(d1,0,1)",
+                 id="decomposable-delta-before-degree"),
+    pytest.param(lambda: build_code_decomposable(surface_decomposable(E5, delta2()),
+                                                 1, BETA6),
+                 "deg(beta) = 6 must satisfy 0 <= b < N", id="decomposable-degree"),
+    pytest.param(lambda: build_code_decomposable(surface_decomposable(E5, delta2()),
+                                                 1, _divisor((D2, 1), (D2B, -1))),
+                 "empty message space", id="decomposable-empty"),
+    pytest.param(lambda: build_code_elm(surface_decomposable(E5, delta2()), -1, beta3()),
+                 "elm builder on a non-elm surface", id="elm-variant"),
+    pytest.param(lambda: build_code_elm(elm_surface(), -1, _divisor((RATIONAL, 1))),
+                 "a must be >= 0", id="elm-a-before-beta"),
+    pytest.param(lambda: build_code_elm(elm_surface(), 1,
+                                        _divisor((RATIONAL, 1), (CENTER, 1))),
+                 "supp(beta) meets the rational point Pt(d1,0,1)",
+                 id="elm-beta-before-center"),
+    pytest.param(lambda: build_code_elm(elm_surface(), 1, BETA6 + _divisor((CENTER, 1))),
+                 "supp(beta) must avoid the center of the transform",
+                 id="elm-center-before-degree"),
+    pytest.param(lambda: build_code_elm(elm_surface(), 1, BETA6),
+                 "deg(beta) = 6 must satisfy 0 <= b < N", id="elm-degree"),
+    pytest.param(lambda: build_code_elm(elm_surface(), 1, _divisor((D2, 1), (D2B, -1))),
+                 "empty message space L(beta)", id="elm-empty"),
+    pytest.param(lambda: build_code_elm(elm_surface(), 1, _divisor()),
+                 "empty message space after multiplicity conditions",
+                 id="elm-empty-after-conditions"),
+]
+
+
+@pytest.mark.parametrize("build, text", REFUSALS)
+def test_builder_refusal_texts(build, text):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == text
 
 
 # -- fiber polynomial structure ----------------------------------------------

@@ -9,7 +9,8 @@ q = 49, A = 6 (the benchmark's frontier settings) and for two regimes where
 a0 often leaves [0, b], of the `asymptotics` stderr for two refused regimes,
 and of `generator.txt`, `report.json` and the refused `verify` stderr for
 the six surface codes of the paper's regimes on the max curves over F_16
-and F_49.  A refactor that changes any output byte fails here; a deliberate
+and F_49, and of every file `build` writes for two tensor product codes.
+A refactor that changes any output byte fails here; a deliberate
 output change must re-record the digest.
 """
 
@@ -222,3 +223,40 @@ def test_regime_generator_matches_golden(tmp_path, capsys, pm, coefficients,
     assert (_sha((out / "generator.txt").read_bytes()),
             _sha((out / "report.json").read_bytes()),
             _sha(captured.err.encode())) == digests
+
+
+# The tensor product code ("tensor": true on the product surface): E/F_5
+# with beta the degree-3 point of index 0 at a = 1, and the F_49 max curve
+# with beta 12 times the degree-2 point of index 1 at a = 6, exact_cap 1.
+# report.json writes params.e = 0: the product surface is C x P^1, delta = 0.
+TENSOR_BUILDS = [
+    ((5, 1), [0, 0, 0, 0, 1], 1, {"degree": 3, "index": 0}, {}, {
+        "generator.txt": "65bc60390f1811b5f7f2928e9d23738ee4f210dd3741b3b145b3f0e38a0af02f",
+        "points.txt": "aa23c706e87d5d0e0bff4da72d9dddc30696988f876330cfdffe91ca5e29fb31",
+        "report.json": "382013a6b5f0c515320dc4523cf1f5bca6f7b2cb04d53b4c541b086382d3b4d2",
+        "table.csv": "0dbb5998d07a216dd00e3ff279a6af6ed9b8d625a02f89cec057b7be1514daf5"}),
+    ((7, 2), [0, 0, 0, 1, 0], 6, {"degree": 2, "index": 1, "multiplicity": 12},
+     {"exact_cap": 1}, {
+        "generator.txt": "6e0cd1ce742c67fb1bd0d88d67b7aa83d391330608600b80a76a7e29c4151f09",
+        "points.txt": "af127f3cd236a4f88b58ecd0a7177a9e57450286e5a8153b0daadce6afbf0d99",
+        "report.json": "c2d6dd10bb92a28f9093cc7384d2f77d1ec7f3df6eceaee99463414e950c6d24",
+        "table.csv": "b45ab393f79c371e8ceb381e6fcd668a58df972a7742da7824520ab60b336e7f"}),
+]
+
+
+@pytest.mark.parametrize("pm, coefficients, a, beta, analysis, digests",
+                         TENSOR_BUILDS, ids=["F5-a1b3", "F49-a6b24"])
+def test_tensor_build_matches_golden(tmp_path, capsys, pm, coefficients, a,
+                                     beta, analysis, digests):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "field": {"p": pm[0], "m": pm[1]},
+        "curve": {"kind": "elliptic", "coefficients": coefficients},
+        "surface": {"variant": "product"},
+        "code": {"a": a, "beta": [beta], "tensor": True},
+        "analysis": analysis}))
+    out = tmp_path / "out"
+    assert main(["build", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    assert sorted(os.listdir(out)) == list(BUILD_FILES)
+    for fname in BUILD_FILES:
+        assert _sha((out / fname).read_bytes()) == digests[fname], fname

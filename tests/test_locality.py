@@ -13,8 +13,7 @@ from ruledcodes.curve import curve_create, DivisorOnCurve, ELLIPTIC, P1
 from ruledcodes.surface import (surface_decomposable, surface_elm_product,
                                 surface_trivial, INFTY)
 from ruledcodes.codes import (LinearCode, build_curve_code, build_prs,
-                              build_code_decomposable, build_code_elm,
-                              build_product_code)
+                              build_code_decomposable, build_code_elm)
 from ruledcodes.locality import (fiber_ranks, restriction_section,
                                  recovery_sets, recover, _lagrange_weights)
 from linalg_oracle import row_space_contains, row_space_equal
@@ -186,7 +185,7 @@ def _locality_code(pm, a, family):
     if family == "elm":
         fc = _valid_fiber_coords(center.ext_spec, spec)[0]
         return build_code_elm(surface_elm_product(curve, center, fc), a, beta)
-    return build_product_code(curve, a, beta)
+    return build_code_decomposable(surface_trivial(curve), a, beta)
 
 
 # every field, a and family but the decomposable a = 3 code over F_4: it
