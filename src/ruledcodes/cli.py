@@ -7,12 +7,11 @@ configs produce byte-identical outputs.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -513,13 +512,24 @@ def _cap_range(cap: int) -> str:
     return f"{cap} must be in 1..{EXACT_CAP_MAX}"
 
 
-def _parse_cap(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        cap = int(text)
+        return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        raise ValueError(f"invalid int value: {text!r}") from None
+
+
+def _float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"invalid float value: {text!r}") from None
+
+
+def _parse_cap(text: str) -> int:
+    cap = _int(text)
     if not 1 <= cap <= EXACT_CAP_MAX:
-        raise argparse.ArgumentTypeError(_cap_range(cap))
+        raise ValueError(_cap_range(cap))
     return cap
 
 
@@ -527,12 +537,9 @@ GRID_MAX = 10 ** 6      # largest --samples, --b-range count; the figures use 40
 
 
 def _parse_samples(text: str) -> int:
-    try:
-        samples = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    samples = _int(text)
     if samples > GRID_MAX:
-        raise argparse.ArgumentTypeError(f"{samples} must be at most {GRID_MAX}")
+        raise ValueError(f"{samples} must be at most {GRID_MAX}")
     return samples
 
 
@@ -541,57 +548,160 @@ def _parse_b_range(text: str):
         lo, hi, count = text.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
-        raise argparse.ArgumentTypeError("expected lo:hi:count")
+        raise ValueError("expected lo:hi:count") from None
     if not (0 < lo < 1 and 0 < hi < 1):
-        raise argparse.ArgumentTypeError(
-            f"lo {lo:g} and hi {hi:g} must lie in (0, 1)")
+        raise ValueError(f"lo {lo:g} and hi {hi:g} must lie in (0, 1)")
     if count < 1:
-        raise argparse.ArgumentTypeError(f"count {count} must be at least 1")
+        raise ValueError(f"count {count} must be at least 1")
     if count > GRID_MAX:
-        raise argparse.ArgumentTypeError(f"count {count} must be at most {GRID_MAX}")
+        raise ValueError(f"count {count} must be at most {GRID_MAX}")
     return lo, hi, count
 
 
-@functools.cache
-def make_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.  It binds no function:
-    main looks cmd_<command> up when it runs, so a replaced module attribute
-    (a tracer's wrapper, a test's spy) is the one called."""
-    ap = argparse.ArgumentParser(
-        prog="ruledcodes",
-        description="evaluation codes on ruled surfaces: build, verify, "
-                    "certify, recover, and asymptotics")
-    sub = ap.add_subparsers(dest="command", required=True)
+_DESCRIPTION = ("evaluation codes on ruled surfaces: build, verify, certify, "
+               "recover, and asymptotics")
+REQUIRED = object()     # the default of an option that must be given
 
-    b = sub.add_parser("build", help="build a code from a JSON config")
-    b.add_argument("--config", required=True)
-    b.add_argument("--out-dir", default=None)
+# command -> (help line, positionals, {option: (converter, default)}).  A
+# converter turns the option's text into its value or raises ValueError with
+# the reason; a default is REQUIRED, None (left unset), or a text that the
+# converter reads as it would a given value.
+COMMANDS = {
+    "build": ("build a code from a JSON config", (),
+              {"--config": (str, REQUIRED), "--out-dir": (str, None)}),
+    "verify": ("exactly verify a generator matrix against its build report",
+               ("matrix",),
+               {"--report": (str, REQUIRED),
+                "--cap": (_parse_cap, str(EXACT_CAP_DEFAULT))}),
+    "segre": ("certify Segre invariant bounds", (),
+              {"--config": (str, REQUIRED)}),
+    "asymptotics": ("emit (delta, R) frontier CSVs", (),
+                    {"--q": (_int, REQUIRED), "--A": (_float, REQUIRED),
+                     "--samples": (_parse_samples, "200"),
+                     "--b-range": (_parse_b_range, "0.3:0.95:66"),
+                     "--out-dir": (str, ".")}),
+    "recover": ("emit recovery sets for a built code", (),
+                {"--config": (str, REQUIRED), "--out": (str, None)}),
+}
+_HELP = ("-h", "--help")
 
-    v = sub.add_parser("verify", help="exactly verify a generator matrix "
-                                      "against its build report")
-    v.add_argument("matrix")
-    v.add_argument("--report", required=True)
-    v.add_argument("--cap", type=_parse_cap, default=EXACT_CAP_DEFAULT)
 
-    s = sub.add_parser("segre", help="certify Segre invariant bounds")
-    s.add_argument("--config", required=True)
+def _metavar(option: str) -> str:
+    return option[2:].upper().replace("-", "_")
 
-    a = sub.add_parser("asymptotics", help="emit (delta, R) frontier CSVs")
-    a.add_argument("--q", type=int, required=True)
-    a.add_argument("--A", type=float, required=True)
-    a.add_argument("--samples", type=_parse_samples, default=200)
-    a.add_argument("--b-range", type=_parse_b_range, default=(0.3, 0.95, 66))
-    a.add_argument("--out-dir", default=".")
 
-    r = sub.add_parser("recover", help="emit recovery sets for a built code")
-    r.add_argument("--config", required=True)
-    r.add_argument("--out", default=None)
-    return ap
+def _usage(command=None) -> str:
+    if command is None:
+        return f"usage: ruledcodes [-h] {{{','.join(COMMANDS)}}} ..."
+    _, positionals, options = COMMANDS[command]
+    words = [f"usage: ruledcodes {command} [-h]"]
+    for option, (_, default) in options.items():
+        given = f"{option} {_metavar(option)}"
+        words.append(given if default is REQUIRED else f"[{given}]")
+    return " ".join(words + list(positionals))
+
+
+def _print_help(command=None):
+    """Print the usage and the argument list of COMMANDS, or of one
+    command, to stdout and exit 0."""
+    if command is None:
+        text = _DESCRIPTION
+        rows = [(name, entry[0]) for name, entry in COMMANDS.items()]
+        rows.append(("-h, --help", "show this help message and exit; "
+                                   "COMMAND -h shows a command's options"))
+    else:
+        text, positionals, options = COMMANDS[command]
+        rows = [(name, "") for name in positionals]
+        rows.append(("-h, --help", "show this help message and exit"))
+        for option, (_, default) in options.items():
+            rows.append((f"{option} {_metavar(option)}",
+                         "required" if default is REQUIRED else
+                         "" if default is None else f"default: {default}"))
+    width = max(len(left) for left, _ in rows) + 2
+    print(f"{_usage(command)}\n\n{text}\n\narguments:")
+    for left, right in rows:
+        print(f"  {left.ljust(width)}{right}".rstrip())
+    raise SystemExit(0)
+
+
+def _fail(command, message: str):
+    """Print the usage and the error to stderr and exit 2."""
+    prog = "ruledcodes" if command is None else f"ruledcodes {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _is_option(token: str) -> bool:
+    """Whether token names an option rather than gives a value: it starts
+    with "-" and is not a number, so that "--q -1" gives --q the value -1."""
+    if token[:1] != "-" or token == "-":
+        return False
+    try:
+        float(token)
+    except ValueError:
+        return True
+    return False
+
+
+def parse_args(argv=None) -> SimpleNamespace:
+    """The namespace of argv (default sys.argv[1:]) read against COMMANDS:
+    a command, then its options as "--opt value" or "--opt=value" (exact
+    names only) and its positionals anywhere among them.  -h or --help
+    prints the help and exits 0; anything else wrong prints the usage and
+    the error to stderr and exits 2."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv:
+        _fail(None, "the following arguments are required: command")
+    command = argv[0]
+    if command in _HELP:
+        _print_help()
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _fail(None, f"argument command: invalid choice: {command!r} "
+                    f"(choose from {choices})")
+    _, positionals, options = COMMANDS[command]
+    given, values, extra = {}, [], []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in _HELP:
+            _print_help(command)
+        if not _is_option(token):
+            (values if len(values) < len(positionals) else extra).append(token)
+            continue
+        option, eq, text = token.partition("=")
+        if option not in options:
+            extra.append(token)
+            continue
+        if not eq:
+            text = next(tokens, None)
+            if text is None or _is_option(text):
+                _fail(command, f"argument {option}: expected one argument")
+        try:
+            given[option] = options[option][0](text)
+        except ValueError as exc:
+            _fail(command, f"argument {option}: {exc}")
+    missing = list(positionals[len(values):]) + [
+        option for option, (_, default) in options.items()
+        if default is REQUIRED and option not in given]
+    if missing:
+        _fail(command, "the following arguments are required: "
+                       + ", ".join(missing))
+    if extra:
+        _fail(command, "unrecognized arguments: " + " ".join(extra))
+    args = SimpleNamespace(command=command, **dict(zip(positionals, values)))
+    for option, (convert, default) in options.items():
+        if option in given:
+            value = given[option]
+        else:
+            value = None if default is None else convert(default)
+        setattr(args, option[2:].replace("-", "_"), value)
+    return args
 
 
 def main(argv=None) -> int:
-    ap = make_parser()
-    args = ap.parse_args(argv)
+    # cmd_<command> is looked up on every call, so a replaced module
+    # attribute (a tracer's wrapper, a test's spy) is the one called
+    args = parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:

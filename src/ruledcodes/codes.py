@@ -191,10 +191,11 @@ def _section_code(surface: RuledSurfaceModel, a: int, beta: DivisorOnCurve,
     check(rational)
     b = beta.degree()
     if not 0 <= b < len(rational):
-        raise ValueError(f"deg(beta) = {b} must satisfy 0 <= b < N")
+        raise ValueError(f"deg(beta) = {b} must satisfy 0 <= b < N = "
+                         f"{len(rational)}")
     spaces = [rr_basis(curve, d) for d in (betas[:1] if conditions else betas)]
     if not any(spaces):
-        raise ValueError("empty message space" + (" L(beta)" if conditions else ""))
+        raise ValueError("empty message space L(beta)")
     meta = {**meta, "a": a, "b": b, "N": len(rational), "g": curve.genus,
             "surface": surface, "beta": beta, "curve": curve}
     if conditions is None:

@@ -7,7 +7,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ruledcodes.cli import main
+from ruledcodes.cli import COMMANDS, REQUIRED, main, parse_args
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -400,17 +400,101 @@ def test_recovery_json_matches_the_json_encoder():
             == json.dumps(recs, indent=2) + "\n"
 
 
-def test_parser_is_built_once_and_commands_are_looked_up_per_call(tmp_path, monkeypatch):
-    # the cached parser binds no function: a cmd_* replaced after the first
-    # build (as perfbench's tracer and its tests do) is the one main calls
+def test_commands_are_looked_up_per_call(tmp_path, monkeypatch):
+    # main binds no function: a cmd_* replaced after a first call (as
+    # perfbench's tracer and its tests do) is the one main calls
     from ruledcodes import cli
     cfg = write_config(tmp_path)
     assert main(["segre", "--config", cfg]) == 0
-    assert cli.make_parser() is cli.make_parser()
     seen = []
     monkeypatch.setattr(cli, "cmd_segre", lambda args: seen.append(args.config) or 7)
     assert main(["segre", "--config", cfg]) == 7
     assert seen == [cfg]
+
+
+def _argv(command, skip=None):
+    """argv giving each positional and required option of command the text
+    "7", which every converter in COMMANDS reads; skip leaves one out."""
+    _, positionals, options = COMMANDS[command]
+    argv = [command]
+    for option, (_, default) in options.items():
+        if default is REQUIRED and option != skip:
+            argv += [option, "7"]
+    return argv + ["7" for name in positionals if name != skip]
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_exits_0_with_the_usage(capsys, command, flag):
+    argv = [flag] if command is None else [command, flag]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    assert out.startswith("usage: ruledcodes" + (f" {command} " if command else " "))
+    names = (list(COMMANDS) if command is None
+             else [*COMMANDS[command][1], *COMMANDS[command][2]])
+    assert all(name in out for name in names)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_equals_form_reads_as_the_spaced_form(command):
+    _, positionals, options = COMMANDS[command]
+    for option, (convert, default) in options.items():
+        text = default if isinstance(default, str) else "7"
+        spaced = parse_args(_argv(command) + [option, text])
+        assert spaced == parse_args(_argv(command) + [f"{option}={text}"])
+        assert getattr(spaced, option[2:].replace("-", "_")) == convert(text)
+    if positionals:  # a positional reads the same anywhere after the command
+        argv = _argv(command)
+        moved = [command, *argv[-len(positionals):], *argv[1:-len(positionals)]]
+        assert parse_args(moved) == parse_args(argv)
+
+
+def _bad_command_lines():
+    yield pytest.param([], "the following arguments are required: command",
+                       id="no-command")
+    yield pytest.param(["nosuch"], "argument command: invalid choice: 'nosuch'",
+                       id="unknown-command")
+    for command, (_, positionals, options) in COMMANDS.items():
+        yield pytest.param(_argv(command) + ["--nosuch", "7"],
+                           "unrecognized arguments: --nosuch 7",
+                           id=f"{command}-unknown-option")
+        yield pytest.param(_argv(command) + ["8"], "unrecognized arguments: 8",
+                           id=f"{command}-extra-positional")
+        for name in positionals:
+            yield pytest.param(_argv(command, skip=name),
+                               f"the following arguments are required: {name}",
+                               id=f"{command}-missing-{name}")
+        for option, (_, default) in options.items():
+            yield pytest.param(_argv(command) + [option],
+                               f"argument {option}: expected one argument",
+                               id=f"{command}-{option}-missing-value")
+            if default is REQUIRED:
+                yield pytest.param(
+                    _argv(command, skip=option),
+                    f"the following arguments are required: {option}",
+                    id=f"{command}-{option}-missing")
+            if len(option) > 4:  # argparse read a unique prefix as the option
+                yield pytest.param(
+                    _argv(command, skip=option) + [option[:-1], "7"],
+                    f"the following arguments are required: {option}"
+                    if default is REQUIRED else
+                    f"unrecognized arguments: {option[:-1]} 7",
+                    id=f"{command}-{option}-abbreviated")
+
+
+@pytest.mark.parametrize("argv, message", _bad_command_lines())
+def test_bad_command_line_exits_2_with_usage_and_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    usage, error = err.splitlines()
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    prog = "ruledcodes" + (f" {command}" if command else "")
+    assert usage.startswith(f"usage: {prog} ")
+    assert error.startswith(f"{prog}: error: ") and message in error
 
 
 def test_recover_refuses_rank_deficient(tmp_path, capsys):
@@ -767,11 +851,12 @@ def test_python_dash_m_entry_point():
     src = os.path.dirname(os.path.dirname(ruledcodes.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-m", "ruledcodes", "--help"],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0
-    assert "usage: ruledcodes" in proc.stdout
-    assert proc.stderr == ""
+    for argv in (["--help"], ["build", "--help"]):
+        proc = subprocess.run([sys.executable, "-m", "ruledcodes", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith(" ".join(["usage: ruledcodes", *argv[:-1]]))
+        assert proc.stderr == ""
 
 
 _STARTUP_PROBE = """
@@ -784,15 +869,26 @@ if sys.argv[1] == "numpy-first":
     import numpy
 threads_before = threads()
 import ruledcodes
+rc = None
+if sys.argv[1] == "cli-job":
+    import ruledcodes.cli
+    rc = ruledcodes.cli.main(["asymptotics", "--q", "16", "--A", "3",
+                              "--samples", "5", "--out-dir", "asym"])
 print(json.dumps({"environ_before": before, "environ": dict(os.environ),
-                  "threads_before": threads_before, "threads": threads()}))
+                  "threads_before": threads_before, "threads": threads(),
+                  "rc": rc, "modules": [name for name in
+                                        ("argparse", "gettext", "locale")
+                                        if name in sys.modules]}))
 """
 
 
-def _startup(mode="plain", **env):
+def _startup(mode="plain", cwd=None, **env):
     """Import ruledcodes in a fresh interpreter, after numpy if mode is
-    "numpy-first", with no BLAS thread variable set but those in env; the
-    probe's report of os.environ and the thread count before and after."""
+    "numpy-first", with no BLAS thread variable set but those in env; in
+    mode "cli-job" then run one asymptotics job through ruledcodes.cli.main
+    in cwd.  The probe's report of os.environ and the thread count before
+    and after, the job's exit code, and which of argparse, gettext and
+    locale were loaded."""
     import subprocess
     import sys
 
@@ -807,9 +903,17 @@ def _startup(mode="plain", **env):
     child_env.update(env)
     proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, mode],
                           capture_output=True, text=True, env=child_env,
-                          timeout=60)
+                          cwd=cwd, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_a_cli_job_imports_no_argparse_gettext_or_locale(tmp_path):
+    # argparse brings all three (locale at gettext's first lookup), a fixed
+    # start-up cost of every process
+    report = _startup("cli-job", cwd=tmp_path)
+    assert report["rc"] == 0 and (tmp_path / "asym" / "dominance.csv").exists()
+    assert report["modules"] == []
 
 
 def test_import_leaves_the_environment_as_it_was():

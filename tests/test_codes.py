@@ -295,10 +295,10 @@ REFUSALS = [
                  id="decomposable-delta-before-degree"),
     pytest.param(lambda: build_code_decomposable(surface_decomposable(E5, delta2()),
                                                  1, BETA6),
-                 "deg(beta) = 6 must satisfy 0 <= b < N", id="decomposable-degree"),
+                 "deg(beta) = 6 must satisfy 0 <= b < N = 6", id="decomposable-degree"),
     pytest.param(lambda: build_code_decomposable(surface_decomposable(E5, delta2()),
                                                  1, _divisor((D2, 1), (D2B, -1))),
-                 "empty message space", id="decomposable-empty"),
+                 "empty message space L(beta)", id="decomposable-empty"),
     pytest.param(lambda: build_code_elm(surface_decomposable(E5, delta2()), -1, beta3()),
                  "elm builder on a non-elm surface", id="elm-variant"),
     pytest.param(lambda: build_code_elm(elm_surface(), -1, _divisor((RATIONAL, 1))),
@@ -311,7 +311,7 @@ REFUSALS = [
                  "supp(beta) must avoid the center of the transform",
                  id="elm-center-before-degree"),
     pytest.param(lambda: build_code_elm(elm_surface(), 1, BETA6),
-                 "deg(beta) = 6 must satisfy 0 <= b < N", id="elm-degree"),
+                 "deg(beta) = 6 must satisfy 0 <= b < N = 6", id="elm-degree"),
     pytest.param(lambda: build_code_elm(elm_surface(), 1, _divisor((D2, 1), (D2B, -1))),
                  "empty message space L(beta)", id="elm-empty"),
     pytest.param(lambda: build_code_elm(elm_surface(), 1, _divisor()),
