@@ -256,9 +256,8 @@ def _distances(lead, other, scratch):
 def _multiples(spec, scalars, rows):
     """Each scalar times each row, (deg, rows, scalars, n), in narrow digit
     form: the narrowest unsigned type that holds 2 (p - 1)."""
-    prod = fqarray.mul(spec, fqarray.digits(spec, scalars)[:, None, :, None],
-                       fqarray.digits(spec, rows)[:, :, None])
-    return prod.astype(np.min_scalar_type(2 * (spec.p - 1)))
+    prod = fqarray.mul(spec, np.asarray(scalars)[:, None], np.asarray(rows)[:, None])
+    return fqarray.digits(spec, prod).astype(np.min_scalar_type(2 * (spec.p - 1)))
 
 
 def _table_bytes(spec, k, n):

@@ -7,10 +7,11 @@ Geometric points are coordinate pairs encoded as integers in an extension
 field; a closed point is a Frobenius orbit, stored through its canonical
 representative (the orbit element with the least coordinate encoding).
 
-Closed points are enumerated in fqarray steps over chunks of the field:
-the y-coordinates over every x come from one join of per-x keys against a
-table of preimages over the field, and orbits from the F_p-linear map
-x -> x^q as one matrix applied to the digits of all points at once.
+Closed points are enumerated in fqarray steps on arrays of encodings, in
+chunks of the field: the y-coordinates over every x come from one join of
+per-x keys against a table of preimages over the field, and orbits from
+the Frobenius x -> x^q applied to all points at once (one gather in a
+field with exp/log tables).
 Enumeration builds its ClosedPoints straight from these arrays, which hold
 on-curve orbit minima, as rrspace's x-fibers do from a root of F (both by
 ClosedPoint._known); the constructor validates a point from anywhere else.
@@ -19,10 +20,11 @@ The curve's field may be any FieldSpec, one built by extend included.
 A CurveModel owns its caches: embedded coefficients, point counts, closed
 points by degree, the local charts that rrspace expands functions in, and
 the Riemann-Roch spaces rrspace builds.  They live and die with the curve.
-curve_create returns one CurveModel per (kind, field, coefficients) in a
-process, the way gf.field_create returns one FieldSpec per field, so every
-job on a curve reads what an earlier job on it computed; the constructor
-gives a fresh curve with empty caches.
+curve_create returns one CurveModel per (kind, field, coefficients) among
+the few curves a process used last, the way gf.field_create returns one
+FieldSpec per field, so every job on a curve reads what an earlier job on
+it computed, and a long process does not keep every curve it touched; the
+constructor gives a fresh curve with empty caches.
 """
 
 from __future__ import annotations
@@ -129,17 +131,16 @@ class CurveModel:
         return Poly(ext, dy).eval_i(y) == 0
 
     def _sides(self, ext: FieldSpec, x: np.ndarray):
-        """(b, f) in digit form for the digit array x of an elliptic curve:
+        """(b, f) for the array x of encodings on an elliptic curve:
         b = c_1(x) and f = -c_0(x), so that (x, y) is on the curve iff
         y^2 + b y = f.  Horner starts at the leading term: f is monic."""
         c0, c1, _ = self.equation_in(ext)
         out = []
         for cs in (c1, [ext.neg_i(c) for c in c0]):
-            const = fqarray.digits(ext, cs)[:, :, None]
             acc = x if cs[-1] == 1 else fqarray.scale(ext, cs[-1], x)
-            for i in reversed(range(1, len(cs) - 1)):
-                acc = fqarray.mul(ext, fqarray.add(ext, acc, const[:, i]), x)
-            out.append(fqarray.add(ext, acc, const[:, 0]))
+            for c in reversed(cs[1:-1]):
+                acc = fqarray.mul(ext, fqarray.add(ext, acc, c) if c else acc, x)
+            out.append(fqarray.add(ext, acc, cs[0]) if cs[0] else acc)
         return out
 
     # -- point enumeration
@@ -159,36 +160,33 @@ class CurveModel:
         a1, _, a3, _, _ = self.coeffs_in(ext)
         # root[t]: one preimage of t under y -> y (y + shift), i.e. y'^2,
         # y^2 + a3 y or z^2 + z, or -1; the other one is -shift - root[t]
-        shift = fqarray.digits(ext, [0 if p != 2 else 1 if a1 else a3])[:, :, None]
+        shift = 0 if p != 2 else 1 if a1 else a3
         root = np.full(order, -1)
         for lo, hi in fqarray.chunks(order):
-            y = fqarray.digits(ext, np.arange(lo, hi))
-            root[fqarray.encode(ext, fqarray.mul(ext, y, fqarray.add(ext, y, shift[:, 0])))] = \
-                np.arange(lo, hi)
+            y = np.arange(lo, hi)
+            root[fqarray.mul(ext, y, fqarray.add(ext, y, shift))] = y
         xs, ys = [], []
         for lo, hi in fqarray.chunks(order):
-            b, f = self._sides(ext, fqarray.digits(ext, np.arange(lo, hi)))
+            b, f = self._sides(ext, np.arange(lo, hi))
             if p != 2:
                 half = fqarray.scale(ext, (p + 1) // 2, b)
-                f = fqarray.add(ext, f, fqarray.mul(ext, half, half))
+                f = fqarray.add_product(ext, f, half, half)
             elif a1:
-                joins = fqarray.encode(ext, b) != 0
-                binv = fqarray.inv(ext, b[:, joins])
-                f[:, joins] = fqarray.mul(ext, f[:, joins], fqarray.mul(ext, binv, binv))
-            key = fqarray.encode(ext, f)
-            r = root[key]
-            pair = fqarray.digits(ext, r)[:, None]
-            pair = np.concatenate([pair, fqarray.add(ext, -pair, -shift)], axis=1)
+                joins = b != 0
+                binv = fqarray.inv(ext, b[joins])
+                f[joins] = fqarray.mul(ext, f[joins], fqarray.mul(ext, binv, binv))
+            r = root[f]
+            # r = -1 where f has no root: its pair is read but not kept
+            pair = np.stack([r, fqarray.sub(ext, fqarray.neg(ext, r), shift)])
             if p != 2:
-                pair = fqarray.add(ext, pair, -half[:, None])
+                pair = fqarray.sub(ext, pair, half)
             elif a1:
-                pair = fqarray.mul(ext, pair, b[:, None])
-            pair = fqarray.encode(ext, pair)
+                pair = fqarray.mul(ext, pair, b)
             pair = np.stack([np.minimum(pair[0], pair[1]), np.maximum(pair[0], pair[1])], axis=1)
             found = np.stack([r >= 0, (r >= 0) & (pair[:, 0] != pair[:, 1])], axis=1)
             if p == 2 and a1:       # at b = 0, y^2 = f has the one root f^(order/2)
                 for x in np.nonzero(~joins)[0]:
-                    pair[x, 0] = ext.pow_i(int(key[x]), order // 2)
+                    pair[x, 0] = ext.pow_i(int(f[x]), order // 2)
                     found[x] = True, False
             xs.append(np.repeat(np.arange(lo, hi), 2).reshape(-1, 2)[found])
             ys.append(pair[found])
@@ -321,19 +319,24 @@ def _encodings(spec: FieldSpec, coefficients) -> tuple[int, ...]:
     return tuple(map(int, coefficients))
 
 
-_CURVES: dict = {}
+_CURVES: dict = {}          # by key, least recently used first
+_CURVES_KEPT = 8            # curves curve_create keeps
 
 
 def curve_create(kind: str, coefficients, spec: FieldSpec) -> CurveModel:
     """The one CurveModel of this kind over spec with these coefficients
-    (ignored on P^1) in the process, built on first request.  Raises
-    ValueError as the constructor does: an unknown kind, a coefficient
-    outside 0..order-1, a singular equation."""
+    (ignored on P^1) among the _CURVES_KEPT most recently asked for in the
+    process, built on first request; a curve asked for again after that
+    many others is built afresh, with empty caches.  Raises ValueError as
+    the constructor does: an unknown kind, a coefficient outside
+    0..order-1, a singular equation."""
     key = (kind, spec.p, spec.deg,
            _encodings(spec, coefficients) if kind == ELLIPTIC else ())
-    if key not in _CURVES:
-        _CURVES[key] = CurveModel(kind, spec, coefficients)
-    return _CURVES[key]
+    curve = _CURVES.pop(key, None) or CurveModel(kind, spec, coefficients)
+    _CURVES[key] = curve
+    while len(_CURVES) > _CURVES_KEPT:
+        del _CURVES[next(iter(_CURVES))]
+    return curve
 
 
 def _orbit_minima(ext: FieldSpec, q: int, d: int, xs: np.ndarray,
@@ -342,20 +345,17 @@ def _orbit_minima(ext: FieldSpec, q: int, d: int, xs: np.ndarray,
     x * order + y below that of each of its images under the Frobenius
     x -> x^q of the curve's field F_q, and its powers x -> x^(q^2), ..,
     x^(q^(d-1)): that is, whether its orbit has size d and the point is the
-    orbit's least member.  Frobenius is F_p-linear: its matrix, with the
-    digits of (z^i)^q as column i, is applied to the digits of the points
-    still below all their images so far."""
+    orbit's least member.  Each power is one fqarray.frobenius of the
+    points still below all their images so far."""
     order, out = ext.order, np.zeros(len(xs), dtype=bool)
-    frob = fqarray.digits(ext, [ext.pow_i(ext.p ** i, q) for i in range(ext.deg)])
     for lo, hi in fqarray.chunks(len(xs)):
         at = np.arange(lo, hi)
         start = xs[at] * order + ys[at]
-        pt = fqarray.digits(ext, np.stack([xs[at], ys[at]]))
+        pt = np.stack([xs[at], ys[at]])
         for _ in range(1, d):
-            pt = fqarray.linear(ext, frob, pt)
-            image = fqarray.encode(ext, pt)
-            below = start < image[0] * order + image[1]
-            at, start, pt = at[below], start[below], pt.compress(below, axis=2)
+            pt = fqarray.frobenius(ext, pt, q)
+            below = start < pt[0] * order + pt[1]
+            at, start, pt = at[below], start[below], pt[:, below]
         out[at] = True
     return out
 

@@ -5,14 +5,15 @@ irreducible modulus f (the lexicographically least one in ascending
 coefficient-encoding order), so serialized data is reproducible across runs.
 Elements are encoded as integers in [0, p^deg) via sum(c_i * p^i) over the
 coefficient vector.  This encoding is the one element representation: every
-module computes on it, and it is the wire format of all exports.
+module computes on it, scalars here and arrays in fqarray, and it is the
+wire format of all exports.
 The modulus is found by Rabin's test on Poly over F_p, except for the
 fields F_{p^m}, m >= 2, of characteristic 2, 3, 5 and 7 up to DESK_CAP,
 whose moduli (and the generators their exp/log tables start from) are read
-from _KNOWN.  Up
-to _TABLE_MAX elements, products go through exp/log tables; above it,
-through fqarray's multiplication matrix of one factor applied to the
-digits of the other.
+from _KNOWN.  Up to _TABLE_MAX elements, products of scalars and of arrays
+go through exp/log tables (fqarray reads numpy copies of the lists the
+scalar methods read); above it, through fqarray's multiplication matrix of
+one factor applied to the digits of the other.
 
 A field is its modulus: there is one FieldSpec per order p^m, whichever
 tower reaches it.  The extension F_{q^d} of a field F_q is the absolute
@@ -144,8 +145,8 @@ class FieldSpec:
     _least_generator would find, and the exp/log tables start from it.
     """
 
-    __slots__ = ("p", "deg", "modulus", "order", "_exp", "_log",
-                 "_embeddings", "_coords", "_fq_maps")
+    __slots__ = ("p", "deg", "modulus", "order", "_exp", "_log", "_arrays",
+                 "_embeddings", "_coords", "_fq_maps", "_fq_tables")
 
     def __init__(self, p: int, deg: int, modulus: tuple[int, ...], gen: int = 0):
         self.p = p
@@ -154,9 +155,11 @@ class FieldSpec:
         self.order = p ** deg
         self._exp = None
         self._log = None
+        self._arrays = None             # exp and log as numpy arrays
         self._embeddings = {}           # by the order of the embedded field
-        self._coords = {}               # inverse basis matrices, see rrspace
+        self._coords = {}               # inverse basis matrices, see fqarray.coords
         self._fq_maps = None            # fqarray's digit powers and reduction maps
+        self._fq_tables = None          # fqarray's tables, from _arrays
         if self.order <= _TABLE_MAX:
             self._build_tables(gen or self._least_generator())
 
@@ -287,6 +290,7 @@ class FieldSpec:
         exp = self._cyclic_powers(gen)
         log = np.zeros(self.order, dtype=np.int64)
         log[exp] = np.arange(n1)
+        self._arrays = exp, log
         self._exp, self._log = exp.tolist(), log.tolist()
 
     def _cyclic_powers(self, gen: int):
@@ -320,15 +324,13 @@ class FieldSpec:
 
     def _least_root(self, mod: tuple[int, ...]) -> int:
         """The least root in this field of a monic polynomial over F_p, by
-        one Horner step in digit form per chunk of encodings."""
+        one fqarray Horner step per chunk of encodings."""
         for lo, hi in fqarray.chunks(self.order):
-            x = fqarray.digits(self, np.arange(lo, hi))
-            acc = x.copy()                  # the leading 1 times x
+            x = np.arange(lo, hi)
+            acc = x                         # the leading 1 times x
             for c in reversed(mod[1:-1]):
-                acc[0] = (acc[0] + c) % self.p
-                acc = fqarray.mul(self, acc, x)
-            acc[0] = (acc[0] + mod[0]) % self.p
-            hits = np.flatnonzero(~acc.any(axis=0))
+                acc = fqarray.mul(self, fqarray.add(self, acc, c), x)
+            hits = np.flatnonzero(fqarray.add(self, acc, mod[0]) == 0)
             if hits.size:
                 return lo + int(hits[0])
         raise AssertionError("modulus has no root in extension")

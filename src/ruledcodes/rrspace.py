@@ -48,7 +48,7 @@ graph-avoidance bound in surface asks one linear solve of each L(D).
 Nothing here is cached at module level: local charts and the spaces
 rr_basis returns are cached on their CurveModel (an RRSpace is never
 changed once built, so every caller asking for one L(D) shares it), and
-the inverse basis matrices of subfield_coords on the big FieldSpec, so all
+the inverse basis matrices of fqarray.coords on the big FieldSpec, so all
 are freed with their owner.
 """
 
@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import FieldSpec, field_create
+from .gf import FieldSpec
 from .poly import Poly
 from .curve import CurveModel, ClosedPoint, DivisorOnCurve
 from . import fqarray, linalg
@@ -166,38 +166,13 @@ def subfield_coords(small: FieldSpec, big: FieldSpec, values) -> list[list[int]]
     """The F_q-linear rows of a k x M matrix of encodings in big = F_{q^d}
     over small = F_q: row t*k + r holds coordinate t of row r, with respect
     to the basis 1, z, ..., z^(d-1) of big over small (z the class of the
-    absolute generator).  One F_p-linear map takes the digits of every value
-    to its coordinates in the basis e_i z^j, e_i the basis of small over F_p
-    (_subfield_inverse).  When small is big the map is the identity and the
-    rows come back as they are."""
+    absolute generator), by fqarray.coords.  When small is big the map is
+    the identity and the rows come back as they are."""
     if not len(values):
         return []
     if small.order == big.order:
         return [list(row) for row in values]
-    sol = fqarray.linear(big, _subfield_inverse(small, big), fqarray.digits(big, values))
-    d, k, ncols = big.deg // small.deg, *sol.shape[1:]
-    sol = sol.reshape(d, small.deg, k, ncols).swapaxes(0, 1)
-    return fqarray.encode(small, sol).reshape(d * k, ncols).tolist()
-
-
-def _subfield_inverse(small: FieldSpec, big: FieldSpec):
-    """The inverse over F_p of the matrix whose column j*deg(small) + i holds
-    the digits of e_i z^j in big: digits to coordinates.  Cached on big,
-    keyed like its embeddings."""
-    if small.order in big._coords:
-        return big._coords[small.order]
-    n, p = big.deg, big.p
-    z = p if n > 1 else 0   # encoding of the generator z of big
-    cols = [big.decode(big.mul_i(big.embed_i(small, small.encode([0] * i + [1])),
-                                 big.pow_i(z, j)))
-            for j in range(n // small.deg) for i in range(small.deg)]
-    # rref of [M | I] is [I | M^-1]
-    aug = [[cols[c][r] for c in range(n)] + [1 if r == j else 0 for j in range(n)]
-           for r in range(n)]
-    red, pivots = linalg.rref(field_create(p, 1), aug)
-    assert pivots == list(range(n)), "basis matrix is singular"
-    big._coords[small.order] = np.array([row[n:] for row in red], dtype=np.int64)
-    return big._coords[small.order]
+    return fqarray.coords(small, big, values).tolist()
 
 
 def x_min_poly(curve: CurveModel, pt: ClosedPoint) -> Poly:
@@ -280,21 +255,18 @@ class RRSpace:
         plain = [c for c, pt in enumerate(points)
                  if not pt.is_infinity and pt.degree == 1 and pt not in self.zeros]
         if plain:
-            # coef[:, j, r, i]: row r's coefficient of x^i y^j, den's last
+            # coef[j, r, i]: row r's coefficient of x^i y^j, den's last
             coef = np.zeros((2, len(self) + 1, max(i for i, _ in self.monomials) + 1),
                             dtype=np.int64)
             for m, (i, j) in enumerate(self.monomials):
                 coef[j, :, i] = self._coef[:, m]
-            coef = fqarray.digits(spec, coef)
-            x = fqarray.digits(spec, [points[c].x for c in plain])[:, None, None]
-            acc = np.zeros(coef.shape[:3] + x.shape[-1:], dtype=np.int64)
-            for i in reversed(range(coef.shape[-1])):
+            x = np.array([points[c].x for c in plain])
+            acc = coef[..., -1, None]
+            for i in reversed(range(coef.shape[-1] - 1)):
                 acc = fqarray.add(spec, fqarray.mul(spec, acc, x), coef[..., i, None])
-            y = fqarray.digits(spec, [points[c].y for c in plain])
-            num = fqarray.add(spec, acc[:, 0], fqarray.mul(spec, acc[:, 1], y[:, None]))
-            inv = fqarray.inv(spec, num[:, -1])
-            out[:, plain] = fqarray.encode(spec, fqarray.mul(spec, num[:, :-1],
-                                                             inv[:, None]))
+            y = np.array([points[c].y for c in plain])
+            num = fqarray.add_product(spec, acc[0], acc[1], y)
+            out[:, plain] = fqarray.mul(spec, num[:-1], fqarray.inv(spec, num[-1]))
         for c, pt in enumerate(points):
             if pt.is_infinity:
                 curve = self.curve

@@ -63,6 +63,25 @@ def test_curve_create_returns_one_curve_per_kind_field_and_coefficients(monkeypa
     assert len(curve_module._CURVES) == 5
 
 
+def test_curve_table_keeps_only_the_most_recently_used(monkeypatch):
+    # 50 fresh curves, y^2 = x^3 + x + c over F_101 (4 + 27 c^2 != 0),
+    # leave at most _CURVES_KEPT in the table: the last ones asked for
+    monkeypatch.setattr(curve_module, "_CURVES", {})
+    spec = field_create(101, 1)
+    coeffs = [(0, 0, 0, 1, c) for c in range(1, 60) if (4 + 27 * c * c) % 101][:50]
+    curves = [curve_create(ELLIPTIC, cs, spec) for cs in coeffs]
+    kept = curve_module._CURVES_KEPT
+    assert 2 <= kept < 50 and len(curve_module._CURVES) == kept
+    assert all(curve_create(ELLIPTIC, cs, spec) is c
+               for cs, c in zip(coeffs[-kept:], curves[-kept:]))
+    # asking again refreshes a curve, and the least recently used goes
+    assert curve_create(ELLIPTIC, coeffs[-kept], spec) is curves[-kept]
+    again = curve_create(ELLIPTIC, coeffs[0], spec)
+    assert again is not curves[0] and again == curves[0]
+    assert curve_create(ELLIPTIC, coeffs[-kept], spec) is curves[-kept]
+    assert curve_create(ELLIPTIC, coeffs[-kept + 1], spec) is not curves[-kept + 1]
+
+
 @pytest.mark.parametrize("coefficients, i", [((0, 0, 0, -1, 0), 3),
                                              ((0, 0, 0, 1, 49), 4),
                                              ((0.0, 0, 0, 1, 0), 0)])

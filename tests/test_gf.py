@@ -1,8 +1,12 @@
+import ast
+import functools
 import math
+import pathlib
 import random
 import signal
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -396,28 +400,59 @@ def test_tables_equal_the_candidate_search_up_to_4096():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (7, 2), (2, 4), (3, 6), (5, 7),
-                        (2, 16)]),
+@given(st.sampled_from([(2, 1), (5, 1), (2, 4), (7, 2), (2, 8), (7, 4), (3, 7), (5, 7),
+                        (2, 20)]),
        st.integers(0, 10 ** 9))
 def test_fqarray_matches_scalar_arithmetic(pm, seed):
-    # F_{5^7} is above the table limit: the kernel reads no table anywhere;
-    # F_{2^16} is the largest field with tables, at degree 16
+    # both sides of _TABLE_MAX: F_2 .. F_{3^7} compute on exp/log tables
+    # (F_49 adds through its table of sums, F_2401 and F_{3^7} through Zech
+    # logarithms); F_{5^7} in digit form, F_{2^20} on bit strings
     spec = field_create(*pm)
+    assert (spec.order > _TABLE_MAX) == (pm in ((5, 7), (2, 20)))
     rng = random.Random(seed)
-    x = [rng.randrange(spec.order) for _ in range(12)]
+    x = [rng.choice([0, rng.randrange(spec.order)]) for _ in range(12)]
     y = [rng.choice([0, rng.randrange(spec.order)]) for _ in range(12)]
+    y[:3] = [spec.neg_i(a) for a in x[:3]]      # x = -y, the Zech sentinel
+    x[3] = y[4] = 0
     c = rng.randrange(spec.order)
-    dx, dy = fqarray.digits(spec, x), fqarray.digits(spec, y)
-    assert fqarray.encode(spec, dx).tolist() == x
-    assert fqarray.encode(spec, fqarray.add(spec, dx, dy)).tolist() == \
-        [spec.add_i(a, b) for a, b in zip(x, y)]
-    assert fqarray.encode(spec, fqarray.mul(spec, dx, dy)).tolist() == \
-        [spec.mul_i(a, b) for a, b in zip(x, y)]
-    assert fqarray.encode(spec, fqarray.scale(spec, c, dx)).tolist() == \
-        [spec.mul_i(c, a) for a in x]
+    ax, ay = np.array(x), np.array(y)
+    assert fqarray.add(spec, ax, ay).tolist() == [spec.add_i(a, b) for a, b in zip(x, y)]
+    assert fqarray.sub(spec, ax, ay).tolist() == [spec.sub_i(a, b) for a, b in zip(x, y)]
+    assert fqarray.neg(spec, ax).tolist() == [spec.neg_i(a) for a in x]
+    assert fqarray.mul(spec, ax, ay).tolist() == [spec.mul_i(a, b) for a, b in zip(x, y)]
+    assert fqarray.scale(spec, c, ax).tolist() == [spec.mul_i(c, a) for a in x]
+    assert fqarray.add_product(spec, ax, c, ay).tolist() == \
+        [spec.add_i(a, spec.mul_i(c, b)) for a, b in zip(x, y)]
+    assert fqarray.frobenius(spec, ax, spec.p).tolist() == [spec.pow_i(a, spec.p) for a in x]
     nonzero = [a for a in x + y if a]
-    inverses = fqarray.inv(spec, fqarray.digits(spec, nonzero).reshape(spec.deg, -1))
-    assert fqarray.encode(spec, inverses).tolist() == [spec.inv_i(a) for a in nonzero]
+    assert fqarray.inv(spec, np.array(nonzero)).tolist() == [spec.inv_i(a) for a in nonzero]
+    # broadcast shapes: a column against a row, and a scalar
+    for op, scalar in ((fqarray.add, spec.add_i), (fqarray.mul, spec.mul_i)):
+        assert op(spec, ax[:, None], ay[None, :5]).tolist() == \
+            [[scalar(a, b) for b in y[:5]] for a in x]
+        assert op(spec, ax, c).tolist() == [scalar(a, c) for a in x]
+    assert fqarray.add_product(spec, ax[:4, None], ax[None, :3], ay[:4, None]).tolist() == \
+        [[spec.add_i(a, spec.mul_i(b, d)) for b in x[:3]] for a, d in zip(x[:4], y[:4])]
+    assert fqarray.dot(spec, ax.reshape(3, 4), ay.reshape(4, 3)).tolist() == \
+        [[functools.reduce(spec.add_i, map(spec.mul_i, x[4 * i:4 * i + 4], y[j::3]))
+          for j in range(3)] for i in range(3)]
+
+
+def test_only_fqarray_gf_and_analysis_read_the_digit_form():
+    """The digit layout stays behind fqarray: apart from gf (its table
+    build and its scalars above _TABLE_MAX) and analysis (the distance
+    search's bit planes), no src/ module calls fqarray.digits,
+    fqarray.encode or fqarray.linear, or imports them."""
+    layout, readers = {"digits", "encode", "linear"}, set()
+    for path in sorted(pathlib.Path(fqarray.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in layout
+                    and isinstance(node.value, ast.Name) and node.value.id == "fqarray"):
+                readers.add(path.stem)
+            elif (isinstance(node, ast.ImportFrom) and (node.module or "").endswith("fqarray")
+                  and layout & {alias.name for alias in node.names}):
+                readers.add(path.stem)
+    assert readers == {"gf", "analysis"}
 
 
 def test_least_irreducible_matches_the_list_oracle():

@@ -14,9 +14,11 @@ F5 = field_create(5, 1)
 F4 = field_create(2, 2)
 F16 = field_create(2, 4)
 
-# F_2..F_9, F_49, F_{3^6}, and F_{5^7} above the table limit
+# F_2..F_9, F_49 (adding through its table of sums), F_{3^6} and F_81
+# (through Zech logarithms), F_{5^7} above the table limit, and the
+# benchmark's F_16 and F_256
 RREF_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (7, 2),
-               (3, 6), (5, 7)]
+               (3, 6), (5, 7), (2, 4), (2, 8), (3, 4)]
 
 
 def rand_poly(spec, rng, maxdeg=5):
