@@ -392,7 +392,8 @@ def inv(spec, x) -> np.ndarray:
 
 def frobenius(spec, x, q: int) -> np.ndarray:
     """x^q, elementwise, for q a power of p: one gather with tables, else
-    the F_p-linear map whose matrix has the digits of (z^i)^q as column i."""
+    the F_p-linear map that takes z^i to (z^i)^q, as byte tables for p = 2
+    and as a matrix on digits for odd p (cached per q)."""
     tables = _tables(spec)
     x = np.asarray(x, dtype=np.int64)
     if tables is not None:

@@ -400,13 +400,14 @@ def test_tables_equal_the_candidate_search_up_to_4096():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([(2, 1), (5, 1), (2, 4), (7, 2), (2, 8), (7, 4), (3, 7), (5, 7),
-                        (2, 20)]),
+@given(st.sampled_from([(2, 1), (5, 1), (2, 4), (7, 2), (2, 8), (7, 4), (3, 7), (2, 16),
+                        (5, 7), (2, 20)]),
        st.integers(0, 10 ** 9))
 def test_fqarray_matches_scalar_arithmetic(pm, seed):
-    # both sides of _TABLE_MAX: F_2 .. F_{3^7} compute on exp/log tables
+    # both sides of _TABLE_MAX: F_2 .. F_{2^16} compute on exp/log tables
     # (F_49 adds through its table of sums, F_2401 and F_{3^7} through Zech
-    # logarithms); F_{5^7} in digit form, F_{2^20} on bit strings
+    # logarithms; F_{2^16} is the largest field with tables); F_{5^7} in
+    # digit form, F_{2^20} on bit strings
     spec = field_create(*pm)
     assert (spec.order > _TABLE_MAX) == (pm in ((5, 7), (2, 20)))
     rng = random.Random(seed)
