@@ -38,8 +38,9 @@ the in-process CLI keys start from an empty curve table.  The keys:
     twice the degree-2 point of index 1, delta the one of index 0): recover
     reads the curve's points and spaces that build cached;
   * section_rows.F_49.{k}x3200: the a = 6, b = 24 code's rows from its
-    Riemann-Roch spaces: RRSpace.values at the rational base points, then
-    codes._section_rows;
+    Riemann-Roch spaces: codes._section_coeffs (RRSpace.values at the
+    rational base points times the message space's blocks, one product per
+    distinct space), then codes._section_rows;
   * build_elm.F_49.{k}x3200: codes.build_code_elm for a = 6, b = 24, the
     center being the degree-2 point of index 0 with the first fiber
     coordinate that `build` offers (fiber_index 0);
@@ -341,17 +342,20 @@ def rref_s(code):
 
 
 def section_rows_s(code):
-    """Seconds to evaluate a decomposable code's Riemann-Roch spaces at the
-    rational base points and form its rows, as build_code_decomposable does
-    (the spaces are built again first, untimed)."""
+    """Seconds to form a decomposable code's rows from its Riemann-Roch
+    spaces, as codes._section_code does: the product of the message space
+    (the null space of no conditions, the identity) by each distinct
+    space's values at the rational base points, then codes._section_rows
+    (the spaces and the null space are built again first, untimed)."""
     surface, a, beta = code.meta["surface"], code.meta["a"], code.meta["beta"]
     curve = surface.curve
     spaces = [rr_basis(curve, beta - i * surface.delta) for i in range(a + 1)]
+    null = linalg.nullspace(curve.spec, [], sum(map(len, spaces)))
     rational = curve.rational_points()
 
     def run():
-        values = [space.values(rational) for space in spaces]
-        return codes._section_rows(curve.spec, a, codes._block_coeffs(values))
+        coeffs = codes._section_coeffs(curve.spec, spaces, null, rational)
+        return codes._section_rows(curve.spec, a, coeffs)
     return _seconds(run)
 
 

@@ -237,14 +237,10 @@ def _build_code(cfg: dict):
 
 def _bound_for(code) -> dict:
     meta = code.meta
-    q = code.spec.order
-    if meta["family"] == "elm_surface":
-        rep = bound_elm_family(q, meta["N"], meta["g"], meta["d"],
-                              meta["a"], meta["b"])
-    else:
-        rep = bound_decomposable_family(q, meta["N"], meta["g"], meta.get("e", 0),
-                              meta["a"], meta["b"])
-    return rep.as_dict()
+    family = (bound_elm_family if meta["family"] == "elm_surface"
+              else bound_decomposable_family)
+    return family(code.spec.order, meta["N"], meta["g"], meta["e"],
+                  meta["a"], meta["b"]).as_dict()
 
 
 _TABLE_FIELDS = ["family", "params", "n", "k_lb", "k_exact", "d_lb",
@@ -282,7 +278,7 @@ def cmd_build(args) -> int:
         "q": code.spec.order,
         "params": {"a": code.meta["a"], "b": code.meta["b"],
                    "N": code.meta["N"], "g": code.meta["g"],
-                   "e": code.meta.get("e", code.meta.get("d"))},
+                   "e": code.meta["e"]},
         "n": code.n,
         "k": code.k,
         "bound": bound,

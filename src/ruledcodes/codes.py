@@ -4,11 +4,15 @@ Families:
   * projective (doubly extended) Reed-Solomon PRS(a) on P^1(F_q);
   * AG codes on the base curve, L(beta) evaluated at rational points;
   * surface codes: sections sum_{i=0..a} g_i u^i, g_i in L(beta_i), of
-    a*S + pi^*(beta), three families built by one _section_code: on
-    P(O (+) O(-delta)) beta_i = beta - i*delta; the product PRS(a) (x)
-    C_curve(beta) is that code on C x P^1 (delta = 0), with its Kunneth
-    oracle in tests/product_oracle.py; elm takes beta_i = beta, cut by
-    Hasse-derivative conditions for multiplicity a at the center;
+    a*S + pi^*(beta), all built by one _section_code(surface, a, beta)
+    that reads beta_i and the family's conditions from the surface.  On
+    P(O (+) O(-delta)) beta_i = beta - i*delta and there are no
+    conditions; the product PRS(a) (x) C_curve(beta) is that code on
+    C x P^1 (delta = 0), with its Kunneth oracle in tests/product_oracle.py;
+    elm takes beta_i = beta, with Hasse-derivative conditions for
+    multiplicity a at the center.  Every family's message space is the
+    null space of its conditions on the g_i's stacked coordinates (the
+    identity where there are none);
   * unisecant codes (a = 1) with their dimension/distance records.
 
 A section (f_0, ..., f_a) takes the value sum_i f_i(p) u^i at the surface
@@ -17,8 +21,9 @@ projective Reed-Solomon convention on every fiber.  So the builder ends in
 one evaluator, _section_rows: each row's values of (f_0, ..., f_a) at the
 N rational base points times the generator of PRS(a).  Each distinct
 Riemann-Roch space is evaluated once, whole, at the N points
-(RRSpace.values); the elm conditions read its Taylor coefficients at the
-center (RRSpace.expansions).
+(RRSpace.values), and all its blocks of the message space meet those
+values in one product; the elm conditions read its Taylor coefficients
+at the center (RRSpace.expansions).
 """
 
 from __future__ import annotations
@@ -126,11 +131,7 @@ def build_code_decomposable(surface: RuledSurfaceModel, a: int,
     On surface_trivial (delta = 0) this is PRS(a) (x) C_curve(beta)."""
     if surface.variant != DECOMPOSABLE:
         raise ValueError("decomposable builder on a non-decomposable surface")
-    delta = surface.delta
-    return _section_code(
-        surface, a, beta, [beta - i * delta for i in range(a + 1)],
-        lambda rational: _check_disjoint(delta, rational, "delta"),
-        {"family": "decomposable_surface", "e": surface.e})
+    return _section_code(surface, a, beta)
 
 
 def build_code_elm(surface: RuledSurfaceModel, a: int,
@@ -139,15 +140,7 @@ def build_code_elm(surface: RuledSurfaceModel, a: int,
     sum_i g_i u^i, g_i in L(beta), cut by _hasse_conditions at the center."""
     if surface.variant != ELM:
         raise ValueError("elm builder on a non-elm surface")
-    center = surface.base_point
-
-    def check_center(rational):
-        if beta.multiplicity(center) != 0:
-            raise ValueError("supp(beta) must avoid the center of the transform")
-    return _section_code(
-        surface, a, beta, [beta] * (a + 1), check_center,
-        {"family": "elm_surface", "d": center.degree},
-        lambda space: _hasse_conditions(surface, a, space))
+    return _section_code(surface, a, beta)
 
 
 def _hasse_conditions(surface: RuledSurfaceModel, a: int, space):
@@ -171,68 +164,67 @@ def _hasse_conditions(surface: RuledSurfaceModel, a: int, space):
     return subfield_coords(spec, ext, conditions)
 
 
-def _section_code(surface: RuledSurfaceModel, a: int, beta: DivisorOnCurve,
-                  betas, check, meta, conditions=None) -> LinearCode:
-    """The code of the sections sum_{i=0..a} g_i u^i, g_i in L(betas[i]),
-    of a*S + pi^*(beta) at surface_rational_points, with the caller's
-    family fields meta.  Refusals, in order: a < 0, supp(beta) meeting a
-    rational base point, check(rational base points), deg(beta) outside
-    0..N-1, an empty message space.  Without conditions the message space
-    is the direct sum of the L(betas[i]).  With conditions every betas[i]
-    must be one divisor (elm's [beta] * (a + 1)), whose space is asked for
-    once; conditions(space) gives F_q rows on the g_i's coordinates in its
-    basis, and each row of their null space is applied at the base points.
-    Each distinct space is evaluated once at the N rational base points."""
+def _section_code(surface: RuledSurfaceModel, a: int,
+                  beta: DivisorOnCurve) -> LinearCode:
+    """The code of the sections sum_{i=0..a} g_i u^i of a*S + pi^*(beta) at
+    surface_rational_points, g_i in L(beta_i): beta_i = beta - i*delta on a
+    decomposable surface, beta on an elm one.  Refusals, in order: a < 0,
+    supp(beta) meeting a rational base point, supp(delta) meeting one or
+    supp(beta) meeting the elm center, deg(beta) outside 0..N-1, an empty
+    message space.  The message space is the null space of the family's
+    conditions on the g_i's stacked coordinates (elm's _hasse_conditions,
+    none on a decomposable surface, whose null space is the identity)."""
     if a < 0:
         raise ValueError("a must be >= 0")
     curve, spec = surface.curve, surface.curve.spec
     rational = curve.rational_points()
     _check_disjoint(beta, rational, "beta")
-    check(rational)
+    if surface.variant == DECOMPOSABLE:
+        _check_disjoint(surface.delta, rational, "delta")
+        betas = [beta - i * surface.delta for i in range(a + 1)]
+    elif beta.multiplicity(surface.base_point):
+        raise ValueError("supp(beta) must avoid the center of the transform")
+    else:
+        betas = [beta] * (a + 1)
     b = beta.degree()
     if not 0 <= b < len(rational):
         raise ValueError(f"deg(beta) = {b} must satisfy 0 <= b < N = "
                          f"{len(rational)}")
-    spaces = [rr_basis(curve, d) for d in (betas[:1] if conditions else betas)]
+    spaces = [rr_basis(curve, d) for d in betas]
     if not any(spaces):
         raise ValueError("empty message space L(beta)")
-    meta = {**meta, "a": a, "b": b, "N": len(rational), "g": curve.genus,
-            "surface": surface, "beta": beta, "curve": curve}
-    if conditions is None:
-        values = []
-        for space in spaces:  # delta = 0 repeats beta's one space
-            values.append(values[0] if values and space is spaces[0]
-                          else space.values(rational))
-        coeffs = _block_coeffs(values)
-        meta["block_dims"] = [len(space) for space in spaces]
-    else:
-        space, m = spaces[0], len(spaces[0])
-        cond_rows = conditions(space)
-        null = linalg.nullspace(spec, cond_rows, (a + 1) * m)
-        if not null:
-            raise ValueError("empty message space after multiplicity conditions")
-        # row r's g_i at the base points: its block-i coordinates times the
-        # basis values, all blocks of all rows in one product
-        blocks = [row[i * m:(i + 1) * m] for row in null for i in range(a + 1)]
-        values = linalg.mat_mul(spec, blocks, space.values(rational))
-        coeffs = [values[i::a + 1] for i in range(a + 1)]
-        meta["condition_rank"] = (a + 1) * m - len(null)
-        meta["condition_count"] = len(cond_rows)
+    cond_rows = (_hasse_conditions(surface, a, spaces[0])
+                 if surface.variant == ELM else [])
+    dims = [len(space) for space in spaces]
+    null = linalg.nullspace(spec, cond_rows, sum(dims))
+    if not null:
+        raise ValueError("empty message space after multiplicity conditions")
+    meta = {"family": ("elm_surface" if surface.variant == ELM
+                       else "decomposable_surface"), "e": surface.e,
+            "a": a, "b": b, "N": len(rational), "g": curve.genus,
+            "surface": surface, "beta": beta, "curve": curve,
+            "block_dims": dims, "condition_rank": sum(dims) - len(null),
+            "condition_count": len(cond_rows)}
+    coeffs = _section_coeffs(spec, spaces, null, rational)
     return LinearCode(spec, _section_rows(spec, a, coeffs),
                       surface_rational_points(surface), meta)
 
 
-def _block_coeffs(values):
-    """The (a + 1) x k x N coefficients of a direct sum of a + 1 blocks,
-    values[i] holding block i's basis values at the N rational base
-    points: block i's rows follow block i - 1's, and each has its values
-    as g_i and 0 as every other g_i'."""
-    coeffs = np.zeros((len(values), sum(map(len, values)), values[0].shape[1]),
-                      dtype=np.int64)
-    start = 0
-    for i, vals in enumerate(values):
-        coeffs[i, start:start + len(vals)] = vals
-        start += len(vals)
+def _section_coeffs(spec: FieldSpec, spaces, null, points):
+    """The (a + 1) x k x N values of each row's g_i at the N points, null's
+    rows holding the g_i's coordinates in the bases spaces[i] one block
+    after another.  Each distinct space (delta = 0 and elm repeat one) is
+    evaluated once, and all its blocks of all rows are one product."""
+    null = np.array(null, dtype=np.int64)
+    starts = np.cumsum([0] + [len(space) for space in spaces])
+    coeffs = np.empty((len(spaces), len(null), len(points)), dtype=np.int64)
+    for space in dict.fromkeys(spaces):
+        blocks = [i for i, s in enumerate(spaces) if s is space]
+        stacked = np.concatenate([null[:, starts[i]:starts[i + 1]] for i in blocks])
+        live = stacked.any(axis=1)  # without conditions, only the block's own rows
+        values = np.zeros((len(stacked), len(points)), dtype=np.int64)
+        values[live] = linalg.mat_mul(spec, stacked[live], space.values(points))
+        coeffs[blocks] = values.reshape(len(blocks), len(null), -1)
     return coeffs
 
 
@@ -274,10 +266,7 @@ def build_unisecant(surface: RuledSurfaceModel, degL: int,
         beta = _divisor_of_degree(surface, degL)
     if beta.degree() != degL:
         raise ValueError("beta degree does not match degL")
-    if surface.variant == DECOMPOSABLE:
-        code = build_code_decomposable(surface, 1, beta)
-    else:
-        code = build_code_elm(surface, 1, beta)
+    code = _section_code(surface, 1, beta)
     code.meta.update({"family": "unisecant", "degL": degL, "s_a": s_a,
                       "k_lower_unisecant": rep.k_lower,
                       "d_lower_unisecant": rep.d_lower})

@@ -127,6 +127,8 @@ def test_decomposable_demo_parameters():
     code = build_code_decomposable(surf, 1, beta3())
     assert (code.n, code.k) == (36, 4)
     assert code.meta["block_dims"] == [3, 1]  # dim L(beta) + dim L(beta - delta)
+    assert code.meta["e"] == 2    # deg(delta)
+    assert (code.meta["condition_rank"], code.meta["condition_count"]) == (0, 0)
     assert linalg.rank(code.spec, code.matrix) == code.k
     n, k, d = exact_params(code)
     assert (n, k) == (36, 4)
@@ -189,6 +191,22 @@ def test_product_surface_build_computes_one_basis(curve):
     assert code.matrix == codes._section_rows(curve.spec, a, coeffs)
 
 
+@pytest.mark.parametrize("build, surface, beta, evaluations", [
+    (build_code_decomposable, surface_trivial(E5), beta3(), 1),
+    (build_code_decomposable, surface_decomposable(E5, delta2()), beta3(), 3),
+    (build_code_elm, elm_surface(), DivisorOnCurve(
+        E5, [(E5.closed_points(3)[1], 1), (E5.closed_points(2)[1], 1)]), 1)],
+    ids=["product", "decomposable", "elm"])
+def test_each_distinct_space_is_evaluated_once(build, surface, beta, evaluations):
+    # at a = 2 the product surface and elm repeat one space for all three
+    # blocks, evaluated once; delta != 0 gives a + 1 = 3 distinct spaces
+    calls, values = [], rrspace.RRSpace.values
+    with mock.patch.object(rrspace.RRSpace, "values", lambda space, points: (
+            calls.append(space), values(space, points))[1]):
+        build(surface, 2, beta)
+    assert len(calls) == len(set(map(id, calls))) == evaluations
+
+
 def test_product_dimensions_multiply():
     code = build_product_code(E5, 1, beta3())
     assert (code.n, code.k) == (36, 2 * 3)
@@ -209,6 +227,8 @@ def test_elm_demo_parameters():
     assert (code.n, code.k) == (36, 4)
     assert code.meta["condition_rank"] == 2
     assert code.meta["condition_count"] == 2
+    assert code.meta["block_dims"] == [3, 3]  # L(beta) for g_0 and g_1
+    assert code.meta["e"] == 2 and "d" not in code.meta    # deg of the center
     n, k, d = exact_params(code)
     assert d >= 18
 
